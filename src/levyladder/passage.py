@@ -10,6 +10,23 @@ strict inequality), and the almost-surely-null event "creep after a jump
 landed exactly on the level" has an explicit code path that is counted by a
 never-observed monitor rather than being defined away.
 
+First passage with drift steps the active paths one jump per iteration,
+because the drift line may reach the level between any two jumps.  A
+zero-drift compound Poisson path is constant between jumps, so every event
+happens at a jump, and its jump chain is a random walk independent of the
+i.i.d. exponential jump times.  Those paths are block stepped instead: each
+step draws ``B = max(1, DRAWS // m)`` gaps and jumps for each of the ``m``
+active paths, so wide sets step one jump at a time and the small tail
+hundreds.  Cumulative sums give the jump times and walk positions, a
+running maximum gives ``M_{k-1}``, and the first crossing of the level and
+the first jump time past the cap come from an argmax and a count.  This is
+exact in law: the resolving jump index is a stopping time of the i.i.d.
+sequence, so the variates drawn after it are discarded without biasing the
+stopped path, and the sums start from the carried state so every float is
+the one a single-jump loop would compute.  ``B`` only decides how many
+variates one numpy call draws; fed the same per-path sequences, every block
+size gives identical records.
+
 Monitors accumulated by the engines:
 
 * ``creep_with_undershoot`` -- a creeping passage with ``X_{tau-} < u``
@@ -51,6 +68,11 @@ __all__ = [
     "alpha_experiment",
     "sample_alpha",
 ]
+
+# Jumps drawn per block step of the zero-drift passage walker, summed over
+# the active paths: each (m, B) float64 block stays at 64 KB, below the
+# allocator's mmap threshold.
+DRAWS = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -208,20 +230,94 @@ class PassageBatch:
         )
 
 
+def _unresolved(u: float, cap: float, n: int) -> PassageBatch:
+    """Batch of ``n`` records still to be resolved: every field unset."""
+    return PassageBatch(
+        u, cap, np.full(n, np.inf), np.full(n, np.nan), np.full(n, np.nan),
+        np.full(n, np.nan), np.full(n, np.nan), np.zeros(n, dtype=bool),
+        np.zeros(n, dtype=bool), {"creep_with_undershoot": 0},
+    )
+
+
+def _zero_drift_block(sigma, J, M, G, gaps, jumps, u, cap):
+    """Resolve the next ``B`` jumps of ``m`` zero-drift paths at once.
+
+    ``sigma, J, M, G`` (length ``m``) hold each path's last jump time,
+    position, running maximum and departure time from its last maximum.
+    ``gaps`` and ``jumps`` (shape ``(m, B)``) are its next ``B`` inter-jump
+    gaps and jump sizes.  The inputs are not modified.
+
+    Returns ``(passed, censored, record, carry)``: per-path flags, the
+    passage fields ``(tau, x_at, x_before, max_before, g_before)`` (valid on
+    passed paths) and the state ``(sigma, J, M, G)`` after the block (valid
+    on paths that are neither passed nor censored).
+    """
+    m, B = gaps.shape
+    rows = np.arange(m)
+    # accumulating from the carried state in column 0 adds in the same order
+    # as one jump at a time, so every float is independent of B
+    T = gaps.copy()
+    T[:, 0] += sigma
+    np.cumsum(T, axis=1, out=T)  # jump times
+    W = jumps.copy()
+    W[:, 0] += J
+    np.cumsum(W, axis=1, out=W)  # positions just after each jump
+    M_pre = np.empty_like(W)
+    M_pre[:, 0] = M  # J <= M
+    M_pre[:, 1:] = W[:, :-1]
+    np.maximum.accumulate(M_pre, axis=1, out=M_pre)  # running maximum before each jump
+
+    # T increases along a row, so the first jump past cap is a count
+    k_cap = (T <= cap).sum(axis=1)
+    up = W > u
+    k_up = up.argmax(axis=1)
+    k_up[~up[rows, k_up]] = B
+    passed = k_up < k_cap
+    censored = (k_cap < B) & (k_cap <= k_up)
+    k = np.minimum(k_up, B - 1)  # last jump each path takes in this block
+
+    # a path sitting at its maximum departs from it at the next jump; take
+    # the last such departure up to jump k, else the carried one
+    at_max = np.empty((m, B), dtype=bool)
+    np.equal(J, M, out=at_max[:, 0])
+    np.equal(W[:, :-1], M_pre[:, 1:], out=at_max[:, 1:])
+    at_max &= np.arange(B) <= k[:, None]
+    last = B - 1 - at_max[:, ::-1].argmax(axis=1)
+    g = np.where(at_max[rows, last], T[rows, last], G)
+
+    x_before = np.where(k > 0, W[rows, k - 1], J)
+    record = (T[rows, k], W[rows, k], x_before, M_pre[rows, k], g)
+    carry = (T[:, -1], W[:, -1], np.maximum(M_pre[:, -1], W[:, -1]), g)
+    return passed, censored, record, carry
+
+
+def _walk_zero_drift(out: PassageBatch, draw) -> None:
+    """Fill ``out`` by block stepping; ``draw(active)`` returns the next
+    ``(gaps, jumps)`` block, one row per active path index."""
+    n = out.n
+    active = np.arange(n)
+    sigma, J, M, G = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
+    fields = (out.tau, out.x_at, out.x_before, out.max_before, out.g_before)
+    while active.size:
+        gaps, jumps = draw(active)
+        passed, censored, record, carry = _zero_drift_block(
+            sigma, J, M, G, gaps, jumps, out.u, out.cap
+        )
+        fin = active[passed]
+        for dest, val in zip(fields, record):
+            dest[fin] = val[passed]
+        out.censored[active[censored]] = True
+        keep = ~(passed | censored)
+        active = active[keep]
+        sigma, J, M, G = (a[keep] for a in carry)
+
+
 def _passage_chunk(spec: ProcessSpec, u: float, cap: float, n: int, rng) -> PassageBatch:
     c = spec.drift
     lam = spec.rate
-    tau = np.full(n, np.inf)
-    x_at = np.full(n, np.nan)
-    x_before = np.full(n, np.nan)
-    max_before = np.full(n, np.nan)
-    g_before = np.full(n, np.nan)
-    creep = np.zeros(n, dtype=bool)
-    censored = np.zeros(n, dtype=bool)
-    monitors = {"creep_with_undershoot": 0}
-
-    def batch() -> PassageBatch:
-        return PassageBatch(u, cap, tau, x_at, x_before, max_before, g_before, creep, censored, monitors)
+    out = _unresolved(u, cap, n)
+    tau, x_at, x_before, max_before = out.tau, out.x_at, out.x_before, out.max_before
+    g_before, creep, censored, monitors = out.g_before, out.creep, out.censored, out.monitors
 
     if lam == 0:
         if c > 0 and u / c <= cap:
@@ -233,7 +329,18 @@ def _passage_chunk(spec: ProcessSpec, u: float, cap: float, n: int, rng) -> Pass
             creep[:] = True
         else:
             censored[:] = True
-        return batch()
+        return out
+
+    if c == 0:
+        def draw(active):
+            m = active.size
+            B = max(1, DRAWS // m)
+            gaps = rng.exponential(1.0 / lam, (m, B))
+            return gaps, spec.sample_jumps(rng, m * B).reshape(m, B)
+
+        _walk_zero_drift(out, draw)
+        out.validate()
+        return out
 
     sigma = np.zeros(n)  # time of the last jump processed
     J = np.zeros(n)      # sum of jumps so far
@@ -281,9 +388,6 @@ def _passage_chunk(spec: ProcessSpec, u: float, cap: float, n: int, rng) -> Pass
             ii = active[upd]
             M[ii] = w_pre[upd]
             G[ii] = sig_next[upd]
-        elif c == 0:
-            at_max = J[active] == M[active]
-            G[active[at_max]] = sig_next[at_max]
 
         Y = spec.sample_jumps(rng, active.size)
         w_land = w_pre + Y
@@ -315,11 +419,9 @@ def _passage_chunk(spec: ProcessSpec, u: float, cap: float, n: int, rng) -> Pass
         newmax = wl > M[ii]
         jj = ii[newmax]
         M[jj] = wl[newmax]
-        if c != 0:
-            G[jj] = sig_next[cont][newmax]
+        G[jj] = sig_next[cont][newmax]
         active = ii
 
-    out = batch()
     out.validate()
     return out
 

@@ -77,6 +77,13 @@ class DiscreteAtoms:
         order = sorted(range(len(values)), key=lambda i: values[i])
         object.__setattr__(self, "values", tuple(values[i] for i in order))
         object.__setattr__(self, "probs", tuple(probs[i] for i in order))
+        # sampling table, built once: cumulative probabilities and values
+        cum = np.cumsum(self.probs_float)
+        cum[-1] = 1.0
+        vals = np.asarray(self.values, dtype=float)
+        cum.flags.writeable = vals.flags.writeable = False
+        object.__setattr__(self, "_cum", cum)
+        object.__setattr__(self, "_vals", vals)
 
     @property
     def probs_float(self) -> np.ndarray:
@@ -95,10 +102,7 @@ class DiscreteAtoms:
         return float(sum(v * float(p) for v, p in zip(self.values, self.probs)))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        cum = np.cumsum(self.probs_float)
-        cum[-1] = 1.0
-        idx = np.searchsorted(cum, rng.random(size), side="right")
-        return np.asarray(self.values, dtype=float)[idx]
+        return self._vals[np.searchsorted(self._cum, rng.random(size), side="right")]
 
     def support_bound(self) -> float:
         return max(abs(v) for v in self.values)

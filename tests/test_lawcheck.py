@@ -7,6 +7,7 @@ from levyladder.fixtures import B1, P1, P2, P3
 from levyladder.processes import BivariateSubordinatorSpec, DiscreteAtoms, ProcessSpec
 from levyladder.rng import RngPolicy
 from levyladder import lawcheck as lc
+from levyladder import passage as pg
 from levyladder.passage import sample_passages
 
 POL = RngPolicy(seed=424242)
@@ -78,6 +79,25 @@ class TestQuintupleLattice:
                                  fixture="P3")
         assert rep.passed
         assert rep.details[0]["creep_mass"] == 0.0
+
+    def test_arrival_time_fault_fails(self, monkeypatch):
+        # fault: record the arrival time at the last maximum instead of the
+        # departure time.  A second pass over the block with the gaps shifted
+        # by one jump has a clock that reads when each pre-jump position was
+        # reached; G is taken from it, everything else from the true pass.
+        block = pg._zero_drift_block
+
+        def arrival(sigma, J, M, G, gaps, jumps, u, cap):
+            passed, censored, record, carry = block(sigma, J, M, G, gaps, jumps, u, cap)
+            shifted = np.zeros_like(gaps)
+            shifted[:, 1:] = gaps[:, :-1]
+            _, _, rec_a, carry_a = block(sigma, J, M, G, shifted, jumps, u, cap)
+            return passed, censored, record[:4] + rec_a[4:], carry[:3] + carry_a[3:]
+
+        monkeypatch.setattr(pg, "_zero_drift_block", arrival)
+        rep = lc.check_quintuple(P3, 2.0, 65536, POL.substream("fault"), cap=5e4, fixture="P3")
+        assert not rep.passed
+        assert rep.distance > 10 * rep.budget
 
     def test_single_jump_hand_oracle(self):
         # spectrally positive one-atom fixture: passage over u < atom happens

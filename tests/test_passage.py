@@ -65,6 +65,93 @@ class TestFirstPassage:
         assert header == "u,tau,x,v,y,s,t,creep,censored"
 
 
+def _one_jump_at_a_time(gaps, jumps, u, cap):
+    """Scalar reference: the zero-drift passage of one path, jump by jump."""
+    sigma = J = M = G = 0.0
+    for g, y in zip(gaps, jumps):
+        t = sigma + g
+        if t > cap:
+            return None
+        if J == M:
+            G = t  # the path departs its maximum at this jump
+        if J + y > u:
+            return t, J + y, J, M, G
+        sigma, J, M = t, J + y, max(M, J + y)
+    raise AssertionError("sequence too short to resolve the path")
+
+
+class TestZeroDriftBlocks:
+    U, CAP, L = 2.0, 100.0, 256
+
+    def _sequences(self):
+        """Per-path gap and jump sequences: hand-made rows, then random ones."""
+        gaps = [np.ones(self.L) for _ in range(6)]  # jump k happens at time k + 1
+        jumps = []
+        # ties: returns to the maximum 1 before jumps 1, 3 and 5, then passes
+        # at jump 7 from 0, so G is the departure time of jump 5
+        jumps.append([1.0, -1.0, 1.0, -1.0, 1.0, -2.0, 1.0, 2.5])
+        # passage on the last index of a block for B = 7 (6, 13) and B = 2, 64 (63)
+        for k in (6, 13, 63):
+            walk = [-1.0, 1.0] * (k // 2) + [-1.0] * (k % 2)
+            jumps.append(walk + [self.U + 0.5 - sum(walk)])
+        # the cap is crossed at the same jump as the level: censored
+        jumps.append([-1.0, 1.0] * 10 + [3.0])
+        gaps[4][20] = self.CAP
+        # jump 99 happens exactly at the cap and passes (strict censoring)
+        jumps.append([-1.0, 1.0] * 49 + [-1.0, 3.5])
+        jumps = [np.concatenate([j, np.full(self.L - len(j), -1.0)]) for j in jumps]
+        rng = np.random.default_rng(7)
+        gaps = np.vstack(gaps + [rng.exponential(1.0, (300, self.L))])
+        jumps = np.vstack(jumps + [rng.choice([-2.0, -1.0, 1.0, 2.0], (300, self.L))])
+        return gaps, jumps
+
+    def _walk(self, gaps, jumps, B):
+        out = pg._unresolved(self.U, self.CAP, gaps.shape[0])
+        done = [0]
+
+        def draw(active):
+            k = done[0]
+            done[0] += B
+            return gaps[active, k:k + B], jumps[active, k:k + B]
+
+        pg._walk_zero_drift(out, draw)
+        return out
+
+    def test_block_size_does_not_change_records(self):
+        gaps, jumps = self._sequences()
+        one = self._walk(gaps, jumps, 1)
+        for B in (2, 7, 64):
+            blk = self._walk(gaps, jumps, B)
+            for f in ("tau", "x_at", "x_before", "max_before", "g_before", "censored"):
+                assert getattr(blk, f).tobytes() == getattr(one, f).tobytes(), (B, f)
+
+    def test_records_match_one_jump_at_a_time(self):
+        gaps, jumps = self._sequences()
+        out = self._walk(gaps, jumps, 7)
+        for i in range(gaps.shape[0]):
+            want = _one_jump_at_a_time(gaps[i], jumps[i], self.U, self.CAP)
+            assert out.censored[i] == (want is None)
+            if want is not None:
+                got = out.record(i)
+                assert (got.tau, got.x_at, got.x_before, got.max_before, got.g_before) == want
+        # hand-made rows: (tau, x_at, x_before, max_before, g_before)
+        assert out.record(0) == pg.PassageRecord(self.U, 8.0, 2.5, 0.0, 1.0, 6.0, False)
+        for row, k in ((1, 6), (2, 13), (3, 63)):
+            assert out.tau[row] == k + 1 and out.x_at[row] == self.U + 0.5
+        assert out.censored[4]
+        assert out.record(5).tau == self.CAP and not out.censored[5]
+
+    def test_p3_csv_reproducible_across_runs_and_workers(self, tmp_path):
+        pol = RngPolicy(seed=20250809, chunk_size=4096)
+        texts = []
+        for run, workers in enumerate((1, 1, 3)):
+            batch = pg.sample_passages(P3, 2.0, cap=2000.0, n=12000, policy=pol, workers=workers)
+            path = tmp_path / f"p3_{run}.csv"
+            batch.to_csv(str(path))
+            texts.append(path.read_bytes())
+        assert texts[0] == texts[1] == texts[2]
+
+
 class TestEstimateP:
     def test_support_gap_is_exactly_zero(self):
         # Example fixture: creeping over 1.5 by time 0.3 requires a fractional

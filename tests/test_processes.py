@@ -40,6 +40,21 @@ class TestJumpLaws:
         assert law.cdf(-1.0) == 0.25 and law.cdf(2.0) == 1.0  # right continuity
         assert law.atom(2.0) == 0.75 and law.atom(0.5) == 0.0
 
+    @pytest.mark.parametrize("atoms", [
+        P3.jumps, P1.jumps,
+        DiscreteAtoms([(-1.0, Fraction(1, 3)), (0.5, Fraction(1, 6)), (3.0, Fraction(1, 2))]),
+        DiscreteAtoms([(2.0, 0.1), (-0.7, 0.2), (1.3, 0.7)]),
+    ])
+    def test_sample_matches_inline_table(self, atoms):
+        # the cached table must reproduce the per-call construction bit for bit
+        got = atoms.sample(np.random.default_rng(2024), 5000)
+        rng = np.random.default_rng(2024)
+        cum = np.cumsum(np.array([float(p) for p in atoms.probs]))
+        cum[-1] = 1.0
+        idx = np.searchsorted(cum, rng.random(5000), side="right")
+        want = np.asarray(atoms.values, dtype=float)[idx]
+        assert got.tobytes() == want.tobytes()
+
     def test_uniform_rejects_zero_in_range(self):
         with pytest.raises(ValueError):
             UniformJumps(-1.0, 1.0)
