@@ -40,7 +40,6 @@ from .passage import (
     PassageRecord,
     SubPassageBatch,
     SubPassageRecord,
-    alpha_experiment,
     biv_passage,
     estimate_p,
     first_passage,

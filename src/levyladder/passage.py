@@ -46,7 +46,9 @@ from typing import Sequence
 import numpy as np
 
 from .processes import BivariateSubordinatorSpec, ProcessSpec
-from .results import EstimateWithError, binomial_estimate, write_csv
+from .results import (
+    CheckReport, EstimateWithError, binomial_estimate, concatenate, merge_monitors, write_csv,
+)
 from .rng import RngPolicy, chunked_map
 
 __all__ = [
@@ -65,7 +67,6 @@ __all__ = [
     "kappa_from_ladder",
     "kappa_diff_from_ladder",
     "AlphaBatch",
-    "alpha_experiment",
     "sample_alpha",
 ]
 
@@ -209,25 +210,6 @@ class PassageBatch:
             self.creep.astype(int), self.censored.astype(int),
         )
         write_csv(path, ["u", "tau", "x", "v", "y", "s", "t", "creep", "censored"], rows)
-
-    @classmethod
-    def concatenate(cls, parts: Sequence["PassageBatch"]) -> "PassageBatch":
-        mon: dict[str, int] = {}
-        for p in parts:
-            for k, c in p.monitors.items():
-                mon[k] = mon.get(k, 0) + c
-        return cls(
-            parts[0].u,
-            parts[0].cap,
-            np.concatenate([p.tau for p in parts]),
-            np.concatenate([p.x_at for p in parts]),
-            np.concatenate([p.x_before for p in parts]),
-            np.concatenate([p.max_before for p in parts]),
-            np.concatenate([p.g_before for p in parts]),
-            np.concatenate([p.creep for p in parts]),
-            np.concatenate([p.censored for p in parts]),
-            mon,
-        )
 
 
 def _unresolved(u: float, cap: float, n: int) -> PassageBatch:
@@ -440,7 +422,7 @@ def sample_passages(
     parts = chunked_map(
         lambda i, m, rng: _passage_chunk(spec, u, cap, m, rng), n, policy, workers
     )
-    return PassageBatch.concatenate(parts)
+    return concatenate(parts)
 
 
 def first_passage(spec: ProcessSpec, u: float, cap: float, rng) -> PassageRecord:
@@ -468,6 +450,27 @@ def estimate_p(
     batch = sample_passages(spec, u, cap=t, n=n, policy=policy, workers=workers)
     hits = int((batch.creep & (batch.tau <= t)).sum())
     return binomial_estimate(hits, batch.n), dict(batch.monitors)
+
+
+def check_p_estimate(spec: ProcessSpec, t: float, u: float | Sequence[float], n: int,
+                     policy: RngPolicy, workers: int = 1, fixture: str = "") -> CheckReport:
+    """:func:`estimate_p` at each level of ``u`` (one level or a list), one
+    substream per level, as a report whose details hold one row per level.
+
+    An estimate rather than an identity: there is no right side and the
+    budget is infinite.  ``lhs`` is the estimate at the last level.
+    """
+    rows: list[dict] = []
+    monitors: dict[str, int] = {}
+    for level in (float(v) for v in np.atleast_1d(u)):
+        est, mon = estimate_p(spec, t, level, n, policy.substream(f"u{level}"), workers)
+        rows.append({"fixture": fixture, "t": t, "u": level, "p": est.value, "se": est.se,
+                     "n": est.n})
+        merge_monitors(monitors, mon)
+    return CheckReport(check="p-estimate", fixture=fixture, params={"t": t, "u": u, "n": n},
+                       lhs=rows[-1]["p"], distance=0.0, budget=math.inf, passed=True,
+                       n_paths=n * len(rows), details=rows,
+                       columns=("fixture", "t", "u", "p", "se", "n"), monitors=monitors)
 
 
 # ---------------------------------------------------------------------------
@@ -549,24 +552,6 @@ class SubPassageBatch:
             return
         if (self.y_before[r] > self.u).any() or (self.y_at[r] < self.u).any():
             raise RuntimeError("bivariate passage batch violates support constraints")
-
-    @classmethod
-    def concatenate(cls, parts: Sequence["SubPassageBatch"]) -> "SubPassageBatch":
-        mon: dict[str, int] = {}
-        for p in parts:
-            for k, c in p.monitors.items():
-                mon[k] = mon.get(k, 0) + c
-        return cls(
-            parts[0].u,
-            np.concatenate([p.T for p in parts]),
-            np.concatenate([p.z_before for p in parts]),
-            np.concatenate([p.dz for p in parts]),
-            np.concatenate([p.y_before for p in parts]),
-            np.concatenate([p.y_at for p in parts]),
-            np.concatenate([p.killed for p in parts]),
-            np.concatenate([p.censored for p in parts]),
-            mon,
-        )
 
 
 def _biv_chunk(
@@ -703,7 +688,7 @@ def sample_biv_passages(
     if math.isinf(s_cap) and spec.q == 0 and spec.d_y == 0:
         raise ValueError("q = 0 with d_y = 0 needs a finite cap (passage may never resolve)")
     parts = chunked_map(lambda i, m, rng: _biv_chunk(spec, u, m, rng, s_cap), n, policy, workers)
-    return SubPassageBatch.concatenate(parts)
+    return concatenate(parts)
 
 
 def biv_passage(
@@ -738,15 +723,6 @@ class LadderJumpBatch:
     @property
     def censored_mass(self) -> float:
         return float(self.censored.mean()) if self.n else 0.0
-
-    @classmethod
-    def concatenate(cls, parts: Sequence["LadderJumpBatch"]) -> "LadderJumpBatch":
-        return cls(
-            np.concatenate([p.ds for p in parts]),
-            np.concatenate([p.dx for p in parts]),
-            np.concatenate([p.censored for p in parts]),
-            parts[0].cap,
-        )
 
 
 def _ladder_chunk(spec: ProcessSpec, n: int, rng, cap: float) -> LadderJumpBatch:
@@ -809,7 +785,7 @@ def sample_ladder_jumps(
     spec: ProcessSpec, n: int, policy: RngPolicy, cap: float = 200.0, workers: int = 1
 ) -> LadderJumpBatch:
     parts = chunked_map(lambda i, m, rng: _ladder_chunk(spec, m, rng, cap), n, policy, workers)
-    return LadderJumpBatch.concatenate(parts)
+    return concatenate(parts)
 
 
 def ladder_jump(spec: ProcessSpec, rng, cap: float = 200.0) -> tuple[float, float, bool]:
@@ -889,16 +865,6 @@ class AlphaBatch:
     def censored_mass(self) -> float:
         return float(self.censored.mean()) if self.n else 0.0
 
-    @classmethod
-    def concatenate(cls, parts: Sequence["AlphaBatch"]) -> "AlphaBatch":
-        return cls(
-            np.concatenate([p.v for p in parts]),
-            np.concatenate([p.x for p in parts]),
-            np.concatenate([p.s for p in parts]),
-            np.concatenate([p.censored for p in parts]),
-            parts[0].time_cap,
-        )
-
 
 def _alpha_chunk(spec: ProcessSpec, n: int, rng, time_cap: float, step_cap: int) -> AlphaBatch:
     lam = spec.rate
@@ -954,14 +920,4 @@ def sample_alpha(
     parts = chunked_map(
         lambda i, m, rng: _alpha_chunk(spec, m, rng, time_cap, step_cap), n, policy, workers
     )
-    return AlphaBatch.concatenate(parts)
-
-
-def alpha_experiment(
-    spec: ProcessSpec, rng, time_cap: float = 50.0, step_cap: int = 10_000_000
-) -> tuple[float, float, float, bool]:
-    """One sample ``(-X_{alpha-}, X_alpha, alpha - sigma_1, censored)``."""
-    if not spec.is_compound_poisson:
-        raise ValueError("the alpha experiment requires a zero-drift compound Poisson fixture")
-    b = _alpha_chunk(spec, 1, rng, time_cap, step_cap)
-    return float(b.v[0]), float(b.x[0]), float(b.s[0]), bool(b.censored[0])
+    return concatenate(parts)

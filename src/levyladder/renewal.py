@@ -27,12 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Any, Sequence, Union
 
 import numpy as np
 
 from .processes import BivariateSubordinatorSpec, ProcessSpec
-from .results import CheckReport, EstimateWithError, estimate_from_stats, write_csv
+from .results import (
+    CheckReport, EstimateWithError, estimate_from_stats, merge_monitors, write_csv,
+)
 from .rng import RngPolicy, chunked_map, merge_mean_m2
 from .passage import estimate_p, sample_biv_passages
 
@@ -264,7 +266,7 @@ def biv_boxes(
 
 def _biv_min_chunk(
     spec: BivariateSubordinatorSpec, t: float, u: float, n: int, rng, route: str, s_guard: float
-) -> tuple[tuple[int, float, float], int, float]:
+) -> tuple[tuple[int, float, float], int]:
     """Per-path ``T^Y_u ^ T^Z_t [^ e(q)]`` resolved exactly; returns stats.
 
     route='min': value is the sampled triple minimum.  route='integrate':
@@ -317,7 +319,7 @@ def _biv_min_chunk(
     n_eff = vals.size
     mean = float(vals.mean())
     m2 = float(((vals - mean) ** 2).sum())
-    return (n_eff, mean, m2), censored, 0.0
+    return (n_eff, mean, m2), censored
 
 
 def _biv_cell(
@@ -509,6 +511,8 @@ def dual_ladder_measure(
 
 SamplerSpec = Union[BivariateSubordinatorSpec, ProcessSpec]
 
+GRID_COLUMNS = ("t", "u", "V", "SE", "provenance")
+
 
 @dataclass
 class RenewalGrid:
@@ -530,13 +534,16 @@ class RenewalGrid:
             float(self.censored[i, j]),
         )
 
-    def to_csv(self, path: str) -> None:
-        rows = [
-            [t, u, self.value[i, j], self.se[i, j], self.provenance]
+    def rows(self) -> list[dict[str, Any]]:
+        """One row per cell, keyed by ``GRID_COLUMNS``."""
+        return [
+            dict(zip(GRID_COLUMNS, (t, u, self.value[i, j], self.se[i, j], self.provenance)))
             for i, t in enumerate(self.t_values)
             for j, u in enumerate(self.u_values)
         ]
-        write_csv(path, ["t", "u", "V", "SE", "provenance"], rows)
+
+    def to_csv(self, path: str) -> None:
+        write_csv(path, GRID_COLUMNS, [list(row.values()) for row in self.rows()])
 
 
 def estimate_V(
@@ -572,6 +579,25 @@ def estimate_V(
             cens[i, j] = est.censored_mass
     prov = "mc-min" if route == "min" else "mc"
     return RenewalGrid(tuple(t_values), tuple(u_values), value, se, n_per_cell, prov, cens)
+
+
+def check_V_grid(spec: SamplerSpec, t: float | Sequence[float], u: float | Sequence[float],
+                 n_per_cell: int, policy: RngPolicy, workers: int = 1,
+                 route: str = "integrate", fixture: str = "") -> CheckReport:
+    """:func:`estimate_V` on the grid ``t`` x ``u`` (each one value or a
+    list) as a report whose details hold one row per cell.
+
+    An estimate rather than an identity: there is no right side and the
+    budget is infinite.  ``lhs`` is the value at the last cell.
+    """
+    grid = estimate_V(spec, [float(v) for v in np.atleast_1d(t)],
+                      [float(v) for v in np.atleast_1d(u)], n_per_cell, policy, workers,
+                      route=route)
+    return CheckReport(check="V-grid", fixture=fixture,
+                       params={"t": t, "u": u, "n": n_per_cell},
+                       lhs=float(grid.value[-1, -1]), distance=0.0, budget=math.inf,
+                       passed=True, n_paths=n_per_cell * grid.value.size,
+                       details=grid.rows(), columns=GRID_COLUMNS)
 
 
 def left_derivative(
@@ -624,13 +650,11 @@ def _creep_probability_nodes(
             hits = batch.creep & (batch.z_before + batch.dz <= t)
             p[k] = hits.mean()
             se[k] = math.sqrt(p[k] * (1 - p[k]) / batch.n)
-            for key, cnt in batch.monitors.items():
-                monitors[key] = monitors.get(key, 0) + cnt
+            merge_monitors(monitors, batch.monitors)
         else:
             est, mon = estimate_p(spec, t, float(v), n_per_node, sub, workers)
             p[k], se[k] = est.value, est.se
-            for key, cnt in mon.items():
-                monitors[key] = monitors.get(key, 0) + cnt
+            merge_monitors(monitors, mon)
     return p, se, monitors
 
 
@@ -680,6 +704,32 @@ def _segment_nodes(spec: SamplerSpec, t: float, u: float, base_nodes: int) -> li
     return segments
 
 
+def check_ct1(spec: ProcessSpec, t: float, u: float, n: int, policy: RngPolicy,
+              workers: int = 1, delta: float = 0.005, fixture: str = "") -> CheckReport:
+    """Creeping law ``p(t, u) = d_H * left u-derivative of V(t, u)`` for a
+    Levy fixture, whose ladder height drift ``d_H`` is the process drift.
+
+    LHS: :func:`estimate_p`.  RHS: the ladder renewal measure of the band
+    ``(0, t] x (u - delta, u]`` over ``delta``.  The budget adds to 3 SE the
+    change against the next band down, ``(u - 2 delta, u - delta]``, as the
+    bias of the one-sided difference.
+    """
+    est, mon = estimate_p(spec, t, u, n, policy.substream("p"), workers)
+    band = fluct_boxes(spec, [(0.0, t, u - delta, u)], n, policy.substream("b"), workers)[0]
+    band2 = fluct_boxes(spec, [(0.0, t, u - 2 * delta, u - delta)], n,
+                        policy.substream("b2"), workers)[0]
+    deriv = spec.drift * band.value / delta
+    deriv_se = spec.drift * band.se / delta
+    bias = spec.drift * abs(band.value - band2.value) / delta
+    dist = abs(est.value - deriv)
+    budget = 3.0 * math.hypot(est.se, deriv_se) + bias
+    return CheckReport(check="ct1", fixture=fixture,
+                       params={"t": t, "u": u, "delta": delta, "n": n},
+                       lhs=est.value, rhs=deriv, se_lhs=est.se, se_rhs=deriv_se,
+                       distance=dist, budget=budget, passed=dist <= budget,
+                       n_paths=3 * n, monitors=mon, details=[{"delta_bias": bias}])
+
+
 def check_subpint(
     spec: SamplerSpec,
     t: float,
@@ -719,8 +769,7 @@ def check_subpint(
             lhs += val
             var += float(np.sum((w * se) ** 2))
             n_paths += n_per_node * (nodes.size - 1)
-            for key, cnt in mon.items():
-                monitors[key] = monitors.get(key, 0) + cnt
+            merge_monitors(monitors, mon)
         lhs_se = math.sqrt(var)
 
     v_est = (

@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -80,7 +80,8 @@ class CheckReport:
     """Outcome of one identity check: two routes, a distance and a budget.
 
     ``passed`` is True iff ``distance <= budget``.  ``details`` carries
-    per-cell or per-node rows for the CSV report; ``monitors`` carries
+    per-cell or per-node rows for the CSV report, in the order ``columns``
+    gives (empty: the sorted union of the rows' keys); ``monitors`` carries
     never-observed-event counters accumulated over all paths the check ran.
     """
 
@@ -97,6 +98,7 @@ class CheckReport:
     n_paths: int = 0
     censored_mass: float = 0.0
     details: list[dict[str, Any]] = field(default_factory=list)
+    columns: tuple[str, ...] = ()
     monitors: dict[str, int] = field(default_factory=dict)
 
     def summary_row(self) -> list[Any]:
@@ -167,7 +169,24 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -
 
 
 def merge_monitors(target: dict[str, int], *sources: Mapping[str, int]) -> dict[str, int]:
+    """Add each source's counts into ``target``; returns ``target``."""
     for src in sources:
         for key, cnt in src.items():
             target[key] = target.get(key, 0) + int(cnt)
     return target
+
+
+def concatenate(parts: Sequence[Any]) -> Any:
+    """One batch of the parts' dataclass type holding all their records in
+    order: array fields are joined, ``monitors`` summed, and every other
+    field is taken from the first part."""
+    values = {}
+    for f in fields(parts[0]):
+        first = getattr(parts[0], f.name)
+        if isinstance(first, np.ndarray):
+            values[f.name] = np.concatenate([getattr(p, f.name) for p in parts])
+        elif f.name == "monitors":
+            values[f.name] = merge_monitors({}, *(p.monitors for p in parts))
+        else:
+            values[f.name] = first
+    return type(parts[0])(**values)

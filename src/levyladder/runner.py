@@ -7,7 +7,8 @@ per check plus a ``summary.csv``.  Outputs are a pure function of
 files, and the ``workers`` setting never changes any number, only wall
 time.  The exit status is 0 iff every check passed its budget.
 
-Config schema (unknown keys are rejected, with the offending path named)::
+Config schema (unknown keys and bad values are rejected, with the
+offending path named)::
 
     {
       "seed": 42,                  # master seed (CLI --seed overrides)
@@ -20,50 +21,142 @@ Config schema (unknown keys are rejected, with the offending path named)::
                    "jumps": {"variant": "discrete", "atoms": [[1, 0.5], [-1, 0.5]]}}
       },
       "checks": [
-        {"name": "p-estimate", "fixture": "P1", "t": 0.5, "u": [0.25, 0.5]},
-        {"name": "V-grid",     "fixture": "B1", "t": [0.5, 1], "u": [0.5, 1]},
-        {"name": "ct1",        "fixture": "P1", "t": 0.5, "u": 0.25, "delta": 0.005},
-        {"name": "subpint",    "fixture": "B1", "t": 0.5, "u": 0.4},
-        {"name": "quintuple",  "fixture": "P3", "u": 2.0},
-        {"name": "quadruple",  "fixture": "B1", "u": 1.5},
-        {"name": "amicale",    "fixture": "P2"},
-        {"name": "slfi",       "fixture": "B1", "mu": 1, "rho": 2, "ell": 0, "nu": 1, "theta": 1},
-        {"name": "slfi-fluct", "fixture": "P2", "mu": 1, "rho": 2, "ell": 0, "nu": 1, "theta": 1},
-        {"name": "wiener-hopf","fixture": "P3", "a": [0.5, 1, 2]},
-        {"name": "resolvent",  "fixture": "S1", "q": 1.0, "u": 0.5},
-        {"name": "alpha",      "fixture": "P3"}
+        {"name": "ct1", "fixture": "P1", "t": 0.5, "u": 0.25, "delta": 0.005},
+        {"name": "quintuple", "fixture": "P3", "u": 2.0, "n": 400000}
       ]
     }
 
-Every check accepts an optional ``"n"`` overriding the default sample count.
+Each check names an entry of :data:`CHECKS`, which gives the fixture kind
+it needs and the keys it accepts; every check also accepts ``"n"``,
+overriding the default sample count.  ``demos/full_suite.json`` runs every
+check.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from typing import Any, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from . import lawcheck, renewal, transforms
+from . import lawcheck, passage, renewal, transforms
 from .fixtures import FIXTURES, ConfigError, spec_from_config
-from .passage import estimate_p
-from .processes import BivariateSubordinatorSpec, ProcessSpec
-from .results import REPORT_HEADER, SUMMARY_HEADER, CheckReport, write_csv
+from .processes import BivariateSubordinatorSpec
+from .results import REPORT_HEADER, SUMMARY_HEADER, CheckReport, merge_monitors, write_csv
 from .rng import RngPolicy
 
 __all__ = ["ExperimentConfig", "run", "report_plotdata", "main"]
 
-CHECK_NAMES = (
-    "p-estimate", "V-grid", "ct1", "subpint", "quintuple", "quadruple",
-    "amicale", "slfi", "slfi-fluct", "wiener-hopf", "resolvent", "alpha",
-)
-
 _TOP_KEYS = {"seed", "n", "workers", "out", "chunk_size", "fixtures", "checks"}
+
+
+@dataclass(frozen=True)
+class Check:
+    """One runner check.
+
+    ``kind`` is the fixture kind it needs (``"Levy"`` or ``"bivariate"``;
+    None takes either), ``keys`` the config keys it accepts besides
+    ``name``, ``fixture`` and ``n``, and ``run(spec, c, n, policy, workers,
+    fixture)`` computes its report from the check's config ``c``.  A key the
+    config leaves out is not passed, so its default is the library's.
+    """
+
+    kind: str | None
+    keys: tuple[str, ...]
+    run: Callable[..., CheckReport]
+
+
+def _given(c: Mapping[str, Any], *keys: str, conv: Callable = float) -> dict[str, Any]:
+    """The optional ``keys`` that ``c`` sets, converted by ``conv``."""
+    return {k: conv(c[k]) for k in keys if k in c}
+
+
+def _params_from(c: Mapping[str, Any]) -> transforms.TransformParams:
+    return transforms.TransformParams(
+        mu=float(c.get("mu", 1.0)),
+        rho=float(c.get("rho", 2.0)),
+        ell=float(c.get("ell", 0.0)),
+        nu=float(c.get("nu", 1.0)),
+        theta=float(c.get("theta", 1.0)),
+    )
+
+
+_TRANSFORM_KEYS = ("mu", "rho", "ell", "nu", "theta", "u_nodes")
+
+# Entries reach library functions as module attributes at call time, so a
+# function rebound on its module after import is the one that runs.
+CHECKS: dict[str, Check] = {
+    "p-estimate": Check(
+        "Levy", ("t", "u"),
+        lambda spec, c, n, pol, w, fx: passage.check_p_estimate(
+            spec, float(c["t"]), c["u"], n, pol, w, fixture=fx)),
+    "V-grid": Check(
+        None, ("t", "u", "route"),
+        lambda spec, c, n, pol, w, fx: renewal.check_V_grid(
+            spec, c["t"], c["u"], n, pol, w, fixture=fx, **_given(c, "route", conv=str))),
+    "ct1": Check(
+        "Levy", ("t", "u", "delta"),
+        lambda spec, c, n, pol, w, fx: renewal.check_ct1(
+            spec, float(c["t"]), float(c["u"]), n, pol, w, fixture=fx, **_given(c, "delta"))),
+    "subpint": Check(
+        None, ("t", "u"),
+        lambda spec, c, n, pol, w, fx: renewal.check_subpint(
+            spec, float(c["t"]), float(c["u"]), n, pol, w, fixture=fx)),
+    "quintuple": Check(
+        "Levy", ("u", "cap", "mesh", "delta"),
+        lambda spec, c, n, pol, w, fx: lawcheck.check_quintuple(
+            spec, float(c["u"]), n, pol, w, fixture=fx, **_given(c, "cap", "mesh", "delta"))),
+    "quadruple": Check(
+        "bivariate", ("u", "mesh", "delta"),
+        lambda spec, c, n, pol, w, fx: lawcheck.check_quadruple(
+            spec, float(c["u"]), n, pol, w, delta=c.get("delta"), fixture=fx,
+            **_given(c, "mesh"))),
+    "amicale": Check(
+        "Levy", ("mesh",),
+        lambda spec, c, n, pol, w, fx: lawcheck.check_amicale(
+            spec, n, pol, w, fixture=fx, **_given(c, "mesh"))),
+    "slfi": Check(
+        "bivariate", _TRANSFORM_KEYS,
+        lambda spec, c, n, pol, w, fx: transforms.slfi_check(
+            spec, _params_from(c), n, pol, w, fixture=fx, **_given(c, "u_nodes", conv=int))),
+    "slfi-fluct": Check(
+        "Levy", _TRANSFORM_KEYS + ("cap",),
+        lambda spec, c, n, pol, w, fx: transforms.slfi_fluct_check(
+            spec, _params_from(c), n, pol, w, fixture=fx, **_given(c, "u_nodes", conv=int),
+            **_given(c, "cap"))),
+    "wiener-hopf": Check(
+        "Levy", ("a",),
+        lambda spec, c, n, pol, w, fx: transforms.wiener_hopf_check(
+            spec, tuple(float(a) for a in np.atleast_1d(c.get("a", [0.5, 1.0, 2.0]))), n,
+            pol, w, fixture=fx)),
+    "resolvent": Check(
+        "Levy", ("q", "u", "delta"),
+        lambda spec, c, n, pol, w, fx: transforms.check_resolvent_creep(
+            spec, float(c.get("q", 1.0)), float(c["u"]), n, pol, w, delta=c.get("delta"),
+            fixture=fx)),
+    "alpha": Check(
+        "Levy", ("s_max",),
+        lambda spec, c, n, pol, w, fx: lawcheck.check_alpha_embedding(
+            spec, n, pol, w, fixture=fx,
+            s_grid=tuple(np.arange(0.5, float(c["s_max"]) + 0.25, 0.5)) if "s_max" in c
+            else None)),
+}
+
+
+def _integer(value: Any, where: str, least: int | None = None) -> int:
+    """``value`` as an int of at least ``least``, or a ConfigError naming ``where``."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or (least is not None and out < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigError(f"{where}: must be an integer{bound}, got {value!r}")
+    return out
 
 
 class ExperimentConfig:
@@ -73,11 +166,16 @@ class ExperimentConfig:
         unknown = set(raw) - _TOP_KEYS
         if unknown:
             raise ConfigError(f"config: unknown keys {sorted(unknown)}")
-        self.seed = int(raw.get("seed", 0))
-        self.n = int(raw.get("n", 10000))
-        self.workers = int(raw.get("workers", 1))
+        self.seed = _integer(raw.get("seed", 0), "config.seed")
+        self.n = _integer(raw.get("n", 10000), "config.n", least=1)
+        self.workers = _integer(raw.get("workers", 1), "config.workers", least=1)
         self.out = str(raw.get("out", "results"))
-        self.chunk_size = int(raw.get("chunk_size", 16384))
+        self.chunk_size = _integer(raw.get("chunk_size", 16384), "config.chunk_size")
+        try:
+            RngPolicy(self.seed, self.chunk_size)
+        except ValueError as exc:  # its messages start with the field's name
+            key, _, why = str(exc).partition(" ")
+            raise ConfigError(f"config.{key}: {why}") from None
         self.fixtures = dict(FIXTURES)
         for name, cfg in raw.get("fixtures", {}).items():
             self.fixtures[name] = spec_from_config(cfg, where=f"fixtures.{name}")
@@ -91,37 +189,20 @@ class ExperimentConfig:
         if "name" not in c:
             raise ConfigError(f"{where}.name: missing")
         name = c["name"]
-        if name not in CHECK_NAMES:
-            raise ConfigError(f"{where}.name: unknown check {name!r}; allowed {list(CHECK_NAMES)}")
+        if not isinstance(name, str) or name not in CHECKS:
+            raise ConfigError(f"{where}.name: unknown check {name!r}; allowed {list(CHECKS)}")
         if "fixture" not in c or c["fixture"] not in self.fixtures:
             raise ConfigError(f"{where}.fixture: must name a shipped or inline fixture")
         spec = self.fixtures[c["fixture"]]
-        allowed = {"name", "fixture", "n"}
-        per_check = {
-            "p-estimate": {"t", "u"},
-            "V-grid": {"t", "u", "route"},
-            "ct1": {"t", "u", "delta"},
-            "subpint": {"t", "u"},
-            "quintuple": {"u", "cap", "mesh", "delta"},
-            "quadruple": {"u", "mesh", "delta"},
-            "amicale": {"mesh"},
-            "slfi": {"mu", "rho", "ell", "nu", "theta", "u_nodes"},
-            "slfi-fluct": {"mu", "rho", "ell", "nu", "theta", "u_nodes", "cap"},
-            "wiener-hopf": {"a"},
-            "resolvent": {"q", "u", "delta"},
-            "alpha": {"s_max"},
-        }[name]
-        unknown = set(c) - allowed - per_check
+        check = CHECKS[name]
+        unknown = set(c) - {"name", "fixture", "n", *check.keys}
         if unknown:
             raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        if "n" in c:
+            _integer(c["n"], f"{where}.n", least=1)
         is_biv = isinstance(spec, BivariateSubordinatorSpec)
-        if name in ("slfi",) and not is_biv:
-            raise ConfigError(f"{where}: slfi needs a bivariate fixture")
-        if name in ("p-estimate", "ct1", "quintuple", "amicale", "slfi-fluct",
-                    "wiener-hopf", "resolvent", "alpha") and is_biv:
-            raise ConfigError(f"{where}: {name} needs a Levy fixture")
-        if name == "quadruple" and not is_biv:
-            raise ConfigError(f"{where}: quadruple needs a bivariate fixture")
+        if check.kind is not None and is_biv != (check.kind == "bivariate"):
+            raise ConfigError(f"{where}: {name} needs a {check.kind} fixture")
         if name in ("slfi", "slfi-fluct"):
             p = _params_from(c)
             if not p.derivative_branch and abs(p.mu + p.ell - p.rho) < 1e-9:
@@ -129,7 +210,7 @@ class ExperimentConfig:
                     f"{where}: mu + ell - rho is numerically zero; use the derivative branch"
                     " (set ell = rho - mu exactly)"
                 )
-            if isinstance(spec, BivariateSubordinatorSpec):
+            if is_biv:
                 try:
                     p.validate_for(spec)
                 except ValueError as exc:
@@ -137,113 +218,13 @@ class ExperimentConfig:
         return dict(c)
 
 
-def _params_from(c: Mapping[str, Any]) -> transforms.TransformParams:
-    return transforms.TransformParams(
-        mu=float(c.get("mu", 1.0)),
-        rho=float(c.get("rho", 2.0)),
-        ell=float(c.get("ell", 0.0)),
-        nu=float(c.get("nu", 1.0)),
-        theta=float(c.get("theta", 1.0)),
-    )
-
-
-def _as_list(x) -> list[float]:
-    if isinstance(x, (list, tuple)):
-        return [float(v) for v in x]
-    return [float(x)]
-
-
 def _run_check(c: dict[str, Any], cfg: ExperimentConfig, policy: RngPolicy,
                out_dir: str, idx: int) -> CheckReport:
-    name = c["name"]
-    fixture = c["fixture"]
-    spec = cfg.fixtures[fixture]
-    n = int(c.get("n", cfg.n))
-    sub = policy.substream(f"{idx}:{name}:{fixture}")
-    w = cfg.workers
-
-    if name == "p-estimate":
-        t = float(c["t"])
-        rows = []
-        monitors: dict[str, int] = {}
-        for u in _as_list(c["u"]):
-            est, mon = estimate_p(spec, t, u, n, sub.substream(f"u{u}"), w)
-            rows.append([fixture, t, u, est.value, est.se, est.n])
-            for k, v in mon.items():
-                monitors[k] = monitors.get(k, 0) + v
-        write_csv(os.path.join(out_dir, f"check{idx:02d}_p_estimate.csv"),
-                  ["fixture", "t", "u", "p", "se", "n"], rows)
-        return CheckReport(check=name, fixture=fixture, params={"t": t, "u": c["u"], "n": n},
-                           lhs=rows[-1][3], rhs=math.nan, distance=0.0, budget=math.inf,
-                           passed=True, n_paths=n * len(rows), monitors=monitors)
-
-    if name == "V-grid":
-        grid = renewal.estimate_V(spec, _as_list(c["t"]), _as_list(c["u"]), n, sub, w,
-                                  route=str(c.get("route", "integrate")))
-        grid.to_csv(os.path.join(out_dir, f"check{idx:02d}_V_grid.csv"))
-        return CheckReport(check=name, fixture=fixture,
-                           params={"t": c["t"], "u": c["u"], "n": n},
-                           lhs=float(grid.value[-1, -1]), rhs=math.nan, distance=0.0,
-                           budget=math.inf, passed=True,
-                           n_paths=n * grid.value.size)
-
-    if name == "ct1":
-        t, u = float(c["t"]), float(c["u"])
-        delta = float(c.get("delta", 0.005))
-        est, mon = estimate_p(spec, t, u, n, sub.substream("p"), w)
-        band = renewal.fluct_boxes(spec, [(0.0, t, u - delta, u)], n, sub.substream("b"), w)[0]
-        band2 = renewal.fluct_boxes(spec, [(0.0, t, u - 2 * delta, u - delta)], n,
-                                    sub.substream("b2"), w)[0]
-        deriv = spec.drift * band.value / delta
-        deriv_se = spec.drift * band.se / delta
-        bias = spec.drift * abs(band.value - band2.value) / delta
-        dist = abs(est.value - deriv)
-        budget = 3.0 * math.hypot(est.se, deriv_se) + bias
-        rep = CheckReport(check=name, fixture=fixture,
-                          params={"t": t, "u": u, "delta": delta, "n": n},
-                          lhs=est.value, rhs=deriv, se_lhs=est.se, se_rhs=deriv_se,
-                          distance=dist, budget=budget, passed=dist <= budget,
-                          n_paths=3 * n, monitors=mon,
-                          details=[{"delta_bias": bias}])
-    elif name == "subpint":
-        rep = renewal.check_subpint(spec, float(c["t"]), float(c["u"]), n, sub, w,
-                                    fixture=fixture)
-    elif name == "quintuple":
-        rep = lawcheck.check_quintuple(spec, float(c["u"]), n, sub, w,
-                                       cap=float(c.get("cap", 30000.0)),
-                                       mesh=float(c.get("mesh", 0.1)),
-                                       delta=float(c.get("delta", 0.005)),
-                                       fixture=fixture)
-    elif name == "quadruple":
-        rep = lawcheck.check_quadruple(spec, float(c["u"]), n, sub, w,
-                                       mesh=float(c.get("mesh", 0.05)),
-                                       delta=c.get("delta"), fixture=fixture)
-    elif name == "amicale":
-        rep = lawcheck.check_amicale(spec, n, sub, w, mesh=float(c.get("mesh", 0.1)),
-                                     fixture=fixture)
-    elif name == "slfi":
-        rep = transforms.slfi_check(spec, _params_from(c), n, sub, w,
-                                    u_nodes=int(c.get("u_nodes", 40)), fixture=fixture)
-    elif name == "slfi-fluct":
-        rep = transforms.slfi_fluct_check(spec, _params_from(c), n, sub, w,
-                                          u_nodes=int(c.get("u_nodes", 40)),
-                                          cap=float(c.get("cap", 60.0)), fixture=fixture)
-    elif name == "wiener-hopf":
-        rep = transforms.wiener_hopf_check(spec, tuple(_as_list(c.get("a", [0.5, 1.0, 2.0]))),
-                                           n, sub, w, fixture=fixture)
-    elif name == "resolvent":
-        rep = transforms.check_resolvent_creep(spec, float(c.get("q", 1.0)), float(c["u"]),
-                                               n, sub, w, delta=c.get("delta"), fixture=fixture)
-    elif name == "alpha":
-        s_max = float(c.get("s_max", 12.0))
-        rep = lawcheck.check_alpha_embedding(spec, n, sub, w,
-                                             s_grid=tuple(np.arange(0.5, s_max + 0.25, 0.5)),
-                                             fixture=fixture)
-    else:  # pragma: no cover - guarded by config validation
-        raise ConfigError(f"unhandled check {name}")
-
+    name, fixture = c["name"], c["fixture"]
+    rep = CHECKS[name].run(cfg.fixtures[fixture], c, int(c.get("n", cfg.n)),
+                           policy.substream(f"{idx}:{name}:{fixture}"), cfg.workers, fixture)
     if rep.details:
-        header = sorted({k for row in rep.details for k in row})
+        header = list(rep.columns) or sorted({k for row in rep.details for k in row})
         write_csv(os.path.join(out_dir, f"check{idx:02d}_{name.replace('-', '_')}.csv"),
                   header, [[row.get(k, "") for k in header] for row in rep.details])
     return rep
@@ -268,12 +249,8 @@ def run(config: Mapping[str, Any] | ExperimentConfig, out_dir: str | None = None
               [r.summary_row() for r in reports])
     write_csv(os.path.join(out, "reports.csv"), REPORT_HEADER,
               [r.report_row() for r in reports])
-    monitors: dict[str, int] = {}
-    total_paths = 0
-    for r in reports:
-        total_paths += r.n_paths
-        for k, v in r.monitors.items():
-            monitors[k] = monitors.get(k, 0) + v
+    monitors = merge_monitors({}, *(r.monitors for r in reports))
+    total_paths = sum(r.n_paths for r in reports)
     write_csv(os.path.join(out, "monitors.csv"), ["monitor", "count", "total_paths"],
               [[k, v, total_paths] for k, v in sorted(monitors.items())])
     return 0 if all(r.passed for r in reports) else 1

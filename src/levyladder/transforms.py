@@ -22,7 +22,7 @@ from .processes import (
     kappa_biv,
     kappa_biv_rho_derivative,
 )
-from .results import CheckReport, EstimateWithError, estimate_from_stats
+from .results import CheckReport, EstimateWithError, estimate_from_stats, merge_monitors
 from .rng import RngPolicy, chunked_map, merge_mean_m2
 from .passage import (
     LadderJumpBatch,
@@ -229,8 +229,7 @@ def slfi_check(
         )
         f[k] = float(vals.mean())
         fse[k] = float(vals.std(ddof=1) / math.sqrt(batch.n))
-        for key, cnt in batch.monitors.items():
-            monitors[key] = monitors.get(key, 0) + cnt
+        merge_monitors(monitors, batch.monitors)
     if math.isnan(f[0]):
         f[0] = f[1]  # d_y = 0: no creeping limit; covered by the quad estimate
     # In the derivative branch the stated integrand has no e^{-mu u} factor,
@@ -314,8 +313,7 @@ def slfi_fluct_check(
         f[k] = float(vals.mean())
         fse[k] = float(vals.std(ddof=1) / math.sqrt(batch.n))
         cens = max(cens, batch.censored_mass)
-        for key, cnt in batch.monitors.items():
-            monitors[key] = monitors.get(key, 0) + cnt
+        merge_monitors(monitors, batch.monitors)
     weight = np.exp(-params.mu * nodes)
     w = _trap_weights(nodes)
     lhs = float(np.sum(w * weight * f))

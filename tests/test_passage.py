@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from levyladder.fixtures import B1, P1, P2, P3
 from levyladder.processes import BivariateSubordinatorSpec, DiscreteAtoms, ProcessSpec
+from levyladder.results import concatenate
 from levyladder.rng import RngPolicy
 from levyladder import passage as pg
 
@@ -270,3 +272,37 @@ class TestAlpha:
             est = pg.kappa_from_ladder(P2, batch, a, 0.0)
             phi = brentq(lambda th: th - 0.5 * th / (1 + th) - a, a, a + 10)
             assert abs(est.value - phi) <= 3 * est.se + est.bias_bound
+
+
+def _batch_parts(cls):
+    """Three parts of ``cls`` with distinct arrays, scalars and monitors."""
+    parts = []
+    for k, m in enumerate((2, 3, 1)):
+        values = {}
+        for f in dataclasses.fields(cls):
+            if f.name == "monitors":
+                values[f.name] = {"a": k + 1, f"only{k}": 10 * k}
+            elif f.type in ("np.ndarray", np.ndarray):
+                values[f.name] = np.arange(m, dtype=float) + 100 * k
+            else:
+                values[f.name] = 0.5 + k
+        parts.append(cls(**values))
+    return parts
+
+
+@pytest.mark.parametrize("cls", [pg.PassageBatch, pg.SubPassageBatch,
+                                 pg.LadderJumpBatch, pg.AlphaBatch])
+def test_concatenate_joins_arrays_sums_monitors_keeps_first_scalars(cls):
+    parts = _batch_parts(cls)
+    out = concatenate(parts)
+    assert type(out) is cls
+    for f in dataclasses.fields(cls):
+        got = getattr(out, f.name)
+        if f.name == "monitors":
+            assert got == {"a": 6, "only0": 0, "only1": 10, "only2": 20}
+        elif isinstance(got, np.ndarray):
+            assert got.tolist() == [0.0, 1.0, 100.0, 101.0, 102.0, 200.0]
+        else:
+            assert got == 0.5  # scalars come from the first part
+    if any(f.name == "monitors" for f in dataclasses.fields(cls)):
+        assert parts[0].monitors == {"a": 1, "only0": 0}  # inputs left as they were

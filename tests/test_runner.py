@@ -4,6 +4,7 @@ import os
 import pytest
 
 from levyladder.fixtures import ConfigError
+from levyladder.results import CheckReport
 from levyladder import runner
 
 
@@ -73,6 +74,50 @@ class TestConfigValidation:
             runner.ExperimentConfig(raw)
 
 
+# A shipped fixture of each kind, and the kind that is not it.
+KIND_FIXTURE = {"Levy": "P1", "bivariate": "B1"}
+OTHER_KIND = {"Levy": "bivariate", "bivariate": "Levy"}
+
+
+class TestCheckTable:
+    @pytest.mark.parametrize("name", sorted(runner.CHECKS))
+    def test_unknown_key_names_check_path(self, name):
+        fixture = KIND_FIXTURE[runner.CHECKS[name].kind or "Levy"]
+        raw = _cfg(checks=[{"name": name, "fixture": fixture, "typo": 1}])
+        with pytest.raises(ConfigError, match=r"checks\[0\]: unknown keys \['typo'\]"):
+            runner.ExperimentConfig(raw)
+
+    @pytest.mark.parametrize("name", sorted(runner.CHECKS))
+    def test_fixture_kind_is_enforced(self, name):
+        kind = runner.CHECKS[name].kind
+        if kind is None:  # takes either kind
+            for fixture in KIND_FIXTURE.values():
+                runner.ExperimentConfig(_cfg(checks=[{"name": name, "fixture": fixture}]))
+            return
+        raw = _cfg(checks=[{"name": name, "fixture": KIND_FIXTURE[OTHER_KIND[kind]]}])
+        with pytest.raises(ConfigError, match=rf"checks\[0\]: {name} needs a {kind} fixture"):
+            runner.ExperimentConfig(raw)
+
+    def test_one_entry_adds_a_check(self, tmp_path, monkeypatch):
+        def run_dummy(spec, c, n, policy, workers, fixture):
+            x = float(c["x"])
+            return CheckReport(check="my-dummy", fixture=fixture, params={"x": x, "n": n},
+                               lhs=x, rhs=x, distance=0.0, budget=1.0, passed=True,
+                               n_paths=n, details=[{"b": 2.0, "a": x}, {"a": 4.0}],
+                               monitors={"dummy_event": 0})
+
+        monkeypatch.setitem(runner.CHECKS, "my-dummy",
+                            runner.Check("Levy", ("x",), run_dummy))
+        out = tmp_path / "res"
+        raw = _cfg(out=str(out), checks=[{"name": "my-dummy", "fixture": "P2", "x": 3}])
+        assert runner.run(raw) == 0
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert len(summary) == 2 and summary[1].startswith("my-dummy,P2,")
+        assert summary[1].endswith(",3.0,3.0,0.0,1.0,PASS")
+        assert (out / "check00_my_dummy.csv").read_text() == "a,b\n3.0,2.0\n4.0,\n"
+        assert "dummy_event,0,3000" in (out / "monitors.csv").read_text()
+
+
 class TestRun:
     def test_outputs_and_exit_status(self, tmp_path):
         out = str(tmp_path / "res")
@@ -124,6 +169,23 @@ class TestMain:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(_cfg(bogus=1)))
         assert runner.main(["--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("where, value, key", [
+        (None, {"chunk_size": 0}, "config.chunk_size"),
+        (None, {"seed": -3}, "config.seed"),
+        (None, {"seed": "x"}, "config.seed"),
+        (None, {"n": -5}, "config.n"),
+        (None, {"workers": 0}, "config.workers"),
+        (0, {"n": -5}, "checks[0].n"),
+    ])
+    def test_cli_bad_value_exit_code(self, tmp_path, capsys, where, value, key):
+        raw = _cfg()
+        (raw if where is None else raw["checks"][where]).update(value)
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert runner.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_cli_missing_file(self):
         assert runner.main(["--config", "/nonexistent.json"]) == 2
