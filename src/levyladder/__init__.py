@@ -40,11 +40,8 @@ from .passage import (
     PassageRecord,
     SubPassageBatch,
     SubPassageRecord,
-    biv_passage,
     estimate_p,
-    first_passage,
     kappa_from_ladder,
-    ladder_jump,
     sample_alpha,
     sample_biv_passages,
     sample_ladder_jumps,

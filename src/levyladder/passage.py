@@ -3,18 +3,20 @@
 All engines are vectorised over paths but exact in law: inter-jump gaps are
 the realised exponential variates and every event (creeping, passage by
 jump, killing) is resolved by algebraic comparison of exact quantities,
-never by epsilon tolerances.  Creeping in particular is detected by
-comparing the drift crossing time with the next jump time; hitting a level
-exactly by a jump does *not* trigger passage (the passage time takes a
-strict inequality), and the almost-surely-null event "creep after a jump
-landed exactly on the level" has an explicit code path that is counted by a
-never-observed monitor rather than being defined away.
+never by epsilon tolerances.  Hitting a level exactly by a jump does *not*
+trigger passage (the passage time takes a strict inequality), and the
+almost-surely-null event "creep after a jump landed exactly on the level"
+has an explicit code path that is counted by a never-observed monitor
+rather than being defined away.
 
-First passage with drift steps the active paths one jump per iteration,
-because the drift line may reach the level between any two jumps.  A
-zero-drift compound Poisson path is constant between jumps, so every event
-happens at a jump, and its jump chain is a random walk independent of the
-i.i.d. exponential jump times.  Those paths are block stepped instead: each
+Each engine steps its paths one jump at a time through
+:func:`levyladder.processes.walk`, which owns the stepping protocol, and
+keeps only its two hooks: what happens before the next jump (creeping is
+detected there, by comparing the drift crossing time with the next jump
+time) and what the jump does.  A zero-drift compound Poisson passage is the
+exception.  Its path is constant between jumps, so every event happens at a
+jump, and its jump chain is a random walk independent of the i.i.d.
+exponential jump times.  Those paths are block stepped instead: each
 step draws ``B = max(1, DRAWS // m)`` gaps and jumps for each of the ``m``
 active paths, so wide sets step one jump at a time and the small tail
 hundreds.  Cumulative sums give the jump times and walk positions, a
@@ -45,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .processes import BivariateSubordinatorSpec, ProcessSpec
+from .processes import BivariateSubordinatorSpec, ProcessSpec, walk
 from .results import (
     CheckReport, EstimateWithError, binomial_estimate, concatenate, merge_monitors, write_csv,
 )
@@ -54,15 +56,12 @@ from .rng import RngPolicy, chunked_map
 __all__ = [
     "PassageRecord",
     "PassageBatch",
-    "first_passage",
     "sample_passages",
     "estimate_p",
     "SubPassageRecord",
     "SubPassageBatch",
-    "biv_passage",
     "sample_biv_passages",
     "LadderJumpBatch",
-    "ladder_jump",
     "sample_ladder_jumps",
     "kappa_from_ladder",
     "kappa_diff_from_ladder",
@@ -301,18 +300,6 @@ def _passage_chunk(spec: ProcessSpec, u: float, cap: float, n: int, rng) -> Pass
     tau, x_at, x_before, max_before = out.tau, out.x_at, out.x_before, out.max_before
     g_before, creep, censored, monitors = out.g_before, out.creep, out.censored, out.monitors
 
-    if lam == 0:
-        if c > 0 and u / c <= cap:
-            tau[:] = u / c
-            x_at[:] = u
-            x_before[:] = u
-            max_before[:] = u
-            g_before[:] = u / c
-            creep[:] = True
-        else:
-            censored[:] = True
-        return out
-
     if c == 0:
         def draw(active):
             m = active.size
@@ -323,46 +310,31 @@ def _passage_chunk(spec: ProcessSpec, u: float, cap: float, n: int, rng) -> Pass
         _walk_zero_drift(out, draw)
         out.validate()
         return out
+    if lam == 0 and c < 0:
+        censored[:] = True  # drifting away from u, whatever the cap
+        return out
 
     sigma = np.zeros(n)  # time of the last jump processed
     J = np.zeros(n)      # sum of jumps so far
     M = np.zeros(n)      # running maximum over [0, sigma] plus resolved segment suprema
     G = np.zeros(n)      # last time at the running maximum
-    active = np.arange(n)
 
-    while active.size:
-        g = rng.exponential(1.0 / lam, active.size)
+    def before(active, g):
+        # creeping iff the drift line reaches u strictly before the jump
         sig_next = sigma[active] + g
+        t_creep = (u - J[active]) / c
+        hits = (t_creep < sig_next) & (c > 0)
+        cens = np.where(hits, t_creep, sig_next) > cap
+        ok = hits & ~cens
+        fin = active[ok]
+        tau[fin] = g_before[fin] = t_creep[ok]
+        x_at[fin] = x_before[fin] = max_before[fin] = u
+        creep[fin] = True
+        censored[active[cens]] = True
+        return ~(hits | cens)
 
-        if c > 0:
-            # creeping iff the drift line reaches u strictly before the jump
-            t_creep = (u - J[active]) / c
-            hits = t_creep < sig_next
-            if hits.any():
-                hidx = active[hits]
-                th = t_creep[hits]
-                ok = th <= cap
-                fin = hidx[ok]
-                tau[fin] = th[ok]
-                x_at[fin] = u
-                x_before[fin] = u
-                max_before[fin] = u
-                g_before[fin] = th[ok]
-                creep[fin] = True
-                censored[hidx[~ok]] = True
-                keep = ~hits
-                active, g, sig_next = active[keep], g[keep], sig_next[keep]
-                if active.size == 0:
-                    break
-
-        over = sig_next > cap
-        if over.any():
-            censored[active[over]] = True
-            keep = ~over
-            active, sig_next = active[keep], sig_next[keep]
-            if active.size == 0:
-                break
-
+    def after(active, g, Y):
+        sig_next = sigma[active] + g
         w_pre = c * sig_next + J[active]
         # maximum/G bookkeeping for the segment ending at this jump
         if c > 0:
@@ -370,30 +342,21 @@ def _passage_chunk(spec: ProcessSpec, u: float, cap: float, n: int, rng) -> Pass
             ii = active[upd]
             M[ii] = w_pre[upd]
             G[ii] = sig_next[upd]
-
-        Y = spec.sample_jumps(rng, active.size)
         w_land = w_pre + Y
-        passed = w_land > u
-        if passed.any():
-            fin = active[passed]
-            tau[fin] = sig_next[passed]
-            x_at[fin] = w_land[passed]
-            x_before[fin] = w_pre[passed]
-            max_before[fin] = M[fin]
-            g_before[fin] = G[fin]
+        # a jump landing exactly on u passes too when the drift is upward:
+        # the passage time is now and X_{tau} = u, a creep with undershoot
+        # (null event, monitored)
         inst = (w_land == u) & (c > 0)
-        if inst.any():
-            # jump landed exactly on u; with upward drift the passage time is
-            # now and X_{tau} = u: a creep with undershoot (null event, monitored)
-            fin = active[inst]
-            tau[fin] = sig_next[inst]
-            x_at[fin] = u
-            x_before[fin] = w_pre[inst]
-            max_before[fin] = M[fin]
-            g_before[fin] = G[fin]
-            creep[fin] = True
-            monitors["creep_with_undershoot"] += int(inst.sum())
-        cont = ~(passed | inst)
+        done = (w_land > u) | inst
+        fin = active[done]
+        tau[fin] = sig_next[done]
+        x_at[fin] = w_land[done]
+        x_before[fin] = w_pre[done]
+        max_before[fin] = M[fin]
+        g_before[fin] = G[fin]
+        creep[active[inst]] = True
+        monitors["creep_with_undershoot"] += int(inst.sum())
+        cont = ~done
         ii = active[cont]
         J[ii] += Y[cont]
         sigma[ii] = sig_next[cont]
@@ -402,8 +365,9 @@ def _passage_chunk(spec: ProcessSpec, u: float, cap: float, n: int, rng) -> Pass
         jj = ii[newmax]
         M[jj] = wl[newmax]
         G[jj] = sig_next[cont][newmax]
-        active = ii
+        return cont
 
+    walk(np.arange(n), lam, rng, spec.sample_jumps, before, after)
     out.validate()
     return out
 
@@ -423,13 +387,6 @@ def sample_passages(
         lambda i, m, rng: _passage_chunk(spec, u, cap, m, rng), n, policy, workers
     )
     return concatenate(parts)
-
-
-def first_passage(spec: ProcessSpec, u: float, cap: float, rng) -> PassageRecord:
-    """Single exact first-passage record over level ``u`` (cap = horizon)."""
-    if not (u > 0):
-        raise ValueError("level u must be positive")
-    return _passage_chunk(spec, u, cap, 1, rng).record(0)
 
 
 def estimate_p(
@@ -452,6 +409,9 @@ def estimate_p(
     return binomial_estimate(hits, batch.n), dict(batch.monitors)
 
 
+P_ESTIMATE_COLUMNS = ("fixture", "t", "u", "p", "se", "n")
+
+
 def check_p_estimate(spec: ProcessSpec, t: float, u: float | Sequence[float], n: int,
                      policy: RngPolicy, workers: int = 1, fixture: str = "") -> CheckReport:
     """:func:`estimate_p` at each level of ``u`` (one level or a list), one
@@ -464,13 +424,12 @@ def check_p_estimate(spec: ProcessSpec, t: float, u: float | Sequence[float], n:
     monitors: dict[str, int] = {}
     for level in (float(v) for v in np.atleast_1d(u)):
         est, mon = estimate_p(spec, t, level, n, policy.substream(f"u{level}"), workers)
-        rows.append({"fixture": fixture, "t": t, "u": level, "p": est.value, "se": est.se,
-                     "n": est.n})
+        rows.append(dict(zip(P_ESTIMATE_COLUMNS, (fixture, t, level, est.value, est.se, est.n))))
         merge_monitors(monitors, mon)
     return CheckReport(check="p-estimate", fixture=fixture, params={"t": t, "u": u, "n": n},
-                       lhs=rows[-1]["p"], distance=0.0, budget=math.inf, passed=True,
-                       n_paths=n * len(rows), details=rows,
-                       columns=("fixture", "t", "u", "p", "se", "n"), monitors=monitors)
+                       lhs=est.value, distance=0.0, budget=math.inf, passed=True,
+                       n_paths=n * len(rows), details=rows, columns=P_ESTIMATE_COLUMNS,
+                       monitors=monitors)
 
 
 # ---------------------------------------------------------------------------
@@ -568,109 +527,61 @@ def _biv_chunk(
     killed = np.zeros(n, dtype=bool)
     censored = np.zeros(n, dtype=bool)
     monitors = {"biv_z_jump_y_flat": 0, "biv_jump_to_level": 0}
+    out = SubPassageBatch(u, T, z_before, dz_at, y_before, y_at, killed, censored, monitors)
 
     e_life = rng.exponential(1.0 / q, n) if q > 0 else np.full(n, np.inf)
-
-    def batch() -> SubPassageBatch:
-        return SubPassageBatch(u, T, z_before, dz_at, y_before, y_at, killed, censored, monitors)
-
-    if rate == 0:
-        if dy > 0:
-            t0 = u / dy
-            die = e_life < t0
-            killed[die] = True
-            live = ~die
-            T[live] = t0
-            y_at[live] = u
-            y_before[live] = u
-            dz_at[live] = 0.0
-            z_before[live] = dz_drift * t0
-        else:
-            killed[:] = True  # Y never moves; death resolves the path
-        return batch()
+    if rate == 0 and dy == 0:
+        killed[:] = True  # Y never moves; death resolves the path
+        return out
 
     s = np.zeros(n)
     z = np.zeros(n)
     y = np.zeros(n)
-    active = np.arange(n)
 
-    while active.size:
-        g = rng.exponential(1.0 / rate, active.size)
+    def before(active, g):
         s_next = s[active] + g
+        t_cross = s[active] + (u - y[active]) / dy if dy > 0 else np.full(active.size, np.inf)
+        hits = t_cross < s_next
+        die = e_life[active] < np.where(hits, t_cross, s_next)
+        killed[active[die]] = True
+        ok = hits & ~die
+        fin = active[ok]
+        thf = t_cross[ok]
+        T[fin] = thf
+        y_at[fin] = y_before[fin] = u
+        dz_at[fin] = 0.0
+        z_before[fin] = z[fin] + dz_drift * (thf - s[fin])
+        over = ~(hits | die) & (s_next > s_cap)
+        censored[active[over]] = True
+        return ~(hits | die | over)
 
-        if dy > 0:
-            t_cross = s[active] + (u - y[active]) / dy
-            hits = t_cross < s_next
-            if hits.any():
-                hidx = active[hits]
-                th = t_cross[hits]
-                die = e_life[hidx] < th
-                dd = hidx[die]
-                killed[dd] = True
-                fin = hidx[~die]
-                thf = th[~die]
-                T[fin] = thf
-                y_at[fin] = u
-                y_before[fin] = u
-                dz_at[fin] = 0.0
-                z_before[fin] = z[fin] + dz_drift * (thf - s[fin])
-                keep = ~hits
-                active, g, s_next = active[keep], g[keep], s_next[keep]
-                if active.size == 0:
-                    break
-
-        die = e_life[active] < s_next
-        if die.any():
-            killed[active[die]] = True
-            keep = ~die
-            active, g, s_next = active[keep], g[keep], s_next[keep]
-            if active.size == 0:
-                break
-
-        over = s_next > s_cap
-        if over.any():
-            censored[active[over]] = True
-            keep = ~over
-            active, g, s_next = active[keep], g[keep], s_next[keep]
-            if active.size == 0:
-                break
-
-        jt, jx = spec.sample_atoms(rng, active.size)
+    def after(active, g, jump):
+        jt, jx = jump
         y_pre = y[active] + dy * g
         z_pre = z[active] + dz_drift * g
         y_land = y_pre + jx
-
-        passed = y_land > u
-        if passed.any():
-            fin = active[passed]
-            T[fin] = s_next[passed]
-            y_before[fin] = y_pre[passed]
-            y_at[fin] = y_land[passed]
-            dz_at[fin] = jt[passed]
-            z_before[fin] = z_pre[passed]
+        # Y reaching u exactly at a jump instant with positive drift passes
+        # now with Y_T = u (creeping).  With jx > 0 this is a jump landing on
+        # the level; with jx == 0 it is the Z-jump/Y-flat null event.
         inst = (y_land == u) & (dy > 0)
-        if inst.any():
-            # Y reaches u exactly at a jump instant with positive drift: the
-            # passage happens now with Y_T = u (creeping).  With jx > 0 this
-            # is a jump landing on the level; with jx == 0 it is the
-            # Z-jump/Y-flat null event.
-            fin = active[inst]
-            T[fin] = s_next[inst]
-            y_before[fin] = y_pre[inst]
-            y_at[fin] = u
-            dz_at[fin] = jt[inst]
-            z_before[fin] = z_pre[inst]
-            jumped = jx[inst] > 0
-            monitors["biv_jump_to_level"] += int(jumped.sum())
-            monitors["biv_z_jump_y_flat"] += int(((~jumped) & (jt[inst] > 0)).sum())
-        cont = ~(passed | inst)
+        done = (y_land > u) | inst
+        fin = active[done]
+        T[fin] = s[fin] + g[done]
+        y_before[fin] = y_pre[done]
+        y_at[fin] = y_land[done]
+        dz_at[fin] = jt[done]
+        z_before[fin] = z_pre[done]
+        jumped = jx[inst] > 0
+        monitors["biv_jump_to_level"] += int(jumped.sum())
+        monitors["biv_z_jump_y_flat"] += int(((~jumped) & (jt[inst] > 0)).sum())
+        cont = ~done
         ii = active[cont]
-        s[ii] = s_next[cont]
+        s[ii] += g[cont]
         z[ii] = z_pre[cont] + jt[cont]
         y[ii] = y_land[cont]
-        active = ii
+        return cont
 
-    out = batch()
+    walk(np.arange(n), rate, rng, spec.sample_atoms, before, after)
     out.validate()
     return out
 
@@ -689,14 +600,6 @@ def sample_biv_passages(
         raise ValueError("q = 0 with d_y = 0 needs a finite cap (passage may never resolve)")
     parts = chunked_map(lambda i, m, rng: _biv_chunk(spec, u, m, rng, s_cap), n, policy, workers)
     return concatenate(parts)
-
-
-def biv_passage(
-    spec: BivariateSubordinatorSpec, u: float, rng, s_cap: float = math.inf
-) -> SubPassageRecord:
-    if not (u > 0):
-        raise ValueError("level u must be positive")
-    return _biv_chunk(spec, u, 1, rng, s_cap).record(0)
 
 
 # ---------------------------------------------------------------------------
@@ -736,48 +639,35 @@ def _ladder_chunk(spec: ProcessSpec, n: int, rng, cap: float) -> LadderJumpBatch
     dx = np.zeros(n)
     censored = np.zeros(n, dtype=bool)
 
-    y0 = spec.sample_jumps(rng, n)
-    pos = y0 > 0
-    dx[pos] = y0[pos]  # jump up at the maximum: (0, Y)
+    w = spec.sample_jumps(rng, n)  # position relative to the pre-jump maximum
+    pos = w > 0
+    dx[pos] = w[pos]  # jump up at the maximum: (0, Y)
+    r = np.zeros(n)  # excursion time so far
 
-    active = np.flatnonzero(~pos)
-    w = y0[~pos].copy()  # position relative to the pre-jump maximum, < 0
-    r = np.zeros(active.size)
+    def before(active, g):
+        t_hit = -w[active] / c if c > 0 else np.full(active.size, np.inf)
+        back = t_hit <= g  # weak return: creeping to the maximum ends it
+        fin = active[back]
+        ds[fin] = r[fin] + t_hit[back]
+        dx[fin] = 0.0
+        return ~back
 
-    while active.size:
-        g = rng.exponential(1.0 / lam, active.size)
-        if c > 0:
-            t_hit = -w / c
-            back = t_hit <= g  # weak return: creeping to the maximum ends it
-            if back.any():
-                fin = active[back]
-                ds[fin] = r[back] + t_hit[back]
-                dx[fin] = 0.0
-                keep = ~back
-                active, w, r, g = active[keep], w[keep], r[keep], g[keep]
-                if active.size == 0:
-                    break
-        w_pre = w + c * g
-        y = spec.sample_jumps(rng, active.size)
-        w_land = w_pre + y
+    def after(active, g, y):
+        w_land = w[active] + c * g + y
         back = w_land >= 0.0  # weak return; overshoot w_land may be 0
-        if back.any():
-            fin = active[back]
-            ds[fin] = r[back] + g[back]
-            dx[fin] = w_land[back]
-        cont = ~back
-        active = active[cont]
-        w = w_land[cont]
-        r = r[cont] + g[cont]
-        over = r > cap
-        if over.any():
-            fin = active[over]
-            censored[fin] = True
-            ds[fin] = np.inf
-            dx[fin] = np.nan
-            keep = ~over
-            active, w, r = active[keep], w[keep], r[keep]
+        fin = active[back]
+        ds[fin] = r[fin] + g[back]
+        dx[fin] = w_land[back]
+        w[active] = w_land
+        r[active] += g
+        over = ~back & (r[active] > cap)
+        fin = active[over]
+        censored[fin] = True
+        ds[fin] = np.inf
+        dx[fin] = np.nan
+        return ~(back | over)
 
+    walk(np.flatnonzero(~pos), lam, rng, spec.sample_jumps, before, after)
     return LadderJumpBatch(ds, dx, censored, cap)
 
 
@@ -786,17 +676,6 @@ def sample_ladder_jumps(
 ) -> LadderJumpBatch:
     parts = chunked_map(lambda i, m, rng: _ladder_chunk(spec, m, rng, cap), n, policy, workers)
     return concatenate(parts)
-
-
-def ladder_jump(spec: ProcessSpec, rng, cap: float = 200.0) -> tuple[float, float, bool]:
-    """One jump ``(dL^{-1}, dH)`` of the ladder process of a drift-creeping
-    fixture: ``(0, Y)`` for an upward jump at the maximum, else the excursion
-    duration and the overshoot at the weak return (0 iff the return creeps).
-    The boolean flags censoring at ``cap``."""
-    if not (spec.drift > 0):
-        raise ValueError("ladder_jump requires positive drift (creeping fixture)")
-    b = _ladder_chunk(spec, 1, rng, cap)
-    return float(b.ds[0]), float(b.dx[0]), bool(b.censored[0])
 
 
 def kappa_from_ladder(
@@ -867,43 +746,37 @@ class AlphaBatch:
 
 
 def _alpha_chunk(spec: ProcessSpec, n: int, rng, time_cap: float, step_cap: int) -> AlphaBatch:
-    lam = spec.rate
     v = np.zeros(n)
-    x = np.zeros(n)
     s = np.zeros(n)
     censored = np.zeros(n, dtype=bool)
-
-    y1 = spec.sample_jumps(rng, n)
-    x[:] = y1  # immediate return when the first jump is upward
-    active = np.flatnonzero(y1 < 0)
-    pos = y1[y1 < 0].copy()
-    t = np.zeros(active.size)
+    x = spec.sample_jumps(rng, n)  # immediate return when the first jump is upward
+    pos = x.copy()
+    t = np.zeros(n)
     steps = 0
-    while active.size:
+
+    def before(active, g):
+        nonlocal steps
         steps += 1
-        g = rng.exponential(1.0 / lam, active.size)
-        t = t + g
-        over = (t > time_cap) | (steps > step_cap)
-        if over.any():
-            fin = active[over]
-            censored[fin] = True
-            v[fin] = np.nan
-            x[fin] = np.nan
-            s[fin] = np.inf
-            keep = ~over
-            active, pos, t = active[keep], pos[keep], t[keep]
-            if active.size == 0:
-                break
-        y = spec.sample_jumps(rng, active.size)
-        land = pos + y
+        t[active] += g
+        over = (t[active] > time_cap) | (steps > step_cap)
+        fin = active[over]
+        censored[fin] = True
+        v[fin] = np.nan
+        x[fin] = np.nan
+        s[fin] = np.inf
+        return ~over
+
+    def after(active, g, y):
+        land = pos[active] + y
         back = land >= 0.0
-        if back.any():
-            fin = active[back]
-            v[fin] = -pos[back]
-            x[fin] = land[back]
-            s[fin] = t[back]
-        keep = ~back
-        active, pos, t = active[keep], land[keep], t[keep]
+        fin = active[back]
+        v[fin] = -pos[fin]
+        x[fin] = land[back]
+        s[fin] = t[fin]
+        pos[active] = land
+        return ~back
+
+    walk(np.flatnonzero(pos < 0), spec.rate, rng, spec.sample_jumps, before, after)
     return AlphaBatch(v, x, s, censored, time_cap)
 
 

@@ -104,9 +104,6 @@ class DiscreteAtoms:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self._vals[np.searchsorted(self._cum, rng.random(size), side="right")]
 
-    def support_bound(self) -> float:
-        return max(abs(v) for v in self.values)
-
 
 @dataclass(frozen=True)
 class ExponentialJumps:
@@ -134,9 +131,6 @@ class ExponentialJumps:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.sign * rng.exponential(1.0 / self.rate, size)
-
-    def support_bound(self) -> float:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -168,9 +162,6 @@ class UniformJumps:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size)
 
-    def support_bound(self) -> float:
-        return max(abs(self.lo), abs(self.hi))
-
 
 JumpLaw = Union[DiscreteAtoms, ExponentialJumps, UniformJumps]
 
@@ -201,10 +192,6 @@ class ProcessSpec:
         """True iff there is no drift and jumps occur (zero drift, no Brownian part)."""
         return self.drift == 0.0 and self.rate > 0
 
-    def mean_at_unit_time(self) -> float:
-        m = self.jumps.mean() if self.rate > 0 else 0.0
-        return self.drift + self.rate * m
-
     def levy_atom(self, x: float) -> float:
         """Mass of the Levy measure at the point ``x`` (0 for continuous laws)."""
         if self.rate == 0:
@@ -215,6 +202,31 @@ class ProcessSpec:
         if self.rate == 0:
             raise ValueError("pure-drift process has no jumps")
         return self.jumps.sample(rng, size)
+
+
+def walk(active: np.ndarray, rate: float, rng, draw, before, after) -> None:
+    """Step the finite-activity paths ``active`` (indices) jump by jump.
+
+    Every path engine shares this protocol.  Each step draws one
+    Exp(``rate``) gap per active path.  ``before(active, g)`` settles what
+    happens ahead of the next jump (a drift crossing, killing, a cap or a
+    guard) and returns the mask of paths that go on, or None when it
+    settles none.  Only those draw a jump, one each with ``draw(rng, m)``,
+    and ``after(active, g, jump)`` returns the mask of paths still active.
+    ``active`` holds path indices, so the hooks keep their state in arrays
+    indexed by path.  At rate 0 no jump ever comes: one step with infinite
+    gaps, and nothing is drawn.
+    """
+    while active.size:
+        if rate == 0:
+            before(active, np.full(active.size, np.inf))
+            return
+        g = rng.exponential(1.0 / rate, active.size)
+        keep = before(active, g)
+        if keep is not None:
+            active, g = active[keep], g[keep]
+        if active.size:
+            active = active[after(active, g, draw(rng, active.size))]
 
 
 def sample_skeleton(

@@ -21,6 +21,10 @@ Three exact estimation engines live here.
   ``Vhat`` of a box is the expected number of strict-minimum points inside
   it (plus the point mass at the origin), and ``Vhat(t, x)`` equals the
   expected index of the first ladder point leaving ``[0,t] x [0,x]``.
+
+Every engine steps its paths jump by jump through
+:func:`levyladder.processes.walk`; what remains here is each engine's pair
+of hooks, the occupation or count it adds up before and at each jump.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Any, Sequence, Union
 
 import numpy as np
 
-from .processes import BivariateSubordinatorSpec, ProcessSpec
+from .processes import BivariateSubordinatorSpec, ProcessSpec, walk
 from .results import (
     CheckReport, EstimateWithError, estimate_from_stats, merge_monitors, write_csv,
 )
@@ -84,21 +88,11 @@ def _fluct_occ_chunk(
     occ = np.zeros((n, nb))
     censored = 0
 
-    if lam == 0:
-        # pure drift: always at the maximum, running max = c * r
-        for j in range(nb):
-            lo = max(t_lo[j], u_lo[j] / c)
-            hi = min(t_hi[j], u_hi[j] / c)
-            occ[:, j] = max(hi - lo, 0.0)
-        return _stats_per_column(occ), 0
-
     sigma = np.zeros(n)
     J = np.zeros(n)
     M = np.zeros(n)
-    alive = np.arange(n)
 
-    while alive.size:
-        g = rng.exponential(1.0 / lam, alive.size)
+    def before(alive, g):
         sig_next = sigma[alive] + g
         Ja = J[alive]
         Ma = M[alive]
@@ -119,7 +113,10 @@ def _fluct_occ_chunk(
                     np.minimum(sig_next, t_hi[j]) - np.maximum(sigma[alive], t_lo[j]), 0.0
                 )
                 occ[alive, j] += np.where(inband, length, 0.0)
-        Y = spec.sample_jumps(rng, alive.size)
+
+    def after(alive, g, Y):
+        nonlocal censored
+        sig_next = sigma[alive] + g
         J[alive] += Y
         w_land = c * sig_next + J[alive]
         M[alive] = np.maximum(M[alive], w_land)
@@ -127,8 +124,9 @@ def _fluct_occ_chunk(
         stop = (sig_next > stop_r) | (M[alive] > stop_u)
         if stop.any() and stop_r >= r_guard:
             censored += int((stop & (sig_next > stop_r) & (M[alive] <= stop_u)).sum())
-        alive = alive[~stop]
+        return ~stop
 
+    walk(np.arange(n), lam, rng, spec.sample_jumps, before, after)
     return _stats_per_column(occ), censored
 
 
@@ -189,7 +187,6 @@ def _biv_occ_chunk(
     w_tol: float = 1e-15,
 ) -> tuple[list[tuple[int, float, float]], float]:
     dz, dy, q = spec.d_z, spec.d_y, spec.q
-    rate = spec.total_rate
     nb = boxes.shape[0]
     t_lo, t_hi, u_lo, u_hi = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
     fin_t = t_hi[np.isfinite(t_hi)]
@@ -210,12 +207,8 @@ def _biv_occ_chunk(
     s = np.zeros(n)
     z = np.zeros(n)
     y = np.zeros(n)
-    alive = np.arange(n)
-    while alive.size:
-        if rate > 0:
-            g = rng.exponential(1.0 / rate, alive.size)
-        else:
-            g = np.full(alive.size, math.inf)
+
+    def before(alive, g):
         s0 = s[alive]
         s1 = np.minimum(s0 + g, np.minimum(e_life[alive], s_guard))
         za, ya = z[alive], y[alive]
@@ -225,14 +218,15 @@ def _biv_occ_chunk(
             a = np.maximum(az, ay)
             b = np.minimum(bz, by)
             occ[alive, j] += _interval_weight(a, b, qw)
-        if rate == 0:
-            # no jumps: every band intersection above was resolved in closed form
-            break
+
+    def after(alive, g, jump):
+        nonlocal bias_total
+        jt, jx = jump
+        s0 = s[alive]
         ended = (s0 + g > e_life[alive]) | (s0 + g > s_guard)
-        z[alive] = za + dz * g
-        y[alive] = ya + dy * g
+        z[alive] = z[alive] + dz * g
+        y[alive] = y[alive] + dy * g
         s[alive] = s0 + g
-        jt, jx = spec.sample_atoms(rng, alive.size)
         z[alive] += jt
         y[alive] += jx
         done = ended | (z[alive] > stop_t) | (y[alive] > stop_u)
@@ -241,7 +235,9 @@ def _biv_occ_chunk(
             tail = w < w_tol
             bias_total += float(w[tail].sum()) / q
             done = done | tail
-        alive = alive[~done]
+        return ~done
+
+    walk(np.arange(n), spec.total_rate, rng, spec.sample_atoms, before, after)
     return _stats_per_column(occ), bias_total
 
 
@@ -274,8 +270,6 @@ def _biv_min_chunk(
     integrated out; exact on each path).
     """
     dz, dy, q = spec.d_z, spec.d_y, spec.q
-    rate = spec.total_rate
-    vals = np.zeros(n)
     e_life = (
         rng.exponential(1.0 / q, n) if (route == "min" and q > 0) else np.full(n, math.inf)
     )
@@ -284,34 +278,36 @@ def _biv_min_chunk(
     s = np.zeros(n)
     z = np.zeros(n)
     y = np.zeros(n)
-    alive = np.arange(n)
     minval = np.full(n, math.inf)
-    while alive.size:
-        g = rng.exponential(1.0 / rate, alive.size) if rate > 0 else np.full(alive.size, math.inf)
+
+    def before(alive, g):
+        nonlocal censored
         s_next = s[alive] + g
-        cross_z = np.where((dz > 0) & (z[alive] + dz * g > t), s[alive] + (t - z[alive]) / max(dz, 1e-300), math.inf)
-        cross_y = np.where((dy > 0) & (y[alive] + dy * g > u), s[alive] + (u - y[alive]) / max(dy, 1e-300), math.inf)
+        cross_z = np.where((dz > 0) & (z[alive] + dz * g > t),
+                           s[alive] + (t - z[alive]) / max(dz, 1e-300), math.inf)
+        cross_y = np.where((dy > 0) & (y[alive] + dy * g > u),
+                           s[alive] + (u - y[alive]) / max(dy, 1e-300), math.inf)
         drift_cross = np.minimum(cross_z, cross_y)
         event = np.minimum(np.minimum(drift_cross, e_life[alive]), np.minimum(s_next, s_guard))
         resolved = event < s_next
-        fin = alive[resolved]
-        minval[fin] = event[resolved]
+        minval[alive[resolved]] = event[resolved]
         censored += int((event[resolved] >= s_guard).sum())
-        keep = ~resolved
-        alive, g, s_next = alive[keep], g[keep], s_next[keep]
-        if alive.size == 0:
-            break
+        return ~resolved
+
+    def after(alive, g, jump):
+        jt, jx = jump
+        s_next = s[alive] + g
         z[alive] += dz * g
         y[alive] += dy * g
         s[alive] = s_next
-        jt, jx = spec.sample_atoms(rng, alive.size)
         z[alive] += jt
         y[alive] += jx
         over = (z[alive] > t) | (y[alive] > u) | (e_life[alive] <= s_next)
         fin = alive[over]
         minval[fin] = np.minimum(s_next[over], e_life[fin])
-        alive = alive[~over]
+        return ~over
 
+    walk(np.arange(n), spec.total_rate, rng, spec.sample_atoms, before, after)
     if route == "min":
         vals = minval
     else:
@@ -368,9 +364,8 @@ def _dual_cells_chunk(
     S = np.zeros(n)
     mmin = np.zeros(n)  # current minimum (<= 0)
     kmin = np.zeros(n)  # number of strict minima so far
-    alive = np.arange(n)
-    while alive.size:
-        g = rng.exponential(1.0 / lam, alive.size)
+
+    def before(alive, g):
         sig_next = sigma[alive] + g
         for j in range(nc):
             # time passed t with no new minimum: the next ladder point has
@@ -379,23 +374,26 @@ def _dual_cells_chunk(
             ii = alive[hit]
             counts[ii, j] = kmin[ii] + 1.0
             resolved[ii, j] = True
-        Y = spec.sample_jumps(rng, alive.size)
+
+    def after(alive, g, Y):
         S[alive] += Y
-        sigma[alive] = sig_next
+        sigma[alive] += g
         new_min = S[alive] < mmin[alive]
         ii = alive[new_min]
         mmin[ii] = S[ii]
         kmin[ii] += 1.0
-        if ii.size:
-            depth = -S[ii]
-            for j in range(nc):
-                hit = ~resolved[ii, j] & (depth > x_arr[j])
-                jj = ii[hit]
-                counts[jj, j] = kmin[jj]
-                resolved[jj, j] = True
-        alive = alive[~resolved[alive].all(axis=1)]
+        depth = -S[ii]
+        for j in range(nc):
+            hit = ~resolved[ii, j] & (depth > x_arr[j])
+            jj = ii[hit]
+            counts[jj, j] = kmin[jj]
+            resolved[jj, j] = True
+        go_on = ~resolved[alive].all(axis=1)
         # paths past the largest t are always fully resolved above
-        assert not ((sigma[alive] > tmax).any())
+        assert not ((sigma[alive[go_on]] > tmax).any())
+        return go_on
+
+    walk(np.arange(n), lam, rng, spec.sample_jumps, before, after)
     return _stats_per_column(counts)
 
 
@@ -434,35 +432,33 @@ def _dual_measure_chunk(
     sigma = np.zeros(n)
     J = np.zeros(n)
     mmin = np.zeros(n)
-    alive = np.arange(n)
-    while alive.size:
-        g = rng.exponential(1.0 / lam, alive.size)
+
+    def before(alive, g):
+        return ~(sigma[alive] + g > s_guard)
+
+    def after(alive, g, Y):
+        nonlocal dropped
         sig_next = sigma[alive] + g
-        over = sig_next > s_guard
-        alive, sig_next = alive[~over], sig_next[~over]
-        if alive.size == 0:
-            break
-        Y = spec.sample_jumps(rng, alive.size)
         J[alive] += Y
         sigma[alive] = sig_next
         w_land = c * sig_next + J[alive]
         new_min = w_land < mmin[alive]
         ii = alive[new_min]
-        if ii.size:
-            mmin[ii] = w_land[new_min]
-            depth = -w_land[new_min]
-            tt = sig_next[new_min]
-            si = np.searchsorted(s_edges, tt, side="left") - 1
-            si[tt == s_edges[0]] = 0
-            vi = np.searchsorted(v_edges, depth, side="left") - 1
-            vi[depth == v_edges[0]] = 0
-            ok = (vi >= 0) & (vi < nv) & (si >= 0) & (si < ns)
-            dropped += int((~ok).sum())
-            np.add.at(counts, (ii[ok], si[ok] * nv + vi[ok]), 1.0)
+        mmin[ii] = w_land[new_min]
+        depth = -w_land[new_min]
+        tt = sig_next[new_min]
+        si = np.searchsorted(s_edges, tt, side="left") - 1
+        si[tt == s_edges[0]] = 0
+        vi = np.searchsorted(v_edges, depth, side="left") - 1
+        vi[depth == v_edges[0]] = 0
+        ok = (vi >= 0) & (vi < nv) & (si >= 0) & (si < ns)
+        dropped += int((~ok).sum())
+        np.add.at(counts, (ii[ok], si[ok] * nv + vi[ok]), 1.0)
         # a path whose minimum is already below every depth bin can stop
         # once its time passed the last s edge; deeper minima are dropped
-        deep = mmin[alive] < -v_guard
-        alive = alive[~deep]
+        return ~(mmin[alive] < -v_guard)
+
+    walk(np.arange(n), lam, rng, spec.sample_jumps, before, after)
     return _stats_per_column(counts), dropped
 
 

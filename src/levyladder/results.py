@@ -47,15 +47,6 @@ class EstimateWithError:
         if self.se < 0 or not math.isfinite(self.se):
             raise ValueError(f"standard error must be finite and >= 0, got {self.se}")
 
-    def scaled(self, factor: float) -> "EstimateWithError":
-        return EstimateWithError(
-            self.value * factor,
-            self.se * abs(factor),
-            self.n,
-            self.censored_mass,
-            self.bias_bound * abs(factor),
-        )
-
 
 def estimate_from_stats(
     n: int, mean: float, m2: float, censored_mass: float = 0.0, bias_bound: float = 0.0

@@ -7,8 +7,8 @@ per check plus a ``summary.csv``.  Outputs are a pure function of
 files, and the ``workers`` setting never changes any number, only wall
 time.  The exit status is 0 iff every check passed its budget.
 
-Config schema (unknown keys and bad values are rejected, with the
-offending path named)::
+Config schema (unknown keys, missing required keys and bad values are
+rejected, with the offending path named)::
 
     {
       "seed": 42,                  # master seed (CLI --seed overrides)
@@ -27,9 +27,9 @@ offending path named)::
     }
 
 Each check names an entry of :data:`CHECKS`, which gives the fixture kind
-it needs and the keys it accepts; every check also accepts ``"n"``,
-overriding the default sample count.  ``demos/full_suite.json`` runs every
-check.
+it needs, the keys it accepts and those it requires; every check also
+accepts ``"n"``, overriding the default sample count.
+``demos/full_suite.json`` runs every check.
 """
 
 from __future__ import annotations
@@ -60,14 +60,16 @@ class Check:
 
     ``kind`` is the fixture kind it needs (``"Levy"`` or ``"bivariate"``;
     None takes either), ``keys`` the config keys it accepts besides
-    ``name``, ``fixture`` and ``n``, and ``run(spec, c, n, policy, workers,
-    fixture)`` computes its report from the check's config ``c``.  A key the
-    config leaves out is not passed, so its default is the library's.
+    ``name``, ``fixture`` and ``n``, ``required`` those of them it cannot run
+    without, and ``run(spec, c, n, policy, workers, fixture)`` computes its
+    report from the check's config ``c``.  An optional key the config leaves
+    out is not passed, so its default is the library's.
     """
 
     kind: str | None
     keys: tuple[str, ...]
     run: Callable[..., CheckReport]
+    required: tuple[str, ...] = ()
 
 
 def _given(c: Mapping[str, Any], *keys: str, conv: Callable = float) -> dict[str, Any]:
@@ -91,28 +93,28 @@ _TRANSFORM_KEYS = ("mu", "rho", "ell", "nu", "theta", "u_nodes")
 # function rebound on its module after import is the one that runs.
 CHECKS: dict[str, Check] = {
     "p-estimate": Check(
-        "Levy", ("t", "u"),
-        lambda spec, c, n, pol, w, fx: passage.check_p_estimate(
+        "Levy", ("t", "u"), required=("t", "u"),
+        run=lambda spec, c, n, pol, w, fx: passage.check_p_estimate(
             spec, float(c["t"]), c["u"], n, pol, w, fixture=fx)),
     "V-grid": Check(
-        None, ("t", "u", "route"),
-        lambda spec, c, n, pol, w, fx: renewal.check_V_grid(
+        None, ("t", "u", "route"), required=("t", "u"),
+        run=lambda spec, c, n, pol, w, fx: renewal.check_V_grid(
             spec, c["t"], c["u"], n, pol, w, fixture=fx, **_given(c, "route", conv=str))),
     "ct1": Check(
-        "Levy", ("t", "u", "delta"),
-        lambda spec, c, n, pol, w, fx: renewal.check_ct1(
+        "Levy", ("t", "u", "delta"), required=("t", "u"),
+        run=lambda spec, c, n, pol, w, fx: renewal.check_ct1(
             spec, float(c["t"]), float(c["u"]), n, pol, w, fixture=fx, **_given(c, "delta"))),
     "subpint": Check(
-        None, ("t", "u"),
-        lambda spec, c, n, pol, w, fx: renewal.check_subpint(
+        None, ("t", "u"), required=("t", "u"),
+        run=lambda spec, c, n, pol, w, fx: renewal.check_subpint(
             spec, float(c["t"]), float(c["u"]), n, pol, w, fixture=fx)),
     "quintuple": Check(
-        "Levy", ("u", "cap", "mesh", "delta"),
-        lambda spec, c, n, pol, w, fx: lawcheck.check_quintuple(
+        "Levy", ("u", "cap", "mesh", "delta"), required=("u",),
+        run=lambda spec, c, n, pol, w, fx: lawcheck.check_quintuple(
             spec, float(c["u"]), n, pol, w, fixture=fx, **_given(c, "cap", "mesh", "delta"))),
     "quadruple": Check(
-        "bivariate", ("u", "mesh", "delta"),
-        lambda spec, c, n, pol, w, fx: lawcheck.check_quadruple(
+        "bivariate", ("u", "mesh", "delta"), required=("u",),
+        run=lambda spec, c, n, pol, w, fx: lawcheck.check_quadruple(
             spec, float(c["u"]), n, pol, w, delta=c.get("delta"), fixture=fx,
             **_given(c, "mesh"))),
     "amicale": Check(
@@ -134,8 +136,8 @@ CHECKS: dict[str, Check] = {
             spec, tuple(float(a) for a in np.atleast_1d(c.get("a", [0.5, 1.0, 2.0]))), n,
             pol, w, fixture=fx)),
     "resolvent": Check(
-        "Levy", ("q", "u", "delta"),
-        lambda spec, c, n, pol, w, fx: transforms.check_resolvent_creep(
+        "Levy", ("q", "u", "delta"), required=("u",),
+        run=lambda spec, c, n, pol, w, fx: transforms.check_resolvent_creep(
             spec, float(c.get("q", 1.0)), float(c["u"]), n, pol, w, delta=c.get("delta"),
             fixture=fx)),
     "alpha": Check(
@@ -203,6 +205,9 @@ class ExperimentConfig:
         is_biv = isinstance(spec, BivariateSubordinatorSpec)
         if check.kind is not None and is_biv != (check.kind == "bivariate"):
             raise ConfigError(f"{where}: {name} needs a {check.kind} fixture")
+        for key in check.required:
+            if key not in c:
+                raise ConfigError(f"{where}.{key}: missing, {name} needs it")
         if name in ("slfi", "slfi-fluct"):
             p = _params_from(c)
             if not p.derivative_branch and abs(p.mu + p.ell - p.rho) < 1e-9:
@@ -218,6 +223,11 @@ class ExperimentConfig:
         return dict(c)
 
 
+def _details_suffix(name: str) -> str:
+    """End of the name of the CSV that holds check ``name``'s details."""
+    return f"_{name.replace('-', '_')}.csv"
+
+
 def _run_check(c: dict[str, Any], cfg: ExperimentConfig, policy: RngPolicy,
                out_dir: str, idx: int) -> CheckReport:
     name, fixture = c["name"], c["fixture"]
@@ -225,7 +235,7 @@ def _run_check(c: dict[str, Any], cfg: ExperimentConfig, policy: RngPolicy,
                            policy.substream(f"{idx}:{name}:{fixture}"), cfg.workers, fixture)
     if rep.details:
         header = list(rep.columns) or sorted({k for row in rep.details for k in row})
-        write_csv(os.path.join(out_dir, f"check{idx:02d}_{name.replace('-', '_')}.csv"),
+        write_csv(os.path.join(out_dir, f"check{idx:02d}{_details_suffix(name)}"),
                   header, [[row.get(k, "") for k in header] for row in rep.details])
     return rep
 
@@ -266,24 +276,24 @@ def report_plotdata(results_dir: str, out_dir: str | None = None) -> list[str]:
     if not os.path.isdir(results_dir):
         raise FileNotFoundError(f"results directory not found: {results_dir}")
     out = out_dir or results_dir
-    names = sorted(os.listdir(results_dir))
+    # column names as the library writes them
+    fixture, _, u, p, se, _ = passage.P_ESTIMATE_COLUMNS
+    t, grid_u, V, SE, _ = renewal.GRID_COLUMNS
+    reshape = {
+        _details_suffix("p-estimate"):
+            lambda r: ["p_vs_u", r[u], r[p], r[se], r[fixture]],
+        _details_suffix("V-grid"):
+            lambda r: ["V_vs_u", r[grid_u], r[V], r[SE], f"{t}={r[t]}"],
+    }
     written: list[str] = []
-    for fname in names:
-        if fname.startswith("plot_"):
+    for fname in sorted(os.listdir(results_dir)):
+        row_of = next((f for end, f in reshape.items() if fname.endswith(end)), None)
+        if fname.startswith("plot_") or row_of is None:
             continue
-        path = os.path.join(results_dir, fname)
-        if fname.endswith("_p_estimate.csv"):
-            rows = _read_csv(path)
-            plot = [["p_vs_u", r["u"], r["p"], r["se"], r["fixture"]] for r in rows]
-            dest = os.path.join(out, "plot_" + fname)
-            write_csv(dest, ["figure", "x", "y", "se", "series"], plot)
-            written.append(dest)
-        elif fname.endswith("_V_grid.csv"):
-            rows = _read_csv(path)
-            plot = [["V_vs_u", r["u"], r["V"], r["SE"], f"t={r['t']}"] for r in rows]
-            dest = os.path.join(out, "plot_" + fname)
-            write_csv(dest, ["figure", "x", "y", "se", "series"], plot)
-            written.append(dest)
+        dest = os.path.join(out, "plot_" + fname)
+        rows = _read_csv(os.path.join(results_dir, fname))
+        write_csv(dest, ["figure", "x", "y", "se", "series"], [row_of(r) for r in rows])
+        written.append(dest)
     if not written:
         raise FileNotFoundError(
             f"no reshapeable check CSVs (p-estimate or V-grid) in {results_dir}"

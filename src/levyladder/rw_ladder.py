@@ -190,12 +190,6 @@ class LadderRenewalTable:
     def uhat(self, k: int, x: float) -> float:
         return self._cum(self.uhat_layers, k, x)
 
-    def u_total(self, k: int) -> float:
-        return float(sum(self.u_layers[k].values()))
-
-    def uhat_total(self, k: int) -> float:
-        return float(sum(self.uhat_layers[k].values()))
-
     def to_csv(self, path: str) -> None:
         rows = []
         jmax_u = max((max(d) for d in self.u_layers if d), default=0)

@@ -21,6 +21,7 @@ from .processes import (
     ProcessSpec,
     kappa_biv,
     kappa_biv_rho_derivative,
+    walk,
 )
 from .results import CheckReport, EstimateWithError, estimate_from_stats, merge_monitors
 from .rng import RngPolicy, chunked_map, merge_mean_m2
@@ -82,7 +83,6 @@ def _lt_chunk(
     route: str, w_tol: float,
 ) -> tuple[tuple[int, float, float], float]:
     dz, dy, q = spec.d_z, spec.d_y, spec.q
-    rate = spec.total_rate
     qw = q if route == "integrate" else 0.0
     decay = a * dz + b * dy + qw
 
@@ -92,29 +92,30 @@ def _lt_chunk(
 
     s = np.zeros(n)
     expo = np.zeros(n)  # a Z + b Y + qw s along the path
-    alive = np.arange(n)
     kap = kappa_biv(spec, a, b)
-    while alive.size:
-        g = rng.exponential(1.0 / rate, alive.size) if rate > 0 else np.full(alive.size, np.inf)
+
+    def before(alive, g):
         seg = np.minimum(g, e_life[alive] - s[alive])
         w0 = np.exp(-expo[alive])
         if decay > 0:
             vals[alive] += w0 * (1.0 - np.exp(-decay * seg)) / decay
         else:
             vals[alive] += w0 * np.where(np.isfinite(seg), seg, np.inf)
+
+    def after(alive, g, jump):
+        nonlocal bias_total
+        jt, jx = jump
         ended = g >= e_life[alive] - s[alive]
-        if rate == 0:
-            # no jumps: the segment integral above already ran to the end
-            break
         s[alive] += g
         expo[alive] += decay * g
-        jt, jx = spec.sample_atoms(rng, alive.size)
         expo[alive] += a * jt + b * jx
         w1 = np.exp(-expo[alive])
         tail = (~ended) & (w1 < w_tol)
         # remaining contribution from a state with weight w is w / kappa(a, b)
         bias_total += float(w1[tail].sum()) / kap
-        alive = alive[~(ended | tail)]
+        return ~(ended | tail)
+
+    walk(np.arange(n), spec.total_rate, rng, spec.sample_atoms, before, after)
     n_eff = vals.size
     mean = float(vals.mean())
     m2 = float(((vals - mean) ** 2).sum())
@@ -456,7 +457,8 @@ def wiener_hopf_check(
 def _sub_passage_levels_chunk(
     spec: ProcessSpec, levels: np.ndarray, n: int, rng
 ) -> np.ndarray:
-    """(tau_v, creep_v) for every level v from common increasing paths.
+    """(tau_v, creep_v) for every level v of the ascending ``levels``, from
+    common increasing paths.
 
     Requires a subordinator fixture (positive drift and nonnegative jumps);
     passage times are then bounded by max(levels) / drift, so there is no
@@ -470,34 +472,35 @@ def _sub_passage_levels_chunk(
 
     sigma = np.zeros(n)
     J = np.zeros(n)
-    alive = np.arange(n)
     nxt = np.zeros(n, dtype=int)  # index of the lowest unresolved level
-    while alive.size:
-        g = rng.exponential(1.0 / lam, alive.size) if lam > 0 else np.full(alive.size, np.inf)
-        sig_next = sigma[alive] + g
-        w_pre = c * sig_next + J[alive]
-        Y = spec.sample_jumps(rng, alive.size) if lam > 0 else np.zeros(alive.size)
-        w_land = w_pre + Y
+
+    def before(alive, g):
+        # the drift line crosses the unresolved levels below w_pre before
+        # the jump; levels ascend, so these are the next few in order
+        w_pre = c * (sigma[alive] + g) + J[alive]
         for kidx in range(nl):
-            v = levels[kidx]
-            unres = nxt[alive] <= kidx
-            hit_drift = unres & (w_pre > v)
-            ii = alive[hit_drift]
-            tau[ii, kidx] = (v - J[ii]) / c
+            hit = (nxt[alive] == kidx) & (w_pre > levels[kidx])
+            ii = alive[hit]
+            tau[ii, kidx] = (levels[kidx] - J[ii]) / c
             creep[ii, kidx] = True
-            hit_jump = unres & ~hit_drift & (w_land > v)
-            jj = alive[hit_jump]
-            tau[jj, kidx] = sig_next[hit_jump]
-            # a jump landing exactly on v creeps at the jump instant
-            hit_exact = unres & ~hit_drift & (w_land == v)
-            ee = alive[hit_exact]
-            tau[ee, kidx] = sig_next[hit_exact]
-            creep[ee, kidx] = True
-            done = hit_drift | hit_jump | hit_exact
-            nxt[alive[done]] = np.maximum(nxt[alive[done]], kidx + 1)
+            nxt[ii] = kidx + 1
+
+    def after(alive, g, Y):
+        sig_next = sigma[alive] + g
+        w_land = c * sig_next + J[alive] + Y
+        for kidx in range(nl):
+            unres = nxt[alive] <= kidx
+            done = unres & (w_land >= levels[kidx])
+            ii = alive[done]
+            tau[ii, kidx] = sig_next[done]
+            nxt[ii] = kidx + 1
+            # a jump landing exactly on the level creeps at the jump instant
+            creep[alive[unres & (w_land == levels[kidx])], kidx] = True
         J[alive] += Y
         sigma[alive] = sig_next
-        alive = alive[nxt[alive] < nl]
+        return nxt[alive] < nl
+
+    walk(np.arange(n), lam, rng, spec.sample_jumps, before, after)
     out[:, :nl] = tau
     out[:, nl:] = creep
     return out

@@ -17,18 +17,23 @@ PURE_DRIFT = ProcessSpec(drift=1.0, rate=0.0)
 
 class TestFirstPassage:
     def test_pure_drift_creeps_at_u_over_c(self):
-        rec = pg.first_passage(PURE_DRIFT, 0.7, cap=10.0, rng=POL.stream(0))
-        assert rec.tau == 0.7 and rec.creep
-        assert rec.x == 0.0 and rec.v == 0.0 and rec.y == 0.0 and rec.s == 0.0
+        batch = pg.sample_passages(PURE_DRIFT, 0.7, cap=10.0, n=5, policy=POL)
+        for i in range(batch.n):
+            rec = batch.record(i)
+            assert rec.tau == 0.7 and rec.creep
+            assert rec.x == 0.0 and rec.v == 0.0 and rec.y == 0.0 and rec.s == 0.0
 
     def test_pure_drift_censored_beyond_cap(self):
-        rec = pg.first_passage(PURE_DRIFT, 5.0, cap=1.0, rng=POL.stream(0))
-        assert rec.censored and math.isinf(rec.tau)
+        batch = pg.sample_passages(PURE_DRIFT, 5.0, cap=1.0, n=5, policy=POL)
+        for i in range(batch.n):
+            rec = batch.record(i)
+            assert rec.censored and math.isinf(rec.tau)
 
     def test_p1_creeps_when_no_jump_intervenes(self):
         # with no jump before time u the record must creep exactly at u
-        for i in range(200):
-            rec = pg.first_passage(P1, 0.25, cap=1.0, rng=POL.stream(i))
+        batch = pg.sample_passages(P1, 0.25, cap=1.0, n=200, policy=POL)
+        for i in range(batch.n):
+            rec = batch.record(i)
             if rec.creep and rec.tau == 0.25:
                 break
         else:
@@ -190,9 +195,11 @@ class TestEstimateP:
 class TestBivPassage:
     def test_pure_drift_deterministic(self):
         spec = BivariateSubordinatorSpec(d_z=0.5, d_y=2.0, q=0.0)
-        rec = pg.biv_passage(spec, 1.0, POL.stream(3))
-        assert rec.T == 0.5 and rec.y_at == 1.0 and rec.creep
-        assert rec.z_before == 0.25 and rec.dz == 0.0
+        batch = pg.sample_biv_passages(spec, 1.0, 5, POL.substream(3))
+        for i in range(batch.n):
+            rec = batch.record(i)
+            assert rec.T == 0.5 and rec.y_at == 1.0 and rec.creep
+            assert rec.z_before == 0.25 and rec.dz == 0.0
 
     def test_killing_flag(self):
         spec = BivariateSubordinatorSpec(d_z=0.0, d_y=1.0, q=50.0)
@@ -216,10 +223,6 @@ class TestBivPassage:
 
 
 class TestLadderJumps:
-    def test_requires_creeping_fixture(self):
-        with pytest.raises(ValueError):
-            pg.ladder_jump(P3, POL.stream(0))
-
     def test_spectrally_negative_jumps_are_time_only(self):
         batch = pg.sample_ladder_jumps(P2, 20000, POL.substream("lj2"), cap=300.0)
         res = ~batch.censored

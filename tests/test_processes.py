@@ -14,6 +14,7 @@ from levyladder.processes import (
     kappa_biv,
     kappa_biv_rho_derivative,
     sample_skeleton,
+    walk,
 )
 from levyladder.fixtures import B1, P1, P3
 from levyladder.rng import RngPolicy
@@ -185,3 +186,90 @@ class TestBivariateSpec:
 
     def test_total_rate(self):
         assert B1.total_rate == pytest.approx(0.6)
+
+
+class _RecordingRng:
+    """Stands in for a Generator: logs each gap draw and returns 0.5, 1.5, ..."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def exponential(self, scale, size):
+        self.log.append(("gap", scale, size))
+        return np.arange(size) + 0.5
+
+
+class TestWalk:
+    def _walk(self, active, rate, settle_all_before=False):
+        """Path i is settled at step i // 2: by ``before`` when i is even
+        (or always, with ``settle_all_before``), by ``after`` when i is odd."""
+        log, seen, step = [], [], [0]
+
+        def draw(rng, m):
+            log.append(("jump", m))
+            return np.full(m, -1.0)
+
+        def before(act, g):
+            seen.append(("before", act.tolist(), g.tolist()))
+            if settle_all_before:
+                return np.zeros(act.size, dtype=bool)
+            return ~((act // 2 == step[0]) & (act % 2 == 0))
+
+        def after(act, g, jump):
+            seen.append(("after", act.tolist(), g.tolist()))
+            assert jump.tolist() == [-1.0] * act.size
+            go_on = act // 2 != step[0]
+            step[0] += 1
+            return go_on
+
+        walk(np.asarray(active, dtype=int), rate, _RecordingRng(log), draw, before, after)
+        return log, seen
+
+    def test_one_gap_per_active_path_then_one_jump_per_kept_path(self):
+        log, seen = self._walk(np.arange(6), 2.0)
+        assert log == [("gap", 0.5, 6), ("jump", 5), ("gap", 0.5, 4), ("jump", 3),
+                       ("gap", 0.5, 2), ("jump", 1)]
+        assert seen == [
+            ("before", [0, 1, 2, 3, 4, 5], [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]),
+            ("after", [1, 2, 3, 4, 5], [1.5, 2.5, 3.5, 4.5, 5.5]),
+            ("before", [2, 3, 4, 5], [0.5, 1.5, 2.5, 3.5]),
+            ("after", [3, 4, 5], [1.5, 2.5, 3.5]),
+            ("before", [4, 5], [0.5, 1.5]),
+            ("after", [5], [1.5]),
+        ]
+
+    def test_path_settled_before_the_jump_never_reaches_after(self):
+        _, seen = self._walk(np.arange(6), 1.0)
+        afters = seen[1::2]
+        assert len(afters) == 3 and {hook for hook, _, _ in afters} == {"after"}
+        for step, (_, act, _) in enumerate(afters):
+            # before settled the even path 2k at step k <= step
+            assert all(i % 2 or i // 2 > step for i in act)
+        log, seen = self._walk(np.arange(6), 1.0, settle_all_before=True)
+        assert log == [("gap", 1.0, 6)]  # nobody left to draw a jump
+        assert [hook for hook, _, _ in seen] == ["before"]
+
+    def test_before_returning_none_keeps_every_path(self):
+        log, seen = [], []
+
+        def draw(rng, m):
+            log.append(("jump", m))
+            return np.zeros(m)
+
+        def after(act, g, jump):
+            seen.append(act.tolist())
+            return act != act[0]
+
+        walk(np.arange(3), 1.0, _RecordingRng(log), draw, lambda act, g: None, after)
+        assert log == [("gap", 1.0, 3), ("jump", 3), ("gap", 1.0, 2), ("jump", 2),
+                       ("gap", 1.0, 1), ("jump", 1)]
+        assert seen == [[0, 1, 2], [1, 2], [2]]
+
+    def test_rate_zero_is_one_step_with_infinite_gaps_and_no_draws(self):
+        log, seen = self._walk(np.arange(4), 0.0)
+        assert log == []
+        assert seen == [("before", [0, 1, 2, 3], [math.inf] * 4)]
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0])
+    def test_empty_start_draws_nothing(self, rate):
+        assert self._walk(np.arange(0), rate) == ([], [])

@@ -5,7 +5,7 @@ import pytest
 
 from levyladder.fixtures import ConfigError
 from levyladder.results import CheckReport
-from levyladder import runner
+from levyladder import passage, renewal, runner
 
 
 BASE = {
@@ -78,6 +78,17 @@ class TestConfigValidation:
 KIND_FIXTURE = {"Levy": "P1", "bivariate": "B1"}
 OTHER_KIND = {"Levy": "bivariate", "bivariate": "Levy"}
 
+# The keys each check cannot run without.
+REQUIRED = {"p-estimate": ("t", "u"), "V-grid": ("t", "u"), "ct1": ("t", "u"),
+            "subpint": ("t", "u"), "quintuple": ("u",), "quadruple": ("u",),
+            "resolvent": ("u",)}
+
+
+def _entry(name, fixture, **keys):
+    """A config entry for check ``name`` that sets its required keys."""
+    return {"name": name, "fixture": fixture, **{k: 0.5 for k in REQUIRED.get(name, ())},
+            **keys}
+
 
 class TestCheckTable:
     @pytest.mark.parametrize("name", sorted(runner.CHECKS))
@@ -92,11 +103,27 @@ class TestCheckTable:
         kind = runner.CHECKS[name].kind
         if kind is None:  # takes either kind
             for fixture in KIND_FIXTURE.values():
-                runner.ExperimentConfig(_cfg(checks=[{"name": name, "fixture": fixture}]))
+                runner.ExperimentConfig(_cfg(checks=[_entry(name, fixture)]))
             return
         raw = _cfg(checks=[{"name": name, "fixture": KIND_FIXTURE[OTHER_KIND[kind]]}])
         with pytest.raises(ConfigError, match=rf"checks\[0\]: {name} needs a {kind} fixture"):
             runner.ExperimentConfig(raw)
+
+    def test_required_keys_are_declared(self):
+        assert {name: c.required for name, c in runner.CHECKS.items() if c.required} == REQUIRED
+        for c in runner.CHECKS.values():
+            assert set(c.required) <= set(c.keys)
+
+    @pytest.mark.parametrize("name, key", [(n, k) for n in sorted(REQUIRED) for k in REQUIRED[n]])
+    def test_missing_required_key_is_a_config_error(self, tmp_path, capsys, name, key):
+        entry = _entry(name, KIND_FIXTURE[runner.CHECKS[name].kind or "Levy"])
+        del entry[key]
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(_cfg(checks=[entry])))
+        assert runner.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"checks[0].{key}: missing" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_one_entry_adds_a_check(self, tmp_path, monkeypatch):
         def run_dummy(spec, c, n, policy, workers, fixture):
@@ -211,6 +238,19 @@ class TestPlotData:
         files2 = runner.report_plotdata(out)
         assert files1 == files2
         assert [open(f, "rb").read() for f in files2] == blobs
+
+    def test_renamed_columns_keep_plot_bytes(self, tmp_path, monkeypatch):
+        # the plot reads the columns the library writes, whatever their names
+        blobs = []
+        for run in ("as-shipped", "renamed"):
+            if run == "renamed":
+                monkeypatch.setattr(passage, "P_ESTIMATE_COLUMNS",
+                                    ("fx", "t", "level", "prob", "prob_se", "n"))
+                monkeypatch.setattr(renewal, "GRID_COLUMNS", ("t", "lvl", "V_mc", "V_se", "prov"))
+            out = str(tmp_path / run)
+            runner.run(_cfg(out=out))
+            blobs.append([open(f, "rb").read() for f in runner.report_plotdata(out)])
+        assert len(blobs[0]) == 2 and blobs[0] == blobs[1]
 
     def test_missing_directory_is_an_error(self):
         with pytest.raises(FileNotFoundError):
