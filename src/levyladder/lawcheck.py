@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .processes import BivariateSubordinatorSpec, DiscreteAtoms, ProcessSpec
-from .results import CheckReport
+from .results import CheckReport, row_budgets, verdict
 from .rng import RngPolicy
 from .passage import (
     AlphaBatch,
@@ -47,6 +47,12 @@ __all__ = [
     "check_quadruple",
     "check_alpha_embedding",
 ]
+
+# Fixed slack of the TV and sup-CDF rows, which carry no SE: their budgets.
+QUINTUPLE_LATTICE_TV = 0.02
+QUINTUPLE_CREEPING_TV = 0.03
+QUADRUPLE_TV = 0.02
+ALPHA_SUP_CDF = 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +323,6 @@ def check_quintuple(
     s_edges: Sequence[float] | None = None,
     mesh: float = 0.1,
     delta: float = 0.005,
-    tv_tol: float | None = None,
     fixture: str = "",
 ) -> CheckReport:
     """Quintuple law at level ``u``: empirical joint law of the five passage
@@ -332,16 +337,16 @@ def check_quintuple(
     """
     if spec.is_compound_poisson:
         return _check_quintuple_lattice(spec, u, n, policy, workers, cap, t_edges, s_edges,
-                                        tv_tol or 0.02, fixture)
+                                        fixture)
     return _check_quintuple_creeping(spec, u, n, policy, workers, t_edges, s_edges, mesh,
-                                     delta, tv_tol or 0.03, fixture)
+                                     delta, fixture)
 
 
 def _default_edges(hi: float) -> tuple[float, ...]:
     return (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, hi, math.inf)
 
 
-def _check_quintuple_lattice(spec, u, n, policy, workers, cap, t_edges, s_edges, tv_tol, fixture):
+def _check_quintuple_lattice(spec, u, n, policy, workers, cap, t_edges, s_edges, fixture):
     t_edges = tuple(t_edges) if t_edges else _default_edges(128.0)
     s_edges = tuple(s_edges) if s_edges else _default_edges(128.0)
     rhs, axes = quintuple_rhs_lattice(spec, u, t_edges, s_edges)
@@ -350,8 +355,8 @@ def _check_quintuple_lattice(spec, u, n, policy, workers, cap, t_edges, s_edges,
         raise RuntimeError("compound Poisson fixture produced a creeping record")
     emp = quintuple_empirical(batch, axes, creep_fibre=False)
     tv = emp.tv_distance(rhs)
-    budget = tv_tol
-    passed = (tv <= budget) and emp.excluded_mass < 0.01
+    dist, budget = verdict([(tv, 0.0, QUINTUPLE_LATTICE_TV),
+                            (emp.excluded_mass, 0.0, 0.01)])
     details = [{
         "tv": tv, "excluded_mass": emp.excluded_mass, "rhs_total": rhs.total_mass,
         "emp_total": emp.total_mass, "rhs_bound": rhs.bound, "creep_mass": 0.0,
@@ -362,9 +367,8 @@ def _check_quintuple_lattice(spec, u, n, policy, workers, cap, t_edges, s_edges,
         params={"u": u, "n": n, "cap": cap},
         lhs=emp.total_mass,
         rhs=rhs.total_mass,
-        distance=tv,
+        distance=dist,
         budget=budget,
-        passed=passed,
         n_paths=batch.n,
         censored_mass=batch.censored_mass,
         details=details,
@@ -373,7 +377,7 @@ def _check_quintuple_lattice(spec, u, n, policy, workers, cap, t_edges, s_edges,
 
 
 def _check_quintuple_creeping(spec, u, n, policy, workers, t_edges, s_edges, mesh,
-                              delta, tv_tol, fixture):
+                              delta, fixture):
     if not (spec.drift > 0):
         raise ValueError("creeping quintuple route requires positive drift")
     law = spec.jumps
@@ -468,11 +472,13 @@ def _check_quintuple_creeping(spec, u, n, policy, workers, t_edges, s_edges, mes
     deriv_se = spec.drift * band.se / delta
     delta_bias = abs(band.value - band2.value) / delta * spec.drift
     fibre_dist = abs(creep_mass - deriv)
-    fibre_budget = 3.0 * math.hypot(creep_se, deriv_se) + delta_bias
-    passed = (tv <= tv_tol) and (fibre_dist <= fibre_budget)
+    rows = [(tv, 0.0, QUINTUPLE_CREEPING_TV),
+            (fibre_dist, math.hypot(creep_se, deriv_se), delta_bias)]
+    tv_budget, fibre_budget = row_budgets(rows)
+    dist, budget = verdict(rows)
 
     details = [{
-        "tv": tv, "tv_budget": tv_tol, "creep_mass": creep_mass, "deriv_route": deriv,
+        "tv": tv, "tv_budget": tv_budget, "creep_mass": creep_mass, "deriv_route": deriv,
         "fibre_dist": fibre_dist, "fibre_budget": fibre_budget, "delta_bias": delta_bias,
         "excluded_mass": emp.excluded_mass, "vhat_dropped": vh_drop,
         "censored": batch.censored_mass,
@@ -485,9 +491,8 @@ def _check_quintuple_creeping(spec, u, n, policy, workers, t_edges, s_edges, mes
         rhs=deriv,
         se_lhs=creep_se,
         se_rhs=deriv_se,
-        distance=tv,
-        budget=tv_tol,
-        passed=passed,
+        distance=dist,
+        budget=budget,
         n_paths=batch.n,
         censored_mass=batch.censored_mass,
         details=details,
@@ -509,7 +514,6 @@ def check_cor_jtop(
     r_max: float = 6.0,
     n_r_bins: int = 8,
     fixture: str = "",
-    tol_se: float = 3.0,
 ) -> CheckReport:
     """Joint law of (overshoot, passage time) against the composed route.
 
@@ -561,20 +565,19 @@ def check_cor_jtop(
         emp = DiscreteMeasureND.from_points(axes, [x, tau], batch.n)
         # bookkeeping: the tau-marginal must integrate to P(tau <= cap)
         book = abs(emp.total_mass - (1.0 - batch.censored_mass))
-        per_cell_ok = np.abs(emp.mass - rhs_meas.mass) <= (
-            tol_se * np.sqrt(rhs_meas.mass * (1 - rhs_meas.mass) / n) + 1e-9
-        )
+        cell_se = np.sqrt(rhs_meas.mass * (1 - rhs_meas.mass) / n)
         tv = emp.tv_distance(rhs_meas)
-        passed = bool(per_cell_ok.all()) and book < 1e-12
+        rows = [(g, se, 1e-9)
+                for g, se in zip(np.abs(emp.mass - rhs_meas.mass).ravel(), cell_se.ravel())]
+        dist, budget = verdict(rows + [(book, 0.0, 1e-12), (tv, 0.0, 0.02)])
         return CheckReport(
             check="cor-jtop",
             fixture=fixture,
             params={"u": u, "n": n, "r_max": r_max},
             lhs=emp.total_mass,
             rhs=rhs_meas.total_mass,
-            distance=tv,
-            budget=0.02,
-            passed=passed and tv <= 0.02,
+            distance=dist,
+            budget=budget,
             n_paths=batch.n,
             censored_mass=batch.censored_mass,
             details=[{"tv": tv, "bookkeeping_gap": book}],
@@ -583,19 +586,19 @@ def check_cor_jtop(
     # creeping, spectrally negative: overshoot marginal is a point mass at 0
     batch = sample_passages(spec, u, cap=r_max, n=n, policy=policy.substream("emp"), workers=workers)
     x = batch.x_at[batch.resolved] - u
-    all_zero = bool((x == 0.0).all())
+    creep_fraction = float((x == 0.0).mean()) if x.size else 1.0
+    dist, budget = verdict([(1.0 - creep_fraction, 0.0)])
     return CheckReport(
         check="cor-jtop",
         fixture=fixture,
         params={"u": u, "n": n, "r_max": r_max},
-        lhs=float((x == 0.0).mean()) if x.size else 1.0,
+        lhs=creep_fraction,
         rhs=1.0,
-        distance=0.0 if all_zero else 1.0,
-        budget=0.0,
-        passed=all_zero,
+        distance=dist,
+        budget=budget,
         n_paths=batch.n,
         censored_mass=batch.censored_mass,
-        details=[{"creep_fraction": float((x == 0.0).mean()) if x.size else 1.0}],
+        details=[{"creep_fraction": creep_fraction}],
         monitors=dict(batch.monitors),
     )
 
@@ -613,7 +616,6 @@ def check_amicale(
     s_edges: Sequence[float] | None = None,
     mesh: float = 0.1,
     fixture: str = "",
-    tol_se: float = 3.0,
 ) -> CheckReport:
     """Ladder jump measure versus the composed dual route.
 
@@ -651,9 +653,7 @@ def check_amicale(
                 rhs[js, ix] = acc
         rhs_meas = DiscreteMeasureND(axes, rhs, None, 0.0, 1e-10)
         gap = np.abs(emp.mass - rhs_meas.mass)
-        budget_cells = tol_se * (emp.se if emp.se is not None else 0.0) + 1e-9
-        passed = bool((gap <= budget_cells).all())
-        dist = float(gap.max())
+        dist, budget = verdict([(g, se, 1e-9) for g, se in zip(gap.ravel(), emp.se.ravel())])
         return CheckReport(
             check="amicale",
             fixture=fixture,
@@ -661,8 +661,7 @@ def check_amicale(
             lhs=float(emp.mass[:, 0].sum()),
             rhs=float(rhs_meas.mass[:, 0].sum()),
             distance=dist,
-            budget=float(budget_cells.max()),
-            passed=passed,
+            budget=budget,
             n_paths=alpha.n,
             censored_mass=alpha.censored_mass,
             details=[{"x0_lhs": float(emp.mass[:, 0].sum()), "x0_rhs": float(rhs_meas.mass[:, 0].sum())}],
@@ -686,7 +685,7 @@ def check_amicale(
         else []
     )
     details: list[dict] = []
-    pos_margin = 0.0
+    rows = []
     if pos_atoms:
         # x > 0 comparison on an aligned mesh: x = xi - v
         vh_edges = [0.0] + list(
@@ -695,8 +694,6 @@ def check_amicale(
         vhm, vhse, vhdrop = dual_ladder_measure(
             spec, list(s_edges), vh_edges, n, policy.substream("rhs"), workers
         )
-        worst = 0.0
-        all_ok = True
         s_axis = Axis("s", "bins", s_edges)
         for val, p in pos_atoms:
             for jv in range(len(vh_edges) - 1):
@@ -714,33 +711,26 @@ def check_amicale(
                     se_cell = lam * math.sqrt(max(pe * (1 - pe), 0.0) / lad.n)
                     rhs_cell = vhm[js, jv] * spec.levy_atom(val)
                     rhs_se_cell = vhse[js, jv] * spec.levy_atom(val)
-                    gapc = abs(lhs_cell - rhs_cell)
-                    budc = tol_se * math.hypot(se_cell, rhs_se_cell) + 1e-9
-                    worst = max(worst, gapc - budc)
-                    all_ok &= gapc <= budc
-        details.append({"x_pos_worst_margin": worst, "vhat_dropped": vhdrop})
-        pos_margin = worst
+                    rows.append((abs(lhs_cell - rhs_cell), math.hypot(se_cell, rhs_se_cell),
+                                 1e-9))
+        details.append({"vhat_dropped": vhdrop})
     else:
         # spectrally negative: the positive part of the jump measure vanishes,
         # so the composed route is identically zero for x > 0 and at {0}
         pos_mass = float((res & (lad.dx > 0)).mean())
-        all_ok = pos_mass == 0.0
+        rows.append((pos_mass, 0.0))
         details.append({"x_pos_mass": pos_mass})
-        pos_margin = pos_mass
 
     # composed route on the zero fibre: sum_v Vhat({v}) Pi({v}) -- zero for
     # diffuse dual heights; the creeping characterisation demands the ladder
     # side carry strictly positive mass there (at least 5 SE above zero)
     rhs_zero = 0.0
-    zero_ok = lhs_zero >= 5.0 * se_lhs_zero
+    rows.append((max(5.0 * se_lhs_zero - lhs_zero, 0.0), 0.0))
+    dist, budget = verdict(rows)
     details.append({
         "x0_mass": lhs_zero, "x0_se": se_lhs_zero, "x0_rhs": rhs_zero,
         "censored": lad.censored_mass,
     })
-    passed = bool(all_ok and zero_ok)
-    # the zero-fibre criterion is one sided; report the worst margin over
-    # all sub-checks as the distance so "distance <= budget" keeps meaning
-    margin = max(5.0 * se_lhs_zero - lhs_zero, pos_margin, 0.0)
     return CheckReport(
         check="amicale",
         fixture=fixture,
@@ -748,9 +738,8 @@ def check_amicale(
         lhs=lhs_zero,
         rhs=rhs_zero,
         se_lhs=se_lhs_zero,
-        distance=margin,
-        budget=0.0,
-        passed=passed,
+        distance=dist,
+        budget=budget,
         n_paths=lad.n,
         censored_mass=lad.censored_mass,
         details=details,
@@ -771,7 +760,6 @@ def check_quadruple(
     mesh: float = 0.05,
     t_edges: Sequence[float] | None = None,
     delta: float | None = None,
-    tv_tol: float = 0.02,
     fixture: str = "",
 ) -> CheckReport:
     """Quadruple law at level ``u``: empirical (overshoot, undershoot,
@@ -784,7 +772,7 @@ def check_quadruple(
     if not dx_vals and spec.d_y == 0:
         raise ValueError("Y never crosses: no quadruple law to check")
     if spec.d_y == 0:
-        return _check_quadruple_lattice_y(spec, u, n, policy, workers, t_edges, tv_tol, fixture)
+        return _check_quadruple_lattice_y(spec, u, n, policy, workers, t_edges, fixture)
     for dxv in dx_vals:
         if abs(round(dxv / mesh) * mesh - dxv) > 1e-9:
             raise ValueError("mesh must divide the Y jump sizes for aligned cells")
@@ -849,14 +837,14 @@ def check_quadruple(
         deriv_mass, deriv_se, delta_bias = 0.0, 0.0, 0.0
     rhs = DiscreteMeasureND(axes, rhs_mass, rhs_se, 0.0, delta_bias)
     tv = emp.tv_distance(rhs)
-    budget = tv_tol
-    passed = tv <= budget and emp.excluded_mass <= batch.censored_mass + float(
-        (batch.killed).mean()
-    ) + 0.01
+    killed_mass = float(batch.killed.mean())
+    # resolved passages that fall outside the grid
+    off_grid = emp.excluded_mass - batch.censored_mass - killed_mass
+    dist, budget = verdict([(tv, 0.0, QUADRUPLE_TV), (off_grid, 0.0, 0.01)])
     creep_emp = float((batch.creep & (batch.z_before + batch.dz <= t_edges[-2])).mean())
     details = [{
         "tv": tv, "creep_mass_emp": creep_emp, "creep_mass_rhs": deriv_mass,
-        "delta_bias": delta_bias, "killed_mass": float(batch.killed.mean()),
+        "delta_bias": delta_bias, "killed_mass": killed_mass,
         "excluded": emp.excluded_mass,
     }]
     return CheckReport(
@@ -867,9 +855,8 @@ def check_quadruple(
         rhs=deriv_mass,
         se_lhs=math.sqrt(creep_emp * (1 - creep_emp) / batch.n),
         se_rhs=deriv_se,
-        distance=tv,
+        distance=dist,
         budget=budget,
-        passed=passed,
         n_paths=batch.n,
         censored_mass=batch.censored_mass,
         details=details,
@@ -877,7 +864,7 @@ def check_quadruple(
     )
 
 
-def _check_quadruple_lattice_y(spec, u, n, policy, workers, t_edges, tv_tol, fixture):
+def _check_quadruple_lattice_y(spec, u, n, policy, workers, t_edges, fixture):
     """Quadruple law when the Y component is a pure lattice jump process.
 
     Undershoots then sit exactly on the lattice, so all space coordinates
@@ -925,7 +912,7 @@ def _check_quadruple_lattice_y(spec, u, n, policy, workers, t_edges, tv_tol, fix
                 rhs_se[ix, jy, si, jt] += vest.se * r
     rhs = DiscreteMeasureND(axes, rhs_mass, rhs_se)
     tv = emp.tv_distance(rhs)
-    passed = tv <= tv_tol
+    dist, budget = verdict([(tv, 0.0, QUADRUPLE_TV)])
     details = [{
         "tv": tv, "creep_mass_emp": float(batch.creep.mean()), "creep_mass_rhs": 0.0,
         "delta_bias": 0.0, "killed_mass": float(batch.killed.mean()),
@@ -937,9 +924,8 @@ def _check_quadruple_lattice_y(spec, u, n, policy, workers, t_edges, tv_tol, fix
         params={"u": u, "n": n},
         lhs=float(batch.creep.mean()),
         rhs=0.0,
-        distance=tv,
-        budget=tv_tol,
-        passed=passed,
+        distance=dist,
+        budget=budget,
         n_paths=batch.n,
         censored_mass=batch.censored_mass,
         details=details,
@@ -960,7 +946,6 @@ def check_alpha_embedding(
     s_grid: Sequence[float] | None = None,
     v_max: int = 5,
     x_max: int = 4,
-    tol: float = 0.01,
     fixture: str = "",
 ) -> CheckReport:
     """Sup-CDF distance between the empirical law of
@@ -1007,16 +992,15 @@ def check_alpha_embedding(
                             inner += m * fmass(w * h, (w + x) * h)
                     exact += sfk[k] * inner
                 worst = max(worst, abs(float(cdf[i, v, x]) - exact))
-    passed = worst <= tol
+    dist, budget = verdict([(worst, 0.0, ALPHA_SUP_CDF)])
     return CheckReport(
         check="alpha",
         fixture=fixture,
         params={"n": n, "s_max": float(s_grid[-1]), "v_max": v_max, "x_max": x_max},
         lhs=worst,
         rhs=0.0,
-        distance=worst,
-        budget=tol,
-        passed=passed,
+        distance=dist,
+        budget=budget,
         n_paths=batch.n,
         censored_mass=batch.censored_mass,
         details=[{"sup_cdf": worst}],

@@ -427,7 +427,7 @@ def check_p_estimate(spec: ProcessSpec, t: float, u: float | Sequence[float], n:
         rows.append(dict(zip(P_ESTIMATE_COLUMNS, (fixture, t, level, est.value, est.se, est.n))))
         merge_monitors(monitors, mon)
     return CheckReport(check="p-estimate", fixture=fixture, params={"t": t, "u": u, "n": n},
-                       lhs=est.value, distance=0.0, budget=math.inf, passed=True,
+                       lhs=est.value, distance=0.0, budget=math.inf,
                        n_paths=n * len(rows), details=rows, columns=P_ESTIMATE_COLUMNS,
                        monitors=monitors)
 
@@ -530,10 +530,6 @@ def _biv_chunk(
     out = SubPassageBatch(u, T, z_before, dz_at, y_before, y_at, killed, censored, monitors)
 
     e_life = rng.exponential(1.0 / q, n) if q > 0 else np.full(n, np.inf)
-    if rate == 0 and dy == 0:
-        killed[:] = True  # Y never moves; death resolves the path
-        return out
-
     s = np.zeros(n)
     z = np.zeros(n)
     y = np.zeros(n)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .processes import BivariateSubordinatorSpec, ProcessSpec, walk
 from .results import (
-    CheckReport, EstimateWithError, estimate_from_stats, merge_monitors, write_csv,
+    CheckReport, EstimateWithError, estimate_from_stats, merge_monitors, verdict, write_csv,
 )
 from .rng import RngPolicy, chunked_map, merge_mean_m2
 from .passage import estimate_p, sample_biv_passages
@@ -592,7 +592,7 @@ def check_V_grid(spec: SamplerSpec, t: float | Sequence[float], u: float | Seque
     return CheckReport(check="V-grid", fixture=fixture,
                        params={"t": t, "u": u, "n": n_per_cell},
                        lhs=float(grid.value[-1, -1]), distance=0.0, budget=math.inf,
-                       passed=True, n_paths=n_per_cell * grid.value.size,
+                       n_paths=n_per_cell * grid.value.size,
                        details=grid.rows(), columns=GRID_COLUMNS)
 
 
@@ -717,12 +717,11 @@ def check_ct1(spec: ProcessSpec, t: float, u: float, n: int, policy: RngPolicy,
     deriv = spec.drift * band.value / delta
     deriv_se = spec.drift * band.se / delta
     bias = spec.drift * abs(band.value - band2.value) / delta
-    dist = abs(est.value - deriv)
-    budget = 3.0 * math.hypot(est.se, deriv_se) + bias
+    dist, budget = verdict([(abs(est.value - deriv), math.hypot(est.se, deriv_se), bias)])
     return CheckReport(check="ct1", fixture=fixture,
                        params={"t": t, "u": u, "delta": delta, "n": n},
                        lhs=est.value, rhs=deriv, se_lhs=est.se, se_rhs=deriv_se,
-                       distance=dist, budget=budget, passed=dist <= budget,
+                       distance=dist, budget=budget,
                        n_paths=3 * n, monitors=mon, details=[{"delta_bias": bias}])
 
 
@@ -775,8 +774,8 @@ def check_subpint(
     )
     rhs = d_y * v_est.value
     rhs_se = d_y * v_est.se
-    dist = abs(lhs - rhs)
-    budget = 3.0 * math.hypot(lhs_se, rhs_se) + quad_bias + d_y * v_est.bias_bound
+    dist, budget = verdict([(abs(lhs - rhs), math.hypot(lhs_se, rhs_se), quad_bias,
+                             d_y * v_est.bias_bound)])
     return CheckReport(
         check="subpint",
         fixture=fixture,
@@ -787,7 +786,6 @@ def check_subpint(
         se_rhs=rhs_se,
         distance=dist,
         budget=budget,
-        passed=dist <= budget,
         n_paths=n_paths + n_per_node,
         details=[{"quad_bias": quad_bias, "v_bias": v_est.bias_bound}],
         monitors=monitors,

@@ -11,6 +11,9 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields
+from functools import reduce
+from operator import add
+from statistics import NormalDist
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -20,6 +23,9 @@ __all__ = [
     "CheckReport",
     "estimate_from_stats",
     "binomial_estimate",
+    "sidak_z",
+    "row_budgets",
+    "verdict",
     "params_hash",
     "write_csv",
 ]
@@ -66,11 +72,55 @@ def binomial_estimate(k: int, n: int) -> EstimateWithError:
     return EstimateWithError(p, math.sqrt(p * (1.0 - p) / n), n)
 
 
+# SEs that one comparison may be off before it FAILs.
+Z_ONE = 3.0
+
+
+def sidak_z(m: int) -> float:
+    """SE multiple that holds ``m`` comparisons together to the two-sided
+    false-FAIL rate of one comparison at ``Z_ONE`` SE (Sidak): exactly
+    ``Z_ONE`` for ``m <= 1``, about 3.99 for ``m = 41``."""
+    if m <= 1:
+        return Z_ONE
+    one = 2.0 * NormalDist().cdf(-Z_ONE)
+    return -NormalDist().inv_cdf(-math.expm1(math.log1p(-one) / m) / 2.0)
+
+
+def row_budgets(rows: Sequence[Sequence[float]]) -> list[float]:
+    """Budget of each comparison row ``(gap, se, *terms)``: ``sidak_z(m) * se``
+    plus the row's bias bounds and fixed slack ``terms``, added in order,
+    where ``m`` counts the rows with ``se > 0`` (TV and sup-CDF rows have
+    none)."""
+    z = sidak_z(sum(1 for row in rows if row[1] > 0))
+    return [reduce(add, terms, z * se) for _, se, *terms in rows]
+
+
+def verdict(rows: Sequence[Sequence[float]]) -> tuple[float, float]:
+    """``(distance, budget)`` of the row with the largest gap/budget ratio,
+    so the first is within the second iff every row is within its budget.
+    A NaN gap counts as the worst."""
+    budgets = row_budgets(rows)
+
+    def ratio(i: int) -> float:
+        gap, budget = rows[i][0], budgets[i]
+        if budget > 0 and gap == gap:
+            return gap / budget
+        return 0.0 if gap <= 0 else math.inf
+
+    worst = max(range(len(rows)), key=ratio)
+    return float(rows[worst][0]), float(budgets[worst])
+
+
 @dataclass
 class CheckReport:
     """Outcome of one identity check: two routes, a distance and a budget.
 
-    ``passed`` is True iff ``distance <= budget``.  ``details`` carries
+    A check compares its routes in one or more rows (see :func:`verdict`)
+    and reports the ``distance`` and ``budget`` of its worst row, so
+    ``passed`` -- ``distance <= budget`` -- holds iff every row is within
+    its budget.  A row's budget is ``sidak_z(m) * se`` plus its bias bounds
+    and slack, with ``m`` the number of rows that carry an SE.  Estimates
+    with no right side report distance 0 and budget inf.  ``details`` carries
     per-cell or per-node rows for the CSV report, in the order ``columns``
     gives (empty: the sorted union of the rows' keys); ``monitors`` carries
     never-observed-event counters accumulated over all paths the check ran.
@@ -85,12 +135,15 @@ class CheckReport:
     se_rhs: float = 0.0
     distance: float = math.nan
     budget: float = math.nan
-    passed: bool = False
     n_paths: int = 0
     censored_mass: float = 0.0
     details: list[dict[str, Any]] = field(default_factory=list)
     columns: tuple[str, ...] = ()
     monitors: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.distance <= self.budget
 
     def summary_row(self) -> list[Any]:
         return [

@@ -208,6 +208,9 @@ class ExperimentConfig:
         for key in check.required:
             if key not in c:
                 raise ConfigError(f"{where}.{key}: missing, {name} needs it")
+        for key, value in c.items():
+            if isinstance(value, list) and not value:
+                raise ConfigError(f"{where}.{key}: empty list, {name} needs at least one value")
         if name in ("slfi", "slfi-fluct"):
             p = _params_from(c)
             if not p.derivative_branch and abs(p.mu + p.ell - p.rho) < 1e-9:

@@ -23,7 +23,9 @@ from .processes import (
     kappa_biv_rho_derivative,
     walk,
 )
-from .results import CheckReport, EstimateWithError, estimate_from_stats, merge_monitors
+from .results import (
+    CheckReport, EstimateWithError, estimate_from_stats, merge_monitors, row_budgets, verdict,
+)
 from .rng import RngPolicy, chunked_map, merge_mean_m2
 from .passage import (
     LadderJumpBatch,
@@ -33,6 +35,11 @@ from .passage import (
     sample_ladder_jumps,
     sample_passages,
 )
+
+# Fixed relative slack of each transform check, added to its SE and bias terms.
+SLFI_REL_TOL = 0.02
+SLFI_FLUCT_REL_TOL = 0.03
+WH_REL_TOL = 0.03
 
 __all__ = [
     "TransformParams",
@@ -193,7 +200,6 @@ def slfi_check(
     workers: int = 1,
     u_nodes: int = 40,
     fixture: str = "",
-    rel_tol: float = 0.02,
 ) -> CheckReport:
     """Quadruple transform identity for an explicit bivariate subordinator.
 
@@ -202,8 +208,8 @@ def slfi_check(
     with expectations from exact passage batches.  RHS: closed form in
     ``kappa``.  The generic branch refuses parameters on the derivative
     manifold ``ell = rho - mu`` (use the derivative branch, which the check
-    selects automatically).  Budget: ``rel_tol`` plus 3 relative SE plus the
-    quadrature-refinement estimate and the u-truncation bound.
+    selects automatically).  Budget: ``SLFI_REL_TOL`` relative slack plus
+    3 SE plus the quadrature-refinement estimate and the u-truncation bound.
     """
     params.validate_for(spec)
     if not params.derivative_branch and abs(params.mu + params.ell - params.rho) < 1e-9:
@@ -247,8 +253,8 @@ def slfi_check(
     tail_bound = math.exp(-params.mu * (nodes[-1] - dx_max)) / max(params.mu, 1e-2)
 
     rhs = slfi_rhs_closed_form(spec, params)
-    dist = abs(lhs - rhs)
-    budget = rel_tol * abs(rhs) + 3.0 * lhs_se + quad_bias + tail_bound
+    dist, budget = verdict([(abs(lhs - rhs), lhs_se, SLFI_REL_TOL * abs(rhs), quad_bias,
+                             tail_bound)])
     return CheckReport(
         check="slfi" + ("-deriv" if params.derivative_branch else ""),
         fixture=fixture,
@@ -260,7 +266,6 @@ def slfi_check(
         se_rhs=0.0,
         distance=dist,
         budget=budget,
-        passed=dist <= budget,
         n_paths=n_per_node * (nodes.size - 1),
         details=[{"quad_bias": quad_bias, "tail_bound": tail_bound, "u_max": nodes[-1]}],
         monitors=monitors,
@@ -282,7 +287,6 @@ def slfi_fluct_check(
     cap: float = 60.0,
     ladder_cap: float = 200.0,
     fixture: str = "",
-    rel_tol: float = 0.03,
 ) -> CheckReport:
     """Fluctuation version of the transform identity for a creeping fixture.
 
@@ -340,9 +344,9 @@ def slfi_fluct_check(
         rhs_se = _ratio_se(diff.value, diff.se, den.value, den.se) / abs(scale)
         rhs_bias = (diff.bias_bound + abs(rhs * scale) * den.bias_bound) / (abs(scale) * den.value)
 
-    dist = abs(lhs - rhs)
-    budget = rel_tol * abs(rhs) + 3.0 * math.hypot(lhs_se, rhs_se) + quad_bias + tail_bound \
-        + censor_bound + rhs_bias
+    dist, budget = verdict([(abs(lhs - rhs), math.hypot(lhs_se, rhs_se),
+                             SLFI_FLUCT_REL_TOL * abs(rhs), quad_bias, tail_bound,
+                             censor_bound, rhs_bias)])
     return CheckReport(
         check="slfi-fluct" + ("-deriv" if params.derivative_branch else ""),
         fixture=fixture,
@@ -354,7 +358,6 @@ def slfi_fluct_check(
         se_rhs=rhs_se,
         distance=dist,
         budget=budget,
-        passed=dist <= budget,
         n_paths=n_per_node * (nodes.size - 1) + lad.n,
         censored_mass=cens,
         details=[{"quad_bias": quad_bias, "tail_bound": tail_bound,
@@ -399,7 +402,6 @@ def wiener_hopf_check(
     workers: int = 1,
     cap: float = 80.0,
     fixture: str = "",
-    rel_tol: float = 0.03,
 ) -> CheckReport:
     """``kappa(a, 0) * kappahat(a, 0) = a`` for a compound Poisson lattice
     fixture, with ``kappahat`` computed by the exact dual-table route
@@ -412,8 +414,7 @@ def wiener_hopf_check(
     walk = LatticeWalkSpec.from_process(spec)
     lam = spec.rate
     lad = sample_ladder_jumps(spec, n, policy.substream("kappa"), cap=cap, workers=workers)
-    rows = []
-    worst, budget = 0.0, math.inf
+    rows, comparisons = [], []
     for a in a_values:
         r = lam / (lam + a)
         K = int(math.ceil(math.log(1e-12 * (1 - r)) / math.log(r)))
@@ -424,14 +425,14 @@ def wiener_hopf_check(
         khat = 1.0 / lt
         k_est = kappa_from_ladder(spec, lad, a, 0.0)
         prod = k_est.value * khat
-        rel = abs(prod - a) / a
-        prod_se = k_est.se * khat
         prod_bias = k_est.bias_bound * khat + k_est.value * khat * khat * lt_tail
-        this_budget = rel_tol + (3.0 * prod_se + prod_bias) / a
+        rel = abs(prod - a) / a
         rows.append({"a": a, "kappa": k_est.value, "kappahat": khat,
-                     "product": prod, "rel_err": rel, "budget": this_budget})
-        if rel - this_budget > worst - budget:
-            worst, budget = rel, this_budget
+                     "product": prod, "rel_err": rel})
+        comparisons.append((rel, k_est.se * khat / a, prod_bias / a, WH_REL_TOL))
+    for r, budget in zip(rows, row_budgets(comparisons)):
+        r["budget"] = budget
+    dist, budget = verdict(comparisons)
     return CheckReport(
         check="wiener-hopf",
         fixture=fixture,
@@ -440,9 +441,8 @@ def wiener_hopf_check(
         rhs=a_values[-1],
         se_lhs=0.0,
         se_rhs=0.0,
-        distance=worst,
+        distance=dist,
         budget=budget,
-        passed=all(r["rel_err"] <= r["budget"] for r in rows),
         n_paths=lad.n,
         censored_mass=lad.censored_mass,
         details=rows,
@@ -556,8 +556,7 @@ def check_resolvent_creep(
     lhs = float(lvals.mean())
     lhs_se = float(lvals.std(ddof=1) / math.sqrt(lvals.size))
 
-    dist = abs(lhs - rhs)
-    budget = 3.0 * math.hypot(lhs_se, rhs_se) + delta_bias
+    dist, budget = verdict([(abs(lhs - rhs), math.hypot(lhs_se, rhs_se), delta_bias)])
     return CheckReport(
         check="resolvent",
         fixture=fixture,
@@ -568,7 +567,6 @@ def check_resolvent_creep(
         se_rhs=rhs_se,
         distance=dist,
         budget=budget,
-        passed=dist <= budget,
         n_paths=2 * n,
         details=[{"delta_bias": delta_bias}],
     )

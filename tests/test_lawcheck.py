@@ -152,6 +152,31 @@ class TestAmicale:
         assert d["x0_mass"] >= 5 * d["x0_se"]
         assert d["x0_rhs"] == 0.0
 
+    # At n = 200000 the P1 x > 0 cells number about 40.  Each held to 3 SE,
+    # seeds 12, 15 and 17 of 11-18 FAIL on correct code; held together to
+    # the false-FAIL rate of one 3-SE comparison, all pass.
+    def test_p1_passes_on_every_seed(self):
+        for seed in range(11, 19):
+            rep = lc.check_amicale(P1, 200000, RngPolicy(seed), fixture="P1")
+            assert rep.passed, seed
+
+    def test_p1_dual_route_scaled_by_two_percent_fails_on_every_seed(self, monkeypatch):
+        route = lc.dual_ladder_measure
+
+        def scaled(*args, **kwargs):
+            mass, se, dropped = route(*args, **kwargs)
+            return 1.02 * mass, 1.02 * se, dropped
+
+        monkeypatch.setattr(lc, "dual_ladder_measure", scaled)
+        for seed in range(11, 19):
+            rep = lc.check_amicale(P1, 200000, RngPolicy(seed), fixture="P1")
+            assert not rep.passed, seed
+
+    def test_p3_summary_agrees_with_verdict(self):
+        rep = lc.check_amicale(P3, 400000, RngPolicy(20), fixture="P3")
+        *_, distance, budget, status = rep.summary_row()
+        assert (distance <= budget) == (status == "PASS")
+
     def test_p2_all_mass_on_zero_fibre(self):
         rep = lc.check_amicale(P2, 100000, POL.substream("am2"), fixture="P2")
         assert rep.passed

@@ -216,6 +216,15 @@ class TestBivPassage:
         batch = pg.sample_biv_passages(B1, 1.5, 100000, POL.substream("mon"))
         assert batch.monitors["biv_z_jump_y_flat"] == 0
 
+    def test_motionless_y_is_censored_unless_killed(self):
+        # rate 0 and d_y 0: Y never moves, so only killing resolves a path
+        still = pg.sample_biv_passages(BivariateSubordinatorSpec(1.0, 0.0, 0.0), 1.0, 4,
+                                       POL.substream("still"), s_cap=2.0)
+        assert still.censored.all() and not still.killed.any()
+        dying = pg.sample_biv_passages(BivariateSubordinatorSpec(1.0, 0.0, 0.5), 1.0, 4,
+                                       POL.substream("still"))
+        assert dying.killed.all() and not dying.censored.any()
+
     def test_dy_zero_without_cap_is_refused(self):
         spec = BivariateSubordinatorSpec(d_z=1.0, d_y=0.0, q=0.0, atoms=((1.0, 0.0, 1.0),))
         with pytest.raises(ValueError):

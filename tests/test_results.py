@@ -1,0 +1,61 @@
+import math
+import os
+import subprocess
+import sys
+
+import pytest
+
+import levyladder
+from levyladder.results import CheckReport, row_budgets, sidak_z, verdict
+
+
+class TestVerdict:
+    def test_one_comparison_is_three_se_exactly(self):
+        assert sidak_z(1) == 3.0
+        assert sidak_z(0) == 3.0
+
+    def test_sidak_z_grows_with_the_number_of_comparisons(self):
+        zs = [sidak_z(m) for m in (1, 2, 3, 10, 41, 1000)]
+        assert zs == sorted(zs) and len(set(zs)) == len(zs)
+        assert sidak_z(41) == pytest.approx(3.99, abs=0.005)
+        # m comparisons at z(m) fail together as often as one fails at 3 SE
+        one = math.erfc(3.0 / math.sqrt(2.0))
+        for m in (2, 41, 1000):
+            each = math.erfc(sidak_z(m) / math.sqrt(2.0))
+            assert 1.0 - (1.0 - each) ** m == pytest.approx(one, rel=1e-9)
+
+    def test_budget_adds_terms_in_order_after_the_se_term(self):
+        se, slack, bias, tail = 0.0123, 0.02 * 0.7, 1.1e-4, 3.3e-7
+        [budget] = row_budgets([(0.0, se, slack, bias, tail)])
+        assert budget == slack + 3.0 * se + bias + tail
+
+    def test_only_rows_with_an_se_count(self):
+        rows = [(0.0, 0.1, 0.5), (0.0, 0.0, 0.02), (0.0, 0.2)]
+        assert row_budgets(rows) == [sidak_z(2) * 0.1 + 0.5, 0.02, sidak_z(2) * 0.2]
+
+    def test_reports_the_row_with_the_largest_ratio(self):
+        rows = [(0.01, 0.0, 0.02), (0.009, 0.0, 0.01), (0.0, 0.0, 0.0)]
+        assert verdict(rows) == (0.009, 0.01)
+        assert verdict(rows + [(1e-12, 0.0)]) == (1e-12, 0.0)
+
+    def test_nan_gap_fails(self):
+        distance, budget = verdict([(0.001, 0.0, 0.01), (math.nan, 0.0, 0.01)])
+        assert math.isnan(distance) and not distance <= budget
+
+    def test_passed_is_distance_within_budget(self):
+        rep = CheckReport(check="c", fixture="f", distance=0.5, budget=0.5)
+        assert rep.passed and rep.summary_row()[-1] == "PASS"
+        rep.distance = 0.6
+        assert not rep.passed and rep.line().endswith("FAIL")
+        assert not CheckReport(check="c", fixture="f").passed  # nan distance
+        with pytest.raises(TypeError):
+            CheckReport(check="c", fixture="f", passed=True)
+
+
+def test_import_does_not_load_scipy_stats():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(levyladder.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, levyladder; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

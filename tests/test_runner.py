@@ -125,11 +125,22 @@ class TestCheckTable:
         assert f"checks[0].{key}: missing" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("name, key", [(n, k) for n in sorted(REQUIRED) for k in REQUIRED[n]]
+                             + [("wiener-hopf", "a")])
+    def test_empty_level_list_is_a_config_error(self, tmp_path, capsys, name, key):
+        entry = _entry(name, KIND_FIXTURE[runner.CHECKS[name].kind or "Levy"], **{key: []})
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(_cfg(checks=[entry])))
+        assert runner.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"checks[0].{key}: empty list" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_one_entry_adds_a_check(self, tmp_path, monkeypatch):
         def run_dummy(spec, c, n, policy, workers, fixture):
             x = float(c["x"])
             return CheckReport(check="my-dummy", fixture=fixture, params={"x": x, "n": n},
-                               lhs=x, rhs=x, distance=0.0, budget=1.0, passed=True,
+                               lhs=x, rhs=x, distance=0.0, budget=1.0,
                                n_paths=n, details=[{"b": 2.0, "a": x}, {"a": 4.0}],
                                monitors={"dummy_event": 0})
 
