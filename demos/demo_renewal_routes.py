@@ -1,10 +1,12 @@
-"""Renewal functions of a killed bivariate subordinator, three ways.
+"""Renewal functions of a killed bivariate subordinator, four ways.
 
-The same object V(t, u) is produced by the sampled triple minimum, by
+The same object V(t, u) is produced exactly, as the finite sum over
+jump-count vectors of B1's atoms, by the sampled triple minimum, by
 closed-form killing integration, and (through the occupation-density
 identity) by integrating creep probabilities over levels.  The script also
-runs the quadruple law at one level and the resolvent route to the creeping
-time of an increasing process.
+runs the quadruple law at one level, whose right side is built from the
+exact sum, and the resolvent route to the creeping time of an increasing
+process.
 """
 
 import levyladder as ll
@@ -16,7 +18,8 @@ t, u = 0.5, 0.9
 g_min = ll.estimate_V(ll.B1, [t], [u], 40_000, policy.substream("min"), route="min")
 g_int = ll.estimate_V(ll.B1, [t], [u], 40_000, policy.substream("int"), route="integrate")
 c1, c2 = g_min.cell(t, u), g_int.cell(t, u)
-print(f"V({t}, {u}) for B1: sampled-killing {c1.value:.5f} +- {c1.se:.5f}, "
+exact, _ = ll.exact_V(ll.B1, t, u)
+print(f"V({t}, {u}) for B1: exact {exact:.5f}, sampled-killing {c1.value:.5f} +- {c1.se:.5f}, "
       f"integrated-killing {c2.value:.5f} +- {c2.se:.5f}")
 
 rep = ll.check_subpint(ll.B1, t, u, 40_000, policy.substream("subpint"), fixture="B1")

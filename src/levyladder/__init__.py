@@ -53,6 +53,7 @@ from .renewal import (
     dual_ladder_cells,
     dual_ladder_measure,
     estimate_V,
+    exact_V,
     fluct_boxes,
     left_derivative,
 )

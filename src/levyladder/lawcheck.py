@@ -1,8 +1,9 @@
 """Distribution-level verification of the passage laws.
 
 Comparisons run between an empirical measure (histogrammed passage records)
-and an independently composed one (exact lattice ladder tables, or separate
-Monte-Carlo routes through the renewal measures).  Distances are total
+and an independently composed one (exact lattice ladder tables, the exact
+renewal sums of an atomic bivariate subordinator, or separate Monte-Carlo
+routes through the renewal measures).  Distances are total
 variation on a declared finite cell grid, or sup-CDF distance; excluded and
 censored mass is always reported, never dropped silently.
 
@@ -33,7 +34,7 @@ from .passage import (
     sample_ladder_jumps,
     sample_passages,
 )
-from .renewal import biv_boxes, dual_ladder_measure, fluct_boxes
+from .renewal import dual_ladder_measure, exact_V, fluct_boxes
 from . import rw_ladder as rl
 
 __all__ = [
@@ -124,13 +125,6 @@ class DiscreteMeasureND:
     def tv_distance(self, other: "DiscreteMeasureND") -> float:
         self._check_axes(other)
         return 0.5 * float(np.abs(self.mass - other.mass).sum())
-
-    def sup_cdf_distance(self, other: "DiscreteMeasureND") -> float:
-        self._check_axes(other)
-        diff = self.mass - other.mass
-        for axis in range(diff.ndim):
-            diff = np.cumsum(diff, axis=axis)
-        return float(np.abs(diff).max())
 
     @classmethod
     def from_points(
@@ -428,11 +422,10 @@ def _check_quintuple_creeping(spec, u, n, policy, workers, t_edges, s_edges, mes
         dm_s_edges.append(max(60.0, 4.0 * dm_s_edges[-1]))
     nv_f = int(round(xim / fm))
     dm_v_edges = [0.0, 1e-9] + [round(j * fm, 12) for j in range(1, nv_f + 1)]
-    vh_mass, vh_se, vh_drop = dual_ladder_measure(
+    vh_mass, _, vh_drop = dual_ladder_measure(
         spec, dm_s_edges, dm_v_edges, n, policy.substream("vhat"), workers
     )
     rhs_mass = np.zeros(tuple(a.size for a in axes))
-    rhs_se = np.zeros_like(rhs_mass)
     vh_fine_hi = [1e-9] + [y_f_edge for y_f_edge in dm_v_edges[2:]]
     for jt in range(t_axis.size):
         for jyf in range(ny_f):
@@ -446,11 +439,8 @@ def _check_quintuple_creeping(spec, u, n, policy, workers, t_edges, s_edges, mes
                     if pi_mass == 0.0:
                         continue
                     jv = 0 if jvf == 0 else int(vh_axis.index(np.array([vhhi]))[0])
-                    m = vest.value * vh_mass[js, jvf] * pi_mass
-                    e = (abs(vest.se * vh_mass[js, jvf]) + abs(vest.value * vh_se[js, jvf])) * pi_mass
-                    rhs_mass[jt, jy, js, jv] += m
-                    rhs_se[jt, jy, js, jv] += e
-    rhs = DiscreteMeasureND(axes, rhs_mass, rhs_se, 0.0, 0.0)
+                    rhs_mass[jt, jy, js, jv] += vest.value * vh_mass[js, jvf] * pi_mass
+    rhs = DiscreteMeasureND(axes, rhs_mass)
     tv = emp.tv_distance(rhs)
 
     # creeping fibre: empirical creep mass versus drift * left derivative of V
@@ -710,8 +700,8 @@ def check_amicale(
                     lhs_cell = lam * pe
                     se_cell = lam * math.sqrt(max(pe * (1 - pe), 0.0) / lad.n)
                     rhs_cell = vhm[js, jv] * spec.levy_atom(val)
-                    rhs_se_cell = vhse[js, jv] * spec.levy_atom(val)
-                    rows.append((abs(lhs_cell - rhs_cell), math.hypot(se_cell, rhs_se_cell),
+                    se_rhs_cell = vhse[js, jv] * spec.levy_atom(val)
+                    rows.append((abs(lhs_cell - rhs_cell), math.hypot(se_cell, se_rhs_cell),
                                  1e-9))
         details.append({"vhat_dropped": vhdrop})
     else:
@@ -759,15 +749,20 @@ def check_quadruple(
     workers: int = 1,
     mesh: float = 0.05,
     t_edges: Sequence[float] | None = None,
-    delta: float | None = None,
     fixture: str = "",
 ) -> CheckReport:
     """Quadruple law at level ``u``: empirical (overshoot, undershoot,
-    Z-jump, Z-before) against ``|V(dt, u - dy)| Pi(ds, dx + y)`` plus the
-    creeping atom ``d_Y dV/du`` when the Y-drift is positive."""
-    if delta is None:
-        delta = 0.01 * u
+    Z-jump, Z-before) against ``V(dt, u - dy) Pi(ds, dx + y)`` plus the
+    creeping atom ``d_Y dV/du`` when the Y-drift is positive.
+
+    The right side is exact: box masses are 2-D differences of
+    :func:`exact_V` on the grid corners (t-edge, ``u`` - y-edge), and the
+    creeping atom of each t bin is a difference of its creeping term.  The
+    first t bin is closed at its left edge, which must be 0.
+    """
     t_edges = tuple(t_edges) if t_edges else (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, math.inf)
+    if t_edges[0] != 0.0:
+        raise ValueError("the first t edge must be 0")
     dx_vals = sorted({dx for _, dx, _ in spec.atoms if dx > 0})
     if not dx_vals and spec.d_y == 0:
         raise ValueError("Y never crosses: no quadruple law to check")
@@ -788,54 +783,29 @@ def check_quadruple(
     x, yv, s, t = batch.quadruple()
     emp = DiscreteMeasureND.from_points(axes, [x, yv, s, t], batch.n)
 
-    # composed route: V-measure boxes on (t-bin, Y in (u - y_hi, u - y_lo])
-    boxes = []
-    for jt in range(t_axis.size):
-        for jy in range(y_axis.size):
-            ylo = max(y_axis.values[jy], 0.0)
-            yhi = y_axis.values[jy + 1]
-            boxes.append((t_edges[jt], t_edges[jt + 1], u - yhi, u - ylo))
-    boxes.append((0.0, float(t_edges[-2]), u - delta, u))
-    boxes.append((0.0, float(t_edges[-2]), u - 2 * delta, u - delta))
-    vests = biv_boxes(spec, boxes, n, policy.substream("vmeas"), workers)
+    # V and its creeping term at every corner (t-edge, u - y-edge), y >= 0;
+    # the t = 0 row stands for Z < 0 and stays zero
+    y_edges = y_axis.values[1:]
+    corners = np.zeros((len(t_edges), len(y_edges), 2))
+    for i, te in enumerate(t_edges[1:], start=1):
+        corners[i] = [exact_V(spec, te, u - ye) for ye in y_edges]
+    per_t = np.diff(corners, axis=0)
+    # box (t bin, Y in (u - y_hi, u - y_lo]) for y bin jy >= 1
+    boxes = -np.diff(per_t[:, :, 0], axis=1)
     rhs_mass = np.zeros(tuple(a.size for a in axes))
-    rhs_se = np.zeros_like(rhs_mass)
-    for jt in range(t_axis.size):
-        for jy in range(y_axis.size):
-            vest = vests[jt * y_axis.size + jy]
-            ylo = max(y_axis.values[jy], 0.0)
-            yhi = y_axis.values[jy + 1]
-            if yhi <= 0:
+    for jy in range(1, y_axis.size):
+        ylo = y_axis.values[jy]
+        for dt, dxv, r in spec.atoms:
+            # x-cell aligned with the diagonal x = dx - y
+            if dxv - ylo <= 0:
                 continue
-            for dt, dxv, r in spec.atoms:
-                if dxv <= 0:
-                    continue
-                # x-cell aligned with the diagonal x = dx - y
-                xlo, xhi = dxv - yhi, dxv - ylo
-                if xhi <= 0:
-                    continue
-                ix = x_axis.index(np.array([xhi]))[0]
-                si = s_atoms.index(dt)
-                rhs_mass[ix, jy, si, jt] += vest.value * r
-                rhs_se[ix, jy, si, jt] += vest.se * r
-    if spec.d_y > 0:
-        band = vests[-2]
-        band2 = vests[-1]
-        deriv_mass = spec.d_y * band.value / delta
-        deriv_se = spec.d_y * band.se / delta
-        delta_bias = spec.d_y * abs(band.value - band2.value) / delta
-        ix0 = x_axis.index(np.array([0.0]))[0]
-        iy0 = y_axis.index(np.array([0.0]))[0]
-        is0 = s_atoms.index(0.0)
-        # spread the creeping atom over the t bins with the same band boxes
-        t_boxes = [(t_edges[jt], t_edges[jt + 1], u - delta, u) for jt in range(t_axis.size)]
-        t_ests = biv_boxes(spec, t_boxes, n, policy.substream("tband"), workers)
-        for jt, te in enumerate(t_ests):
-            rhs_mass[ix0, iy0, is0, jt] += spec.d_y * te.value / delta
-            rhs_se[ix0, iy0, is0, jt] += spec.d_y * te.se / delta
-    else:
-        deriv_mass, deriv_se, delta_bias = 0.0, 0.0, 0.0
-    rhs = DiscreteMeasureND(axes, rhs_mass, rhs_se, 0.0, delta_bias)
+            ix = x_axis.index(np.array([dxv - ylo]))[0]
+            rhs_mass[ix, jy, s_atoms.index(dt)] += boxes[:, jy - 1] * r
+    ix0 = x_axis.index(np.array([0.0]))[0]
+    iy0 = y_axis.index(np.array([0.0]))[0]
+    rhs_mass[ix0, iy0, s_atoms.index(0.0)] += per_t[:, 0, 1]
+    deriv_mass = float(corners[-2, 0, 1])
+    rhs = DiscreteMeasureND(axes, rhs_mass)
     tv = emp.tv_distance(rhs)
     killed_mass = float(batch.killed.mean())
     # resolved passages that fall outside the grid
@@ -844,17 +814,15 @@ def check_quadruple(
     creep_emp = float((batch.creep & (batch.z_before + batch.dz <= t_edges[-2])).mean())
     details = [{
         "tv": tv, "creep_mass_emp": creep_emp, "creep_mass_rhs": deriv_mass,
-        "delta_bias": delta_bias, "killed_mass": killed_mass,
-        "excluded": emp.excluded_mass,
+        "killed_mass": killed_mass, "excluded": emp.excluded_mass,
     }]
     return CheckReport(
         check="quadruple",
         fixture=fixture,
-        params={"u": u, "n": n, "mesh": mesh, "delta": delta},
+        params={"u": u, "n": n, "mesh": mesh},
         lhs=creep_emp,
         rhs=deriv_mass,
         se_lhs=math.sqrt(creep_emp * (1 - creep_emp) / batch.n),
-        se_rhs=deriv_se,
         distance=dist,
         budget=budget,
         n_paths=batch.n,
@@ -868,7 +836,9 @@ def _check_quadruple_lattice_y(spec, u, n, policy, workers, t_edges, fixture):
     """Quadruple law when the Y component is a pure lattice jump process.
 
     Undershoots then sit exactly on the lattice, so all space coordinates
-    use atom axes; the creeping term is absent (d_Y = 0)."""
+    use atom axes; the creeping term is absent (d_Y = 0).  The mass of V at
+    the lattice height ``k h`` is ``V(., (k + 1/2) h) - V(., (k - 1/2) h)``:
+    heights are compared by lattice index, halfway between the points."""
     from fractions import Fraction
     from functools import reduce
     from .rw_ladder import _fraction_gcd
@@ -890,33 +860,25 @@ def _check_quadruple_lattice_y(spec, u, n, policy, workers, t_edges, fixture):
     x, yv, s, t = batch.quadruple()
     emp = DiscreteMeasureND.from_points(axes, [x, yv, s, t], batch.n)
 
-    eps = h * 1e-9
-    boxes = [
-        (t_edges[jt], t_edges[jt + 1], u - ya - eps, u - ya)
-        for jt in range(t_axis.size)
-        for ya in y_atoms
-    ]
-    vests = biv_boxes(spec, boxes, n, policy.substream("vmeas"), workers)
+    heights = [round((u - ya) / h) for ya in y_atoms]
+    corners = np.zeros((len(t_edges), len(heights)))
+    for i, te in enumerate(t_edges[1:], start=1):
+        corners[i] = [exact_V(spec, te, (k + 0.5) * h)[0] - exact_V(spec, te, (k - 0.5) * h)[0]
+                      for k in heights]
+    boxes = np.diff(corners, axis=0)
     rhs_mass = np.zeros(tuple(a.size for a in axes))
-    rhs_se = np.zeros_like(rhs_mass)
-    for jt in range(t_axis.size):
-        for jy, ya in enumerate(y_atoms):
-            vest = vests[jt * len(y_atoms) + jy]
-            for dt, dxv, r in spec.atoms:
-                xa = round(dxv - ya, 12)
-                if dxv <= 0 or xa <= 0:
-                    continue
-                ix = x_atoms.index(xa)
-                si = s_atoms.index(dt)
-                rhs_mass[ix, jy, si, jt] += vest.value * r
-                rhs_se[ix, jy, si, jt] += vest.se * r
-    rhs = DiscreteMeasureND(axes, rhs_mass, rhs_se)
+    for jy, ya in enumerate(y_atoms):
+        for dt, dxv, r in spec.atoms:
+            xa = round(dxv - ya, 12)
+            if dxv <= 0 or xa <= 0:
+                continue
+            rhs_mass[x_atoms.index(xa), jy, s_atoms.index(dt)] += boxes[:, jy] * r
+    rhs = DiscreteMeasureND(axes, rhs_mass)
     tv = emp.tv_distance(rhs)
     dist, budget = verdict([(tv, 0.0, QUADRUPLE_TV)])
     details = [{
         "tv": tv, "creep_mass_emp": float(batch.creep.mean()), "creep_mass_rhs": 0.0,
-        "delta_bias": 0.0, "killed_mass": float(batch.killed.mean()),
-        "excluded": emp.excluded_mass,
+        "killed_mass": float(batch.killed.mean()), "excluded": emp.excluded_mass,
     }]
     return CheckReport(
         check="quadruple",

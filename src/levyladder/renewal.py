@@ -1,13 +1,17 @@
-"""Monte-Carlo estimation of bivariate renewal functions and the
+"""Bivariate renewal functions, exact and by Monte Carlo, and the
 creeping-time identity checks.
 
-Three exact estimation engines live here.
+:func:`exact_V` evaluates ``V(t, u)`` of an explicit killed bivariate
+subordinator, and its creeping term ``d_Y dV/du``, as the finite sum over
+jump-count vectors that the finitely many atoms allow.  Three exact-in-law
+Monte-Carlo engines live here besides.
 
-* :func:`estimate_V` / :func:`biv_boxes` -- explicit killed bivariate
-  subordinators.  ``V(t, u)`` is estimated either as the sampled minimum
-  ``E[T^Y_u ^ T^Z_t ^ e(q)]`` or with the killing integrated in closed form
-  (``route='integrate'``); the two are distinct estimators of the same
-  quantity and their agreement is itself an identity check.
+* :func:`estimate_V` -- explicit killed bivariate subordinators.
+  ``V(t, u)`` is estimated either as the sampled minimum
+  ``E[T^Y_u ^ T^Z_t ^ e(q)]`` (``route='min'``) or with the killing
+  integrated in closed form (``route='integrate'``); the two are distinct
+  estimators of the same quantity and their agreement is itself an identity
+  check.
 * :func:`fluct_boxes` -- the ladder process of a drift-creeping or compound
   Poisson fixture, without ever constructing ladder jumps: by the local-time
   change of variables, the ladder renewal measure of a box equals the
@@ -41,6 +45,7 @@ from .results import (
 )
 from .rng import RngPolicy, chunked_map, merge_mean_m2
 from .passage import estimate_p, sample_biv_passages
+from .rw_ladder import poisson_sf
 
 __all__ = [
     "RenewalGrid",
@@ -48,7 +53,7 @@ __all__ = [
     "left_derivative",
     "check_subpint",
     "fluct_boxes",
-    "biv_boxes",
+    "exact_V",
     "dual_ladder_cells",
     "dual_ladder_measure",
 ]
@@ -151,113 +156,83 @@ def fluct_boxes(
 
 
 # ---------------------------------------------------------------------------
-# Explicit bivariate subordinator: occupations and cell values
+# Explicit bivariate subordinator: the exact renewal sum and MC cell values
 # ---------------------------------------------------------------------------
 
 
-def _interval_weight(a: np.ndarray, b: np.ndarray, q: float) -> np.ndarray:
-    """integral of e^{-q s} over [a, b] (b >= a); plain length when q == 0."""
-    if q == 0:
-        return np.maximum(b - a, 0.0)
-    width = np.maximum(b - a, 0.0)
-    return np.where(width > 0, (np.exp(-q * a) - np.exp(-q * (a + width))) / q, 0.0)
+# Jump-count vectors one exact value may sum over; a spec and box that need
+# more are refused rather than left to run for minutes.
+MAX_COUNT_VECTORS = 200_000
+# A height within this relative distance of a box edge counts as on it: the
+# box is closed there.
+_EDGE_RTOL = 1e-12
 
 
-def _band_interval(
-    pos: np.ndarray, drift: float, lo: float, hi: float, s0: np.ndarray, s1: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sub-interval of [s0, s1] on which ``pos + drift * (s - s0)`` lies in (lo, hi]."""
-    if drift > 0:
-        a = np.maximum(s0, s0 + (lo - pos) / drift)
-        b = np.minimum(s1, s0 + (hi - pos) / drift)
-    else:
-        inside = (pos > lo) & (pos <= hi)
-        a = np.where(inside, s0, s1)
-        b = s1
-    return a, b
+def _closed(edge: float) -> float:
+    return edge + _EDGE_RTOL * max(1.0, abs(edge))
 
 
-def _biv_occ_chunk(
-    spec: BivariateSubordinatorSpec,
-    boxes: Boxes,
-    n: int,
-    rng,
-    route: str,
-    s_guard: float,
-    w_tol: float = 1e-15,
-) -> tuple[list[tuple[int, float, float]], float]:
-    dz, dy, q = spec.d_z, spec.d_y, spec.q
-    nb = boxes.shape[0]
-    t_lo, t_hi, u_lo, u_hi = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
-    fin_t = t_hi[np.isfinite(t_hi)]
-    fin_u = u_hi[np.isfinite(u_hi)]
-    stop_t = float(fin_t.max()) if fin_t.size == nb else math.inf
-    stop_u = float(fin_u.max()) if fin_u.size == nb else math.inf
-    qw = q if route == "integrate" else 0.0
+def exact_V(spec: BivariateSubordinatorSpec, t: float, u: float) -> tuple[float, float]:
+    """``V(t, u)`` and the creeping term ``d_Y dV/du`` (left derivative), exactly.
 
-    occ = np.zeros((n, nb))
-    bias_total = 0.0
+    ``V(t, u) = int_0^inf e^{-qs} P(Z_s <= t, Y_s <= u) ds`` is a finite sum
+    over the jump-count vectors ``m`` (one count per atom) whose jumps fit in
+    the box: with ``k = |m|``, jump sums ``A(m)`` in Z and ``B(m)`` in Y, and
+    ``S(m)`` the time at which the drift carries ``(A, B)`` out of the box,
 
-    e_life = (
-        rng.exponential(1.0 / q, n)
-        if (route == "sample" and q > 0)
-        else np.full(n, math.inf)
-    )
+        V(t, u) = sum_m  W(m) c^{-k-1} P(Gamma(k+1, c) <= S(m)),
 
-    s = np.zeros(n)
-    z = np.zeros(n)
-    y = np.zeros(n)
+    where ``W(m) = k! prod r_i^{m_i} / m_i!`` and ``c`` is ``q`` plus the atom
+    rates.  Its left u-derivative differentiates ``S(m)`` on the vectors that
+    leave through ``Y = u``, so the creeping term is
+    ``sum_m W(m) c^{-k} P(Poisson(c S(m)) = k)``: the probability that Y
+    creeps over ``u`` unkilled with ``Z <= t``.  An atom that moves only an
+    unbounded coordinate never leaves the box; summing out its count removes
+    its rate from ``c``.  Both boxes are closed.
+    """
+    if t < 0 or u < 0:
+        return 0.0, 0.0
+    kept = [(dt, dx, r) for dt, dx, r in spec.atoms
+            if (dt > 0 and math.isfinite(t)) or (dx > 0 and math.isfinite(u))]
+    t_top, u_top = _closed(t), _closed(u)
+    m = np.zeros((1, 0), dtype=np.int64)
+    a = np.zeros(1)
+    b = np.zeros(1)
+    for dt, dx, _ in kept:
+        steps = np.arange(int(min(t_top / dt if dt > 0 else math.inf,
+                                  u_top / dx if dx > 0 else math.inf)) + 1)
+        rows, cols = np.nonzero((a[:, None] + steps * dt <= t_top)
+                                & (b[:, None] + steps * dx <= u_top))
+        if rows.size > MAX_COUNT_VECTORS:
+            raise ValueError(f"V({t}, {u}) needs at least {rows.size} jump-count vectors, "
+                             f"more than {MAX_COUNT_VECTORS}")
+        m = np.column_stack([m[rows], steps[cols]])
+        a = a[rows] + steps[cols] * dt
+        b = b[rows] + steps[cols] * dx
 
-    def before(alive, g):
-        s0 = s[alive]
-        s1 = np.minimum(s0 + g, np.minimum(e_life[alive], s_guard))
-        za, ya = z[alive], y[alive]
-        for j in range(nb):
-            az, bz = _band_interval(za, dz, t_lo[j], t_hi[j], s0, s1)
-            ay, by = _band_interval(ya, dy, u_lo[j], u_hi[j], s0, s1)
-            a = np.maximum(az, ay)
-            b = np.minimum(bz, by)
-            occ[alive, j] += _interval_weight(a, b, qw)
+    never = np.full(a.size, math.inf)
+    s_z = (t - a) / spec.d_z if spec.d_z > 0 and math.isfinite(t) else never
+    y_drifts_out = spec.d_y > 0 and math.isfinite(u)
+    s_y = np.maximum((u - b) / spec.d_y, 0.0) if y_drifts_out else never
+    s = np.minimum(s_z, s_y)
+    exits_y = (spec.d_z * s_y + a <= t_top) if y_drifts_out else np.zeros(a.size, bool)
+    rates = np.array([r for _, _, r in kept])
+    c = spec.q + float(rates.sum())
+    if c == 0:  # nothing kills or jumps: the drift alone, from the origin
+        return float(s[0]), float(exits_y[0])
 
-    def after(alive, g, jump):
-        nonlocal bias_total
-        jt, jx = jump
-        s0 = s[alive]
-        ended = (s0 + g > e_life[alive]) | (s0 + g > s_guard)
-        z[alive] = z[alive] + dz * g
-        y[alive] = y[alive] + dy * g
-        s[alive] = s0 + g
-        z[alive] += jt
-        y[alive] += jx
-        done = ended | (z[alive] > stop_t) | (y[alive] > stop_u)
-        if route == "integrate" and q > 0:
-            w = np.exp(-q * s[alive])
-            tail = w < w_tol
-            bias_total += float(w[tail].sum()) / q
-            done = done | tail
-        return ~done
-
-    walk(np.arange(n), spec.total_rate, rng, spec.sample_atoms, before, after)
-    return _stats_per_column(occ), bias_total
-
-
-def biv_boxes(
-    spec: BivariateSubordinatorSpec,
-    boxes: Sequence[Sequence[float]],
-    n: int,
-    policy: RngPolicy,
-    workers: int = 1,
-    route: str = "integrate",
-    s_guard: float = 1e7,
-) -> list[EstimateWithError]:
-    """Renewal measure ``V_{Z,Y}`` of each box (t_lo,t_hi] x (u_lo,u_hi]."""
-    arr = np.asarray([[b[0], b[1], b[2], b[3]] for b in boxes], dtype=float)
-    parts = chunked_map(
-        lambda i, m, rng: _biv_occ_chunk(spec, arr, m, rng, route, s_guard), n, policy, workers
-    )
-    merged = _merge_columns([p[0] for p in parts])
-    bias = sum(p[1] for p in parts) / max(n, 1)
-    return [estimate_from_stats(*st, bias_bound=bias) for st in merged]
+    k = m.sum(axis=1)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, k.max() + 1)))))
+    log_w = log_fact[k] - log_fact[m].sum(axis=1) + (m * np.log(rates)).sum(axis=1)
+    log_c = math.log(c)
+    v = creep = 0.0
+    for kj, lw, sj, ej in zip(k.tolist(), log_w.tolist(), s.tolist(), exits_y.tolist()):
+        # P(N >= k) and P(N >= k + 1) for N ~ Poisson(c S(m))
+        sf = poisson_sf(c * sj, kj + 1) if math.isfinite(sj) else np.ones(kj + 2)
+        v += math.exp(lw - (kj + 1) * log_c) * float(sf[kj + 1])
+        if ej:
+            creep += math.exp(lw - kj * log_c) * float(sf[kj] - sf[kj + 1])
+    return v, creep
 
 
 def _biv_min_chunk(
@@ -558,7 +533,11 @@ def estimate_V(
     the (killed) triple minimum; for a :class:`ProcessSpec` the grid is for
     the fixture's weakly ascending ladder process (drifts ``(1, drift)``),
     estimated from at-the-maximum occupation times of the raw path.
+    ``route`` selects the bivariate per-path value: ``"integrate"`` (killing
+    integrated out) or ``"min"`` (the sampled triple minimum).
     """
+    if route not in ("integrate", "min"):
+        raise ValueError(f"route must be 'integrate' or 'min', got {route!r}")
     nt, nu = len(t_values), len(u_values)
     value = np.zeros((nt, nu))
     se = np.zeros((nt, nu))
@@ -579,7 +558,7 @@ def estimate_V(
 
 def check_V_grid(spec: SamplerSpec, t: float | Sequence[float], u: float | Sequence[float],
                  n_per_cell: int, policy: RngPolicy, workers: int = 1,
-                 route: str = "integrate", fixture: str = "") -> CheckReport:
+                 fixture: str = "") -> CheckReport:
     """:func:`estimate_V` on the grid ``t`` x ``u`` (each one value or a
     list) as a report whose details hold one row per cell.
 
@@ -587,8 +566,7 @@ def check_V_grid(spec: SamplerSpec, t: float | Sequence[float], u: float | Seque
     budget is infinite.  ``lhs`` is the value at the last cell.
     """
     grid = estimate_V(spec, [float(v) for v in np.atleast_1d(t)],
-                      [float(v) for v in np.atleast_1d(u)], n_per_cell, policy, workers,
-                      route=route)
+                      [float(v) for v in np.atleast_1d(u)], n_per_cell, policy, workers)
     return CheckReport(check="V-grid", fixture=fixture,
                        params={"t": t, "u": u, "n": n_per_cell},
                        lhs=float(grid.value[-1, -1]), distance=0.0, budget=math.inf,
@@ -773,8 +751,8 @@ def check_subpint(
         else fluct_boxes(spec, [(0.0, t, -1.0, u)], n_per_node, policy.substream("V"), workers)[0]
     )
     rhs = d_y * v_est.value
-    rhs_se = d_y * v_est.se
-    dist, budget = verdict([(abs(lhs - rhs), math.hypot(lhs_se, rhs_se), quad_bias,
+    se_rhs = d_y * v_est.se
+    dist, budget = verdict([(abs(lhs - rhs), math.hypot(lhs_se, se_rhs), quad_bias,
                              d_y * v_est.bias_bound)])
     return CheckReport(
         check="subpint",
@@ -783,7 +761,7 @@ def check_subpint(
         lhs=lhs,
         rhs=rhs,
         se_lhs=lhs_se,
-        se_rhs=rhs_se,
+        se_rhs=se_rhs,
         distance=dist,
         budget=budget,
         n_paths=n_paths + n_per_node,

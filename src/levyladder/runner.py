@@ -97,9 +97,9 @@ CHECKS: dict[str, Check] = {
         run=lambda spec, c, n, pol, w, fx: passage.check_p_estimate(
             spec, float(c["t"]), c["u"], n, pol, w, fixture=fx)),
     "V-grid": Check(
-        None, ("t", "u", "route"), required=("t", "u"),
+        None, ("t", "u"), required=("t", "u"),
         run=lambda spec, c, n, pol, w, fx: renewal.check_V_grid(
-            spec, c["t"], c["u"], n, pol, w, fixture=fx, **_given(c, "route", conv=str))),
+            spec, c["t"], c["u"], n, pol, w, fixture=fx)),
     "ct1": Check(
         "Levy", ("t", "u", "delta"), required=("t", "u"),
         run=lambda spec, c, n, pol, w, fx: renewal.check_ct1(
@@ -113,10 +113,9 @@ CHECKS: dict[str, Check] = {
         run=lambda spec, c, n, pol, w, fx: lawcheck.check_quintuple(
             spec, float(c["u"]), n, pol, w, fixture=fx, **_given(c, "cap", "mesh", "delta"))),
     "quadruple": Check(
-        "bivariate", ("u", "mesh", "delta"), required=("u",),
+        "bivariate", ("u", "mesh"), required=("u",),
         run=lambda spec, c, n, pol, w, fx: lawcheck.check_quadruple(
-            spec, float(c["u"]), n, pol, w, delta=c.get("delta"), fixture=fx,
-            **_given(c, "mesh"))),
+            spec, float(c["u"]), n, pol, w, fixture=fx, **_given(c, "mesh"))),
     "amicale": Check(
         "Levy", ("mesh",),
         lambda spec, c, n, pol, w, fx: lawcheck.check_amicale(

@@ -335,16 +335,16 @@ def slfi_fluct_check(
     if params.derivative_branch:
         num = _kappa_rho_derivative_from_ladder(spec, lad, params.theta, params.rho)
         rhs = num.value / den.value
-        rhs_se = _ratio_se(num.value, num.se, den.value, den.se)
+        se_rhs = _ratio_se(num.value, num.se, den.value, den.se)
         rhs_bias = (num.bias_bound + abs(rhs) * den.bias_bound) / den.value
     else:
         diff = kappa_diff_from_ladder(spec, lad, params.theta, params.mu + params.ell, params.rho)
         scale = params.mu + params.ell - params.rho
         rhs = diff.value / (scale * den.value)
-        rhs_se = _ratio_se(diff.value, diff.se, den.value, den.se) / abs(scale)
+        se_rhs = _ratio_se(diff.value, diff.se, den.value, den.se) / abs(scale)
         rhs_bias = (diff.bias_bound + abs(rhs * scale) * den.bias_bound) / (abs(scale) * den.value)
 
-    dist, budget = verdict([(abs(lhs - rhs), math.hypot(lhs_se, rhs_se),
+    dist, budget = verdict([(abs(lhs - rhs), math.hypot(lhs_se, se_rhs),
                              SLFI_FLUCT_REL_TOL * abs(rhs), quad_bias, tail_bound,
                              censor_bound, rhs_bias)])
     return CheckReport(
@@ -355,7 +355,7 @@ def slfi_fluct_check(
         lhs=lhs,
         rhs=rhs,
         se_lhs=lhs_se,
-        se_rhs=rhs_se,
+        se_rhs=se_rhs,
         distance=dist,
         budget=budget,
         n_paths=n_per_node * (nodes.size - 1) + lad.n,
@@ -544,7 +544,7 @@ def check_resolvent_creep(
     d1 = (resolvent[:, 2] - resolvent[:, 1]) / delta
     d2 = (resolvent[:, 2] - resolvent[:, 0]) / (2 * delta)
     rhs = spec.drift * float(d1.mean())
-    rhs_se = spec.drift * float(d1.std(ddof=1) / math.sqrt(d1.size))
+    se_rhs = spec.drift * float(d1.std(ddof=1) / math.sqrt(d1.size))
     delta_bias = spec.drift * abs(float(d1.mean()) - float(d2.mean())) * 2.0
 
     parts = chunked_map(
@@ -556,7 +556,7 @@ def check_resolvent_creep(
     lhs = float(lvals.mean())
     lhs_se = float(lvals.std(ddof=1) / math.sqrt(lvals.size))
 
-    dist, budget = verdict([(abs(lhs - rhs), math.hypot(lhs_se, rhs_se), delta_bias)])
+    dist, budget = verdict([(abs(lhs - rhs), math.hypot(lhs_se, se_rhs), delta_bias)])
     return CheckReport(
         check="resolvent",
         fixture=fixture,
@@ -564,7 +564,7 @@ def check_resolvent_creep(
         lhs=lhs,
         rhs=rhs,
         se_lhs=lhs_se,
-        se_rhs=rhs_se,
+        se_rhs=se_rhs,
         distance=dist,
         budget=budget,
         n_paths=2 * n,

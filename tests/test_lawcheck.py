@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -51,7 +52,6 @@ class TestMeasure:
         m1 = lc.DiscreteMeasureND.from_points(axes, [np.array([0.5]), np.array([0.0])], 1)
         m2 = lc.DiscreteMeasureND.from_points(axes, [np.array([1.5]), np.array([0.0])], 1)
         assert m1.tv_distance(m2) == pytest.approx(1.0)
-        assert m1.sup_cdf_distance(m2) == pytest.approx(1.0)
         assert m1.tv_distance(m1) == 0.0
 
     def test_grid_mismatch_rejected(self):
@@ -209,6 +209,26 @@ class TestQuadruple:
     def test_mesh_must_divide_jumps(self):
         with pytest.raises(ValueError):
             lc.check_quadruple(B1, 1.5, 100, POL.substream("bad"), mesh=0.07)
+
+    def test_lattice_z_on_t_edges_without_y_drift(self):
+        # d_z = d_y = 0: Z before the passage sits on the t edges 0.5 and 1.0
+        spec = BivariateSubordinatorSpec(d_z=0.0, d_y=0.0, q=0.1,
+                                         atoms=((0.5, 1.0, 1.0), (1.0, 0.5, 0.5)))
+        rep = lc.check_quadruple(spec, 1.5, 40000, POL.substream("qlz"), fixture="LZ")
+        assert rep.passed
+
+    def test_killing_dropped_from_the_exact_side_fails(self, monkeypatch):
+        exact = lc.exact_V
+        monkeypatch.setattr(lc, "exact_V",
+                            lambda spec, t, u: exact(dataclasses.replace(spec, q=0.0), t, u))
+        rep = lc.check_quadruple(B1, 1.5, 150000, POL.substream("qd"), fixture="B1")
+        assert not rep.passed
+
+    def test_creeping_term_dropped_from_the_exact_side_fails(self, monkeypatch):
+        exact = lc.exact_V
+        monkeypatch.setattr(lc, "exact_V", lambda spec, t, u: (exact(spec, t, u)[0], 0.0))
+        rep = lc.check_quadruple(B1, 1.5, 150000, POL.substream("qd"), fixture="B1")
+        assert not rep.passed
 
 
 class TestAlphaEmbedding:

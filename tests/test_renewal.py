@@ -5,6 +5,7 @@ import pytest
 
 from levyladder.fixtures import B1, P1, P3
 from levyladder.processes import BivariateSubordinatorSpec
+from levyladder.results import verdict
 from levyladder.rng import RngPolicy
 from levyladder import renewal as rn
 from levyladder import rw_ladder as rl
@@ -51,6 +52,76 @@ class TestEstimateV:
         grid.to_csv(str(tmp_path / "grid.csv"))
         lines = (tmp_path / "grid.csv").read_text().splitlines()
         assert lines[0] == "t,u,V,SE,provenance"
+
+    def test_unknown_route_is_refused(self):
+        with pytest.raises(ValueError, match="route"):
+            rn.estimate_V(B1, [0.5], [0.5], 100, POL.substream("bad"), route="bogus")
+
+
+class TestExactV:
+    def test_pure_drift_closed_form(self):
+        q = 0.5
+        spec = BivariateSubordinatorSpec(d_z=1.0, d_y=1.0, q=q)
+        for t, u in [(0.5, 1.0), (2.0, 1.0), (1.0, 1.0), (math.inf, 0.7), (0.3, math.inf)]:
+            v, creep = rn.exact_V(spec, t, u)
+            assert v == pytest.approx((1 - math.exp(-q * min(t, u))) / q, rel=1e-14)
+            # Y leaves through u unkilled, and Z is then u <= t
+            assert creep == pytest.approx(math.exp(-q * u) if u <= t else 0.0, rel=1e-14)
+
+    @pytest.mark.parametrize("t, u", [(4.0, 1.5), (math.inf, 1.5), (1.0, 0.9)])
+    def test_creeping_term_is_the_left_u_derivative(self, t, u):
+        h = 1e-7
+        v, creep = rn.exact_V(B1, t, u)
+        below, _ = rn.exact_V(B1, t, u - h)
+        assert creep == pytest.approx(B1.d_y * (v - below) / h, abs=1e-7)
+
+    def test_creeping_atom_on_a_t_edge_is_in_the_closed_bin(self):
+        # drifts (1, 1): Y creeps over u = 1 at time 1, where Z_T = 1 exactly
+        spec = BivariateSubordinatorSpec(d_z=1.0, d_y=1.0, q=0.5)
+        edges = (0.5, 1.0, 1.5)
+        creep = [rn.exact_V(spec, te, 1.0)[1] for te in edges]
+        assert creep[1] - creep[0] == pytest.approx(math.exp(-0.5), rel=1e-14)
+        assert creep[2] - creep[1] == 0.0
+        assert rn.exact_V(spec, 0.999, 1.0)[1] == 0.0
+
+    def test_atom_only_spec_without_y_drift(self):
+        # d_y = d_z = 0: V counts expected killed-time occupation of lattice
+        # points, sum_j r^j / (r + q)^{j+1} over the j jumps that fit the box
+        r, q = 1.0, 0.5
+        spec = BivariateSubordinatorSpec(d_z=0.0, d_y=0.0, q=q, atoms=((1.0, 1.0, r),))
+
+        def closed(jmax):
+            return sum(r ** j / (r + q) ** (j + 1) for j in range(jmax + 1))
+
+        assert rn.exact_V(spec, 5.0, 2.0) == (pytest.approx(closed(2), rel=1e-14), 0.0)
+        assert rn.exact_V(spec, 5.0, 2.5)[0] == pytest.approx(closed(2), rel=1e-14)
+        assert rn.exact_V(spec, 5.0, 1.999)[0] == pytest.approx(closed(1), rel=1e-14)
+        assert rn.exact_V(spec, 1.0, 5.0)[0] == pytest.approx(closed(1), rel=1e-14)
+        assert rn.exact_V(spec, math.inf, math.inf)[0] == pytest.approx(1 / q, rel=1e-14)
+        assert rn.exact_V(spec, 1.0, -0.5) == (0.0, 0.0)
+
+    def test_atoms_moving_only_an_unbounded_coordinate_drop_out(self):
+        with_z_only = BivariateSubordinatorSpec(d_z=0.5, d_y=1.0, q=0.2,
+                                                atoms=((1.0, 1.0, 0.3), (2.0, 0.0, 0.2)))
+        without = BivariateSubordinatorSpec(d_z=0.5, d_y=1.0, q=0.2, atoms=((1.0, 1.0, 0.3),))
+        assert rn.exact_V(with_z_only, math.inf, 1.5) == pytest.approx(
+            rn.exact_V(without, math.inf, 1.5), rel=1e-14)
+
+    def test_enumeration_size_is_capped(self):
+        spec = BivariateSubordinatorSpec(d_z=0.0, d_y=1.0, q=1.0,
+                                         atoms=((1e-3, 0.0, 1.0), (0.0, 1e-3, 1.0)))
+        with pytest.raises(ValueError, match="jump-count vectors"):
+            rn.exact_V(spec, 1.0, 1.0)
+
+    def test_monte_carlo_grid_matches_exact_grid(self):
+        # one row per cell: |MC - exact| within the family-wise budget of its SE
+        ts, us = [0.5, 1.0, 2.0], [0.5, 1.0, 2.0]
+        n = 50000
+        grid = rn.estimate_V(B1, ts, us, n, POL.substream("exact-grid"))
+        rows = [(abs(grid.value[i, j] - rn.exact_V(B1, t, u)[0]), grid.se[i, j])
+                for i, t in enumerate(ts) for j, u in enumerate(us)]
+        distance, budget = verdict(rows)
+        assert distance <= budget
 
 
 class TestFluctLadderRoute:

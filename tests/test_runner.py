@@ -109,6 +109,18 @@ class TestCheckTable:
         with pytest.raises(ConfigError, match=rf"checks\[0\]: {name} needs a {kind} fixture"):
             runner.ExperimentConfig(raw)
 
+    @pytest.mark.parametrize("entry, key", [
+        ({"name": "V-grid", "fixture": "P1", "t": [0.5], "u": [0.5], "route": "bogus"}, "route"),
+        ({"name": "V-grid", "fixture": "B1", "t": [0.5], "u": [0.5], "route": "min"}, "route"),
+        ({"name": "quadruple", "fixture": "B1", "u": 1.5, "delta": 0.015}, "delta"),
+    ])
+    def test_removed_keys_are_config_errors(self, tmp_path, capsys, entry, key):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(_cfg(checks=[entry])))
+        assert runner.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown keys ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_required_keys_are_declared(self):
         assert {name: c.required for name, c in runner.CHECKS.items() if c.required} == REQUIRED
         for c in runner.CHECKS.values():
