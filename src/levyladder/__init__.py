@@ -55,7 +55,6 @@ from .renewal import (
     estimate_V,
     exact_V,
     fluct_boxes,
-    left_derivative,
 )
 from .transforms import (
     TransformParams,

@@ -27,6 +27,7 @@ from .processes import BivariateSubordinatorSpec, DiscreteAtoms, ProcessSpec
 from .results import CheckReport, row_budgets, verdict
 from .rng import RngPolicy
 from .passage import (
+    K_CAP_TAIL,
     AlphaBatch,
     PassageBatch,
     sample_alpha,
@@ -354,6 +355,7 @@ def _check_quintuple_lattice(spec, u, n, policy, workers, cap, t_edges, s_edges,
     details = [{
         "tv": tv, "excluded_mass": emp.excluded_mass, "rhs_total": rhs.total_mass,
         "emp_total": emp.total_mass, "rhs_bound": rhs.bound, "creep_mass": 0.0,
+        "k_cap_tail": K_CAP_TAIL,
     }]
     return CheckReport(
         check="quintuple",
@@ -367,6 +369,7 @@ def _check_quintuple_lattice(spec, u, n, policy, workers, cap, t_edges, s_edges,
         censored_mass=batch.censored_mass,
         details=details,
         monitors=dict(batch.monitors),
+        measures=(emp, rhs),
     )
 
 

@@ -1,9 +1,10 @@
 """Exact path-level Monte Carlo of first passage, creeping and ladder jumps.
 
 All engines are vectorised over paths but exact in law: inter-jump gaps are
-the realised exponential variates and every event (creeping, passage by
-jump, killing) is resolved by algebraic comparison of exact quantities,
-never by epsilon tolerances.  Hitting a level exactly by a jump does *not*
+the realised exponential variates (the zero-drift walk draws their exact
+Gamma sums instead) and every event (creeping, passage by jump, killing) is
+resolved by algebraic comparison of exact quantities, never by epsilon
+tolerances.  Hitting a level exactly by a jump does *not*
 trigger passage (the passage time takes a strict inequality), and the
 almost-surely-null event "creep after a jump landed exactly on the level"
 has an explicit code path that is counted by a never-observed monitor
@@ -16,18 +17,24 @@ detected there, by comparing the drift crossing time with the next jump
 time) and what the jump does.  A zero-drift compound Poisson passage is the
 exception.  Its path is constant between jumps, so every event happens at a
 jump, and its jump chain is a random walk independent of the i.i.d.
-exponential jump times.  Those paths are block stepped instead: each
-step draws ``B = max(1, DRAWS // m)`` gaps and jumps for each of the ``m``
+exponential jump times.  So the walk is simulated alone, block stepped:
+each step draws ``B = max(1, DRAWS // m)`` jumps for each of the ``m``
 active paths, so wide sets step one jump at a time and the small tail
-hundreds.  Cumulative sums give the jump times and walk positions, a
-running maximum gives ``M_{k-1}``, and the first crossing of the level and
-the first jump time past the cap come from an argmax and a count.  This is
-exact in law: the resolving jump index is a stopping time of the i.i.d.
-sequence, so the variates drawn after it are discarded without biasing the
-stopped path, and the sums start from the carried state so every float is
-the one a single-jump loop would compute.  ``B`` only decides how many
-variates one numpy call draws; fed the same per-path sequences, every block
-size gives identical records.
+thousands.  Cumulative sums give the positions, a running maximum gives
+``M_{k-1}``, and an argmax gives the passage jump ``K``; the index ``G`` of
+the jump that leaves the last maximum comes along.  This is exact in law:
+``K`` is a stopping time of the i.i.d. jumps, so the jumps drawn after it
+are discarded without biasing the stopped walk, and the sums start from the
+carried state so every float is the one a single-jump loop would compute.
+``B`` only decides how many variates one numpy call draws; fed the same
+per-path jumps, every block size gives identical records.  The times then
+come from the embedding: jump ``G`` happens at ``t ~ Gamma(G, 1/rate)`` and
+jump ``K`` an independent ``s ~ Gamma(K - G, 1/rate)`` later, and the path
+is censored iff ``tau = t + s`` exceeds the time cap.  The time cap also
+caps the walk: a path that has not passed by jump ``k_cap`` is censored,
+where ``k_cap`` is the first index whose Poisson tail bound puts
+``P(sigma_{k_cap} <= cap)`` at or below ``K_CAP_TAIL``, which thus bounds
+the passage mass this censors.
 
 Monitors accumulated by the engines:
 
@@ -42,6 +49,7 @@ Monitors accumulated by the engines:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -52,6 +60,7 @@ from .results import (
     CheckReport, EstimateWithError, binomial_estimate, concatenate, merge_monitors, write_csv,
 )
 from .rng import RngPolicy, chunked_map
+from . import rw_ladder as rl
 
 __all__ = [
     "PassageRecord",
@@ -69,10 +78,15 @@ __all__ = [
     "sample_alpha",
 ]
 
-# Jumps drawn per block step of the zero-drift passage walker, summed over
-# the active paths: each (m, B) float64 block stays at 64 KB, below the
-# allocator's mmap threshold.
-DRAWS = 8192
+# Jumps drawn per block step of the zero-drift walk, summed over the active
+# paths: each (m, B) float64 block is 256 KB.  On 4 x 16384 P3 paths at cap
+# 5e4 this was the fastest of 8192..131072, at a peak RSS of 66-68 MB
+# (69 MB at 8192).
+DRAWS = 32768
+
+# Bound on P(Poisson(rate * cap) >= k_cap): the chance that a zero-drift
+# path censored for not passing by jump k_cap would have passed by the cap.
+K_CAP_TAIL = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -220,26 +234,25 @@ def _unresolved(u: float, cap: float, n: int) -> PassageBatch:
     )
 
 
-def _zero_drift_block(sigma, J, M, G, gaps, jumps, u, cap):
-    """Resolve the next ``B`` jumps of ``m`` zero-drift paths at once.
+def _zero_drift_block(k, J, M, G, jumps, u, k_cap):
+    """Resolve the next ``B`` jumps of ``m`` zero-drift walks at once.
 
-    ``sigma, J, M, G`` (length ``m``) hold each path's last jump time,
-    position, running maximum and departure time from its last maximum.
-    ``gaps`` and ``jumps`` (shape ``(m, B)``) are its next ``B`` inter-jump
-    gaps and jump sizes.  The inputs are not modified.
+    ``k, J, M, G`` (length ``m``) hold each walk's jump count, position,
+    running maximum and the index of the jump that left its last maximum.
+    ``jumps`` (shape ``(m, B)``) holds its next ``B`` jump sizes, which are
+    jumps ``k + 1, ..., k + B``.  A walk that has not passed the level ``u``
+    by jump ``k_cap`` is censored.  The inputs are not modified.
 
-    Returns ``(passed, censored, record, carry)``: per-path flags, the
-    passage fields ``(tau, x_at, x_before, max_before, g_before)`` (valid on
-    passed paths) and the state ``(sigma, J, M, G)`` after the block (valid
-    on paths that are neither passed nor censored).
+    Returns ``(passed, censored, record, carry)``: per-walk flags, the
+    passage fields ``(K, x_at, x_before, max_before, G)`` with ``K`` the
+    index of the passage jump (valid on passed walks) and the state
+    ``(k, J, M, G)`` after the block (valid on walks that are neither passed
+    nor censored).
     """
-    m, B = gaps.shape
+    m, B = jumps.shape
     rows = np.arange(m)
     # accumulating from the carried state in column 0 adds in the same order
     # as one jump at a time, so every float is independent of B
-    T = gaps.copy()
-    T[:, 0] += sigma
-    np.cumsum(T, axis=1, out=T)  # jump times
     W = jumps.copy()
     W[:, 0] += J
     np.cumsum(W, axis=1, out=W)  # positions just after each jump
@@ -248,49 +261,67 @@ def _zero_drift_block(sigma, J, M, G, gaps, jumps, u, cap):
     M_pre[:, 1:] = W[:, :-1]
     np.maximum.accumulate(M_pre, axis=1, out=M_pre)  # running maximum before each jump
 
-    # T increases along a row, so the first jump past cap is a count
-    k_cap = (T <= cap).sum(axis=1)
     up = W > u
     k_up = up.argmax(axis=1)
     k_up[~up[rows, k_up]] = B
-    passed = k_up < k_cap
-    censored = (k_cap < B) & (k_cap <= k_up)
-    k = np.minimum(k_up, B - 1)  # last jump each path takes in this block
+    room = k_cap - k  # jumps left before the index cap
+    passed = k_up < np.minimum(room, B)
+    censored = ~passed & (room <= B)
+    j = np.minimum(k_up, B - 1)  # last jump each walk takes in this block
 
-    # a path sitting at its maximum departs from it at the next jump; take
-    # the last such departure up to jump k, else the carried one
+    # a walk sitting at its maximum departs from it at the next jump; take
+    # the last such departure up to jump j, else the carried one
     at_max = np.empty((m, B), dtype=bool)
     np.equal(J, M, out=at_max[:, 0])
     np.equal(W[:, :-1], M_pre[:, 1:], out=at_max[:, 1:])
-    at_max &= np.arange(B) <= k[:, None]
+    at_max &= np.arange(B) <= j[:, None]
     last = B - 1 - at_max[:, ::-1].argmax(axis=1)
-    g = np.where(at_max[rows, last], T[rows, last], G)
+    g = np.where(at_max[rows, last], k + 1 + last, G)
 
-    x_before = np.where(k > 0, W[rows, k - 1], J)
-    record = (T[rows, k], W[rows, k], x_before, M_pre[rows, k], g)
-    carry = (T[:, -1], W[:, -1], np.maximum(M_pre[:, -1], W[:, -1]), g)
+    x_before = np.where(j > 0, W[rows, j - 1], J)
+    record = (k + 1 + j, W[rows, j], x_before, M_pre[rows, j], g)
+    carry = (k + B, W[:, -1], np.maximum(M_pre[:, -1], W[:, -1]), g)
     return passed, censored, record, carry
 
 
-def _walk_zero_drift(out: PassageBatch, draw) -> None:
-    """Fill ``out`` by block stepping; ``draw(active)`` returns the next
-    ``(gaps, jumps)`` block, one row per active path index."""
+def _walk_zero_drift(out: PassageBatch, draw, times, k_cap: int) -> None:
+    """Fill ``out``: block step the jump walks, then give the passed ones
+    their times.
+
+    ``draw(active)`` returns the next block of jumps, one row per active
+    path index.  ``times(K, G)`` returns the time ``t`` of jump ``G`` and
+    the time ``s`` from it to jump ``K``, one pair per passed path.  A path
+    whose passage time ``t + s`` exceeds ``out.cap`` is censored.
+    """
     n = out.n
     active = np.arange(n)
-    sigma, J, M, G = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
-    fields = (out.tau, out.x_at, out.x_before, out.max_before, out.g_before)
+    k, G = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    J, M = np.zeros(n), np.zeros(n)
+    found = (np.zeros(n, dtype=np.int64), out.x_at, out.x_before, out.max_before,
+             np.zeros(n, dtype=np.int64))
     while active.size:
-        gaps, jumps = draw(active)
         passed, censored, record, carry = _zero_drift_block(
-            sigma, J, M, G, gaps, jumps, out.u, out.cap
+            k, J, M, G, draw(active), out.u, k_cap
         )
         fin = active[passed]
-        for dest, val in zip(fields, record):
+        for dest, val in zip(found, record):
             dest[fin] = val[passed]
         out.censored[active[censored]] = True
         keep = ~(passed | censored)
         active = active[keep]
-        sigma, J, M, G = (a[keep] for a in carry)
+        k, J, M, G = (a[keep] for a in carry)
+
+    K, G = found[0], found[4]
+    fin = np.flatnonzero(K)
+    t, s = times(K[fin], G[fin])
+    tau = t + s
+    late = tau > out.cap
+    out.censored[fin[late]] = True
+    for dest in (out.x_at, out.x_before, out.max_before):
+        dest[fin[late]] = np.nan
+    ok = ~late
+    out.tau[fin[ok]] = tau[ok]
+    out.g_before[fin[ok]] = t[ok]
 
 
 def _passage_chunk(spec: ProcessSpec, u: float, cap: float, n: int, rng) -> PassageBatch:
@@ -304,10 +335,14 @@ def _passage_chunk(spec: ProcessSpec, u: float, cap: float, n: int, rng) -> Pass
         def draw(active):
             m = active.size
             B = max(1, DRAWS // m)
-            gaps = rng.exponential(1.0 / lam, (m, B))
-            return gaps, spec.sample_jumps(rng, m * B).reshape(m, B)
+            return spec.sample_jumps(rng, m * B).reshape(m, B)
 
-        _walk_zero_drift(out, draw)
+        def times(K, G):
+            t = rng.gamma(G, 1.0 / lam)
+            return t, rng.gamma(K - G, 1.0 / lam)
+
+        k_cap = rl.poisson_index_cap(lam * cap, K_CAP_TAIL) if math.isfinite(cap) else sys.maxsize
+        _walk_zero_drift(out, draw, times, k_cap)
         out.validate()
         return out
     if lam == 0 and c < 0:

@@ -41,6 +41,16 @@ __all__ = [
 _PROB_TOL = 1e-12
 
 
+def _cell_index(thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """How many of the ascending ``thresholds`` each ``u`` reaches: the index
+    ``searchsorted(thresholds, u, side="right")``, counted one threshold at a
+    time, which is faster for the few atoms of a jump law."""
+    idx = np.zeros(u.shape, dtype=np.intp)
+    for c in thresholds:
+        idx += u >= c
+    return idx
+
+
 def _as_fraction(p: Union[int, float, Fraction]) -> Fraction:
     if isinstance(p, Fraction):
         return p
@@ -77,9 +87,9 @@ class DiscreteAtoms:
         order = sorted(range(len(values)), key=lambda i: values[i])
         object.__setattr__(self, "values", tuple(values[i] for i in order))
         object.__setattr__(self, "probs", tuple(probs[i] for i in order))
-        # sampling table, built once: cumulative probabilities and values
-        cum = np.cumsum(self.probs_float)
-        cum[-1] = 1.0
+        # sampling table, built once: the values and the cumulative
+        # probabilities that separate them (u < 1 never reaches the last, 1)
+        cum = np.cumsum(self.probs_float)[:-1]
         vals = np.asarray(self.values, dtype=float)
         cum.flags.writeable = vals.flags.writeable = False
         object.__setattr__(self, "_cum", cum)
@@ -102,7 +112,7 @@ class DiscreteAtoms:
         return float(sum(v * float(p) for v, p in zip(self.values, self.probs)))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self._vals[np.searchsorted(self._cum, rng.random(size), side="right")]
+        return self._vals[_cell_index(self._cum, rng.random(size))]
 
 
 @dataclass(frozen=True)
@@ -288,6 +298,13 @@ class BivariateSubordinatorSpec:
                 raise ValueError("atom rates must be positive and finite")
             cleaned.append((dt, dx, r))
         object.__setattr__(self, "atoms", tuple(cleaned))
+        # sampling table, built once: the atoms and the cumulative rate
+        # shares that separate them (u < 1 never reaches the last, 1)
+        dt, dx, r = self.atom_arrays()
+        cum = np.cumsum(r / r.sum())[:-1] if r.size else r
+        for a in (dt, dx, cum):
+            a.flags.writeable = False
+        object.__setattr__(self, "_table", (cum, dt, dx))
 
     @property
     def total_rate(self) -> float:
@@ -300,10 +317,8 @@ class BivariateSubordinatorSpec:
         return a[:, 0], a[:, 1], a[:, 2]
 
     def sample_atoms(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        dt, dx, r = self.atom_arrays()
-        cum = np.cumsum(r / r.sum())
-        cum[-1] = 1.0
-        idx = np.searchsorted(cum, rng.random(size), side="right")
+        cum, dt, dx = self._table
+        idx = _cell_index(cum, rng.random(size))
         return dt[idx], dx[idx]
 
 

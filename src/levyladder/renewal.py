@@ -50,7 +50,6 @@ from .rw_ladder import poisson_sf
 __all__ = [
     "RenewalGrid",
     "estimate_V",
-    "left_derivative",
     "check_subpint",
     "fluct_boxes",
     "exact_V",
@@ -572,32 +571,6 @@ def check_V_grid(spec: SamplerSpec, t: float | Sequence[float], u: float | Seque
                        lhs=float(grid.value[-1, -1]), distance=0.0, budget=math.inf,
                        n_paths=n_per_cell * grid.value.size,
                        details=grid.rows(), columns=GRID_COLUMNS)
-
-
-def left_derivative(
-    grid: RenewalGrid, t: float, u: float, richardson: bool = False
-) -> EstimateWithError:
-    """Backward difference approximation of the left u-derivative of V.
-
-    Uses the grid nodes at ``u`` and ``u - delta`` (and ``u - 2 delta`` for
-    the two-point backward Richardson refinement).  The reported
-    ``bias_bound`` is the discretisation half-width ``delta``; cells are
-    independent, so SEs add in quadrature.
-    """
-    j = grid.u_values.index(u)
-    if j == 0:
-        raise ValueError("u is at the left edge of the grid; no backward difference exists")
-    i = grid.t_values.index(t)
-    delta = u - grid.u_values[j - 1]
-    d1 = (grid.value[i, j] - grid.value[i, j - 1]) / delta
-    se1 = math.hypot(grid.se[i, j], grid.se[i, j - 1]) / delta
-    if not richardson:
-        return EstimateWithError(d1, se1, grid.n_per_cell, bias_bound=delta)
-    if j < 2 or not math.isclose(grid.u_values[j - 1] - grid.u_values[j - 2], delta):
-        raise ValueError("Richardson refinement needs a third equally spaced node")
-    d2 = (grid.value[i, j] - grid.value[i, j - 2]) / (2 * delta)
-    se2 = math.hypot(grid.se[i, j], grid.se[i, j - 2]) / (2 * delta)
-    return EstimateWithError(2 * d1 - d2, 2 * se1 + se2, grid.n_per_cell, bias_bound=delta)
 
 
 def _creep_probability_nodes(

@@ -124,6 +124,8 @@ class CheckReport:
     per-cell or per-node rows for the CSV report, in the order ``columns``
     gives (empty: the sorted union of the rows' keys); ``monitors`` carries
     never-observed-event counters accumulated over all paths the check ran.
+    ``measures`` holds the (empirical, exact) measures a distribution check
+    compared, for callers that regroup their cells; no file records it.
     """
 
     check: str
@@ -140,6 +142,7 @@ class CheckReport:
     details: list[dict[str, Any]] = field(default_factory=list)
     columns: tuple[str, ...] = ()
     monitors: dict[str, int] = field(default_factory=dict)
+    measures: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def passed(self) -> bool:

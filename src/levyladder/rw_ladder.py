@@ -59,6 +59,7 @@ __all__ = [
     "vhat_exact",
     "poisson_sf",
     "poisson_tail_mean",
+    "poisson_index_cap",
 ]
 
 Mode = Literal["weak-ascending", "strict-ascending", "strict-descending"]
@@ -453,6 +454,25 @@ def poisson_tail_mean(mu: float, j: int) -> float:
     if j + 1 > jmax:
         return 0.0
     return float(np.sum(suffix[j + 1 :]))
+
+
+def poisson_index_cap(mu: float, tail: float) -> int:
+    """Smallest ``k`` that the geometric tail bound
+    ``P(N >= k) <= pmf(k) (k + 1) / (k + 1 - mu)`` (valid for ``k + 1 > mu``)
+    puts at or below ``tail``, N ~ Poisson(mu), for ``tail < 1/2``.
+
+    Every ``k <= int(mu)`` has ``P(N >= k) >= 1/2``, so the search starts
+    there and steps the pmf up one index at a time.  With ``mu = rate * t``
+    it caps the jump count of an embedded walk: ``P(sigma_k <= t) <= tail``.
+    """
+    if mu == 0:
+        return 1
+    k = int(mu)
+    logp = k * math.log(mu) - mu - math.lgamma(k + 1)
+    while math.exp(logp) * (k + 1) / (k + 1 - mu) > tail:
+        k += 1
+        logp += math.log(mu / k)
+    return k
 
 
 def truncation_depth(rate: float, t: float, tol: float = 1e-10, kmin: int = 4) -> int:

@@ -126,20 +126,21 @@ def test_a05_quintuple_law():
     ok = rep3.passed and d3["excluded_mass"] < 0.01 and d3["creep_mass"] == 0.0
 
     # cell-by-cell agreement with the exact composition on the coarse
-    # finite-time cells (where censoring cannot enter), within 3 binomial SE
-    from levyladder.lawcheck import quintuple_empirical, quintuple_rhs_lattice
-
-    edges = (0.0, 0.5, 2.0, 8.0, 32.0, 128.0, math.inf)
-    rhs, axes = quintuple_rhs_lattice(ll.P3, 2.0, edges, edges)
-    batch = ll.sample_passages(ll.P3, 2.0, 50_000.0, n, POL.substream("a5cells"))
-    _tally(batch.n, batch.monitors)
-    emp = quintuple_empirical(batch, axes)
+    # finite-time cells (where censoring cannot enter), within 3 binomial SE;
+    # each coarse cell sums the cells of the check's own measures
+    emp, rhs = rep3.measures
     assert emp.total_mass + emp.excluded_mass == pytest.approx(1.0, abs=1e-12)
-    finite = np.zeros(rhs.mass.shape, dtype=bool)
-    finite[..., : axes[3].size - 1, : axes[4].size - 1] = True
-    sel = finite & (rhs.mass >= 30.0 / n)
-    zscores = np.abs(emp.mass - rhs.mass)[sel] / np.sqrt(
-        rhs.mass[sel] * (1 - rhs.mass[sel]) / n
+    edges = (0.0, 0.5, 2.0, 8.0, 32.0, 128.0, math.inf)
+    fine = emp.axes[3].values  # the check's edges, the same on the t axis
+    assert emp.axes[4].values == fine and fine[-1] == edges[-1]
+    starts = [fine.index(e) for e in edges[:-1]]
+    emp_mass, rhs_mass = (np.add.reduceat(np.add.reduceat(m.mass, starts, axis=3), starts, axis=4)
+                          for m in (emp, rhs))
+    finite = np.zeros(rhs_mass.shape, dtype=bool)
+    finite[..., : len(edges) - 2, : len(edges) - 2] = True
+    sel = finite & (rhs_mass >= 30.0 / n)
+    zscores = np.abs(emp_mass - rhs_mass)[sel] / np.sqrt(
+        rhs_mass[sel] * (1 - rhs_mass[sel]) / n
     )
     ok &= bool((zscores <= 3.0).all())
 

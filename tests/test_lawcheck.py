@@ -81,18 +81,14 @@ class TestQuintupleLattice:
         assert rep.details[0]["creep_mass"] == 0.0
 
     def test_arrival_time_fault_fails(self, monkeypatch):
-        # fault: record the arrival time at the last maximum instead of the
-        # departure time.  A second pass over the block with the gaps shifted
-        # by one jump has a clock that reads when each pre-jump position was
-        # reached; G is taken from it, everything else from the true pass.
+        # fault: record the arrival at the last maximum instead of the
+        # departure from it, i.e. jump G - 1 in place of G, so the time of
+        # the last maximum loses its last gap and s gains it
         block = pg._zero_drift_block
 
-        def arrival(sigma, J, M, G, gaps, jumps, u, cap):
-            passed, censored, record, carry = block(sigma, J, M, G, gaps, jumps, u, cap)
-            shifted = np.zeros_like(gaps)
-            shifted[:, 1:] = gaps[:, :-1]
-            _, _, rec_a, carry_a = block(sigma, J, M, G, shifted, jumps, u, cap)
-            return passed, censored, record[:4] + rec_a[4:], carry[:3] + carry_a[3:]
+        def arrival(k, J, M, G, jumps, u, k_cap):
+            passed, censored, record, carry = block(k, J, M, G, jumps, u, k_cap)
+            return passed, censored, record[:4] + (record[4] - 1,), carry
 
         monkeypatch.setattr(pg, "_zero_drift_block", arrival)
         rep = lc.check_quintuple(P3, 2.0, 65536, POL.substream("fault"), cap=5e4, fixture="P3")

@@ -6,7 +6,7 @@ import pytest
 
 from levyladder.fixtures import B1, P1, P2, P3
 from levyladder.processes import BivariateSubordinatorSpec, DiscreteAtoms, ProcessSpec
-from levyladder.results import concatenate
+from levyladder.results import concatenate, verdict
 from levyladder.rng import RngPolicy
 from levyladder import passage as pg
 
@@ -73,80 +73,137 @@ class TestFirstPassage:
 
 
 def _one_jump_at_a_time(gaps, jumps, u, cap):
-    """Scalar reference: the zero-drift passage of one path, jump by jump."""
-    sigma = J = M = G = 0.0
-    for g, y in zip(gaps, jumps):
+    """Scalar reference: the zero-drift passage of one path, jump by jump.
+
+    Returns ``(tau, x_at, x_before, max_before, g_before, K, G)``, with ``K``
+    the index of the passage jump and ``G`` that of the jump leaving the
+    last maximum, or None when the path is censored at ``cap``.
+    """
+    sigma = J = M = g_before = 0.0
+    G = 0
+    for k, (g, y) in enumerate(zip(gaps, jumps), 1):
         t = sigma + g
         if t > cap:
             return None
         if J == M:
-            G = t  # the path departs its maximum at this jump
+            g_before, G = t, k  # the path departs its maximum at this jump
         if J + y > u:
-            return t, J + y, J, M, G
+            return t, J + y, J, M, g_before, k, G
         sigma, J, M = t, J + y, max(M, J + y)
     raise AssertionError("sequence too short to resolve the path")
 
 
+def _unit_clock(K, G):
+    """Times of a walk whose k-th jump happens at time k."""
+    return G.astype(float), (K - G).astype(float)
+
+
 class TestZeroDriftBlocks:
-    U, CAP, L = 2.0, 100.0, 256
+    # with the unit clock, passage at jump K happens at time K: the index
+    # cap K_CAP censors passages after jump 101, the time cap those at 101
+    U, CAP, K_CAP, L = 2.0, 100.0, 101, 256
 
     def _sequences(self):
-        """Per-path gap and jump sequences: hand-made rows, then random ones."""
-        gaps = [np.ones(self.L) for _ in range(6)]  # jump k happens at time k + 1
-        jumps = []
-        # ties: returns to the maximum 1 before jumps 1, 3 and 5, then passes
-        # at jump 7 from 0, so G is the departure time of jump 5
-        jumps.append([1.0, -1.0, 1.0, -1.0, 1.0, -2.0, 1.0, 2.5])
-        # passage on the last index of a block for B = 7 (6, 13) and B = 2, 64 (63)
-        for k in (6, 13, 63):
-            walk = [-1.0, 1.0] * (k // 2) + [-1.0] * (k % 2)
-            jumps.append(walk + [self.U + 0.5 - sum(walk)])
-        # the cap is crossed at the same jump as the level: censored
-        jumps.append([-1.0, 1.0] * 10 + [3.0])
-        gaps[4][20] = self.CAP
-        # jump 99 happens exactly at the cap and passes (strict censoring)
-        jumps.append([-1.0, 1.0] * 49 + [-1.0, 3.5])
+        """Per-path jump sequences: hand-made rows, then random ones."""
+        def passing_at(k):
+            walk = [-1.0, 1.0] * ((k - 1) // 2) + [-1.0] * ((k - 1) % 2)
+            return walk + [self.U + 0.5 - sum(walk)]
+
+        # ties: the walk sits at its maximum 1 after jumps 1, 3 and 5, so
+        # jumps 2, 4 and 6 depart from it; it passes at jump 8 from 0
+        jumps = [[1.0, -1.0, 1.0, -1.0, 1.0, -2.0, 1.0, 2.5]]
+        # passage on the last index of a block for B = 7 (7, 14) and B = 2, 64
+        # (64); then at jumps 101 (censored by the time cap), 100 (at the
+        # time cap exactly: passes, the censoring is strict) and 102 (past
+        # K_CAP)
+        jumps += [passing_at(k) for k in (7, 14, 64, 101, 100, 102)]
         jumps = [np.concatenate([j, np.full(self.L - len(j), -1.0)]) for j in jumps]
         rng = np.random.default_rng(7)
-        gaps = np.vstack(gaps + [rng.exponential(1.0, (300, self.L))])
-        jumps = np.vstack(jumps + [rng.choice([-2.0, -1.0, 1.0, 2.0], (300, self.L))])
-        return gaps, jumps
+        return np.vstack(jumps + [rng.choice([-2.0, -1.0, 1.0, 2.0], (300, self.L))])
 
-    def _walk(self, gaps, jumps, B):
-        out = pg._unresolved(self.U, self.CAP, gaps.shape[0])
+    def _walk(self, jumps, B):
+        out = pg._unresolved(self.U, self.CAP, jumps.shape[0])
         done = [0]
 
         def draw(active):
             k = done[0]
             done[0] += B
-            return gaps[active, k:k + B], jumps[active, k:k + B]
+            return jumps[active, k:k + B]
 
-        pg._walk_zero_drift(out, draw)
+        pg._walk_zero_drift(out, draw, _unit_clock, self.K_CAP)
         return out
 
     def test_block_size_does_not_change_records(self):
-        gaps, jumps = self._sequences()
-        one = self._walk(gaps, jumps, 1)
+        jumps = self._sequences()
+        one = self._walk(jumps, 1)
         for B in (2, 7, 64):
-            blk = self._walk(gaps, jumps, B)
+            blk = self._walk(jumps, B)
             for f in ("tau", "x_at", "x_before", "max_before", "g_before", "censored"):
                 assert getattr(blk, f).tobytes() == getattr(one, f).tobytes(), (B, f)
 
     def test_records_match_one_jump_at_a_time(self):
-        gaps, jumps = self._sequences()
-        out = self._walk(gaps, jumps, 7)
-        for i in range(gaps.shape[0]):
-            want = _one_jump_at_a_time(gaps[i], jumps[i], self.U, self.CAP)
+        jumps = self._sequences()
+        out = self._walk(jumps, 7)
+        gaps = np.ones(self.L)
+        for i in range(jumps.shape[0]):
+            want = _one_jump_at_a_time(gaps, jumps[i], self.U, self.CAP)
             assert out.censored[i] == (want is None)
             if want is not None:
                 got = out.record(i)
-                assert (got.tau, got.x_at, got.x_before, got.max_before, got.g_before) == want
+                assert (got.tau, got.x_at, got.x_before, got.max_before, got.g_before) == want[:5]
         # hand-made rows: (tau, x_at, x_before, max_before, g_before)
         assert out.record(0) == pg.PassageRecord(self.U, 8.0, 2.5, 0.0, 1.0, 6.0, False)
-        for row, k in ((1, 6), (2, 13), (3, 63)):
-            assert out.tau[row] == k + 1 and out.x_at[row] == self.U + 0.5
-        assert out.censored[4]
+        for row, k in ((1, 7), (2, 14), (3, 64)):
+            assert out.tau[row] == k and out.x_at[row] == self.U + 0.5
+        assert out.censored[4] and out.censored[6]
         assert out.record(5).tau == self.CAP and not out.censored[5]
+
+    def test_law_matches_one_jump_at_a_time_with_exp_gaps(self, monkeypatch):
+        # the engine draws the times from the Erlang embedding after the
+        # walk; the reference steps Exp(1) gaps and jumps together.  Compare
+        # their laws of (K, G, s, t) on cells, plus the censored mass.
+        n, cap = 20000, 20.0
+        seen = []
+        walk = pg._walk_zero_drift
+
+        def spy(out, draw, times, k_cap):
+            def timed(K, G):
+                t, s = times(K, G)
+                ok = t + s <= cap
+                seen.append((K[ok], G[ok], s[ok], t[ok]))
+                return t, s
+            walk(out, draw, timed, k_cap)
+
+        monkeypatch.setattr(pg, "_walk_zero_drift", spy)
+        batch = pg.sample_passages(P3, self.U, cap, n, POL.substream("law"))
+        engine = [np.concatenate(c) for c in zip(*seen)]
+        assert engine[0].size == int(batch.resolved.sum())
+
+        rng = POL.substream("law-ref").stream(0)
+        gaps = rng.exponential(1.0, (n, 80))
+        steps = P3.sample_jumps(rng, n * 80).reshape(n, 80)
+        recs = [r for r in (_one_jump_at_a_time(gaps[i], steps[i], self.U, cap)
+                            for i in range(n)) if r is not None]
+        ref = [np.array([r[5] for r in recs]), np.array([r[6] for r in recs]),
+               np.array([r[0] - r[4] for r in recs]), np.array([r[4] for r in recs])]
+
+        def cells(K, G, s, t):
+            idx = (np.searchsorted([2, 3, 5, 9, 17], K, side="right") * 4
+                   + np.searchsorted([2, 3, 5], G, side="right")) * 4
+            idx = (idx + np.searchsorted([0.0, 1.0, 4.0], s)) * 3 + np.searchsorted([1.0, 3.0], t)
+            counts = np.bincount(idx, minlength=6 * 4 * 4 * 3)
+            return np.append(counts, n - K.size) / n  # last cell: censored
+
+        p, q = cells(*engine), cells(*ref)
+        live = (p + q) * n / 2 >= 30
+        rows = [(abs(a - b), math.sqrt((a * (1 - a) + b * (1 - b)) / n))
+                for a, b in zip(p[live], q[live])]
+        rest_p, rest_q = p[~live].sum(), q[~live].sum()
+        rows.append((abs(rest_p - rest_q),
+                     math.sqrt((rest_p * (1 - rest_p) + rest_q * (1 - rest_q)) / n)))
+        dist, budget = verdict(rows)
+        assert live.sum() >= 20
+        assert dist <= budget, (dist, budget)
 
     def test_p3_csv_reproducible_across_runs_and_workers(self, tmp_path):
         pol = RngPolicy(seed=20250809, chunk_size=4096)

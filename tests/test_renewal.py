@@ -148,27 +148,6 @@ class TestFluctLadderRoute:
         ests = rn.dual_ladder_cells(P3, [(1.0, 0.0)], 2000, POL.substream("zero"))
         assert ests[0].value == 1.0 and ests[0].se == 0.0
 
-
-class TestLeftDerivative:
-    def _drift_grid(self):
-        spec = BivariateSubordinatorSpec(d_z=1.0, d_y=1.0, q=0.0)
-        return rn.estimate_V(spec, [2.0], [0.8, 0.9, 1.0], 100, POL.substream("lg"))
-
-    def test_pure_drift_derivative_is_one(self):
-        est = rn.left_derivative(self._drift_grid(), 2.0, 1.0)
-        assert est.value == pytest.approx(1.0, abs=1e-9)
-        assert est.bias_bound == pytest.approx(0.1)
-
-    def test_refuses_left_edge(self):
-        with pytest.raises(ValueError):
-            rn.left_derivative(self._drift_grid(), 2.0, 0.8)
-
-    def test_richardson_needs_three_nodes(self):
-        est = rn.left_derivative(self._drift_grid(), 2.0, 1.0, richardson=True)
-        assert est.value == pytest.approx(1.0, abs=1e-9)
-        with pytest.raises(ValueError):
-            rn.left_derivative(self._drift_grid(), 2.0, 0.9, richardson=True)
-
     def test_lattice_nondifferentiability_of_p1(self):
         # left derivative of V jumps across the lattice point u = 1
         delta = 0.005

@@ -134,6 +134,17 @@ class TestErlangMixing:
         assert big_t <= total + 1e-9
         assert big_t == pytest.approx(total, abs=bound + 0.06)
 
+    def test_poisson_index_cap_against_poisson_sf(self):
+        # the geometric bound certifies the cap; it overshoots the smallest
+        # index with P(N >= k) <= tail by at most one
+        tail = 1e-15
+        for mu in (1e-20, 0.3, 1.0, 2.0, 40.0, 2000.0, 5e4):
+            k = rl.poisson_index_cap(mu, tail)
+            sf = rl.poisson_sf(mu, k)
+            assert sf[k] <= tail
+            assert k < 2 or sf[k - 2] > tail
+        assert rl.poisson_index_cap(0.0, tail) == 1
+
     def test_truncation_depth_bound_holds(self):
         K = rl.truncation_depth(1.0, 2.0, 1e-10)
         assert rl.poisson_tail_mean(2.0, K) < 1e-10
