@@ -70,7 +70,6 @@ from .lawcheck import (
     DiscreteMeasureND,
     check_alpha_embedding,
     check_amicale,
-    check_cor_jtop,
     check_quadruple,
     check_quintuple,
     quintuple_empirical,

@@ -44,7 +44,6 @@ __all__ = [
     "quintuple_empirical",
     "quintuple_rhs_lattice",
     "check_quintuple",
-    "check_cor_jtop",
     "check_amicale",
     "check_quadruple",
     "check_alpha_embedding",
@@ -99,12 +98,11 @@ class Axis:
 
 @dataclass
 class DiscreteMeasureND:
-    """Finite (sub-)probability measure on a product grid, with optional
-    per-cell standard errors and a deterministic error bound."""
+    """Finite (sub-)probability measure on a product grid, with a
+    deterministic error bound."""
 
     axes: tuple[Axis, ...]
     mass: np.ndarray
-    se: np.ndarray | None = None
     excluded_mass: float = 0.0
     bound: float = 0.0
 
@@ -153,10 +151,8 @@ class DiscreteMeasureND:
             lin = np.ravel_multi_index([ix[ok] for ix in idx], shape)
             np.add.at(flat, lin, 1.0)
         mass = flat.reshape(shape) * (weight / n_total)
-        p = flat / n_total
-        se = np.sqrt(np.maximum(p * (1 - p), 0.0) / n_total).reshape(shape) * weight
         excluded = weight * (n_total - int(ok.sum())) / n_total
-        return cls(tuple(axes), mass, se, excluded)
+        return cls(tuple(axes), mass, excluded)
 
 
 def _zero_offset_edges(mesh: float, hi: float) -> tuple[float, ...]:
@@ -184,61 +180,6 @@ def quintuple_empirical(
     keep = creep if creep_fibre else ~creep
     cols = [x[keep], v[keep], y[keep], s[keep], t[keep]]
     return DiscreteMeasureND.from_points(axes, cols, batch.n)
-
-
-def _lattice_time_mixtures(
-    walk: rl.LatticeWalkSpec,
-    edges: np.ndarray,
-    heights: Sequence[int],
-    dual: bool,
-    k_tol: float = 1e-12,
-) -> tuple[np.ndarray, float]:
-    """Masses ``M[bin, height]`` of the ladder renewal measure on time bins.
-
-    For the ascending table (``dual=False``) this is
-    ``rate^{-1} sum_k P(sigma_{k+1} in bin) U(k, {w})``; for the dual,
-    ``sum_k P(sigma_k in bin) Uhat(k, {w})``.  A final infinite bin is
-    completed through the all-epoch Green totals.  Returns the masses and a
-    deterministic bound on their total error.
-    """
-    lam = walk.rate
-    finite = edges[np.isfinite(edges)]
-    t_last = float(finite[-1])
-    K = rl.truncation_depth(lam, t_last, k_tol)
-    mode = "strict-descending" if dual else "weak-ascending"
-    layers = rl.stay_region_layers(walk, K, mode)
-    wmax = max(heights)
-    U = np.zeros((K + 1, wmax + 1))
-    for k, layer in enumerate(layers):
-        for w, m in layer.items():
-            if 0 <= w <= wmax:
-                U[k, w] = m
-    # survival P(sigma_j <= t) at every finite edge
-    shift = 0 if dual else 1
-    sf = {float(t): rl.poisson_sf(lam * t, K + shift) for t in finite}
-    nb = edges.size - 1
-    out = np.zeros((nb, wmax + 1))
-    bound = 0.0
-    scale = 1.0 if dual else 1.0 / lam
-    for j in range(nb):
-        a, b = edges[j], edges[j + 1]
-        if math.isinf(b):
-            g, gb = rl.green_function(walk, mode, wmax)
-            tail_lo = np.array([sf[float(a)][k + shift] for k in range(K + 1)])
-            for w in heights:
-                val = g[w] - float(np.sum(tail_lo * U[:, w]))
-                out[j, w] = scale * max(val, 0.0)
-                bound += scale * (gb[w] + k_tol)
-        else:
-            # the first bin includes its left edge, so the time atom of
-            # sigma_0 = 0 (the dual epoch-0 term) belongs to bin 0
-            pa = sf[float(a)] if j > 0 else np.zeros(K + 1 + shift)
-            pb = sf[float(b)]
-            for w in heights:
-                val = float(np.sum((pb[shift : K + 1 + shift] - pa[shift : K + 1 + shift]) * U[:, w]))
-                out[j, w] = scale * max(val, 0.0)
-            bound += scale * k_tol
-    return out, bound
 
 
 def quintuple_rhs_lattice(
@@ -276,17 +217,12 @@ def quintuple_rhs_lattice(
         Axis("s", "bins", tuple(s_edges)),
         Axis("t", "bins", tuple(t_edges)),
     )
-    vmass, vbound = _lattice_time_mixtures(
-        walk, np.asarray(t_edges, dtype=float), [ju - y for y in y_atoms], dual=False
-    )
-    vhat_heights = list(range(0, int(round(xi_max / h))))
-    vhmass, vhbound = _lattice_time_mixtures(
-        walk, np.asarray(s_edges, dtype=float), vhat_heights, dual=True
-    )
+    vmass, vbound = rl.erlang_mixture(walk, t_edges, "weak-ascending", ju)
+    vhat_heights = range(0, int(round(xi_max / h)))
+    vhmass, vhbound = rl.erlang_mixture(walk, s_edges, "strict-descending", vhat_heights[-1])
 
     mass = np.zeros(tuple(a.size for a in axes))
     for iy, y in enumerate(y_atoms):
-        w = ju - y
         for vhat in vhat_heights:
             v = y + vhat
             if v not in v_atoms:
@@ -296,15 +232,12 @@ def quintuple_rhs_lattice(
                 xlat = int(round(val / h)) - v
                 if xlat <= 0:
                     continue
-                ix = x_atoms.index(xlat)
-                pi_mass = spec.rate * p
-                for jt in range(len(t_edges) - 1):
-                    for js in range(len(s_edges) - 1):
-                        mass[ix, iv, iy, js, jt] += (
-                            vmass[jt, w] * vhmass[js, vhat] * pi_mass
-                        )
+                # (s bin, t bin) block of V(dt, u - y) Vhat(ds, vhat) Pi(v + x)
+                mass[x_atoms.index(xlat), iv, iy] += (
+                    np.outer(vhmass[:, vhat], vmass[:, ju - y]) * (spec.rate * p)
+                )
     bound = vbound * 2.0 + vhbound * 2.0  # coarse: each factor is at most 1-ish
-    return DiscreteMeasureND(axes, mass, None, 0.0, bound), axes
+    return DiscreteMeasureND(axes, mass, bound=bound), axes
 
 
 def check_quintuple(
@@ -494,109 +427,6 @@ def _check_quintuple_creeping(spec, u, n, policy, workers, t_edges, s_edges, mes
 
 
 # ---------------------------------------------------------------------------
-# Corollary: joint law of passage time and overshoot
-# ---------------------------------------------------------------------------
-
-
-def check_cor_jtop(
-    spec: ProcessSpec,
-    u: float,
-    n: int,
-    policy: RngPolicy,
-    workers: int = 1,
-    r_max: float = 6.0,
-    n_r_bins: int = 8,
-    fixture: str = "",
-) -> CheckReport:
-    """Joint law of (overshoot, passage time) against the composed route.
-
-    For a lattice compound Poisson fixture the right side is exact: time
-    components of V and of the ladder jump measure are independent Erlang
-    mixtures, so their convolution is again an Erlang mixture.  For a
-    spectrally negative creeping fixture the overshoot marginal is checked
-    to be concentrated at zero.
-    """
-    if spec.is_compound_poisson:
-        walk = rl.LatticeWalkSpec.from_process(spec)
-        h = walk.h
-        law = spec.jumps
-        assert isinstance(law, DiscreteAtoms)
-        xi = [(int(round(v / h)), float(p)) for v, p in zip(law.values, law.probs) if v > 0]
-        xim = max(v for v, _ in xi)
-        ju = int(round(u / h))
-        lam = spec.rate
-        r_edges = np.linspace(0.0, r_max, n_r_bins + 1)
-        K = rl.truncation_depth(lam, r_max, 1e-12)
-        u_layers = rl.stay_region_layers(walk, K, "weak-ascending")
-        uh_layers = rl.stay_region_layers(walk, K, "strict-descending")
-        sf = [rl.poisson_sf(lam * t, 2 * K + 2) for t in r_edges]
-        x_atoms = list(range(1, xim + 1))
-        rhs = np.zeros((len(x_atoms), n_r_bins))
-        for k in range(K + 1):
-            for y in range(0, ju + 1):
-                uw = u_layers[k].get(ju - y, 0.0)
-                if uw == 0.0:
-                    continue
-                for j in range(K + 1):
-                    for vhat, uhw in uh_layers[j].items():
-                        for val, p in xi:
-                            xl = val - y - vhat
-                            if xl <= 0:
-                                continue
-                            erl = k + 1 + j
-                            for jr in range(n_r_bins):
-                                pr = sf[jr + 1][erl] - sf[jr][erl]
-                                rhs[x_atoms.index(xl), jr] += uw * uhw * p * pr
-        axes = (
-            Axis("x", "atoms", tuple(a * h for a in x_atoms)),
-            Axis("r", "bins", tuple(r_edges)),
-        )
-        rhs_meas = DiscreteMeasureND(axes, rhs, None, 0.0, 2e-12)
-        batch = sample_passages(spec, u, cap=r_max, n=n, policy=policy.substream("emp"), workers=workers)
-        x = batch.x_at[batch.resolved] - u
-        tau = batch.tau[batch.resolved]
-        emp = DiscreteMeasureND.from_points(axes, [x, tau], batch.n)
-        # bookkeeping: the tau-marginal must integrate to P(tau <= cap)
-        book = abs(emp.total_mass - (1.0 - batch.censored_mass))
-        cell_se = np.sqrt(rhs_meas.mass * (1 - rhs_meas.mass) / n)
-        tv = emp.tv_distance(rhs_meas)
-        rows = [(g, se, 1e-9)
-                for g, se in zip(np.abs(emp.mass - rhs_meas.mass).ravel(), cell_se.ravel())]
-        dist, budget = verdict(rows + [(book, 0.0, 1e-12), (tv, 0.0, 0.02)])
-        return CheckReport(
-            check="cor-jtop",
-            fixture=fixture,
-            params={"u": u, "n": n, "r_max": r_max},
-            lhs=emp.total_mass,
-            rhs=rhs_meas.total_mass,
-            distance=dist,
-            budget=budget,
-            n_paths=batch.n,
-            censored_mass=batch.censored_mass,
-            details=[{"tv": tv, "bookkeeping_gap": book}],
-            monitors=dict(batch.monitors),
-        )
-    # creeping, spectrally negative: overshoot marginal is a point mass at 0
-    batch = sample_passages(spec, u, cap=r_max, n=n, policy=policy.substream("emp"), workers=workers)
-    x = batch.x_at[batch.resolved] - u
-    creep_fraction = float((x == 0.0).mean()) if x.size else 1.0
-    dist, budget = verdict([(1.0 - creep_fraction, 0.0)])
-    return CheckReport(
-        check="cor-jtop",
-        fixture=fixture,
-        params={"u": u, "n": n, "r_max": r_max},
-        lhs=creep_fraction,
-        rhs=1.0,
-        distance=dist,
-        budget=budget,
-        n_paths=batch.n,
-        censored_mass=batch.censored_mass,
-        details=[{"creep_fraction": creep_fraction}],
-        monitors=dict(batch.monitors),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Equation amicale inversee and its creeping characterisation
 # ---------------------------------------------------------------------------
 
@@ -633,31 +463,27 @@ def check_amicale(
         axes = (Axis("s", "bins", s_edges), Axis("x", "atoms", x_atoms))
         ok = ~alpha.censored
         emp = DiscreteMeasureND.from_points(axes, [alpha.s[ok], alpha.x[ok]], alpha.n, weight=lam)
-        vhm, _ = _lattice_time_mixtures(
-            walk, np.asarray(s_edges, dtype=float), list(range(0, xim + 1)), dual=True
-        )
-        rhs = np.zeros(emp.mass.shape)
-        for js in range(len(s_edges) - 1):
-            for ix, xv in enumerate(x_atoms):
-                xl = int(round(xv / h))
-                acc = 0.0
-                for vhat in range(0, xim - xl + 1):
-                    acc += vhm[js, vhat] * spec.levy_atom((xl + vhat) * h)
-                rhs[js, ix] = acc
-        rhs_meas = DiscreteMeasureND(axes, rhs, None, 0.0, 1e-10)
-        gap = np.abs(emp.mass - rhs_meas.mass)
-        dist, budget = verdict([(g, se, 1e-9) for g, se in zip(gap.ravel(), emp.se.ravel())])
+        # binomial SE per cell; each cell holds mass * n / lam records
+        p = np.rint(emp.mass * (alpha.n / lam)) / alpha.n
+        se = np.sqrt(np.maximum(p * (1 - p), 0.0) / alpha.n) * lam
+        # (Vhat * Pi)(ds, {x}) = sum_vhat Vhat(ds, {vhat}) Pi({x + vhat})
+        vhm, _ = rl.erlang_mixture(walk, s_edges, "strict-descending", xim)
+        pi = np.array([[spec.levy_atom((xl + vhat) * h) if xl + vhat <= xim else 0.0
+                        for xl in range(xim + 1)] for vhat in range(xim + 1)])
+        rhs = vhm @ pi
+        gap = np.abs(emp.mass - rhs)
+        dist, budget = verdict([(g, e, 1e-9) for g, e in zip(gap.ravel(), se.ravel())])
         return CheckReport(
             check="amicale",
             fixture=fixture,
             params={"n": n},
             lhs=float(emp.mass[:, 0].sum()),
-            rhs=float(rhs_meas.mass[:, 0].sum()),
+            rhs=float(rhs[:, 0].sum()),
             distance=dist,
             budget=budget,
             n_paths=alpha.n,
             censored_mass=alpha.censored_mass,
-            details=[{"x0_lhs": float(emp.mass[:, 0].sum()), "x0_rhs": float(rhs_meas.mass[:, 0].sum())}],
+            details=[{"x0_lhs": float(emp.mass[:, 0].sum()), "x0_rhs": float(rhs[:, 0].sum())}],
         )
 
     if not (spec.drift > 0):
@@ -927,13 +753,15 @@ def check_alpha_embedding(
                          workers=workers)
     ok = ~batch.censored
 
-    K = rl.truncation_depth(walk.rate, float(s_grid[-1]), 1e-12)
-    layers = rl.stay_region_layers(walk, K, "strict-descending")
-    sf = {s: rl.poisson_sf(walk.rate * s, K) for s in s_grid}
-
-    # exact CDF G(s, v, x) = sum_k P(sigma_k <= s) sum_{w <= v} Uhat(k, {w}) F[wh, wh + xh]
-    def fmass(lo: float, hi: float) -> float:
-        return sum(float(p) for val, p in zip(law.values, law.probs) if lo <= val <= hi)
+    # exact CDF G(s, v, x) = sum_{w <= v} Vhat([0, s], {w h}) F[w, x], where
+    # F[w, x] = P(jump in [w h, (w + x) h]) is the jump window
+    vhm, _ = rl.erlang_mixture(walk, (0.0,) + s_grid, "strict-descending", v_max)
+    vals = np.asarray(law.values, dtype=float)
+    probs = np.array([float(p) for p in law.probs])
+    wv = np.arange(v_max + 1)[:, None]
+    lo, hi = wv * h, (wv + np.arange(x_max + 1)) * h
+    win = (lo[..., None] <= vals) & (vals <= hi[..., None])
+    exact = np.cumsum(np.cumsum(vhm, axis=0)[:, :, None] * (win @ probs)[None], axis=1)
 
     # empirical CDF on the grid via a 3-D histogram and cumulative sums
     s_arr = np.asarray(s_grid)
@@ -944,19 +772,7 @@ def check_alpha_embedding(
     np.add.at(hist, (si, vi, xi), 1.0)
     cdf = hist.cumsum(axis=0).cumsum(axis=1).cumsum(axis=2) / batch.n
 
-    worst = 0.0
-    for i, s in enumerate(s_grid):
-        sfk = sf[s]
-        for v in range(0, v_max + 1):
-            for x in range(0, x_max + 1):
-                exact = 0.0
-                for k in range(K + 1):
-                    inner = 0.0
-                    for w, m in layers[k].items():
-                        if w <= v:
-                            inner += m * fmass(w * h, (w + x) * h)
-                    exact += sfk[k] * inner
-                worst = max(worst, abs(float(cdf[i, v, x]) - exact))
+    worst = float(np.abs(cdf[: len(s_grid), : v_max + 1, : x_max + 1] - exact).max())
     dist, budget = verdict([(worst, 0.0, ALPHA_SUP_CDF)])
     return CheckReport(
         check="alpha",

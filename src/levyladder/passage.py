@@ -776,7 +776,11 @@ class AlphaBatch:
         return float(self.censored.mean()) if self.n else 0.0
 
 
-def _alpha_chunk(spec: ProcessSpec, n: int, rng, time_cap: float, step_cap: int) -> AlphaBatch:
+# Jump steps after which an alpha path still below 0 is censored.
+ALPHA_STEP_CAP = 10_000_000
+
+
+def _alpha_chunk(spec: ProcessSpec, n: int, rng, time_cap: float) -> AlphaBatch:
     v = np.zeros(n)
     s = np.zeros(n)
     censored = np.zeros(n, dtype=bool)
@@ -789,7 +793,7 @@ def _alpha_chunk(spec: ProcessSpec, n: int, rng, time_cap: float, step_cap: int)
         nonlocal steps
         steps += 1
         t[active] += g
-        over = (t[active] > time_cap) | (steps > step_cap)
+        over = (t[active] > time_cap) | (steps > ALPHA_STEP_CAP)
         fin = active[over]
         censored[fin] = True
         v[fin] = np.nan
@@ -816,12 +820,11 @@ def sample_alpha(
     n: int,
     policy: RngPolicy,
     time_cap: float = 50.0,
-    step_cap: int = 10_000_000,
     workers: int = 1,
 ) -> AlphaBatch:
     if not spec.is_compound_poisson:
         raise ValueError("the alpha experiment requires a zero-drift compound Poisson fixture")
     parts = chunked_map(
-        lambda i, m, rng: _alpha_chunk(spec, m, rng, time_cap, step_cap), n, policy, workers
+        lambda i, m, rng: _alpha_chunk(spec, m, rng, time_cap), n, policy, workers
     )
     return concatenate(parts)

@@ -46,6 +46,7 @@ from .results import (
 from .rng import RngPolicy, chunked_map, merge_mean_m2
 from .passage import estimate_p, sample_biv_passages
 from .rw_ladder import poisson_sf
+from .transforms import _trap_weights
 
 __all__ = [
     "RenewalGrid",
@@ -77,8 +78,13 @@ def _merge_columns(parts: list[list[tuple[int, float, float]]]) -> list[tuple[in
 # ---------------------------------------------------------------------------
 
 
+# Real-time cap of the occupation paths when some box is unbounded in time;
+# paths stopped there are reported as censored.
+OCC_TIME_GUARD = 1e7
+
+
 def _fluct_occ_chunk(
-    spec: ProcessSpec, boxes: Boxes, n: int, rng, r_guard: float
+    spec: ProcessSpec, boxes: Boxes, n: int, rng
 ) -> tuple[list[tuple[int, float, float]], int]:
     c, lam = spec.drift, spec.rate
     if c < 0:
@@ -86,7 +92,7 @@ def _fluct_occ_chunk(
     nb = boxes.shape[0]
     t_lo, t_hi, u_lo, u_hi = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
     fin_t = t_hi[np.isfinite(t_hi)]
-    stop_r = min(r_guard, float(fin_t.max()) if fin_t.size == nb else r_guard)
+    stop_r = min(OCC_TIME_GUARD, float(fin_t.max()) if fin_t.size == nb else OCC_TIME_GUARD)
     stop_u = float(u_hi.max())
 
     occ = np.zeros((n, nb))
@@ -126,7 +132,7 @@ def _fluct_occ_chunk(
         M[alive] = np.maximum(M[alive], w_land)
         sigma[alive] = sig_next
         stop = (sig_next > stop_r) | (M[alive] > stop_u)
-        if stop.any() and stop_r >= r_guard:
+        if stop.any() and stop_r >= OCC_TIME_GUARD:
             censored += int((stop & (sig_next > stop_r) & (M[alive] <= stop_u)).sum())
         return ~stop
 
@@ -140,14 +146,13 @@ def fluct_boxes(
     n: int,
     policy: RngPolicy,
     workers: int = 1,
-    r_guard: float = 1e7,
 ) -> list[EstimateWithError]:
     """Ladder renewal measure of each box (t_lo, t_hi] x (u_lo, u_hi] for the
     weakly ascending ladder process of ``spec``, via at-the-maximum
     occupation times of the raw path (common paths across boxes)."""
     arr = np.asarray([[b[0], b[1], b[2], b[3]] for b in boxes], dtype=float)
     parts = chunked_map(
-        lambda i, m, rng: _fluct_occ_chunk(spec, arr, m, rng, r_guard), n, policy, workers
+        lambda i, m, rng: _fluct_occ_chunk(spec, arr, m, rng), n, policy, workers
     )
     merged = _merge_columns([p[0] for p in parts])
     cens = sum(p[1] for p in parts) / max(n, 1)
@@ -234,8 +239,13 @@ def exact_V(spec: BivariateSubordinatorSpec, t: float, u: float) -> tuple[float,
     return v, creep
 
 
+# Time cap of the bivariate minimum T^Y_u ^ T^Z_t; paths reaching it are
+# reported as censored.
+BIV_TIME_GUARD = 1e7
+
+
 def _biv_min_chunk(
-    spec: BivariateSubordinatorSpec, t: float, u: float, n: int, rng, route: str, s_guard: float
+    spec: BivariateSubordinatorSpec, t: float, u: float, n: int, rng, route: str
 ) -> tuple[tuple[int, float, float], int]:
     """Per-path ``T^Y_u ^ T^Z_t [^ e(q)]`` resolved exactly; returns stats.
 
@@ -262,10 +272,11 @@ def _biv_min_chunk(
         cross_y = np.where((dy > 0) & (y[alive] + dy * g > u),
                            s[alive] + (u - y[alive]) / max(dy, 1e-300), math.inf)
         drift_cross = np.minimum(cross_z, cross_y)
-        event = np.minimum(np.minimum(drift_cross, e_life[alive]), np.minimum(s_next, s_guard))
+        event = np.minimum(np.minimum(drift_cross, e_life[alive]),
+                           np.minimum(s_next, BIV_TIME_GUARD))
         resolved = event < s_next
         minval[alive[resolved]] = event[resolved]
-        censored += int((event[resolved] >= s_guard).sum())
+        censored += int((event[resolved] >= BIV_TIME_GUARD).sum())
         return ~resolved
 
     def after(alive, g, jump):
@@ -300,10 +311,9 @@ def _biv_cell(
     policy: RngPolicy,
     workers: int,
     route: str,
-    s_guard: float,
 ) -> EstimateWithError:
     parts = chunked_map(
-        lambda i, m, rng: _biv_min_chunk(spec, t, u, m, rng, route, s_guard), n, policy, workers
+        lambda i, m, rng: _biv_min_chunk(spec, t, u, m, rng, route), n, policy, workers
     )
     stats = merge_mean_m2([p[0] for p in parts])
     cens = sum(p[1] for p in parts) / max(n, 1)
@@ -388,8 +398,7 @@ def dual_ladder_cells(
 
 
 def _dual_measure_chunk(
-    spec: ProcessSpec, s_edges: np.ndarray, v_edges: np.ndarray, n: int, rng,
-    s_guard: float,
+    spec: ProcessSpec, s_edges: np.ndarray, v_edges: np.ndarray, n: int, rng
 ) -> tuple[list[tuple[int, float, float]], int]:
     """Per-path counts of dual ladder points (strict minima) per
     (time, depth) bin, including the origin point of every path."""
@@ -397,7 +406,7 @@ def _dual_measure_chunk(
     if c < 0:
         raise ValueError("dual ladder measure requires nonnegative drift")
     ns, nv = s_edges.size - 1, v_edges.size - 1
-    v_guard = float(v_edges[-1])
+    s_guard, v_guard = float(s_edges[-1]), float(v_edges[-1])
     counts = np.zeros((n, ns * nv))
     # epoch-0 ladder point at (0, 0): first bin of each axis
     counts[:, 0] += 1.0
@@ -443,24 +452,22 @@ def dual_ladder_measure(
     n: int,
     policy: RngPolicy,
     workers: int = 1,
-    s_guard: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """``Vhat(ds, dv)`` masses on a (time, depth) bin grid, with SEs.
 
     Returns (mass, se, dropped_mass) with arrays of shape
-    (len(s_edges)-1, len(v_edges)-1).  Points beyond the last edges (or
-    after ``s_guard``, which defaults to the last time edge) are dropped
-    and reported, not silently ignored; for a fixture drifting upward the
-    probability of a ladder point beyond a generous guard decays
-    exponentially, so the last cell can stand in for an unbounded one.
+    (len(s_edges)-1, len(v_edges)-1).  Points beyond the last edges are
+    dropped and reported, not silently ignored; for a fixture drifting
+    upward the probability of a ladder point beyond a generous last time
+    edge decays exponentially, so the last cell can stand in for an
+    unbounded one.
     """
     se_arr = np.asarray(s_edges, dtype=float)
     ve_arr = np.asarray(v_edges, dtype=float)
-    guard = float(s_edges[-1]) if s_guard is None else float(s_guard)
-    if not math.isfinite(guard):
-        raise ValueError("dual ladder measure needs a finite time guard")
+    if not math.isfinite(se_arr[-1]):
+        raise ValueError("dual ladder measure needs a finite last time edge")
     parts = chunked_map(
-        lambda i, m, rng: _dual_measure_chunk(spec, se_arr, ve_arr, m, rng, guard),
+        lambda i, m, rng: _dual_measure_chunk(spec, se_arr, ve_arr, m, rng),
         n, policy, workers,
     )
     merged = _merge_columns([p[0] for p in parts])
@@ -524,7 +531,6 @@ def estimate_V(
     policy: RngPolicy,
     workers: int = 1,
     route: str = "integrate",
-    s_guard: float = 1e7,
 ) -> RenewalGrid:
     """Renewal function ``V(t, u)`` on a grid, one substream per cell.
 
@@ -545,7 +551,7 @@ def estimate_V(
         for j, u in enumerate(u_values):
             sub = policy.substream(f"V[{i},{j}]")
             if isinstance(spec, BivariateSubordinatorSpec):
-                est = _biv_cell(spec, t, u, n_per_cell, sub, workers, route, s_guard)
+                est = _biv_cell(spec, t, u, n_per_cell, sub, workers, route)
             else:
                 est = fluct_boxes(spec, [(0.0, t, -1.0, u)], n_per_cell, sub, workers)[0]
             value[i, j] = est.value
@@ -603,14 +609,6 @@ def _creep_probability_nodes(
             p[k], se[k] = est.value, est.se
             merge_monitors(monitors, mon)
     return p, se, monitors
-
-
-def _trapezoid(nodes: np.ndarray, vals: np.ndarray) -> tuple[float, np.ndarray]:
-    weights = np.zeros(nodes.size)
-    dx = np.diff(nodes)
-    weights[:-1] += dx / 2
-    weights[1:] += dx / 2
-    return float(np.sum(weights * vals)), weights
 
 
 def _segment_nodes(spec: SamplerSpec, t: float, u: float, base_nodes: int) -> list[np.ndarray]:
@@ -709,8 +707,9 @@ def check_subpint(
             p, se, mon = _creep_probability_nodes(
                 spec, t, nodes, n_per_node, policy.substream(f"seg{snum}"), workers
             )
-            val, w = _trapezoid(nodes, p)
-            coarse, _ = _trapezoid(nodes[::2], p[::2]) if nodes.size >= 5 else (val, None)
+            w = _trap_weights(nodes)
+            val = float(np.sum(w * p))
+            coarse = float(np.sum(_trap_weights(nodes[::2]) * p[::2])) if nodes.size >= 5 else val
             quad_bias += abs(val - coarse) / 3.0
             lhs += val
             var += float(np.sum((w * se) ** 2))
@@ -719,7 +718,7 @@ def check_subpint(
         lhs_se = math.sqrt(var)
 
     v_est = (
-        _biv_cell(spec, t, u, n_per_node, policy.substream("V"), workers, "integrate", 1e7)
+        _biv_cell(spec, t, u, n_per_node, policy.substream("V"), workers, "integrate")
         if isinstance(spec, BivariateSubordinatorSpec)
         else fluct_boxes(spec, [(0.0, t, -1.0, u)], n_per_node, policy.substream("V"), workers)[0]
     )

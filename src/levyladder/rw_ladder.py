@@ -22,13 +22,19 @@ Two independent computational routes to the same tables are provided:
   strict-descending mirror).  The characterisation is an implementation
   lemma; it is validated against :func:`brute_force_tables`, which
   enumerates all paths and applies the chained ladder-time definition.
+  :func:`v_exact` and :func:`vhat_exact` mix these tables.
 * :func:`stay_region_layers` -- the time-reversal identities
   ``U(k, {w}) = P(S_j >= 0 for j <= k, S_k = w)`` and
-  ``Uhat(k, {v}) = P(S_j < 0 for 1 <= j <= k, S_k = -v)``, one-dimensional
-  recursions fast enough for deep truncations.
+  ``Uhat(k, {v}) = P(S_j < 0 for 1 <= j <= k, S_k = -v)``: one dense float
+  array ``L[k, w]`` (epoch by height or depth), built by shifting the
+  previous epoch's row once per step value.  Fast enough for deep
+  truncations.
 
-All-epoch totals ``sum_k U(k, {w})`` (needed for time-unbounded cells of
-composed laws) are Green functions of the walk killed outside the stay
+:func:`erlang_mixture` is the one place the layers meet the jump times: it
+puts the masses of ``V`` or ``Vhat`` on a grid of time bins as a single
+product of Poisson-survival differences with ``L``, with a deterministic
+error bound.  All-epoch totals ``sum_k U(k, {w})`` (needed for an unbounded
+last time bin) are Green functions of the walk killed outside the stay
 region; :func:`green_function` computes them by a banded linear solve with a
 ceiling-doubling error estimate.
 """
@@ -54,6 +60,7 @@ __all__ = [
     "brute_force_tables",
     "renewal_tables",
     "stay_region_layers",
+    "erlang_mixture",
     "green_function",
     "v_exact",
     "vhat_exact",
@@ -292,41 +299,31 @@ def renewal_tables(
     return LadderRenewalTable(spec, K, tuple(u_layers), tuple(uhat_layers), exact=exact)
 
 
-def stay_region_layers(
-    spec: LatticeWalkSpec,
-    K: int,
-    mode: Mode,
-) -> list[dict[int, float]]:
-    """Time-reversal route to the same masses, as 1-D float recursions.
+def stay_region_layers(spec: LatticeWalkSpec, K: int, mode: Mode) -> np.ndarray:
+    """Time-reversal route to the same masses, as a dense float recursion.
 
-    ``mode='weak-ascending'`` returns layers ``p_k(w) = U(k, {w h})`` via the
-    stay-nonnegative walk; ``'strict-descending'`` returns
-    ``p_k(v) = Uhat(k, {v h})`` (keys are depths ``v >= 0``) via the
-    stay-strictly-negative walk; ``'strict-ascending'`` via strictly
-    positive.  Fast enough for deep truncations where the joint-state DP is
-    not.
+    Returns ``L`` of shape ``(K + 1, W)``.  ``mode='weak-ascending'`` gives
+    ``L[k, w] = U(k, {w h})`` via the stay-nonnegative walk;
+    ``'strict-descending'`` gives ``L[k, v] = Uhat(k, {v h})`` (columns are
+    depths ``v >= 0``) via the stay-strictly-negative walk;
+    ``'strict-ascending'`` via strictly positive.  ``W`` holds every height
+    (or depth) reachable in ``K`` steps.  Fast enough for deep truncations
+    where the joint-state DP is not.
     """
-    probs = [float(p) for p in spec.probs]
-    layers: list[dict[int, float]] = [{0: 1.0}]
-    cur = {0: 1.0}
+    sign = -1 if mode == "strict-descending" else 1
+    moves = [(sign * y, float(p)) for y, p in zip(spec.steps, spec.probs)]
+    width = K * max(0, max(d for d, _ in moves)) + 1
+    L = np.zeros((K + 1, width))
+    L[0, 0] = 1.0
     for k in range(K):
-        nxt: dict[int, float] = {}
-        for w, mass in cur.items():
-            for y, p in zip(spec.steps, probs):
-                w2 = w + y
-                if mode == "weak-ascending" and w2 < 0:
-                    continue
-                if mode == "strict-ascending" and w2 <= 0:
-                    continue
-                if mode == "strict-descending" and w2 >= 0:
-                    continue
-                nxt[w2] = nxt.get(w2, 0.0) + mass * p
-        cur = nxt
-        if mode == "strict-descending":
-            layers.append({-w: m for w, m in cur.items()})
-        else:
-            layers.append(dict(cur))
-    return layers
+        for d, p in moves:
+            if d >= 0:
+                L[k + 1, d:] += p * L[k, : width - d]
+            else:
+                L[k + 1, : width + d] += p * L[k, -d:]
+        if mode != "weak-ascending":
+            L[k + 1, 0] = 0.0  # the strict regions exclude the start level
+    return L
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +479,54 @@ def truncation_depth(rate: float, t: float, tol: float = 1e-10, kmin: int = 4) -
     while poisson_tail_mean(mu, k) > tol:
         k = max(k + 4, int(1.3 * k))
     return k
+
+
+# Erlang truncation tail of a time-bin mixture: each finite bin's masses are
+# off by at most this much (times 1/rate on the ascending side).
+ERLANG_TOL = 1e-12
+
+
+def erlang_mixture(
+    spec: LatticeWalkSpec, edges: Sequence[float], mode: Mode, w_max: int
+) -> tuple[np.ndarray, float]:
+    """Masses ``M[bin, w]``, ``w = 0..w_max``, of a ladder renewal measure on
+    the time bins ``edges``, and a deterministic bound on their total error.
+
+    ``mode='weak-ascending'`` gives ``rate^{-1} sum_k P(sigma_{k+1} in bin)
+    U(k, {w h})`` (the masses of ``V``); ``'strict-descending'`` gives
+    ``sum_k P(sigma_k in bin) Uhat(k, {w h})`` (those of ``Vhat``).  The
+    first bin is closed at its left edge, which must be 0, so the time atom
+    ``sigma_0 = 0`` of the dual epoch-0 term belongs to it.  Epochs are cut
+    at the depth :func:`truncation_depth` gives the last finite edge for
+    ``ERLANG_TOL``.  An infinite last bin is completed from the all-epoch
+    totals of :func:`green_function`; its bound adds the Green bound and
+    ``ERLANG_TOL`` per height.
+    """
+    if mode not in ("weak-ascending", "strict-descending"):
+        raise ValueError(f"no Erlang mixture for mode {mode!r}")
+    edges = np.asarray(edges, dtype=float)
+    if edges[0] != 0.0:
+        raise ValueError("the first time edge must be 0")
+    lam = spec.rate
+    shift, scale = (1, 1.0 / lam) if mode == "weak-ascending" else (0, 1.0)
+    finite = edges[np.isfinite(edges)]
+    K = truncation_depth(lam, float(finite[-1]), ERLANG_TOL)
+    L = stay_region_layers(spec, K, mode)[:, : w_max + 1]
+    L = np.pad(L, ((0, 0), (0, w_max + 1 - L.shape[1])))
+    # P(sigma_{k+shift} <= e) at every finite edge; the closed first bin
+    # takes everything up to its right edge
+    sf = np.array([poisson_sf(lam * e, K + shift)[shift:] for e in finite])
+    sf[0] = 0.0
+    rows = [np.maximum(np.diff(sf, axis=0) @ L, 0.0)]
+    terms = [ERLANG_TOL] * (finite.size - 1)
+    if finite.size < edges.size:
+        g, gb = green_function(spec, mode, w_max)
+        rows.append(np.maximum(g - sf[-1] @ L, 0.0)[None, :])
+        terms += [b + ERLANG_TOL for b in gb]
+    bound = 0.0
+    for term in terms:
+        bound += scale * term
+    return scale * np.vstack(rows), bound
 
 
 def v_exact(table: LadderRenewalTable, rate: float, t: float, x: float) -> tuple[float, float]:

@@ -27,6 +27,7 @@ from .results import (
     CheckReport, EstimateWithError, estimate_from_stats, merge_monitors, row_budgets, verdict,
 )
 from .rng import RngPolicy, chunked_map, merge_mean_m2
+from . import rw_ladder as rl
 from .passage import (
     LadderJumpBatch,
     kappa_diff_from_ladder,
@@ -40,6 +41,12 @@ from .passage import (
 SLFI_REL_TOL = 0.02
 SLFI_FLUCT_REL_TOL = 0.03
 WH_REL_TOL = 0.03
+
+# lt_V stops a path once its multiplicative weight e^{-a Z - b Y - q s} drops
+# below this; the discarded tail is bounded and reported.
+LT_WEIGHT_TOL = 1e-15
+# Time cap of the ladder-jump samples behind the fluctuation-level kappa.
+SLFI_LADDER_CAP = 200.0
 
 __all__ = [
     "TransformParams",
@@ -87,7 +94,7 @@ class TransformParams:
 
 def _lt_chunk(
     spec: BivariateSubordinatorSpec, a: float, b: float, n: int, rng,
-    route: str, w_tol: float,
+    route: str,
 ) -> tuple[tuple[int, float, float], float]:
     dz, dy, q = spec.d_z, spec.d_y, spec.q
     qw = q if route == "integrate" else 0.0
@@ -117,7 +124,7 @@ def _lt_chunk(
         expo[alive] += decay * g
         expo[alive] += a * jt + b * jx
         w1 = np.exp(-expo[alive])
-        tail = (~ended) & (w1 < w_tol)
+        tail = (~ended) & (w1 < LT_WEIGHT_TOL)
         # remaining contribution from a state with weight w is w / kappa(a, b)
         bias_total += float(w1[tail].sum()) / kap
         return ~(ended | tail)
@@ -137,7 +144,6 @@ def lt_V(
     policy: RngPolicy,
     workers: int = 1,
     route: str = "integrate",
-    w_tol: float = 1e-15,
 ) -> EstimateWithError:
     """MC estimate of the renewal-measure transform
     ``E int_0^{e(q)} e^{-a Z_s - b Y_s} ds`` (equal to ``1 / kappa(a, b)``).
@@ -146,7 +152,7 @@ def lt_V(
     ``route='integrate'`` the killing weight ``e^{-q s}`` is folded into the
     segment integrals instead of sampling ``e(q)``; both routes estimate the
     same quantity.  Paths stop once their multiplicative weight drops below
-    ``w_tol``; the discarded tail is bounded by ``weight / kappa(a, b)`` and
+    ``LT_WEIGHT_TOL``; the discarded tail is bounded by ``weight / kappa(a, b)`` and
     reported.
     """
     if not (a >= 0 and b >= 0):
@@ -155,7 +161,7 @@ def lt_V(
     if kap <= 0:
         raise ValueError(f"kappa({a}, {b}) = {kap} <= 0: the transform diverges")
     parts = chunked_map(
-        lambda i, m, rng: _lt_chunk(spec, a, b, m, rng, route, w_tol), n, policy, workers
+        lambda i, m, rng: _lt_chunk(spec, a, b, m, rng, route), n, policy, workers
     )
     stats = merge_mean_m2([p[0] for p in parts])
     bias = sum(p[1] for p in parts) / max(n, 1)
@@ -285,7 +291,6 @@ def slfi_fluct_check(
     workers: int = 1,
     u_nodes: int = 40,
     cap: float = 60.0,
-    ladder_cap: float = 200.0,
     fixture: str = "",
 ) -> CheckReport:
     """Fluctuation version of the transform identity for a creeping fixture.
@@ -330,7 +335,7 @@ def slfi_fluct_check(
     censor_bound = cens * float(np.sum(w * weight))
 
     lad = sample_ladder_jumps(spec, max(n_total // 4, 20000), policy.substream("ladder"),
-                              cap=ladder_cap, workers=workers)
+                              cap=SLFI_LADDER_CAP, workers=workers)
     den = kappa_from_ladder(spec, lad, params.nu, params.mu)
     if params.derivative_branch:
         num = _kappa_rho_derivative_from_ladder(spec, lad, params.theta, params.rho)
@@ -407,19 +412,16 @@ def wiener_hopf_check(
     fixture, with ``kappahat`` computed by the exact dual-table route
     (geometric mixing of strict-descending epoch masses) and ``kappa`` by
     the ladder-jump Monte-Carlo route."""
-    from .rw_ladder import LatticeWalkSpec, stay_region_layers
-
     if not spec.is_compound_poisson:
         raise ValueError("the Wiener-Hopf check is implemented for compound Poisson fixtures")
-    walk = LatticeWalkSpec.from_process(spec)
+    walk = rl.LatticeWalkSpec.from_process(spec)
     lam = spec.rate
     lad = sample_ladder_jumps(spec, n, policy.substream("kappa"), cap=cap, workers=workers)
     rows, comparisons = [], []
     for a in a_values:
         r = lam / (lam + a)
         K = int(math.ceil(math.log(1e-12 * (1 - r)) / math.log(r)))
-        layers = stay_region_layers(walk, K, "strict-descending")
-        totals = np.array([float(sum(d.values())) for d in layers])
+        totals = rl.stay_region_layers(walk, K, "strict-descending").sum(axis=1)
         lt = float(np.sum(totals * r ** np.arange(K + 1)))
         lt_tail = r ** (K + 1) / (1 - r)
         khat = 1.0 / lt

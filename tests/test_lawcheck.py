@@ -9,6 +9,7 @@ from levyladder.processes import BivariateSubordinatorSpec, DiscreteAtoms, Proce
 from levyladder.rng import RngPolicy
 from levyladder import lawcheck as lc
 from levyladder import passage as pg
+from levyladder import rw_ladder as rl
 from levyladder.passage import sample_passages
 
 POL = RngPolicy(seed=424242)
@@ -123,17 +124,6 @@ class TestQuintupleCreeping:
         assert rep.lhs > 0.3  # P1 creeps over 0.5 with high probability
 
 
-class TestCorJtop:
-    def test_p3_exact_route(self):
-        rep = lc.check_cor_jtop(P3, 2.0, 120000, POL.substream("cj"), fixture="P3")
-        assert rep.passed
-        assert rep.details[0]["bookkeeping_gap"] < 1e-12
-
-    def test_p2_overshoot_is_delta_at_zero(self):
-        rep = lc.check_cor_jtop(P2, 0.5, 30000, POL.substream("cj2"), fixture="P2")
-        assert rep.passed and rep.lhs == 1.0
-
-
 class TestAmicale:
     def test_p3_lattice_identity_everywhere(self):
         rep = lc.check_amicale(P3, 200000, POL.substream("am3"), fixture="P3")
@@ -179,6 +169,29 @@ class TestAmicale:
         assert rep.details[0]["x_pos_mass"] == 0.0
         # total zero-fibre mass equals the jump rate up to censored excursions
         assert abs(rep.lhs - P2.rate) <= 3 * rep.se_lhs + P2.rate * rep.censored_mass
+
+
+class TestErlangMixtureFaults:
+    """Faults in the one Erlang-mixing routine that every lattice exact side
+    reads must FAIL each check built on it."""
+
+    def test_erlang_index_shifted_by_one_fails_every_exact_side(self, monkeypatch):
+        # P(sigma_{k+1} <= t) read in place of P(sigma_k <= t)
+        sf = rl.poisson_sf
+        monkeypatch.setattr(rl, "poisson_sf", lambda mu, kmax: sf(mu, kmax + 1)[1:])
+        rep = lc.check_quintuple(P3, 2.0, 65536, POL.substream("q3"), cap=5e4, fixture="P3")
+        assert not rep.passed
+        rep = lc.check_amicale(P3, 200000, POL.substream("am3"), fixture="P3")
+        assert not rep.passed
+        rep = lc.check_alpha_embedding(P3, 200000, POL.substream("al"), fixture="P3")
+        assert not rep.passed
+
+    def test_alpha_fed_the_weak_ascending_table_fails(self, monkeypatch):
+        layers = rl.stay_region_layers
+        monkeypatch.setattr(rl, "stay_region_layers",
+                            lambda walk, K, mode: layers(walk, K, "weak-ascending"))
+        rep = lc.check_alpha_embedding(P3, 200000, POL.substream("al"), fixture="P3")
+        assert not rep.passed
 
 
 class TestQuadruple:

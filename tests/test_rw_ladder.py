@@ -72,17 +72,17 @@ class TestTables:
         desc = rl.stay_region_layers(P3WALK, 8, "strict-descending")
         for k in range(9):
             for w, m in dp.u_layers[k].items():
-                assert asc[k].get(w, 0.0) == pytest.approx(float(m), abs=1e-14)
+                assert asc[k, w] == pytest.approx(float(m), abs=1e-14)
             for w, m in dp.uhat_layers[k].items():
-                assert desc[k].get(w, 0.0) == pytest.approx(float(m), abs=1e-14)
+                assert desc[k, w] == pytest.approx(float(m), abs=1e-14)
 
     def test_symmetric_walk_strict_modes_mirror(self):
         up = rl.stay_region_layers(P3WALK, 6, "strict-ascending")
         down = rl.stay_region_layers(P3WALK, 6, "strict-descending")
+        assert up.shape == down.shape
         for lu, ld in zip(up, down):
-            assert set(lu) == set(ld)
-            for w in lu:
-                assert lu[w] == pytest.approx(ld[w], abs=1e-15)
+            assert (np.flatnonzero(lu) == np.flatnonzero(ld)).all()
+            assert lu == pytest.approx(ld, abs=1e-15)
 
     def test_state_space_guard(self):
         with pytest.raises(MemoryError):
@@ -150,17 +150,41 @@ class TestErlangMixing:
         assert rl.poisson_tail_mean(2.0, K) < 1e-10
 
 
+class TestErlangMixture:
+    TABLE = rl.renewal_tables(P3WALK, rl.truncation_depth(1.0, 2.0, 1e-10))
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_finite_bins_match_the_dp_route(self, t):
+        # the mixed stay-region layers against the mixed ladder DP tables
+        m_up, b_up = rl.erlang_mixture(P3WALK, (0.0, t), "weak-ascending", 3)
+        m_dn, b_dn = rl.erlang_mixture(P3WALK, (0.0, t), "strict-descending", 3)
+        for x in range(4):
+            v, bv = rl.v_exact(self.TABLE, 1.0, t, float(x))
+            vh, bvh = rl.vhat_exact(self.TABLE, 1.0, t, float(x))
+            assert abs(m_up[0, : x + 1].sum() - v) <= b_up + bv + 1e-14
+            assert abs(m_dn[0, : x + 1].sum() - vh) <= b_dn + bvh + 1e-14
+
+    @pytest.mark.parametrize("mode, scale", [("weak-ascending", 1 / P3.rate),
+                                             ("strict-descending", 1.0)])
+    def test_bins_with_the_infinite_one_add_up_to_green_totals(self, mode, scale):
+        m, bound = rl.erlang_mixture(P3WALK, (0.0, 1.0, 3.0, math.inf), mode, 4)
+        g, _ = rl.green_function(P3WALK, mode, 4)
+        assert m.shape == (3, 5)
+        assert np.abs(m.sum(axis=0) - scale * g).max() <= bound + 1e-14
+
+    def test_rejects_bad_edges_and_modes(self):
+        with pytest.raises(ValueError):
+            rl.erlang_mixture(P3WALK, (0.5, 1.0), "weak-ascending", 2)
+        with pytest.raises(ValueError):
+            rl.erlang_mixture(P3WALK, (0.0, 1.0), "strict-ascending", 2)
+
+
 class TestGreen:
     def test_limit_of_partial_layer_sums(self):
         g, bound = rl.green_function(P3WALK, "weak-ascending", 4, ceiling=2048)
 
         def partial(K):
-            out = np.zeros(5)
-            for layer in rl.stay_region_layers(P3WALK, K, "weak-ascending"):
-                for w, m in layer.items():
-                    if w <= 4:
-                        out[w] += m
-            return out
+            return rl.stay_region_layers(P3WALK, K, "weak-ascending")[:, :5].sum(axis=0)
 
         p400, p1600 = partial(400), partial(1600)
         # partial sums increase towards the Green values with a K^{-1/2} tail
