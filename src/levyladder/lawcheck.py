@@ -306,6 +306,20 @@ def _check_quintuple_lattice(spec, u, n, policy, workers, cap, t_edges, s_edges,
     )
 
 
+def _compose_jump_part(shape, v_mass, vh_mass, pi, jy, jv):
+    """Sum ``V[jt, jyf] * Vhat[js, jvf] * pi[jyf, jvf]`` over the fine
+    (y, vhat) sub-mesh into the reporting cells ``(jt, jy[jyf], js, jv[jvf])``.
+
+    Cells with ``pi == 0`` add nothing; the others are added in C order of
+    ``(jt, jyf, js, jvf)``, so every cell sums its terms in a fixed order.
+    """
+    contrib = (v_mass[:, :, None, None] * vh_mass[None, None]) * pi[None, :, None, :]
+    jt, jyf, js, jvf = np.nonzero(np.broadcast_to(pi[None, :, None, :] != 0, contrib.shape))
+    out = np.zeros(shape)
+    np.add.at(out, (jt, jy[jyf], js, jv[jvf]), contrib[jt, jyf, js, jvf])
+    return out
+
+
 def _check_quintuple_creeping(spec, u, n, policy, workers, t_edges, s_edges, mesh,
                               delta, fixture):
     if not (spec.drift > 0):
@@ -361,36 +375,23 @@ def _check_quintuple_creeping(spec, u, n, policy, workers, t_edges, s_edges, mes
     vh_mass, _, vh_drop = dual_ladder_measure(
         spec, dm_s_edges, dm_v_edges, n, policy.substream("vhat"), workers
     )
-    rhs_mass = np.zeros(tuple(a.size for a in axes))
     vh_fine_hi = [1e-9] + [y_f_edge for y_f_edge in dm_v_edges[2:]]
-    for jt in range(t_axis.size):
-        for jyf in range(ny_f):
-            vest = vests[jt * ny_f + jyf]
-            jy = int(y_axis.index(np.array([y_f[jyf + 1]]))[0])
-            for js in range(s_axis.size):
-                for jvf in range(len(dm_v_edges) - 1):
-                    vhhi = vh_fine_hi[jvf]
-                    pi_mass = sum(spec.rate * p for val, p in xi
-                                  if val - y_f[jyf + 1] - vhhi >= 0)
-                    if pi_mass == 0.0:
-                        continue
-                    jv = 0 if jvf == 0 else int(vh_axis.index(np.array([vhhi]))[0])
-                    rhs_mass[jt, jy, js, jv] += vest.value * vh_mass[js, jvf] * pi_mass
+    pi = np.array([[sum(spec.rate * p for val, p in xi if val - y_hi - vhhi >= 0)
+                    for vhhi in vh_fine_hi] for y_hi in y_f[1:]], dtype=float)
+    jy = y_axis.index(np.array(y_f[1:]))
+    jv = vh_axis.index(np.array(vh_fine_hi))
+    jv[0] = 0
+    v_mass = np.array([e.value for e in vests]).reshape(t_axis.size, ny_f)
+    rhs_mass = _compose_jump_part(tuple(a.size for a in axes), v_mass, vh_mass, pi, jy, jv)
     rhs = DiscreteMeasureND(axes, rhs_mass)
     tv = emp.tv_distance(rhs)
 
     # creeping fibre: empirical creep mass versus drift * left derivative of V
-    band = fluct_boxes(
-        spec,
-        [(0.0, float(t_edges[-2] if math.isinf(t_edges[-1]) else t_edges[-1]), u - delta, u)],
-        n, policy.substream("band"), workers,
-    )[0]
-    band2 = fluct_boxes(
-        spec,
-        [(0.0, float(t_edges[-2] if math.isinf(t_edges[-1]) else t_edges[-1]), u - 2 * delta, u - delta)],
-        n, policy.substream("band2"), workers,
-    )[0]
     t_cut = float(t_edges[-2] if math.isinf(t_edges[-1]) else t_edges[-1])
+    band = fluct_boxes(spec, [(0.0, t_cut, u - delta, u)], n, policy.substream("band"),
+                       workers)[0]
+    band2 = fluct_boxes(spec, [(0.0, t_cut, u - 2 * delta, u - delta)], n,
+                        policy.substream("band2"), workers)[0]
     creep_mask = batch.creep & (batch.tau <= t_cut)
     creep_mass = float(creep_mask.mean())
     creep_se = math.sqrt(creep_mass * (1 - creep_mass) / batch.n)

@@ -29,6 +29,9 @@ Monte-Carlo engines live here besides.
 Every engine steps its paths jump by jump through
 :func:`levyladder.processes.walk`; what remains here is each engine's pair
 of hooks, the occupation or count it adds up before and at each jump.
+The box hooks of :func:`fluct_boxes` and :func:`dual_ladder_cells` treat
+all boxes at once as (paths x boxes) arrays, over the paths that can add to
+them, in row blocks of at most ``OCC_BLOCK`` floats per temporary.
 """
 
 from __future__ import annotations
@@ -81,6 +84,14 @@ def _merge_columns(parts: list[list[tuple[int, float, float]]]) -> list[tuple[in
 # Real-time cap of the occupation paths when some box is unbounded in time;
 # paths stopped there are reported as censored.
 OCC_TIME_GUARD = 1e7
+# Most floats one (paths x boxes) temporary of a per-box hook holds.
+OCC_BLOCK = 2**16
+
+
+def _row_blocks(m: int, width: int) -> list[slice]:
+    """Slices of ``range(m)`` whose (rows x ``width``) arrays fit in ``OCC_BLOCK``."""
+    step = max(1, OCC_BLOCK // width)
+    return [slice(a, a + step) for a in range(0, m, step)]
 
 
 def _fluct_occ_chunk(
@@ -107,22 +118,26 @@ def _fluct_occ_chunk(
         Ja = J[alive]
         Ma = M[alive]
         if c > 0:
+            # only a drift segment that reaches a new maximum adds occupation
             w_pre = c * sig_next + Ja
             has = w_pre > Ma
-            r_star = np.maximum(sigma[alive], (Ma - Ja) / c)
-            for j in range(nb):
-                lo = np.maximum(np.maximum(r_star, t_lo[j]), (u_lo[j] - Ja) / c)
-                hi = np.minimum(np.minimum(sig_next, t_hi[j]), (u_hi[j] - Ja) / c)
-                occ[alive, j] += np.where(has, np.maximum(hi - lo, 0.0), 0.0)
+            rows, Jh, sig_h = alive[has], Ja[has], sig_next[has]
+            r_star = np.maximum(sigma[rows], (Ma[has] - Jh) / c)
+            for b in _row_blocks(rows.size, nb):
+                Jb = Jh[b, None]
+                lo = np.maximum(np.maximum(r_star[b, None], t_lo), (u_lo - Jb) / c)
+                hi = np.minimum(np.minimum(sig_h[b, None], t_hi), (u_hi - Jb) / c)
+                occ[rows[b]] += np.maximum(hi - lo, 0.0)
             M[alive] = np.maximum(Ma, w_pre)
         else:
-            at_max = Ja == Ma
-            for j in range(nb):
-                inband = at_max & (Ma > u_lo[j]) & (Ma <= u_hi[j])
-                length = np.maximum(
-                    np.minimum(sig_next, t_hi[j]) - np.maximum(sigma[alive], t_lo[j]), 0.0
-                )
-                occ[alive, j] += np.where(inband, length, 0.0)
+            top = Ja == Ma
+            rows, M_top, sig_top = alive[top], Ma[top], sig_next[top]
+            for b in _row_blocks(rows.size, nb):
+                Mb = M_top[b, None]
+                inband = (Mb > u_lo) & (Mb <= u_hi)
+                start = np.maximum(sigma[rows[b], None], t_lo)
+                length = np.maximum(np.minimum(sig_top[b, None], t_hi) - start, 0.0)
+                occ[rows[b]] += np.where(inband, length, 0.0)
 
     def after(alive, g, Y):
         nonlocal censored
@@ -349,15 +364,18 @@ def _dual_cells_chunk(
     mmin = np.zeros(n)  # current minimum (<= 0)
     kmin = np.zeros(n)  # number of strict minima so far
 
-    def before(alive, g):
-        sig_next = sigma[alive] + g
-        for j in range(nc):
-            # time passed t with no new minimum: the next ladder point has
-            # sigma > t, so the rectangle is left at index kmin + 1
-            hit = ~resolved[alive, j] & (sig_next > t_arr[j])
-            ii = alive[hit]
-            counts[ii, j] = kmin[ii] + 1.0
+    def resolve(rows, reach, edges, index):
+        # cells still open whose edge ``reach`` has passed are left at ``index``
+        for b in _row_blocks(rows.size, nc):
+            r, j = np.nonzero(~resolved[rows[b]] & (reach[b, None] > edges))
+            ii = rows[b][r]
+            counts[ii, j] = index[b][r]
             resolved[ii, j] = True
+
+    def before(alive, g):
+        # time passed t with no new minimum: the next ladder point has
+        # sigma > t, so the rectangle is left at index kmin + 1
+        resolve(alive, sigma[alive] + g, t_arr, kmin[alive] + 1.0)
 
     def after(alive, g, Y):
         S[alive] += Y
@@ -366,12 +384,7 @@ def _dual_cells_chunk(
         ii = alive[new_min]
         mmin[ii] = S[ii]
         kmin[ii] += 1.0
-        depth = -S[ii]
-        for j in range(nc):
-            hit = ~resolved[ii, j] & (depth > x_arr[j])
-            jj = ii[hit]
-            counts[jj, j] = kmin[jj]
-            resolved[jj, j] = True
+        resolve(ii, -S[ii], x_arr, kmin[ii])
         go_on = ~resolved[alive].all(axis=1)
         # paths past the largest t are always fully resolved above
         assert not ((sigma[alive[go_on]] > tmax).any())

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from levyladder.fixtures import B1, P1, P3
-from levyladder.processes import BivariateSubordinatorSpec
+from levyladder.lawcheck import _compose_jump_part
+from levyladder.processes import BivariateSubordinatorSpec, ProcessSpec, walk
 from levyladder.results import verdict
 from levyladder.rng import RngPolicy
 from levyladder import renewal as rn
 from levyladder import rw_ladder as rl
+from levyladder.renewal import OCC_TIME_GUARD, Boxes, _stats_per_column
 
 POL = RngPolicy(seed=1157)
 
@@ -180,3 +182,219 @@ class TestSubpint:
     def test_zero_drift_fixture_is_trivially_zero(self):
         rep = rn.check_subpint(P3, 0.5, 0.9, 100, POL.substream("p3"), fixture="P3")
         assert rep.passed and rep.lhs == 0.0 and rep.rhs == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Bitwise oracles for the box hooks: the per-box loops they replaced, kept
+# verbatim under a ``_ref`` name, must give the same bytes from the same seed.
+# ---------------------------------------------------------------------------
+
+
+def _ref_fluct_occ_chunk(
+    spec: ProcessSpec, boxes: Boxes, n: int, rng
+) -> tuple[list[tuple[int, float, float]], int]:
+    c, lam = spec.drift, spec.rate
+    if c < 0:
+        raise ValueError("ladder occupation requires nonnegative drift")
+    nb = boxes.shape[0]
+    t_lo, t_hi, u_lo, u_hi = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
+    fin_t = t_hi[np.isfinite(t_hi)]
+    stop_r = min(OCC_TIME_GUARD, float(fin_t.max()) if fin_t.size == nb else OCC_TIME_GUARD)
+    stop_u = float(u_hi.max())
+
+    occ = np.zeros((n, nb))
+    censored = 0
+
+    sigma = np.zeros(n)
+    J = np.zeros(n)
+    M = np.zeros(n)
+
+    def before(alive, g):
+        sig_next = sigma[alive] + g
+        Ja = J[alive]
+        Ma = M[alive]
+        if c > 0:
+            w_pre = c * sig_next + Ja
+            has = w_pre > Ma
+            r_star = np.maximum(sigma[alive], (Ma - Ja) / c)
+            for j in range(nb):
+                lo = np.maximum(np.maximum(r_star, t_lo[j]), (u_lo[j] - Ja) / c)
+                hi = np.minimum(np.minimum(sig_next, t_hi[j]), (u_hi[j] - Ja) / c)
+                occ[alive, j] += np.where(has, np.maximum(hi - lo, 0.0), 0.0)
+            M[alive] = np.maximum(Ma, w_pre)
+        else:
+            at_max = Ja == Ma
+            for j in range(nb):
+                inband = at_max & (Ma > u_lo[j]) & (Ma <= u_hi[j])
+                length = np.maximum(
+                    np.minimum(sig_next, t_hi[j]) - np.maximum(sigma[alive], t_lo[j]), 0.0
+                )
+                occ[alive, j] += np.where(inband, length, 0.0)
+
+    def after(alive, g, Y):
+        nonlocal censored
+        sig_next = sigma[alive] + g
+        J[alive] += Y
+        w_land = c * sig_next + J[alive]
+        M[alive] = np.maximum(M[alive], w_land)
+        sigma[alive] = sig_next
+        stop = (sig_next > stop_r) | (M[alive] > stop_u)
+        if stop.any() and stop_r >= OCC_TIME_GUARD:
+            censored += int((stop & (sig_next > stop_r) & (M[alive] <= stop_u)).sum())
+        return ~stop
+
+    walk(np.arange(n), lam, rng, spec.sample_jumps, before, after)
+    return _stats_per_column(occ), censored
+
+
+def _ref_dual_cells_chunk(
+    spec: ProcessSpec, cells: list[tuple[float, float]], n: int, rng
+) -> list[tuple[int, float, float]]:
+    """Per-path index of the first dual ladder point outside [0,t] x [0,x].
+
+    Valid for compound Poisson fixtures: the strictly descending ladder
+    process steps through the successive strict minima at the events of an
+    independent rate-1 Poisson process, so E[T^Hhat_x ^ T^Lhat_t] equals the
+    expected count of ladder points needed to leave the rectangle.
+    """
+    lam = spec.rate
+    nc = len(cells)
+    t_arr = np.array([c[0] for c in cells])
+    x_arr = np.array([c[1] for c in cells])
+    tmax = float(t_arr.max())
+
+    counts = np.zeros((n, nc))
+    resolved = np.zeros((n, nc), dtype=bool)
+
+    sigma = np.zeros(n)
+    S = np.zeros(n)
+    mmin = np.zeros(n)  # current minimum (<= 0)
+    kmin = np.zeros(n)  # number of strict minima so far
+
+    def before(alive, g):
+        sig_next = sigma[alive] + g
+        for j in range(nc):
+            # time passed t with no new minimum: the next ladder point has
+            # sigma > t, so the rectangle is left at index kmin + 1
+            hit = ~resolved[alive, j] & (sig_next > t_arr[j])
+            ii = alive[hit]
+            counts[ii, j] = kmin[ii] + 1.0
+            resolved[ii, j] = True
+
+    def after(alive, g, Y):
+        S[alive] += Y
+        sigma[alive] += g
+        new_min = S[alive] < mmin[alive]
+        ii = alive[new_min]
+        mmin[ii] = S[ii]
+        kmin[ii] += 1.0
+        depth = -S[ii]
+        for j in range(nc):
+            hit = ~resolved[ii, j] & (depth > x_arr[j])
+            jj = ii[hit]
+            counts[jj, j] = kmin[jj]
+            resolved[jj, j] = True
+        go_on = ~resolved[alive].all(axis=1)
+        # paths past the largest t are always fully resolved above
+        assert not ((sigma[alive[go_on]] > tmax).any())
+        return go_on
+
+    walk(np.arange(n), lam, rng, spec.sample_jumps, before, after)
+    return _stats_per_column(counts)
+
+
+# the (t bin x fine y bin) boxes of check_quintuple(P1, 0.5) at mesh 0.1
+_T_EDGES = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, math.inf)
+_Y_FINE = [round(j * 0.025, 12) for j in range(21)]
+QUINTUPLE_BOXES = np.array([(_T_EDGES[i], _T_EDGES[i + 1], 0.5 - _Y_FINE[j + 1], 0.5 - _Y_FINE[j])
+                            for i in range(6) for j in range(20)])
+# not a product grid: overlapping boxes, an infinite t edge, u_lo = -1
+LOOSE_BOXES = np.array([(0.0, 0.5, -1.0, 0.3), (0.25, math.inf, 0.1, 1.7),
+                        (1.0, 3.0, -1.0, 2.5), (0.0, math.inf, 0.9, 1.1), (2.0, 2.5, 0.0, 0.05)])
+P3_BOXES = np.array([(0.0, 0.5, -1.0, 0.0), (0.0, 1.0, -1.0, 2.0), (0.5, 2.0, 0.5, 1.0),
+                     (0.0, 3.0, 1.5, 3.0)])
+P3_CELLS = [(0.5, 0.0), (1.0, 1.0), (2.0, 3.0), (1.5, 0.5)]
+
+
+def _occ_matches_reference(spec, boxes, n, seed):
+    got = rn._fluct_occ_chunk(spec, boxes, n, np.random.default_rng(seed))
+    ref = _ref_fluct_occ_chunk(spec, boxes, n, np.random.default_rng(seed))
+    return got == ref
+
+
+class TestBoxHooksBitwise:
+    @pytest.mark.parametrize("spec, boxes, n, block", [
+        (P1, QUINTUPLE_BOXES, 3000, None),    # 546-row blocks, the last one ragged
+        (P1, QUINTUPLE_BOXES, 1000, 1000),    # 8-row blocks
+        (P1, LOOSE_BOXES, 2000, None),
+        (P1, LOOSE_BOXES, 2001, 64),          # 12-row blocks
+        (P3, P3_BOXES, 2000, None),
+        (P3, P3_BOXES, 1999, 50),             # 12-row blocks
+    ])
+    def test_occupation_matches_per_box_loop(self, monkeypatch, spec, boxes, n, block):
+        if block is not None:
+            monkeypatch.setattr(rn, "OCC_BLOCK", block)
+        assert _occ_matches_reference(spec, boxes, n, seed=n)
+
+    @pytest.mark.parametrize("n, block", [(1000, None), (1000, 64), (997, 9)])
+    def test_dual_cells_match_per_cell_loop(self, monkeypatch, n, block):
+        if block is not None:
+            monkeypatch.setattr(rn, "OCC_BLOCK", block)
+        got = rn._dual_cells_chunk(P3, P3_CELLS, n, np.random.default_rng(n))
+        ref = _ref_dual_cells_chunk(P3, P3_CELLS, n, np.random.default_rng(n))
+        assert got == ref
+
+    def test_oracle_fails_when_a_block_drops_a_row(self, monkeypatch):
+        blocks = rn._row_blocks
+        monkeypatch.setattr(rn, "_row_blocks", lambda m, width: [
+            slice(b.start, b.stop - 1) for b in blocks(m, width)])
+        assert not _occ_matches_reference(P1, QUINTUPLE_BOXES, 3000, seed=3000)
+
+    def test_blocks_cover_the_rows_once(self, monkeypatch):
+        monkeypatch.setattr(rn, "OCC_BLOCK", 100)
+        blocks = rn._row_blocks(1003, 7)
+        assert [b.stop - b.start for b in blocks[:-1]] == [14] * 71
+        rows = np.arange(1003)
+        assert np.array_equal(np.concatenate([rows[b] for b in blocks]), rows)
+        assert rn._row_blocks(5, 1000) == [slice(a, a + 1) for a in range(5)]
+
+
+def _ref_compose(shape, v_mass, vh_mass, pi, jy, jv):
+    # the per-cell loop of the quintuple P1 composition
+    out = np.zeros(shape)
+    for jt in range(v_mass.shape[0]):
+        for jyf in range(v_mass.shape[1]):
+            for js in range(vh_mass.shape[0]):
+                for jvf in range(vh_mass.shape[1]):
+                    pi_mass = float(pi[jyf, jvf])
+                    if pi_mass == 0.0:
+                        continue
+                    vest = float(v_mass[jt, jyf])
+                    out[jt, jy[jyf], js, jv[jvf]] += vest * vh_mass[js, jvf] * pi_mass
+    return out
+
+
+class TestComposeJumpPart:
+    def _inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        nt, ny, ns, nv = 4, 9, 3, 13
+        # magnitudes over six decades, so a change of summation order shows
+        v_mass = rng.random((nt, ny)) * 10.0 ** rng.uniform(-3, 3, (nt, ny))
+        vh_mass = rng.random((ns, nv)) * 10.0 ** rng.uniform(-3, 3, (ns, nv))
+        vh_mass[rng.random((ns, nv)) < 0.2] = 0.0
+        pi = rng.random((ny, nv)) * 10.0 ** rng.uniform(-3, 3, (ny, nv))
+        pi[rng.random((ny, nv)) < 0.3] = 0.0
+        jy = np.sort(rng.integers(0, 3, ny))        # several fine bins per reporting cell
+        jv = np.sort(rng.integers(0, 4, nv))
+        jv[0] = 0
+        return (nt, 3, ns, 4), v_mass, vh_mass, pi, jy, jv
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_four_deep_loop(self, seed):
+        args = self._inputs(seed)
+        assert np.array_equal(_compose_jump_part(*args), _ref_compose(*args))
+
+    def test_inputs_tell_summation_orders_apart(self):
+        shape, v_mass, vh_mass, pi, jy, jv = self._inputs(0)
+        flipped = _ref_compose(shape, v_mass[:, ::-1], vh_mass, pi[::-1], jy[::-1], jv)
+        assert not np.array_equal(flipped, _ref_compose(shape, v_mass, vh_mass, pi, jy, jv))
