@@ -18,7 +18,6 @@ from .processes import (
     UniformJumps,
     kappa_biv,
     kappa_biv_rho_derivative,
-    sample_skeleton,
 )
 from .fixtures import B1, FIXTURES, P1, P2, P3, S1, fixture, spec_from_config
 from .rng import RngPolicy

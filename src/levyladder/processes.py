@@ -33,7 +33,6 @@ __all__ = [
     "JumpLaw",
     "ProcessSpec",
     "BivariateSubordinatorSpec",
-    "sample_skeleton",
     "kappa_biv",
     "kappa_biv_rho_derivative",
 ]
@@ -237,37 +236,6 @@ def walk(active: np.ndarray, rate: float, rng, draw, before, after) -> None:
             active, g = active[keep], g[keep]
         if active.size:
             active = active[after(active, g, draw(rng, active.size))]
-
-
-def sample_skeleton(
-    spec: ProcessSpec, horizon: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact jump skeleton of ``X`` on ``[0, horizon]``.
-
-    Returns the ordered jump times and jump sizes with times <= horizon; the
-    inter-jump gaps are the realised exponential variates, so evaluating
-    ``X_t = drift * t + sum_{times <= t} sizes`` from the skeleton is exact.
-    A pure-drift process returns empty arrays.
-    """
-    if not (horizon > 0) or math.isinf(horizon):
-        raise ValueError("horizon must be finite and positive")
-    if spec.rate == 0:
-        return np.empty(0), np.empty(0)
-    times: list[np.ndarray] = []
-    t = 0.0
-    # draw in blocks; mean block need is rate*horizon
-    block = max(16, int(spec.rate * horizon * 1.5) + 8)
-    while True:
-        gaps = rng.exponential(1.0 / spec.rate, block)
-        cum = t + np.cumsum(gaps)
-        inside = cum[cum <= horizon]
-        times.append(inside)
-        if inside.size < block:
-            break
-        t = float(cum[-1])
-    all_times = np.concatenate(times) if times else np.empty(0)
-    sizes = spec.sample_jumps(rng, all_times.size) if all_times.size else np.empty(0)
-    return all_times, sizes
 
 
 @dataclass(frozen=True)

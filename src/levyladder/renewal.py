@@ -32,6 +32,9 @@ of hooks, the occupation or count it adds up before and at each jump.
 The box hooks of :func:`fluct_boxes` and :func:`dual_ladder_cells` treat
 all boxes at once as (paths x boxes) arrays, over the paths that can add to
 them, in row blocks of at most ``OCC_BLOCK`` floats per temporary.
+:func:`dual_ladder_measure` keeps only the points it records, as a list of
+(path, cell) keys, and takes each cell's mean and M2 from exact integer
+sums of the per-path counts.
 """
 
 from __future__ import annotations
@@ -65,9 +68,16 @@ Boxes = np.ndarray  # shape (nb, 4): columns t_lo, t_hi, u_lo, u_hi
 
 
 def _stats_per_column(values: np.ndarray) -> list[tuple[int, float, float]]:
+    """(n, mean, M2) of each column of a float (n x cols) array.
+
+    Consumes ``values``: the squared deviations are formed in its memory, so
+    no second (n x cols) array is made.
+    """
     n = values.shape[0]
     mean = values.mean(axis=0)
-    m2 = ((values - mean) ** 2).sum(axis=0)
+    values -= mean
+    np.square(values, out=values)
+    m2 = values.sum(axis=0)
     return [(n, float(mean[j]), float(m2[j])) for j in range(values.shape[1])]
 
 
@@ -413,16 +423,23 @@ def dual_ladder_cells(
 def _dual_measure_chunk(
     spec: ProcessSpec, s_edges: np.ndarray, v_edges: np.ndarray, n: int, rng
 ) -> tuple[list[tuple[int, float, float]], int]:
-    """Per-path counts of dual ladder points (strict minima) per
-    (time, depth) bin, including the origin point of every path."""
+    """(n, mean, M2) per (time, depth) bin of the per-path counts of dual
+    ladder points (strict minima), including the origin point of every path.
+
+    Each recorded point is kept as the key ``path * ncell + cell``; the
+    per-path count ``k`` of a bin is the multiplicity of its key, and the
+    bin's statistics follow from the exact integer sums ``S1 = sum k`` and
+    ``S2 = sum k^2`` over its paths, with ``M2 = (n S2 - S1^2) / n`` rounded
+    once.  Paths without a point in a bin count there as zeros.
+    """
     c, lam = spec.drift, spec.rate
     if c < 0:
         raise ValueError("dual ladder measure requires nonnegative drift")
     ns, nv = s_edges.size - 1, v_edges.size - 1
+    ncell = ns * nv
     s_guard, v_guard = float(s_edges[-1]), float(v_edges[-1])
-    counts = np.zeros((n, ns * nv))
     # epoch-0 ladder point at (0, 0): first bin of each axis
-    counts[:, 0] += 1.0
+    keys = [np.arange(n) * ncell]
     dropped = 0
 
     sigma = np.zeros(n)
@@ -449,13 +466,19 @@ def _dual_measure_chunk(
         vi[depth == v_edges[0]] = 0
         ok = (vi >= 0) & (vi < nv) & (si >= 0) & (si < ns)
         dropped += int((~ok).sum())
-        np.add.at(counts, (ii[ok], si[ok] * nv + vi[ok]), 1.0)
+        keys.append(ii[ok] * ncell + si[ok] * nv + vi[ok])
         # a path whose minimum is already below every depth bin can stop
         # once its time passed the last s edge; deeper minima are dropped
         return ~(mmin[alive] < -v_guard)
 
     walk(np.arange(n), lam, rng, spec.sample_jumps, before, after)
-    return _stats_per_column(counts), dropped
+    path_cell, k = np.unique(np.concatenate(keys), return_counts=True)
+    cell = path_cell % ncell
+    # integer-valued float sums below 2^53 are exact, and Python int
+    # division rounds once: the mean is the dense column mean bit for bit
+    s1 = np.bincount(cell, weights=k, minlength=ncell).astype(np.int64).tolist()
+    s2 = np.bincount(cell, weights=k * k, minlength=ncell).astype(np.int64).tolist()
+    return [(n, a1 / n, (n * a2 - a1 * a1) / n) for a1, a2 in zip(s1, s2)], dropped
 
 
 def dual_ladder_measure(
@@ -473,7 +496,8 @@ def dual_ladder_measure(
     dropped and reported, not silently ignored; for a fixture drifting
     upward the probability of a ladder point beyond a generous last time
     edge decays exponentially, so the last cell can stand in for an
-    unbounded one.
+    unbounded one.  Each chunk keeps its points as (path, cell) keys, not
+    as a dense (paths x cells) array; its per-cell M2 is exact, rounded once.
     """
     se_arr = np.asarray(s_edges, dtype=float)
     ve_arr = np.asarray(v_edges, dtype=float)

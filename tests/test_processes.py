@@ -13,7 +13,6 @@ from levyladder.processes import (
     UniformJumps,
     kappa_biv,
     kappa_biv_rho_derivative,
-    sample_skeleton,
     walk,
 )
 from levyladder.fixtures import B1, P1, P3
@@ -135,44 +134,6 @@ class TestKappa:
         moving_y = dy > 0 or dx > 0
         if q > 0 or (a > 0 and moving_z) or (b > 0 and moving_y):
             assert kappa_biv(spec, a, b) > 0
-
-
-class TestSkeleton:
-    def test_pure_drift_has_no_jumps(self):
-        times, sizes = sample_skeleton(ProcessSpec(1.0, 0.0), 10.0, np.random.default_rng(0))
-        assert times.size == 0 and sizes.size == 0
-
-    def test_mean_jump_count_matches_poisson(self):
-        # P1 on horizon 10: E[count] = rate * horizon = 20
-        pol = RngPolicy(seed=2024)
-        n = 100_000
-        counts = np.empty(n)
-        for i in range(n):
-            times, _ = sample_skeleton(P1, 10.0, pol.stream(i))
-            counts[i] = times.size
-        se = counts.std(ddof=1) / math.sqrt(n)
-        assert abs(counts.mean() - 20.0) <= 3 * se
-
-    def test_chunking_does_not_change_per_path_skeletons(self):
-        # streams are keyed by path index, so grouping paths 1x10 vs 2x5
-        # must give identical per-path skeletons
-        pol = RngPolicy(seed=7)
-        single = [sample_skeleton(P1, 5.0, pol.stream(i)) for i in range(10)]
-        grouped = []
-        for chunk in (range(0, 5), range(5, 10)):
-            for i in chunk:
-                grouped.append(sample_skeleton(P1, 5.0, pol.stream(i)))
-        for (t1, s1), (t2, s2) in zip(single, grouped):
-            np.testing.assert_array_equal(t1, t2)
-            np.testing.assert_array_equal(s1, s2)
-
-    def test_gaps_are_exponential_and_exact(self):
-        times, sizes = sample_skeleton(P3, 50.0, np.random.default_rng(5))
-        assert (np.diff(times) > 0).all()
-        assert times[-1] <= 50.0
-        assert sizes.size == times.size
-        # evaluating X on the skeleton is exact: jumps are +-1, +-2
-        assert set(np.unique(sizes)) <= {-2.0, -1.0, 1.0, 2.0}
 
 
 class TestBivariateSpec:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -357,6 +359,149 @@ class TestBoxHooksBitwise:
         rows = np.arange(1003)
         assert np.array_equal(np.concatenate([rows[b] for b in blocks]), rows)
         assert rn._row_blocks(5, 1000) == [slice(a, a + 1) for a in range(5)]
+
+
+# ---------------------------------------------------------------------------
+# Bitwise oracle for the dual-ladder measure: the dense (paths x cells) count
+# matrix that the (path, cell) key list replaced, kept under a ``_ref`` name.
+# ---------------------------------------------------------------------------
+
+
+def _ref_stats_per_column(values: np.ndarray) -> list[tuple[int, float, float]]:
+    n = values.shape[0]
+    mean = values.mean(axis=0)
+    m2 = ((values - mean) ** 2).sum(axis=0)
+    return [(n, float(mean[j]), float(m2[j])) for j in range(values.shape[1])]
+
+
+def _ref_dual_counts(
+    spec: ProcessSpec, s_edges: np.ndarray, v_edges: np.ndarray, n: int, rng
+) -> tuple[np.ndarray, int]:
+    c, lam = spec.drift, spec.rate
+    if c < 0:
+        raise ValueError("dual ladder measure requires nonnegative drift")
+    ns, nv = s_edges.size - 1, v_edges.size - 1
+    s_guard, v_guard = float(s_edges[-1]), float(v_edges[-1])
+    counts = np.zeros((n, ns * nv))
+    # epoch-0 ladder point at (0, 0): first bin of each axis
+    counts[:, 0] += 1.0
+    dropped = 0
+
+    sigma = np.zeros(n)
+    J = np.zeros(n)
+    mmin = np.zeros(n)
+
+    def before(alive, g):
+        return ~(sigma[alive] + g > s_guard)
+
+    def after(alive, g, Y):
+        nonlocal dropped
+        sig_next = sigma[alive] + g
+        J[alive] += Y
+        sigma[alive] = sig_next
+        w_land = c * sig_next + J[alive]
+        new_min = w_land < mmin[alive]
+        ii = alive[new_min]
+        mmin[ii] = w_land[new_min]
+        depth = -w_land[new_min]
+        tt = sig_next[new_min]
+        si = np.searchsorted(s_edges, tt, side="left") - 1
+        si[tt == s_edges[0]] = 0
+        vi = np.searchsorted(v_edges, depth, side="left") - 1
+        vi[depth == v_edges[0]] = 0
+        ok = (vi >= 0) & (vi < nv) & (si >= 0) & (si < ns)
+        dropped += int((~ok).sum())
+        np.add.at(counts, (ii[ok], si[ok] * nv + vi[ok]), 1.0)
+        return ~(mmin[alive] < -v_guard)
+
+    walk(np.arange(n), lam, rng, spec.sample_jumps, before, after)
+    return counts, dropped
+
+
+def _ref_dual_measure_chunk(spec, s_edges, v_edges, n, rng):
+    counts, dropped = _ref_dual_counts(spec, s_edges, v_edges, n, rng)
+    return _ref_stats_per_column(counts), dropped
+
+
+# quintuple P1's V-hat grid at u = 0.5, mesh 0.1: 6 time bins x 41 depth bins
+QUINTUPLE_S = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 60.0])
+QUINTUPLE_V = np.array([0.0, 1e-9] + [round(j * 0.025, 12) for j in range(1, 41)])
+# amicale P1's x > 0 grid: 5 x 10
+AMICALE_S = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
+AMICALE_V = np.array([0.0] + [round(j * 0.1, 12) for j in range(1, 11)])
+# P3 (drift 0) jumps by integers, so every depth lands on an integer v edge
+P3_S = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
+P3_V = np.array([0.0, 1.0, 2.0, 3.0, 5.0])
+DUAL_GRIDS = {"quintuple-P1": (P1, QUINTUPLE_S, QUINTUPLE_V),
+              "amicale-P1": (P1, AMICALE_S, AMICALE_V),
+              "P3": (P3, P3_S, P3_V),
+              # no path has a point before 1e-6, so the first time bins stay empty
+              "empty-first-s": (P1, np.array([0.0, 1e-9, 1e-6, 1.0, 4.0]), AMICALE_V),
+              # no jump before 1e-9: the chunk holds only origin points
+              "origin-only": (P1, np.array([0.0, 1e-9]), AMICALE_V)}
+
+
+def _dual_pair(grid, n, seed):
+    spec, s_edges, v_edges = DUAL_GRIDS[grid]
+    got = rn._dual_measure_chunk(spec, s_edges, v_edges, n, np.random.default_rng(seed))
+    ref = _ref_dual_measure_chunk(spec, s_edges, v_edges, n, np.random.default_rng(seed))
+    return got, ref
+
+
+class TestDualMeasureBitwise:
+    @pytest.mark.parametrize("grid", sorted(DUAL_GRIDS))
+    @pytest.mark.parametrize("n", [16384, 64])
+    def test_matches_dense_counts_on_power_of_two_chunks(self, grid, n):
+        # with n a power of two the dense M2 is exact too, so every bit agrees
+        got, ref = _dual_pair(grid, n, seed=n + 1)
+        assert got == ref
+
+    @pytest.mark.parametrize("grid", sorted(DUAL_GRIDS))
+    def test_ragged_chunk_m2_is_exact(self, grid):
+        spec, s_edges, v_edges = DUAL_GRIDS[grid]
+        n = 1000
+        got, dropped = rn._dual_measure_chunk(spec, s_edges, v_edges, n,
+                                              np.random.default_rng(5))
+        counts, ref_dropped = _ref_dual_counts(spec, s_edges, v_edges, n,
+                                               np.random.default_rng(5))
+        ref = _ref_stats_per_column(counts)
+        assert dropped == ref_dropped
+        assert [s[:2] for s in got] == [s[:2] for s in ref]
+        k = counts.astype(np.int64)
+        for j, (s1, s2) in enumerate(zip(k.sum(axis=0).tolist(), (k * k).sum(axis=0).tolist())):
+            exact = float(Fraction(n * s2 - s1 * s1, n))
+            assert got[j][2] == exact
+            assert abs(ref[j][2] - exact) <= 1e-12 * exact
+
+    def test_oracle_fails_when_a_point_is_dropped(self, monkeypatch):
+        class DropLastKey:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def unique(keys, **kw):
+                return np.unique(keys[:-1], **kw)
+
+        monkeypatch.setattr(rn, "np", DropLastKey())
+        got, ref = _dual_pair("quintuple-P1", 16384, seed=16385)
+        assert got[1] == ref[1] and got[0] != ref[0]
+
+    def test_chunk_peak_memory(self):
+        tracemalloc.start()
+        try:
+            rn._dual_measure_chunk(P1, QUINTUPLE_S, QUINTUPLE_V, 16384, np.random.default_rng(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the dense (16384 x 246) count matrix alone took 32 MB
+        assert peak < 8e6
+
+    def test_stats_per_column_in_place_matches_out_of_place(self):
+        rng = np.random.default_rng(9)
+        values = rng.random((3001, 17)) * 10.0 ** rng.uniform(-6, 6, 17)
+        values[rng.random(values.shape) < 0.7] = 0.0
+        ref = _ref_stats_per_column(values.copy())
+        assert _stats_per_column(values) == ref
 
 
 def _ref_compose(shape, v_mass, vh_mass, pi, jy, jv):
