@@ -2,9 +2,10 @@
 subordinator, and the transform of its renewal measure.
 
 Both sides of the identity are produced by different machinery: the left by
-quadrature of passage expectations over levels, the right in closed form
-from the Laplace exponent.  The second block checks the reciprocal relation
-between the renewal-measure transform and the exponent on a parameter grid.
+integrating the level functional exactly along simulated paths, the right in
+closed form from the Laplace exponent.  The second block checks the
+reciprocal relation between the renewal-measure transform and the exponent
+on a parameter grid.
 """
 
 import levyladder as ll

@@ -4,7 +4,8 @@ Builds the runner config of ``--workload`` for each seed with
 ``perfbench/workloads.make_config`` (the benchmark's own configs, so a
 sweep judges exactly what the benchmark runs), runs it, and reads every
 check's verdict from ``summary.csv``.  Prints one line per seed with each
-check's distance/budget, then each check's FAIL count.
+check's distance/budget, then each check's FAIL count and its worst
+distance/budget over the sweep, which shows how much headroom a budget has.
 
     python demos/seed_sweep.py --workload lattice-tail --seeds 11-40
 """
@@ -15,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import io
+import math
 import os
 import sys
 import tempfile
@@ -32,10 +34,20 @@ def seed_range(text: str) -> range:
     return range(int(lo), int(hi or lo) + 1)
 
 
-def sweep(workload: str, seeds: range) -> dict[str, int]:
-    """FAIL count per check (``index.check.fixture``) over ``seeds``."""
+def ratio(distance: float, budget: float) -> float:
+    """distance/budget, ranked as ``results.verdict`` ranks rows: 0 for no
+    gap, infinite for a gap (or NaN) over a zero budget."""
+    if budget > 0 and distance == distance:
+        return distance / budget
+    return 0.0 if distance <= 0 else math.inf
+
+
+def sweep(workload: str, seeds: range) -> tuple[dict[str, int], dict[str, float]]:
+    """FAIL count and worst distance/budget per check (``index.check.fixture``)
+    over ``seeds``."""
     names = [f"{i}.{c['name']}.{c['fixture']}" for i, c in workloads.check_entries(workload)]
     fails = dict.fromkeys(names, 0)
+    worst = dict.fromkeys(names, 0.0)
     for seed in seeds:
         with tempfile.TemporaryDirectory() as out:
             config = workloads.make_config(workload, seed, 0, out)
@@ -46,10 +58,11 @@ def sweep(workload: str, seeds: range) -> dict[str, int]:
         cells = []
         for name, row in zip(names, rows):
             fails[name] += row["pass"] != "PASS"
+            worst[name] = max(worst[name], ratio(float(row["distance"]), float(row["budget"])))
             cells.append(f"{name} {float(row['distance']):.4g}/{float(row['budget']):.4g} "
                          f"{row['pass']}")
         print(f"seed {seed}: " + "; ".join(cells), flush=True)
-    return fails
+    return fails, worst
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -58,9 +71,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", default="11-40", help="inclusive range, e.g. 11-40")
     args = parser.parse_args(argv)
     seeds = seed_range(args.seeds)
-    fails = sweep(args.workload, seeds)
+    fails, worst = sweep(args.workload, seeds)
     for name, count in fails.items():
-        print(f"{name}: {count}/{len(seeds)} FAIL")
+        print(f"{name}: {count}/{len(seeds)} FAIL, worst distance/budget {worst[name]:.3g}")
     return 0
 
 

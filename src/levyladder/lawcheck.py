@@ -348,6 +348,12 @@ def _check_quintuple_creeping(spec, u, n, policy, workers, t_edges, s_edges, mes
     emp = DiscreteMeasureND.from_points(
         axes, [t[~creep], y[~creep], s[~creep], vhat[~creep]], batch.n
     )
+    # creeping fibre mass; then the batch goes before the right side is built
+    t_cut = float(t_edges[-2] if math.isinf(t_edges[-1]) else t_edges[-1])
+    creep_mass = float((batch.creep & (batch.tau <= t_cut)).mean())
+    creep_se = math.sqrt(creep_mass * (1 - creep_mass) / batch.n)
+    n_emp, censored, monitors = batch.n, batch.censored_mass, dict(batch.monitors)
+    del batch, x, v, y, s, t, vhat, creep
 
     # RHS: V-measure boxes (independent stream) x dual-ladder measure x Pi.
     # The constraint x = xi - y - vhat > 0 cuts through the reporting cells
@@ -387,14 +393,10 @@ def _check_quintuple_creeping(spec, u, n, policy, workers, t_edges, s_edges, mes
     tv = emp.tv_distance(rhs)
 
     # creeping fibre: empirical creep mass versus drift * left derivative of V
-    t_cut = float(t_edges[-2] if math.isinf(t_edges[-1]) else t_edges[-1])
     band = fluct_boxes(spec, [(0.0, t_cut, u - delta, u)], n, policy.substream("band"),
                        workers)[0]
     band2 = fluct_boxes(spec, [(0.0, t_cut, u - 2 * delta, u - delta)], n,
                         policy.substream("band2"), workers)[0]
-    creep_mask = batch.creep & (batch.tau <= t_cut)
-    creep_mass = float(creep_mask.mean())
-    creep_se = math.sqrt(creep_mass * (1 - creep_mass) / batch.n)
     deriv = spec.drift * band.value / delta
     deriv_se = spec.drift * band.se / delta
     delta_bias = abs(band.value - band2.value) / delta * spec.drift
@@ -408,7 +410,7 @@ def _check_quintuple_creeping(spec, u, n, policy, workers, t_edges, s_edges, mes
         "tv": tv, "tv_budget": tv_budget, "creep_mass": creep_mass, "deriv_route": deriv,
         "fibre_dist": fibre_dist, "fibre_budget": fibre_budget, "delta_bias": delta_bias,
         "excluded_mass": emp.excluded_mass, "vhat_dropped": vh_drop,
-        "censored": batch.censored_mass,
+        "censored": censored,
     }]
     return CheckReport(
         check="quintuple",
@@ -420,10 +422,10 @@ def _check_quintuple_creeping(spec, u, n, policy, workers, t_edges, s_edges, mes
         se_rhs=deriv_se,
         distance=dist,
         budget=budget,
-        n_paths=batch.n,
-        censored_mass=batch.censored_mass,
+        n_paths=n_emp,
+        censored_mass=censored,
         details=details,
-        monitors=dict(batch.monitors),
+        monitors=monitors,
     )
 
 

@@ -87,7 +87,7 @@ def _params_from(c: Mapping[str, Any]) -> transforms.TransformParams:
     )
 
 
-_TRANSFORM_KEYS = ("mu", "rho", "ell", "nu", "theta", "u_nodes")
+_TRANSFORM_KEYS = ("mu", "rho", "ell", "nu", "theta")
 
 # Entries reach library functions as module attributes at call time, so a
 # function rebound on its module after import is the one that runs.
@@ -123,9 +123,9 @@ CHECKS: dict[str, Check] = {
     "slfi": Check(
         "bivariate", _TRANSFORM_KEYS,
         lambda spec, c, n, pol, w, fx: transforms.slfi_check(
-            spec, _params_from(c), n, pol, w, fixture=fx, **_given(c, "u_nodes", conv=int))),
+            spec, _params_from(c), n, pol, w, fixture=fx)),
     "slfi-fluct": Check(
-        "Levy", _TRANSFORM_KEYS + ("cap",),
+        "Levy", _TRANSFORM_KEYS + ("u_nodes", "cap"),
         lambda spec, c, n, pol, w, fx: transforms.slfi_fluct_check(
             spec, _params_from(c), n, pol, w, fixture=fx, **_given(c, "u_nodes", conv=int),
             **_given(c, "cap"))),

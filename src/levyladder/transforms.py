@@ -32,7 +32,6 @@ from .passage import (
     LadderJumpBatch,
     kappa_diff_from_ladder,
     kappa_from_ladder,
-    sample_biv_passages,
     sample_ladder_jumps,
     sample_passages,
 )
@@ -42,8 +41,8 @@ SLFI_REL_TOL = 0.02
 SLFI_FLUCT_REL_TOL = 0.03
 WH_REL_TOL = 0.03
 
-# lt_V stops a path once its multiplicative weight e^{-a Z - b Y - q s} drops
-# below this; the discarded tail is bounded and reported.
+# lt_V and slfi_check stop a path once its multiplicative weight (e^{-a Z - b Y - q s},
+# e^{-mu Y - nu Z - q s}) drops below this; the discarded tail is bounded and reported.
 LT_WEIGHT_TOL = 1e-15
 # Time cap of the ladder-jump samples behind the fluctuation-level kappa.
 SLFI_LADDER_CAP = 200.0
@@ -79,12 +78,15 @@ class TransformParams:
         return math.isclose(self.ell, self.rho - self.mu, rel_tol=0.0, abs_tol=1e-12)
 
     def validate_for(self, spec: BivariateSubordinatorSpec) -> None:
-        """Admissibility: the two numerator exponents finite, denominator positive."""
-        for a, b in ((self.theta, self.mu + self.ell), (self.theta, self.rho)):
-            if not math.isfinite(kappa_biv(spec, a, b)):
-                raise ValueError(f"kappa({a}, {b}) is not finite for these parameters")
-        if not kappa_biv(spec, self.nu, self.mu) > 0:
-            raise ValueError("kappa(nu, mu) must be positive")
+        """``mu > 0`` and ``rho, ell, nu, theta >= 0`` keep the level integrand
+        below ``e^{-mu u}``; with ``q = 0``, ``Y`` must move so paths stop."""
+        if not self.mu > 0:
+            raise ValueError(f"mu must be positive, got {self.mu}")
+        for name in ("rho", "ell", "nu", "theta"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if spec.q == 0 and spec.d_y == 0 and not any(dx > 0 for _, dx, _ in spec.atoms):
+            raise ValueError("q = 0 with a Y that never moves: no path would ever stop")
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +97,7 @@ class TransformParams:
 def _lt_chunk(
     spec: BivariateSubordinatorSpec, a: float, b: float, n: int, rng,
     route: str,
-) -> tuple[tuple[int, float, float], float]:
+) -> tuple[np.ndarray, float]:
     dz, dy, q = spec.d_z, spec.d_y, spec.q
     qw = q if route == "integrate" else 0.0
     decay = a * dz + b * dy + qw
@@ -130,10 +132,19 @@ def _lt_chunk(
         return ~(ended | tail)
 
     walk(np.arange(n), spec.total_rate, rng, spec.sample_atoms, before, after)
-    n_eff = vals.size
-    mean = float(vals.mean())
-    m2 = float(((vals - mean) ** 2).sum())
-    return (n_eff, mean, m2), bias_total
+    return vals, bias_total
+
+
+def _path_estimate(chunk, n: int, policy: RngPolicy, workers: int) -> EstimateWithError:
+    """Mean, SE and bias bound (summed ``bias`` per path) of the values that
+    ``chunk(m, rng) -> (values, bias)`` gives.  A chunk's mean is taken about
+    its first value, so equal values give that value and zero spread exactly."""
+    stats, bias = [], 0.0
+    for vals, b in chunked_map(lambda i, m, rng: chunk(m, rng), n, policy, workers):
+        mean = float(vals[0] + (vals - vals[0]).mean())
+        stats.append((vals.size, mean, float(((vals - mean) ** 2).sum())))
+        bias += b
+    return estimate_from_stats(*merge_mean_m2(stats), bias_bound=bias / max(n, 1))
 
 
 def lt_V(
@@ -160,12 +171,7 @@ def lt_V(
     kap = kappa_biv(spec, a, b)
     if kap <= 0:
         raise ValueError(f"kappa({a}, {b}) = {kap} <= 0: the transform diverges")
-    parts = chunked_map(
-        lambda i, m, rng: _lt_chunk(spec, a, b, m, rng, route), n, policy, workers
-    )
-    stats = merge_mean_m2([p[0] for p in parts])
-    bias = sum(p[1] for p in parts) / max(n, 1)
-    return estimate_from_stats(*stats, bias_bound=bias)
+    return _path_estimate(lambda m, rng: _lt_chunk(spec, a, b, m, rng, route), n, policy, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -198,24 +204,54 @@ def _trap_weights(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
+def _slfi_chunk(spec, p: TransformParams, n: int, rng) -> tuple[np.ndarray, float]:
+    dz, dy, q = spec.d_z, spec.d_y, spec.q
+    c = p.mu * dy + p.nu * dz + q  # growth rate of mu Y + nu Z + q s on a drift segment
+    a = p.mu + p.ell - p.rho
+    rest = (1.0 - q / kappa_biv(spec, 0.0, p.mu)) / p.mu  # a fresh path's transform bound
+    vals, expo = np.zeros(n), np.zeros(n)  # expo: mu Y + nu Z + q s along the path
+    bias_total = 0.0
+
+    def before(alive, g):
+        # levels y + v, v in (0, d_y g), are crept with weight W e^{-c v / d_y}
+        if dy > 0:
+            vals[alive] += np.exp(-expo[alive]) * dy * -np.expm1(-c * g) / c
+
+    def after(alive, g, jump):
+        nonlocal bias_total
+        jt, jx = jump
+        expo[alive] += c * g
+        # levels y_pre + v, v in (0, jx), are leapt with overshoot jx - v, undershoot v
+        over = jx if p.derivative_branch else -np.expm1(-a * jx) / a  # jx: the limit a -> 0
+        vals[alive] += np.exp(-expo[alive] - p.rho * jx - p.theta * jt) * over
+        expo[alive] += p.mu * jx + p.nu * jt
+        w1 = np.exp(-expo[alive])
+        tail = w1 < LT_WEIGHT_TOL
+        bias_total += float(w1[tail].sum()) * rest
+        return ~tail
+
+    walk(np.arange(n), spec.total_rate, rng, spec.sample_atoms, before, after)
+    return vals, bias_total
+
+
 def slfi_check(
     spec: BivariateSubordinatorSpec,
     params: TransformParams,
-    n_per_node: int,
+    n: int,
     policy: RngPolicy,
     workers: int = 1,
-    u_nodes: int = 40,
     fixture: str = "",
 ) -> CheckReport:
     """Quadruple transform identity for an explicit bivariate subordinator.
 
-    LHS: quadrature over levels ``u`` of
-    ``e^{-mu u} E[e^{-rho (Y_T - u) - ell (u - Y_{T-}) - nu Z_{T-} - theta dZ_T}; T < e(q)]``
-    with expectations from exact passage batches.  RHS: closed form in
-    ``kappa``.  The generic branch refuses parameters on the derivative
-    manifold ``ell = rho - mu`` (use the derivative branch, which the check
-    selects automatically).  Budget: ``SLFI_REL_TOL`` relative slack plus
-    3 SE plus the quadrature-refinement estimate and the u-truncation bound.
+    LHS: ``int_0^inf e^{-mu u} E[e^{-rho (Y_T - u) - ell (u - Y_{T-}) - nu Z_{T-}
+    - theta dZ_T}; T_u < e(q)] du``, integrated exactly along each of ``n`` paths:
+    the levels a drift segment creeps over and those a jump leaps over each
+    integrate an exponential affine in ``u``, and killing enters as ``e^{-q s}``.
+    Paths stop at weight ``e^{-mu Y - nu Z - q s} < LT_WEIGHT_TOL``; ``trunc_bias``
+    bounds the rest by weight times ``(1 - q / kappa(0, mu)) / mu``, the transform
+    of a fresh path.  RHS: closed form in ``kappa``, derivative branch at
+    ``ell = rho - mu``.  Budget: 3 SE, ``SLFI_REL_TOL`` relative slack, ``trunc_bias``.
     """
     params.validate_for(spec)
     if not params.derivative_branch and abs(params.mu + params.ell - params.rho) < 1e-9:
@@ -223,58 +259,22 @@ def slfi_check(
             "mu + ell - rho is numerically zero: the generic branch is ill-conditioned,"
             " use the derivative branch (set ell = rho - mu exactly)"
         )
-    dx_max = max((dx for _, dx, _ in spec.atoms), default=0.0)
-    nodes = _u_grid(params.mu, u_nodes, dx_max)
-    f = np.zeros(nodes.size)
-    fse = np.zeros(nodes.size)
-    monitors: dict[str, int] = {}
-    for k, u in enumerate(nodes):
-        if u == 0.0:
-            # exact small-level limit: with d_y > 0 the path creeps over 0+
-            # immediately, so every passage variable vanishes and f -> 1
-            f[k] = 1.0 if spec.d_y > 0 else math.nan
-            continue
-        batch = sample_biv_passages(spec, float(u), n_per_node, policy.substream(f"u{k}"), workers)
-        x, yv, s, t = batch.quadruple()
-        vals = np.zeros(batch.n)
-        vals[batch.resolved] = np.exp(
-            -params.rho * x - params.ell * yv - params.nu * t - params.theta * s
-        )
-        f[k] = float(vals.mean())
-        fse[k] = float(vals.std(ddof=1) / math.sqrt(batch.n))
-        merge_monitors(monitors, batch.monitors)
-    if math.isnan(f[0]):
-        f[0] = f[1]  # d_y = 0: no creeping limit; covered by the quad estimate
-    # In the derivative branch the stated integrand has no e^{-mu u} factor,
-    # but expanding Y_T - Y_{T-} shows it equals e^{-mu u} times the generic
-    # integrand with ell = rho - mu, so one quadrature serves both branches.
-    weight = np.exp(-params.mu * nodes)
-    integrand = weight * f
-    w = _trap_weights(nodes)
-    lhs = float(np.sum(w * integrand))
-    lhs_se = float(np.sqrt(np.sum((w * weight * fse) ** 2)))
-    coarse = float(np.sum(_trap_weights(nodes[::2]) * integrand[::2]))
-    quad_bias = abs(lhs - coarse) / 3.0
-    # tail of the u-integral: Y_{T-} > u - dx_max forces exponential decay
-    tail_bound = math.exp(-params.mu * (nodes[-1] - dx_max)) / max(params.mu, 1e-2)
-
+    est = _path_estimate(lambda m, rng: _slfi_chunk(spec, params, m, rng), n, policy, workers)
     rhs = slfi_rhs_closed_form(spec, params)
-    dist, budget = verdict([(abs(lhs - rhs), lhs_se, SLFI_REL_TOL * abs(rhs), quad_bias,
-                             tail_bound)])
+    dist, budget = verdict([(abs(est.value - rhs), est.se, SLFI_REL_TOL * abs(rhs),
+                             est.bias_bound)])
     return CheckReport(
         check="slfi" + ("-deriv" if params.derivative_branch else ""),
         fixture=fixture,
         params={"mu": params.mu, "rho": params.rho, "ell": params.ell,
-                "nu": params.nu, "theta": params.theta, "n_per_node": n_per_node},
-        lhs=lhs,
+                "nu": params.nu, "theta": params.theta, "n": n},
+        lhs=est.value,
         rhs=rhs,
-        se_lhs=lhs_se,
-        se_rhs=0.0,
+        se_lhs=est.se,
         distance=dist,
         budget=budget,
-        n_paths=n_per_node * (nodes.size - 1),
-        details=[{"quad_bias": quad_bias, "tail_bound": tail_bound, "u_max": nodes[-1]}],
-        monitors=monitors,
+        n_paths=n,
+        details=[{"trunc_bias": est.bias_bound}],
     )
 
 

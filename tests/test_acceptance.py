@@ -196,8 +196,7 @@ def test_a08_transform_identity_subordinator():
         ("second-factorization", ll.TransformParams(1.0, 2.0, 0.0, 1.0, 1.0)),
         ("derivative", ll.TransformParams(1.0, 2.0, 1.0, 0.5, 0.5)),
     ):
-        rep = ll.slfi_check(ll.B1, params, n, POL.substream(f"a8:{tag}"), u_nodes=40,
-                            fixture="B1")
+        rep = ll.slfi_check(ll.B1, params, n, POL.substream(f"a8:{tag}"), fixture="B1")
         rel = abs(rep.lhs - rep.rhs) / abs(rep.rhs)
         rel_budget = 0.02 + 3 * rep.se_lhs / abs(rep.rhs)
         ok &= rep.passed and rel <= rel_budget

@@ -58,6 +58,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="derivative branch"):
             runner.ExperimentConfig(raw)
 
+    @pytest.mark.parametrize("fixture, over, why", [
+        ("B1", {"mu": 0.0}, "mu must be positive"),
+        ("B1", {"mu": -1.0}, "mu must be positive"),
+        ("B1", {"rho": -1.0}, "rho must be nonnegative"),
+        ("B1", {"ell": -0.5}, "ell must be nonnegative"),
+        ("B1", {"nu": -1.0}, "nu must be nonnegative"),
+        ("B1", {"theta": -1.0}, "theta must be nonnegative"),
+        ("FLAT", {}, "never moves"),
+    ])
+    def test_inadmissible_slfi_parameters_are_config_errors(self, tmp_path, capsys, fixture,
+                                                           over, why):
+        # Y never moves and nothing kills: d_y = 0, q = 0, one Z-only atom
+        flat = {"kind": "bivariate", "d_z": 1.0, "d_y": 0.0, "q": 0.0, "atoms": [[1.0, 0.0, 0.5]]}
+        entry = {"name": "slfi", "fixture": fixture, "mu": 1.0, "rho": 2.0, "ell": 0.0,
+                 "nu": 1.0, "theta": 1.0, **over}
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(_cfg(fixtures={"FLAT": flat}, checks=[entry])))
+        assert runner.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "checks[0]: inadmissible transform parameters" in err and why in err
+        assert not (tmp_path / "o").exists()
+
     def test_inline_fixture(self):
         raw = _cfg(fixtures={
             "X": {"kind": "levy", "drift": 1.0, "rate": 1.0,
@@ -113,6 +135,7 @@ class TestCheckTable:
         ({"name": "V-grid", "fixture": "P1", "t": [0.5], "u": [0.5], "route": "bogus"}, "route"),
         ({"name": "V-grid", "fixture": "B1", "t": [0.5], "u": [0.5], "route": "min"}, "route"),
         ({"name": "quadruple", "fixture": "B1", "u": 1.5, "delta": 0.015}, "delta"),
+        ({"name": "slfi", "fixture": "B1", "u_nodes": 40}, "u_nodes"),
     ])
     def test_removed_keys_are_config_errors(self, tmp_path, capsys, entry, key):
         cfg_path = tmp_path / "bad.json"

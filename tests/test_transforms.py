@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import pytest
 
 from levyladder.fixtures import B1, P2, P3, S1
 from levyladder.processes import BivariateSubordinatorSpec, kappa_biv
+from levyladder.results import verdict
 from levyladder.rng import RngPolicy
 from levyladder import transforms as tr
 
@@ -47,6 +49,24 @@ class TestParams:
         with pytest.raises(ValueError):
             tr.TransformParams(0.0, 2.0, 0.0, 0.0, 1.0).validate_for(spec)
 
+    @pytest.mark.parametrize("params, why", [
+        (tr.TransformParams(0.0, 2.0, 0.0, 1.0, 1.0), "mu must be positive"),
+        (tr.TransformParams(-1.0, 2.0, 0.0, 1.0, 1.0), "mu must be positive"),
+        (tr.TransformParams(1.0, -1.0, 0.0, 1.0, 1.0), "rho must be nonnegative"),
+        (tr.TransformParams(1.0, 2.0, -0.5, 1.0, 1.0), "ell must be nonnegative"),
+        (tr.TransformParams(1.0, 2.0, 0.0, -1.0, 1.0), "nu must be nonnegative"),
+        (tr.TransformParams(1.0, 2.0, 0.0, 1.0, -1.0), "theta must be nonnegative"),
+    ])
+    def test_refuses_parameters_the_tail_bound_cannot_cover(self, params, why):
+        with pytest.raises(ValueError, match=why):
+            tr.slfi_check(B1, params, 100, POL.substream("neg"))
+
+    def test_refuses_unkilled_paths_whose_y_never_moves(self):
+        spec = BivariateSubordinatorSpec(d_z=1.0, d_y=0.0, q=0.0, atoms=((1.0, 0.0, 0.5),))
+        with pytest.raises(ValueError, match="never moves"):
+            tr.slfi_check(spec, tr.TransformParams(1.0, 2.0, 0.0, 1.0, 1.0), 100,
+                          POL.substream("flat"))
+
     def test_generic_branch_refused_near_degeneracy(self):
         p = tr.TransformParams(1.0, 2.0, 1.0 + 1e-10, 1.0, 1.0)
         assert not p.derivative_branch
@@ -81,6 +101,60 @@ class TestSlfiRhs:
         assert tr.slfi_rhs_closed_form(spec, p) == pytest.approx(1.0 / (0.3 + 0.5 + 1.0))
         rep = tr.slfi_check(spec, p, 1500, POL.substream("pds"))
         assert rep.passed
+
+
+GENERIC = tr.TransformParams(1.0, 2.0, 0.0, 1.0, 1.0)
+DERIV = tr.TransformParams(1.0, 2.0, 1.0, 0.5, 0.5)
+
+
+class TestSlfiExactLevels:
+    def test_pure_drift_is_exact(self):
+        spec = BivariateSubordinatorSpec(d_z=0.5, d_y=1.0, q=0.3)
+        rep = tr.slfi_check(spec, GENERIC, 1000, POL.substream("pure"))
+        assert rep.lhs == pytest.approx(1.0 / (0.3 + 0.5 * 1.0 + 1.0 * 1.0), rel=1e-15)
+        assert rep.se_lhs == 0.0 and rep.details[0]["trunc_bias"] == 0.0
+
+    @pytest.mark.parametrize("spec", [
+        BivariateSubordinatorSpec(d_z=0.5, d_y=0.0, q=0.2, atoms=B1.atoms),
+        BivariateSubordinatorSpec(d_z=0.5, d_y=1.0, q=0.0, atoms=B1.atoms),
+        BivariateSubordinatorSpec(d_z=0.5, d_y=1.0, q=0.2, atoms=((1.0, 1.0, 0.5),)),
+    ], ids=["d_y=0", "q=0", "one-atom"])
+    @pytest.mark.parametrize("params", [GENERIC, DERIV], ids=["generic", "deriv"])
+    def test_unbiased_within_se_without_slack(self, spec, params):
+        rep = tr.slfi_check(spec, params, 50000, POL.substream("specs"))
+        dist, budget = verdict([(abs(rep.lhs - rep.rhs), rep.se_lhs,
+                                 rep.details[0]["trunc_bias"])])
+        assert dist <= budget
+
+    def test_derivative_branch_is_the_limit_of_the_generic_jump_term(self):
+        near = dataclasses.replace(DERIV, ell=DERIV.ell + 1e-9)
+        assert not near.derivative_branch
+        deriv = tr.slfi_check(B1, DERIV, 20000, POL.substream("lim"))
+        generic = tr.slfi_check(B1, near, 20000, POL.substream("lim"))
+        assert generic.lhs == pytest.approx(deriv.lhs, rel=1e-6)
+
+    @pytest.mark.parametrize("params", [GENERIC, DERIV], ids=["generic", "deriv"])
+    def test_trunc_bias_covers_an_early_stop(self, monkeypatch, params):
+        full = tr.slfi_check(B1, params, 20000, POL.substream("tol"))
+        monkeypatch.setattr(tr, "LT_WEIGHT_TOL", 1e-3)
+        cut = tr.slfi_check(B1, params, 20000, POL.substream("tol"))
+        assert cut.details[0]["trunc_bias"] >= abs(cut.lhs - full.lhs)
+        assert full.details[0]["trunc_bias"] < 1e-14
+
+    def test_fault_without_creep_term_fails(self, monkeypatch):
+        walk = tr.walk
+
+        def no_creep(active, rate, rng, draw, before, after):
+            walk(active, rate, rng, draw, lambda alive, g: None, after)
+
+        monkeypatch.setattr(tr, "walk", no_creep)
+        assert not tr.slfi_check(B1, GENERIC, 100_000, POL.substream("f1")).passed
+
+    def test_fault_without_killing_factor_fails(self, monkeypatch):
+        chunk = tr._slfi_chunk
+        monkeypatch.setattr(tr, "_slfi_chunk", lambda spec, p, m, rng: chunk(
+            dataclasses.replace(spec, q=0.0), p, m, rng))
+        assert not tr.slfi_check(B1, GENERIC, 100_000, POL.substream("f2")).passed
 
 
 class TestSlfiChecks:
