@@ -33,15 +33,11 @@ from .rw_ladder import (
     vhat_exact,
 )
 from .passage import (
-    AlphaBatch,
     LadderJumpBatch,
     PassageBatch,
-    PassageRecord,
     SubPassageBatch,
-    SubPassageRecord,
     estimate_p,
     kappa_from_ladder,
-    sample_alpha,
     sample_biv_passages,
     sample_ladder_jumps,
     sample_passages,

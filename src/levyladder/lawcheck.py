@@ -28,9 +28,7 @@ from .results import CheckReport, row_budgets, verdict
 from .rng import RngPolicy
 from .passage import (
     K_CAP_TAIL,
-    AlphaBatch,
     PassageBatch,
-    sample_alpha,
     sample_biv_passages,
     sample_ladder_jumps,
     sample_passages,
@@ -54,6 +52,15 @@ QUINTUPLE_LATTICE_TV = 0.02
 QUINTUPLE_CREEPING_TV = 0.03
 QUADRUPLE_TV = 0.02
 ALPHA_SUP_CDF = 0.01
+
+# Reporting grids.  Time bins of the lattice and creeping quintuple routes
+# (both axes s and t), of the quadruple law (t) and of the amicale ladder
+# measure (s); the alpha experiment's lattice truncation (v, x) in steps.
+QUINTUPLE_LATTICE_EDGES = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 128.0, math.inf)
+QUINTUPLE_CREEPING_EDGES = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, math.inf)
+QUADRUPLE_T_EDGES = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, math.inf)
+AMICALE_S_EDGES = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
+ALPHA_V_MAX, ALPHA_X_MAX = 5, 4
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +254,6 @@ def check_quintuple(
     policy: RngPolicy,
     workers: int = 1,
     cap: float = 30000.0,
-    t_edges: Sequence[float] | None = None,
-    s_edges: Sequence[float] | None = None,
     mesh: float = 0.1,
     delta: float = 0.005,
     fixture: str = "",
@@ -264,20 +269,13 @@ def check_quintuple(
     difference-quotient bias estimate.
     """
     if spec.is_compound_poisson:
-        return _check_quintuple_lattice(spec, u, n, policy, workers, cap, t_edges, s_edges,
-                                        fixture)
-    return _check_quintuple_creeping(spec, u, n, policy, workers, t_edges, s_edges, mesh,
-                                     delta, fixture)
+        return _check_quintuple_lattice(spec, u, n, policy, workers, cap, fixture)
+    return _check_quintuple_creeping(spec, u, n, policy, workers, mesh, delta, fixture)
 
 
-def _default_edges(hi: float) -> tuple[float, ...]:
-    return (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, hi, math.inf)
-
-
-def _check_quintuple_lattice(spec, u, n, policy, workers, cap, t_edges, s_edges, fixture):
-    t_edges = tuple(t_edges) if t_edges else _default_edges(128.0)
-    s_edges = tuple(s_edges) if s_edges else _default_edges(128.0)
-    rhs, axes = quintuple_rhs_lattice(spec, u, t_edges, s_edges)
+def _check_quintuple_lattice(spec, u, n, policy, workers, cap, fixture):
+    edges = QUINTUPLE_LATTICE_EDGES
+    rhs, axes = quintuple_rhs_lattice(spec, u, edges, edges)
     batch = sample_passages(spec, u, cap, n, policy.substream("emp"), workers)
     if bool(batch.creep.any()):
         raise RuntimeError("compound Poisson fixture produced a creeping record")
@@ -320,16 +318,14 @@ def _compose_jump_part(shape, v_mass, vh_mass, pi, jy, jv):
     return out
 
 
-def _check_quintuple_creeping(spec, u, n, policy, workers, t_edges, s_edges, mesh,
-                              delta, fixture):
+def _check_quintuple_creeping(spec, u, n, policy, workers, mesh, delta, fixture):
     if not (spec.drift > 0):
         raise ValueError("creeping quintuple route requires positive drift")
     law = spec.jumps
     if not (isinstance(law, DiscreteAtoms) and all(v == round(v) for v in law.values)):
         raise NotImplementedError("MC quintuple composition implemented for lattice jump laws")
     xi = [(v, float(p)) for v, p in zip(law.values, [float(q) for q in law.probs]) if v > 0]
-    t_edges = tuple(t_edges) if t_edges else (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, math.inf)
-    s_edges = tuple(s_edges) if s_edges else (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, math.inf)
+    t_edges = s_edges = QUINTUPLE_CREEPING_EDGES
     xim = max(v for v, _ in xi)
     y_edges = _zero_offset_edges(mesh, min(u, xim))
     vh_edges = _zero_offset_edges(mesh, xim)
@@ -439,7 +435,6 @@ def check_amicale(
     n: int,
     policy: RngPolicy,
     workers: int = 1,
-    s_edges: Sequence[float] | None = None,
     mesh: float = 0.1,
     fixture: str = "",
 ) -> CheckReport:
@@ -452,23 +447,23 @@ def check_amicale(
     mass at ``x = 0`` (at least 5 SE above zero) while the composed route
     carries none there.
     """
-    s_edges = tuple(s_edges) if s_edges else (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
+    s_edges = AMICALE_S_EDGES
     lam = spec.rate
     if spec.is_compound_poisson:
         walk = rl.LatticeWalkSpec.from_process(spec)
         h = walk.h
         law = spec.jumps
         assert isinstance(law, DiscreteAtoms)
-        alpha = sample_alpha(spec, n, policy.substream("lhs"), time_cap=float(s_edges[-1]) + 1.0,
-                             workers=workers)
+        lad = sample_ladder_jumps(spec, n, policy.substream("lhs"), cap=s_edges[-1] + 1.0,
+                                  workers=workers)
         xim = int(round(max(abs(v) for v in law.values) / h))
         x_atoms = tuple(j * h for j in range(0, xim + 1))
         axes = (Axis("s", "bins", s_edges), Axis("x", "atoms", x_atoms))
-        ok = ~alpha.censored
-        emp = DiscreteMeasureND.from_points(axes, [alpha.s[ok], alpha.x[ok]], alpha.n, weight=lam)
+        ok = ~lad.censored
+        emp = DiscreteMeasureND.from_points(axes, [lad.ds[ok], lad.dx[ok]], lad.n, weight=lam)
         # binomial SE per cell; each cell holds mass * n / lam records
-        p = np.rint(emp.mass * (alpha.n / lam)) / alpha.n
-        se = np.sqrt(np.maximum(p * (1 - p), 0.0) / alpha.n) * lam
+        p = np.rint(emp.mass * (lad.n / lam)) / lad.n
+        se = np.sqrt(np.maximum(p * (1 - p), 0.0) / lad.n) * lam
         # (Vhat * Pi)(ds, {x}) = sum_vhat Vhat(ds, {vhat}) Pi({x + vhat})
         vhm, _ = rl.erlang_mixture(walk, s_edges, "strict-descending", xim)
         pi = np.array([[spec.levy_atom((xl + vhat) * h) if xl + vhat <= xim else 0.0
@@ -484,14 +479,14 @@ def check_amicale(
             rhs=float(rhs[:, 0].sum()),
             distance=dist,
             budget=budget,
-            n_paths=alpha.n,
-            censored_mass=alpha.censored_mass,
+            n_paths=lad.n,
+            censored_mass=lad.censored_mass,
             details=[{"x0_lhs": float(emp.mass[:, 0].sum()), "x0_rhs": float(rhs[:, 0].sum())}],
         )
 
     if not (spec.drift > 0):
         raise ValueError("amicale check requires compound Poisson or creeping fixtures")
-    lad = sample_ladder_jumps(spec, n, policy.substream("lhs"), cap=float(s_edges[-1]) * 10,
+    lad = sample_ladder_jumps(spec, n, policy.substream("lhs"), cap=s_edges[-1] * 10,
                               workers=workers)
     res = ~lad.censored
     zero_fibre = res & (lad.dx == 0.0)
@@ -580,7 +575,6 @@ def check_quadruple(
     policy: RngPolicy,
     workers: int = 1,
     mesh: float = 0.05,
-    t_edges: Sequence[float] | None = None,
     fixture: str = "",
 ) -> CheckReport:
     """Quadruple law at level ``u``: empirical (overshoot, undershoot,
@@ -590,11 +584,9 @@ def check_quadruple(
     The right side is exact: box masses are 2-D differences of
     :func:`exact_V` on the grid corners (t-edge, ``u`` - y-edge), and the
     creeping atom of each t bin is a difference of its creeping term.  The
-    first t bin is closed at its left edge, which must be 0.
+    first t bin is closed at its left edge, 0.
     """
-    t_edges = tuple(t_edges) if t_edges else (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, math.inf)
-    if t_edges[0] != 0.0:
-        raise ValueError("the first t edge must be 0")
+    t_edges = QUADRUPLE_T_EDGES
     dx_vals = sorted({dx for _, dx, _ in spec.atoms if dx > 0})
     if not dx_vals and spec.d_y == 0:
         raise ValueError("Y never crosses: no quadruple law to check")
@@ -738,13 +730,15 @@ def check_alpha_embedding(
     policy: RngPolicy,
     workers: int = 1,
     s_grid: Sequence[float] | None = None,
-    v_max: int = 5,
-    x_max: int = 4,
     fixture: str = "",
 ) -> CheckReport:
     """Sup-CDF distance between the empirical law of
     ``(-X_{alpha-}, X_alpha, alpha - sigma_1)`` and the exact composition
-    ``Vhat(ds, dv) F(dx + v)`` on the truncated lattice support."""
+    ``Vhat(ds, dv) F(dx + v)`` on the truncated lattice support.
+
+    The triple is ``(v, dx, ds)`` of the zero-drift ladder excursion, so the
+    left side comes from :func:`sample_ladder_jumps` censored at the last
+    ``s`` of the grid."""
     if not spec.is_compound_poisson:
         raise ValueError("the alpha embedding check needs a compound Poisson fixture")
     walk = rl.LatticeWalkSpec.from_process(spec)
@@ -752,8 +746,9 @@ def check_alpha_embedding(
     law = spec.jumps
     assert isinstance(law, DiscreteAtoms)
     s_grid = tuple(s_grid) if s_grid else tuple(np.arange(0.5, 12.5, 0.5))
-    batch = sample_alpha(spec, n, policy.substream("alpha"), time_cap=float(s_grid[-1]),
-                         workers=workers)
+    v_max, x_max = ALPHA_V_MAX, ALPHA_X_MAX
+    batch = sample_ladder_jumps(spec, n, policy.substream("alpha"), cap=float(s_grid[-1]),
+                                workers=workers)
     ok = ~batch.censored
 
     # exact CDF G(s, v, x) = sum_{w <= v} Vhat([0, s], {w h}) F[w, x], where
@@ -768,9 +763,9 @@ def check_alpha_embedding(
 
     # empirical CDF on the grid via a 3-D histogram and cumulative sums
     s_arr = np.asarray(s_grid)
-    si = np.searchsorted(s_arr, batch.s[ok], side="left")
+    si = np.searchsorted(s_arr, batch.ds[ok], side="left")
     vi = np.minimum(np.round(batch.v[ok] / h).astype(int), v_max + 1)
-    xi = np.minimum(np.round(batch.x[ok] / h).astype(int), x_max + 1)
+    xi = np.minimum(np.round(batch.dx[ok] / h).astype(int), x_max + 1)
     hist = np.zeros((s_arr.size + 1, v_max + 2, x_max + 2))
     np.add.at(hist, (si, vi, xi), 1.0)
     cdf = hist.cumsum(axis=0).cumsum(axis=1).cumsum(axis=2) / batch.n

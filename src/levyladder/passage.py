@@ -36,6 +36,13 @@ where ``k_cap`` is the first index whose Poisson tail bound puts
 ``P(sigma_{k_cap} <= cap)`` at or below ``K_CAP_TAIL``, which thus bounds
 the passage mass this censors.
 
+The ladder-jump engine samples one jump of the ladder process ``(L^{-1},
+H)``: the excursion below the running maximum that one jump starts, up to
+its weak return (by creeping or by a jump).  It also records the
+undershoot of the returning jump, so for a zero-drift compound Poisson
+fixture it is the appendix's alpha experiment: ``(-X_{alpha-}, X_alpha,
+alpha - sigma_1)`` is ``(v, dx, ds)`` of that excursion.
+
 Monitors accumulated by the engines:
 
 * ``creep_with_undershoot`` -- a creeping passage with ``X_{tau-} < u``
@@ -57,25 +64,22 @@ import numpy as np
 
 from .processes import BivariateSubordinatorSpec, ProcessSpec, walk
 from .results import (
-    CheckReport, EstimateWithError, binomial_estimate, concatenate, merge_monitors, write_csv,
+    CheckReport, EstimateWithError, binomial_estimate, concatenate, merge_monitors,
 )
 from .rng import RngPolicy, chunked_map
 from . import rw_ladder as rl
 
 __all__ = [
-    "PassageRecord",
     "PassageBatch",
     "sample_passages",
     "estimate_p",
-    "SubPassageRecord",
     "SubPassageBatch",
     "sample_biv_passages",
     "LadderJumpBatch",
     "sample_ladder_jumps",
     "kappa_from_ladder",
     "kappa_diff_from_ladder",
-    "AlphaBatch",
-    "sample_alpha",
+    "kappa_deriv_from_ladder",
 ]
 
 # Jumps drawn per block step of the zero-drift walk, summed over the active
@@ -92,56 +96,6 @@ K_CAP_TAIL = 1e-15
 # ---------------------------------------------------------------------------
 # First passage of a Levy fixture
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PassageRecord:
-    """First-passage data of one path over level ``u``.
-
-    ``tau`` is ``inf`` (with ``censored=True``) when the horizon cap was hit
-    first.  The five passage variables are exposed as properties:
-    overshoot ``x``, undershoot ``v``, undershoot of the last maximum ``y``,
-    time since the last maximum ``s`` and time of the last maximum ``t``.
-    """
-
-    u: float
-    tau: float
-    x_at: float
-    x_before: float
-    max_before: float
-    g_before: float
-    creep: bool
-    censored: bool = False
-
-    def __post_init__(self) -> None:
-        if self.censored:
-            return
-        if not (self.x_before <= self.max_before <= self.u):
-            raise ValueError("record violates X_before <= max_before <= u")
-        if self.g_before > self.tau:
-            raise ValueError("record violates G_before <= tau")
-        if self.creep and self.x_at != self.u:
-            raise ValueError("creeping record must have X_at == u")
-
-    @property
-    def x(self) -> float:
-        return self.x_at - self.u
-
-    @property
-    def v(self) -> float:
-        return self.u - self.x_before
-
-    @property
-    def y(self) -> float:
-        return self.u - self.max_before
-
-    @property
-    def s(self) -> float:
-        return self.tau - self.g_before
-
-    @property
-    def t(self) -> float:
-        return self.g_before
 
 
 @dataclass
@@ -181,18 +135,6 @@ class PassageBatch:
         t = self.g_before[r]
         return x, v, y, s, t
 
-    def record(self, i: int) -> PassageRecord:
-        return PassageRecord(
-            self.u,
-            float(self.tau[i]),
-            float(self.x_at[i]),
-            float(self.x_before[i]),
-            float(self.max_before[i]),
-            float(self.g_before[i]),
-            bool(self.creep[i]),
-            bool(self.censored[i]),
-        )
-
     def validate(self) -> None:
         """Structural invariants that hold for every resolved record."""
         r = self.resolved
@@ -211,18 +153,6 @@ class PassageBatch:
         )
         if bad.any():
             raise RuntimeError("passage batch violates quintuple support constraints")
-
-    def to_csv(self, path: str) -> None:
-        x = self.x_at - self.u
-        v = self.u - self.x_before
-        y = self.u - self.max_before
-        s = self.tau - self.g_before
-        t = self.g_before
-        rows = zip(
-            [self.u] * self.n, self.tau, x, v, y, s, t,
-            self.creep.astype(int), self.censored.astype(int),
-        )
-        write_csv(path, ["u", "tau", "x", "v", "y", "s", "t", "creep", "censored"], rows)
 
 
 def _unresolved(u: float, cap: float, n: int) -> PassageBatch:
@@ -472,24 +402,6 @@ def check_p_estimate(spec: ProcessSpec, t: float, u: float | Sequence[float], n:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubPassageRecord:
-    """Passage data of one killed bivariate subordinator path over ``u``."""
-
-    u: float
-    T: float
-    z_before: float
-    dz: float
-    y_before: float
-    y_at: float
-    killed: bool
-    censored: bool = False
-
-    @property
-    def creep(self) -> bool:
-        return (not self.killed) and (not self.censored) and self.y_at == self.u
-
-
 @dataclass
 class SubPassageBatch:
     u: float
@@ -526,18 +438,6 @@ class SubPassageBatch:
             self.u - self.y_before[r],
             self.dz[r],
             self.z_before[r],
-        )
-
-    def record(self, i: int) -> SubPassageRecord:
-        return SubPassageRecord(
-            self.u,
-            float(self.T[i]),
-            float(self.z_before[i]),
-            float(self.dz[i]),
-            float(self.y_before[i]),
-            float(self.y_at[i]),
-            bool(self.killed[i]),
-            bool(self.censored[i]),
         )
 
     def validate(self) -> None:
@@ -640,13 +540,23 @@ def sample_biv_passages(
 
 @dataclass
 class LadderJumpBatch:
-    """Samples of one jump of the bivariate ladder process, i.e. draws from
-    ``Pi_{L^{-1}, H} / rate``.  Censored entries are excursions that had not
-    returned to the pre-jump maximum within the cap; their time component is
-    recorded as ``inf``."""
+    """Samples of one jump ``(ds, dx)`` of the bivariate ladder process, i.e.
+    draws from ``Pi_{L^{-1}, H} / rate``, with the undershoot ``v`` of the
+    jump that ends the excursion (0 when the excursion ends by creeping or
+    when its first jump already reaches the maximum).
+
+    For a zero-drift compound Poisson fixture ``(v, dx, ds)`` is the triple
+    ``(-X_{alpha-}, X_alpha, alpha - sigma_1)`` of the appendix embedding,
+    ``alpha`` being the first return of the path to ``[0, inf)`` after its
+    first jump.  Censored entries are excursions that have not returned by
+    the first jump after time ``cap``, so they last longer than ``cap``:
+    ``ds = inf`` and ``dx = v = nan``.  A resolved return by a jump has
+    ``ds <= cap``; one by creeping may end after ``cap``, before that jump.
+    """
 
     ds: np.ndarray
     dx: np.ndarray
+    v: np.ndarray
     censored: np.ndarray
     cap: float
 
@@ -668,45 +578,75 @@ def _ladder_chunk(spec: ProcessSpec, n: int, rng, cap: float) -> LadderJumpBatch
         raise ValueError("a pure-drift process has no ladder jumps")
     ds = np.zeros(n)
     dx = np.zeros(n)
+    v = np.zeros(n)
     censored = np.zeros(n, dtype=bool)
 
     w = spec.sample_jumps(rng, n)  # position relative to the pre-jump maximum
-    pos = w > 0
-    dx[pos] = w[pos]  # jump up at the maximum: (0, Y)
-    r = np.zeros(n)  # excursion time so far
+    up = w >= 0
+    dx[up] = w[up]  # the first jump reaches the maximum: (0, Y)
+    r = np.zeros(n)  # excursion time up to the next jump
 
     def before(active, g):
-        t_hit = -w[active] / c if c > 0 else np.full(active.size, np.inf)
-        back = t_hit <= g  # weak return: creeping to the maximum ends it
-        fin = active[back]
-        ds[fin] = r[fin] + t_hit[back]
-        dx[fin] = 0.0
-        return ~back
-
-    def after(active, g, y):
-        w_land = w[active] + c * g + y
-        back = w_land >= 0.0  # weak return; overshoot w_land may be 0
-        fin = active[back]
-        ds[fin] = r[fin] + g[back]
-        dx[fin] = w_land[back]
-        w[active] = w_land
-        r[active] += g
-        over = ~back & (r[active] > cap)
-        fin = active[over]
-        censored[fin] = True
-        ds[fin] = np.inf
-        dx[fin] = np.nan
+        r0 = r[active]
+        r1 = r0 + g
+        r[active] = r1
+        over = r1 > cap  # censored before the jump past the cap
+        if c == 0:
+            censored[active[over]] = True
+            return ~over
+        t_hit = -w[active] / c
+        back = t_hit <= g  # weak return: the drift reaches the maximum first
+        ds[active[back]] = r0[back] + t_hit[back]
+        over &= ~back
+        censored[active[over]] = True
         return ~(back | over)
 
-    walk(np.flatnonzero(~pos), lam, rng, spec.sample_jumps, before, after)
-    return LadderJumpBatch(ds, dx, censored, cap)
+    def after(active, g, y):
+        w_pre = w[active] + c * g if c > 0 else w[active]
+        w_land = w_pre + y
+        back = w_land >= 0.0  # weak return; the overshoot may be 0
+        fin = active[back]
+        ds[fin] = r[fin]
+        dx[fin] = w_land[back]
+        v[fin] = -w_pre[back]
+        w[active] = w_land
+        return ~back
+
+    walk(np.flatnonzero(~up), lam, rng, spec.sample_jumps, before, after)
+    ds[censored] = np.inf
+    dx[censored] = v[censored] = np.nan
+    return LadderJumpBatch(ds, dx, v, censored, cap)
 
 
 def sample_ladder_jumps(
     spec: ProcessSpec, n: int, policy: RngPolicy, cap: float = 200.0, workers: int = 1
 ) -> LadderJumpBatch:
+    """Batch of ``n`` excursions below the running maximum, each started by
+    one jump, censored once they outlast ``cap`` (see :class:`LadderJumpBatch`).
+
+    Every gap and jump is drawn, so the engine is exact in law; an
+    excursion of a recurrent or transient walk may never return, and the
+    finite ``cap`` is what ends it.  With zero drift this is the alpha
+    experiment.
+    """
+    if not math.isfinite(cap):
+        raise ValueError(f"cap must be finite (an excursion may never return), got {cap}")
     parts = chunked_map(lambda i, m, rng: _ladder_chunk(spec, m, rng, cap), n, policy, workers)
     return concatenate(parts)
+
+
+def _ladder_mean(spec: ProcessSpec, batch: LadderJumpBatch, vals: np.ndarray, a: float,
+                 offset: float) -> EstimateWithError:
+    """``offset + rate * mean(vals)`` with its SE, ``vals`` holding one value
+    per sampled jump, censored ones included.  A censored excursion lasts
+    longer than the cap, so its weight ``e^{-a dL}`` is below ``e^{-a cap}``:
+    ``bias_bound`` is ``rate * censored_mass * e^{-a cap}`` when ``a > 0``
+    and ``rate * censored_mass`` otherwise."""
+    mean = float(vals.mean())
+    se = float(vals.std(ddof=1) / math.sqrt(batch.n)) if batch.n > 1 else 0.0
+    cm = batch.censored_mass
+    bias = spec.rate * cm * (math.exp(-a * batch.cap) if a > 0 else 1.0)
+    return EstimateWithError(offset + spec.rate * mean, spec.rate * se, batch.n, cm, bias)
 
 
 def kappa_from_ladder(
@@ -716,20 +656,12 @@ def kappa_from_ladder(
     ``kappa(a, b) = a + b c + rate * E[1 - e^{-a dL - b dH}]``.
 
     Censored excursions contribute 1 to the expectation (they behave like
-    killing); the induced bias is at most ``rate * censored_mass`` in
-    general and ``rate * censored_mass * e^{-a cap}`` when ``a > 0``, which
-    is reported as ``bias_bound``.
+    killing).
     """
     vals = np.ones(batch.n)
     res = ~batch.censored
     vals[res] = 1.0 - np.exp(-a * batch.ds[res] - b * batch.dx[res])
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(batch.n)) if batch.n > 1 else 0.0
-    cm = batch.censored_mass
-    bias = spec.rate * cm * (math.exp(-a * batch.cap) if a > 0 else 1.0)
-    return EstimateWithError(
-        a + b * spec.drift + spec.rate * mean, spec.rate * se, batch.n, cm, bias
-    )
+    return _ladder_mean(spec, batch, vals, a, a + b * spec.drift)
 
 
 def kappa_diff_from_ladder(
@@ -742,89 +674,15 @@ def kappa_diff_from_ladder(
     res = ~batch.censored
     et = np.exp(-theta * batch.ds[res])
     vals[res] = et * (np.exp(-b2 * batch.dx[res]) - np.exp(-b1 * batch.dx[res]))
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(batch.n)) if batch.n > 1 else 0.0
-    bias = spec.rate * batch.censored_mass * (math.exp(-theta * batch.cap) if theta > 0 else 1.0)
-    return EstimateWithError(
-        (b1 - b2) * spec.drift + spec.rate * mean, spec.rate * se, batch.n, batch.censored_mass, bias
-    )
+    return _ladder_mean(spec, batch, vals, theta, (b1 - b2) * spec.drift)
 
 
-# ---------------------------------------------------------------------------
-# The alpha experiment (appendix embedding) for compound Poisson fixtures
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AlphaBatch:
-    """Samples of ``(-X_{alpha-}, X_alpha, alpha - sigma_1)`` where ``alpha``
-    is the first return of the compound Poisson path to ``[0, inf)`` after
-    its first jump."""
-
-    v: np.ndarray
-    x: np.ndarray
-    s: np.ndarray
-    censored: np.ndarray
-    time_cap: float
-
-    @property
-    def n(self) -> int:
-        return self.v.size
-
-    @property
-    def censored_mass(self) -> float:
-        return float(self.censored.mean()) if self.n else 0.0
-
-
-# Jump steps after which an alpha path still below 0 is censored.
-ALPHA_STEP_CAP = 10_000_000
-
-
-def _alpha_chunk(spec: ProcessSpec, n: int, rng, time_cap: float) -> AlphaBatch:
-    v = np.zeros(n)
-    s = np.zeros(n)
-    censored = np.zeros(n, dtype=bool)
-    x = spec.sample_jumps(rng, n)  # immediate return when the first jump is upward
-    pos = x.copy()
-    t = np.zeros(n)
-    steps = 0
-
-    def before(active, g):
-        nonlocal steps
-        steps += 1
-        t[active] += g
-        over = (t[active] > time_cap) | (steps > ALPHA_STEP_CAP)
-        fin = active[over]
-        censored[fin] = True
-        v[fin] = np.nan
-        x[fin] = np.nan
-        s[fin] = np.inf
-        return ~over
-
-    def after(active, g, y):
-        land = pos[active] + y
-        back = land >= 0.0
-        fin = active[back]
-        v[fin] = -pos[fin]
-        x[fin] = land[back]
-        s[fin] = t[fin]
-        pos[active] = land
-        return ~back
-
-    walk(np.flatnonzero(pos < 0), spec.rate, rng, spec.sample_jumps, before, after)
-    return AlphaBatch(v, x, s, censored, time_cap)
-
-
-def sample_alpha(
-    spec: ProcessSpec,
-    n: int,
-    policy: RngPolicy,
-    time_cap: float = 50.0,
-    workers: int = 1,
-) -> AlphaBatch:
-    if not spec.is_compound_poisson:
-        raise ValueError("the alpha experiment requires a zero-drift compound Poisson fixture")
-    parts = chunked_map(
-        lambda i, m, rng: _alpha_chunk(spec, m, rng, time_cap), n, policy, workers
-    )
-    return concatenate(parts)
+def kappa_deriv_from_ladder(
+    spec: ProcessSpec, batch: LadderJumpBatch, theta: float, rho: float
+) -> EstimateWithError:
+    """Right derivative of kappa in the space argument at ``(theta, rho)``:
+    ``c + rate E[dH e^{-theta dL - rho dH}]`` (censored entries contribute 0)."""
+    vals = np.zeros(batch.n)
+    res = ~batch.censored
+    vals[res] = batch.dx[res] * np.exp(-theta * batch.ds[res] - rho * batch.dx[res])
+    return _ladder_mean(spec, batch, vals, theta, spec.drift)

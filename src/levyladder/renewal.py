@@ -46,9 +46,7 @@ from typing import Any, Sequence, Union
 import numpy as np
 
 from .processes import BivariateSubordinatorSpec, ProcessSpec, walk
-from .results import (
-    CheckReport, EstimateWithError, estimate_from_stats, merge_monitors, verdict, write_csv,
-)
+from .results import CheckReport, EstimateWithError, estimate_from_stats, merge_monitors, verdict
 from .rng import RngPolicy, chunked_map, merge_mean_m2
 from .passage import estimate_p, sample_biv_passages
 from .rw_ladder import poisson_sf
@@ -556,9 +554,6 @@ class RenewalGrid:
             for j, u in enumerate(self.u_values)
         ]
 
-    def to_csv(self, path: str) -> None:
-        write_csv(path, GRID_COLUMNS, [list(row.values()) for row in self.rows()])
-
 
 def estimate_V(
     spec: SamplerSpec,
@@ -648,7 +643,12 @@ def _creep_probability_nodes(
     return p, se, monitors
 
 
-def _segment_nodes(spec: SamplerSpec, t: float, u: float, base_nodes: int) -> list[np.ndarray]:
+# Level nodes of the subpint quadrature over (0, u), spread over its segments
+# by length (at least 3 per segment).
+SUBPINT_BASE_NODES = 12
+
+
+def _segment_nodes(spec: SamplerSpec, t: float, u: float) -> list[np.ndarray]:
     """v-integration segments, split at the discontinuity points of p(t, .)
     for lattice fixtures with drift (creep support is a union of intervals)."""
     breaks: list[float] = []
@@ -676,7 +676,7 @@ def _segment_nodes(spec: SamplerSpec, t: float, u: float, base_nodes: int) -> li
     pts = sorted(set([0.0, u] + [b for b in breaks if 0 < b < u]))
     segments = []
     for seg_idx, (a, b) in enumerate(zip(pts[:-1], pts[1:])):
-        m = max(3, int(base_nodes * (b - a) / u) + 1)
+        m = max(3, int(SUBPINT_BASE_NODES * (b - a) / u) + 1)
         nodes = np.linspace(a, b, m)
         if seg_idx > 0:
             # p(t, .) is left continuous; a segment starting at a breakpoint
@@ -718,7 +718,6 @@ def check_subpint(
     n_per_node: int,
     policy: RngPolicy,
     workers: int = 1,
-    base_nodes: int = 12,
     fixture: str = "",
 ) -> CheckReport:
     """Occupation-density identity: ``integral_0^u p(t, v) dv = d_Y V(t, u)``.
@@ -734,7 +733,7 @@ def check_subpint(
         monitors: dict[str, int] = {}
         n_paths = 0
     else:
-        segments = _segment_nodes(spec, t, u, base_nodes)
+        segments = _segment_nodes(spec, t, u)
         lhs = 0.0
         var = 0.0
         quad_bias = 0.0

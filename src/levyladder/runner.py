@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -61,15 +62,18 @@ class Check:
     ``kind`` is the fixture kind it needs (``"Levy"`` or ``"bivariate"``;
     None takes either), ``keys`` the config keys it accepts besides
     ``name``, ``fixture`` and ``n``, ``required`` those of them it cannot run
-    without, and ``run(spec, c, n, policy, workers, fixture)`` computes its
-    report from the check's config ``c``.  An optional key the config leaves
-    out is not passed, so its default is the library's.
+    without, ``positive`` those whose value (each value, for a list) must be
+    a finite number above 0, and ``run(spec, c, n, policy, workers,
+    fixture)`` computes its report from the check's config ``c``.  An
+    optional key the config leaves out is not passed, so its default is the
+    library's.
     """
 
     kind: str | None
     keys: tuple[str, ...]
     run: Callable[..., CheckReport]
     required: tuple[str, ...] = ()
+    positive: tuple[str, ...] = ()
 
 
 def _given(c: Mapping[str, Any], *keys: str, conv: Callable = float) -> dict[str, Any]:
@@ -93,7 +97,7 @@ _TRANSFORM_KEYS = ("mu", "rho", "ell", "nu", "theta")
 # function rebound on its module after import is the one that runs.
 CHECKS: dict[str, Check] = {
     "p-estimate": Check(
-        "Levy", ("t", "u"), required=("t", "u"),
+        "Levy", ("t", "u"), required=("t", "u"), positive=("t", "u"),
         run=lambda spec, c, n, pol, w, fx: passage.check_p_estimate(
             spec, float(c["t"]), c["u"], n, pol, w, fixture=fx)),
     "V-grid": Check(
@@ -101,47 +105,48 @@ CHECKS: dict[str, Check] = {
         run=lambda spec, c, n, pol, w, fx: renewal.check_V_grid(
             spec, c["t"], c["u"], n, pol, w, fixture=fx)),
     "ct1": Check(
-        "Levy", ("t", "u", "delta"), required=("t", "u"),
+        "Levy", ("t", "u", "delta"), required=("t", "u"), positive=("t", "u", "delta"),
         run=lambda spec, c, n, pol, w, fx: renewal.check_ct1(
             spec, float(c["t"]), float(c["u"]), n, pol, w, fixture=fx, **_given(c, "delta"))),
     "subpint": Check(
-        None, ("t", "u"), required=("t", "u"),
+        None, ("t", "u"), required=("t", "u"), positive=("t", "u"),
         run=lambda spec, c, n, pol, w, fx: renewal.check_subpint(
             spec, float(c["t"]), float(c["u"]), n, pol, w, fixture=fx)),
     "quintuple": Check(
         "Levy", ("u", "cap", "mesh", "delta"), required=("u",),
+        positive=("u", "cap", "mesh", "delta"),
         run=lambda spec, c, n, pol, w, fx: lawcheck.check_quintuple(
             spec, float(c["u"]), n, pol, w, fixture=fx, **_given(c, "cap", "mesh", "delta"))),
     "quadruple": Check(
-        "bivariate", ("u", "mesh"), required=("u",),
+        "bivariate", ("u", "mesh"), required=("u",), positive=("u", "mesh"),
         run=lambda spec, c, n, pol, w, fx: lawcheck.check_quadruple(
             spec, float(c["u"]), n, pol, w, fixture=fx, **_given(c, "mesh"))),
     "amicale": Check(
-        "Levy", ("mesh",),
-        lambda spec, c, n, pol, w, fx: lawcheck.check_amicale(
+        "Levy", ("mesh",), positive=("mesh",),
+        run=lambda spec, c, n, pol, w, fx: lawcheck.check_amicale(
             spec, n, pol, w, fixture=fx, **_given(c, "mesh"))),
     "slfi": Check(
         "bivariate", _TRANSFORM_KEYS,
         lambda spec, c, n, pol, w, fx: transforms.slfi_check(
             spec, _params_from(c), n, pol, w, fixture=fx)),
     "slfi-fluct": Check(
-        "Levy", _TRANSFORM_KEYS + ("u_nodes", "cap"),
-        lambda spec, c, n, pol, w, fx: transforms.slfi_fluct_check(
+        "Levy", _TRANSFORM_KEYS + ("u_nodes", "cap"), positive=("u_nodes", "cap"),
+        run=lambda spec, c, n, pol, w, fx: transforms.slfi_fluct_check(
             spec, _params_from(c), n, pol, w, fixture=fx, **_given(c, "u_nodes", conv=int),
             **_given(c, "cap"))),
     "wiener-hopf": Check(
-        "Levy", ("a",),
-        lambda spec, c, n, pol, w, fx: transforms.wiener_hopf_check(
+        "Levy", ("a",), positive=("a",),
+        run=lambda spec, c, n, pol, w, fx: transforms.wiener_hopf_check(
             spec, tuple(float(a) for a in np.atleast_1d(c.get("a", [0.5, 1.0, 2.0]))), n,
             pol, w, fixture=fx)),
     "resolvent": Check(
-        "Levy", ("q", "u", "delta"), required=("u",),
+        "Levy", ("q", "u", "delta"), required=("u",), positive=("q", "u", "delta"),
         run=lambda spec, c, n, pol, w, fx: transforms.check_resolvent_creep(
             spec, float(c.get("q", 1.0)), float(c["u"]), n, pol, w, delta=c.get("delta"),
             fixture=fx)),
     "alpha": Check(
-        "Levy", ("s_max",),
-        lambda spec, c, n, pol, w, fx: lawcheck.check_alpha_embedding(
+        "Levy", ("s_max",), positive=("s_max",),
+        run=lambda spec, c, n, pol, w, fx: lawcheck.check_alpha_embedding(
             spec, n, pol, w, fixture=fx,
             s_grid=tuple(np.arange(0.5, float(c["s_max"]) + 0.25, 0.5)) if "s_max" in c
             else None)),
@@ -158,6 +163,14 @@ def _integer(value: Any, where: str, least: int | None = None) -> int:
         bound = "" if least is None else f" >= {least}"
         raise ConfigError(f"{where}: must be an integer{bound}, got {value!r}")
     return out
+
+
+def _is_positive(value: Any) -> bool:
+    """Whether ``value`` is a finite number above 0."""
+    try:
+        return math.isfinite(float(value)) and float(value) > 0
+    except (TypeError, ValueError):
+        return False
 
 
 class ExperimentConfig:
@@ -210,6 +223,9 @@ class ExperimentConfig:
         for key, value in c.items():
             if isinstance(value, list) and not value:
                 raise ConfigError(f"{where}.{key}: empty list, {name} needs at least one value")
+        for key in check.positive:
+            if key in c and not all(_is_positive(v) for v in np.atleast_1d(c[key])):
+                raise ConfigError(f"{where}.{key}: must be finite and > 0, got {c[key]!r}")
         if name in ("slfi", "slfi-fluct"):
             p = _params_from(c)
             if not p.derivative_branch and abs(p.mu + p.ell - p.rho) < 1e-9:
@@ -217,11 +233,13 @@ class ExperimentConfig:
                     f"{where}: mu + ell - rho is numerically zero; use the derivative branch"
                     " (set ell = rho - mu exactly)"
                 )
-            if is_biv:
-                try:
+            try:
+                if is_biv:
                     p.validate_for(spec)
-                except ValueError as exc:
-                    raise ConfigError(f"{where}: inadmissible transform parameters: {exc}") from None
+                else:
+                    p.validate()
+            except ValueError as exc:
+                raise ConfigError(f"{where}: inadmissible transform parameters: {exc}") from None
         return dict(c)
 
 

@@ -51,7 +51,6 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .processes import DiscreteAtoms, ProcessSpec
-from .results import write_csv
 
 __all__ = [
     "LatticeWalkSpec",
@@ -197,15 +196,6 @@ class LadderRenewalTable:
 
     def uhat(self, k: int, x: float) -> float:
         return self._cum(self.uhat_layers, k, x)
-
-    def to_csv(self, path: str) -> None:
-        rows = []
-        jmax_u = max((max(d) for d in self.u_layers if d), default=0)
-        jmax_uh = max((max(d) for d in self.uhat_layers if d), default=0)
-        for k in range(self.K + 1):
-            for j in range(0, max(jmax_u, jmax_uh) + 1):
-                rows.append([k, j, self.u(k, j * self.spec.h), self.uhat(k, j * self.spec.h)])
-        write_csv(path, ["k", "j", "U", "Uhat"], rows)
 
 
 def brute_force_tables(spec: LatticeWalkSpec, K: int) -> LadderRenewalTable:

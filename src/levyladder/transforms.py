@@ -29,7 +29,7 @@ from .results import (
 from .rng import RngPolicy, chunked_map, merge_mean_m2
 from . import rw_ladder as rl
 from .passage import (
-    LadderJumpBatch,
+    kappa_deriv_from_ladder,
     kappa_diff_from_ladder,
     kappa_from_ladder,
     sample_ladder_jumps,
@@ -44,8 +44,10 @@ WH_REL_TOL = 0.03
 # lt_V and slfi_check stop a path once its multiplicative weight (e^{-a Z - b Y - q s},
 # e^{-mu Y - nu Z - q s}) drops below this; the discarded tail is bounded and reported.
 LT_WEIGHT_TOL = 1e-15
-# Time cap of the ladder-jump samples behind the fluctuation-level kappa.
+# Time caps of the ladder-jump samples behind the fluctuation-level kappa
+# and behind the Wiener-Hopf kappa.
 SLFI_LADDER_CAP = 200.0
+WH_LADDER_CAP = 80.0
 
 __all__ = [
     "TransformParams",
@@ -77,14 +79,18 @@ class TransformParams:
     def derivative_branch(self) -> bool:
         return math.isclose(self.ell, self.rho - self.mu, rel_tol=0.0, abs_tol=1e-12)
 
-    def validate_for(self, spec: BivariateSubordinatorSpec) -> None:
+    def validate(self) -> None:
         """``mu > 0`` and ``rho, ell, nu, theta >= 0`` keep the level integrand
-        below ``e^{-mu u}``; with ``q = 0``, ``Y`` must move so paths stop."""
+        below ``e^{-mu u}``, which every tail and censoring bound assumes."""
         if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         for name in ("rho", "ell", "nu", "theta"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+
+    def validate_for(self, spec: BivariateSubordinatorSpec) -> None:
+        """:meth:`validate`; and with ``q = 0``, ``Y`` must move so paths stop."""
+        self.validate()
         if spec.q == 0 and spec.d_y == 0 and not any(dx > 0 for _, dx, _ in spec.atoms):
             raise ValueError("q = 0 with a Y that never moves: no path would ever stop")
 
@@ -303,6 +309,7 @@ def slfi_fluct_check(
     """
     if not (spec.drift > 0):
         raise ValueError("the fluctuation transform check needs a creeping fixture")
+    params.validate()
     nodes = _u_grid(params.mu, u_nodes, 1.0)
     n_per_node = max(1000, n_total // max(nodes.size - 1, 1))
     f = np.zeros(nodes.size)
@@ -338,7 +345,7 @@ def slfi_fluct_check(
                               cap=SLFI_LADDER_CAP, workers=workers)
     den = kappa_from_ladder(spec, lad, params.nu, params.mu)
     if params.derivative_branch:
-        num = _kappa_rho_derivative_from_ladder(spec, lad, params.theta, params.rho)
+        num = kappa_deriv_from_ladder(spec, lad, params.theta, params.rho)
         rhs = num.value / den.value
         se_rhs = _ratio_se(num.value, num.se, den.value, den.se)
         rhs_bias = (num.bias_bound + abs(rhs) * den.bias_bound) / den.value
@@ -371,24 +378,6 @@ def slfi_fluct_check(
     )
 
 
-def _kappa_rho_derivative_from_ladder(
-    spec: ProcessSpec, batch: LadderJumpBatch, theta: float, rho: float
-) -> EstimateWithError:
-    """MC right derivative of kappa in the space argument:
-    ``c + rate E[dH e^{-theta dL - rho dH}]`` (censored entries contribute 0)."""
-    vals = np.zeros(batch.n)
-    res = ~batch.censored
-    vals[res] = batch.dx[res] * np.exp(-theta * batch.ds[res] - rho * batch.dx[res])
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(batch.n)) if batch.n > 1 else 0.0
-    bias = spec.rate * batch.censored_mass * (
-        math.exp(-theta * batch.cap) if theta > 0 else 1.0
-    )
-    return EstimateWithError(
-        spec.drift + spec.rate * mean, spec.rate * se, batch.n, batch.censored_mass, bias
-    )
-
-
 def _ratio_se(num: float, num_se: float, den: float, den_se: float) -> float:
     f = num / den
     return math.hypot(num_se / den, f * den_se / den)
@@ -405,7 +394,6 @@ def wiener_hopf_check(
     n: int,
     policy: RngPolicy,
     workers: int = 1,
-    cap: float = 80.0,
     fixture: str = "",
 ) -> CheckReport:
     """``kappa(a, 0) * kappahat(a, 0) = a`` for a compound Poisson lattice
@@ -416,7 +404,8 @@ def wiener_hopf_check(
         raise ValueError("the Wiener-Hopf check is implemented for compound Poisson fixtures")
     walk = rl.LatticeWalkSpec.from_process(spec)
     lam = spec.rate
-    lad = sample_ladder_jumps(spec, n, policy.substream("kappa"), cap=cap, workers=workers)
+    lad = sample_ladder_jumps(spec, n, policy.substream("kappa"), cap=WH_LADDER_CAP,
+                              workers=workers)
     rows, comparisons = [], []
     for a in a_values:
         r = lam / (lam + a)

@@ -66,8 +66,8 @@ class TestMeasure:
 
 class TestQuintupleLattice:
     def test_rhs_total_mass_is_one(self):
-        rhs, _ = lc.quintuple_rhs_lattice(P3, 2.0, lc._default_edges(128.0),
-                                          lc._default_edges(128.0))
+        rhs, _ = lc.quintuple_rhs_lattice(P3, 2.0, lc.QUINTUPLE_LATTICE_EDGES,
+                                          lc.QUINTUPLE_LATTICE_EDGES)
         assert rhs.total_mass == pytest.approx(1.0, abs=2e-3)
         assert rhs.bound < 0.02
 

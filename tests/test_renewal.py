@@ -51,12 +51,6 @@ class TestEstimateV:
         grid = rn.estimate_V(B1, [1.0], [0.0], 2000, POL.substream("z"))
         assert grid.cell(1.0, 0.0).value == pytest.approx(0.0, abs=1e-12)
 
-    def test_csv_export(self, tmp_path):
-        grid = rn.estimate_V(B1, [0.5], [0.5], 1000, POL.substream("csv"))
-        grid.to_csv(str(tmp_path / "grid.csv"))
-        lines = (tmp_path / "grid.csv").read_text().splitlines()
-        assert lines[0] == "t,u,V,SE,provenance"
-
     def test_unknown_route_is_refused(self):
         with pytest.raises(ValueError, match="route"):
             rn.estimate_V(B1, [0.5], [0.5], 100, POL.substream("bad"), route="bogus")

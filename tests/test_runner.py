@@ -66,18 +66,45 @@ class TestConfigValidation:
         ("B1", {"nu": -1.0}, "nu must be nonnegative"),
         ("B1", {"theta": -1.0}, "theta must be nonnegative"),
         ("FLAT", {}, "never moves"),
+        ("P2", {"mu": 0.0}, "mu must be positive"),
+        ("P2", {"rho": -1.0}, "rho must be nonnegative"),
+        ("P2", {"nu": -2.0}, "nu must be nonnegative"),
     ])
     def test_inadmissible_slfi_parameters_are_config_errors(self, tmp_path, capsys, fixture,
                                                            over, why):
         # Y never moves and nothing kills: d_y = 0, q = 0, one Z-only atom
         flat = {"kind": "bivariate", "d_z": 1.0, "d_y": 0.0, "q": 0.0, "atoms": [[1.0, 0.0, 0.5]]}
-        entry = {"name": "slfi", "fixture": fixture, "mu": 1.0, "rho": 2.0, "ell": 0.0,
+        # P2 is a Levy fixture, whose transform check is slfi-fluct
+        name = "slfi-fluct" if fixture == "P2" else "slfi"
+        entry = {"name": name, "fixture": fixture, "mu": 1.0, "rho": 2.0, "ell": 0.0,
                  "nu": 1.0, "theta": 1.0, **over}
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(_cfg(fixtures={"FLAT": flat}, checks=[entry])))
         assert runner.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "checks[0]: inadmissible transform parameters" in err and why in err
+        assert not (tmp_path / "o").exists()
+
+    # Each of these raised inside its check (division by zero, a math domain
+    # error, a ValueError) or gave a NaN or a PASS on a forward quotient.
+    @pytest.mark.parametrize("entry, key", [
+        ({"name": "ct1", "fixture": "P1", "t": 0.5, "u": 0.25, "delta": 0}, "delta"),
+        ({"name": "quintuple", "fixture": "P1", "u": 0.5, "delta": 0}, "delta"),
+        ({"name": "quintuple", "fixture": "P1", "u": 0.5, "mesh": 0}, "mesh"),
+        ({"name": "quadruple", "fixture": "B1", "u": 1.5, "mesh": 0}, "mesh"),
+        ({"name": "amicale", "fixture": "P1", "mesh": -1}, "mesh"),
+        ({"name": "wiener-hopf", "fixture": "P3", "a": [0]}, "a"),
+        ({"name": "p-estimate", "fixture": "P1", "t": 0.3, "u": -1}, "u"),
+        ({"name": "resolvent", "fixture": "S1", "u": 0.5, "delta": -0.01}, "delta"),
+        ({"name": "resolvent", "fixture": "S1", "u": 0.5, "delta": 0}, "delta"),
+        ({"name": "resolvent", "fixture": "S1", "u": 0.5, "q": 0}, "q"),
+    ])
+    def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys, entry, key):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(_cfg(checks=[entry])))
+        assert runner.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"checks[0].{key}: must be finite and > 0" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_inline_fixture(self):
@@ -148,6 +175,7 @@ class TestCheckTable:
         assert {name: c.required for name, c in runner.CHECKS.items() if c.required} == REQUIRED
         for c in runner.CHECKS.values():
             assert set(c.required) <= set(c.keys)
+            assert set(c.positive) <= set(c.keys)
 
     @pytest.mark.parametrize("name, key", [(n, k) for n in sorted(REQUIRED) for k in REQUIRED[n]])
     def test_missing_required_key_is_a_config_error(self, tmp_path, capsys, name, key):

@@ -88,14 +88,6 @@ class TestTables:
         with pytest.raises(MemoryError):
             rl.renewal_tables(P3WALK, 30, max_states=10)
 
-    def test_csv_export(self, tmp_path):
-        t = rl.renewal_tables(SYMM, 3)
-        path = tmp_path / "tables.csv"
-        t.to_csv(str(path))
-        text = path.read_text().splitlines()
-        assert text[0] == "k,j,U,Uhat"
-        assert len(text) > 4
-
 
 class TestErlangMixing:
     def test_poisson_sf_matches_scipy(self):
