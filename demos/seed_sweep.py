@@ -5,7 +5,8 @@ Builds the runner config of ``--workload`` for each seed with
 sweep judges exactly what the benchmark runs), runs it, and reads every
 check's verdict from ``summary.csv``.  Prints one line per seed with each
 check's distance/budget, then each check's FAIL count and its worst
-distance/budget over the sweep, which shows how much headroom a budget has.
+distance/budget over the sweep, with the seed that gave it, which shows how
+much headroom a budget has.
 
     python demos/seed_sweep.py --workload lattice-tail --seeds 11-40
 """
@@ -42,12 +43,13 @@ def ratio(distance: float, budget: float) -> float:
     return 0.0 if distance <= 0 else math.inf
 
 
-def sweep(workload: str, seeds: range) -> tuple[dict[str, int], dict[str, float]]:
-    """FAIL count and worst distance/budget per check (``index.check.fixture``)
-    over ``seeds``."""
+def sweep(workload: str, seeds: range
+          ) -> tuple[dict[str, int], dict[str, tuple[float, int | None]]]:
+    """FAIL count and worst (distance/budget, seed) per check
+    (``index.check.fixture``) over ``seeds``."""
     names = [f"{i}.{c['name']}.{c['fixture']}" for i, c in workloads.check_entries(workload)]
     fails = dict.fromkeys(names, 0)
-    worst = dict.fromkeys(names, 0.0)
+    worst: dict[str, tuple[float, int | None]] = dict.fromkeys(names, (-math.inf, None))
     for seed in seeds:
         with tempfile.TemporaryDirectory() as out:
             config = workloads.make_config(workload, seed, 0, out)
@@ -58,7 +60,9 @@ def sweep(workload: str, seeds: range) -> tuple[dict[str, int], dict[str, float]
         cells = []
         for name, row in zip(names, rows):
             fails[name] += row["pass"] != "PASS"
-            worst[name] = max(worst[name], ratio(float(row["distance"]), float(row["budget"])))
+            r = ratio(float(row["distance"]), float(row["budget"]))
+            if r > worst[name][0]:
+                worst[name] = (r, seed)
             cells.append(f"{name} {float(row['distance']):.4g}/{float(row['budget']):.4g} "
                          f"{row['pass']}")
         print(f"seed {seed}: " + "; ".join(cells), flush=True)
@@ -73,7 +77,9 @@ def main(argv: list[str] | None = None) -> int:
     seeds = seed_range(args.seeds)
     fails, worst = sweep(args.workload, seeds)
     for name, count in fails.items():
-        print(f"{name}: {count}/{len(seeds)} FAIL, worst distance/budget {worst[name]:.3g}")
+        r, seed = worst[name]
+        print(f"{name}: {count}/{len(seeds)} FAIL, worst distance/budget {r:.3g}"
+              f" (seed {seed})")
     return 0
 
 

@@ -57,6 +57,9 @@ ALPHA_SUP_CDF = 0.01
 # (both axes s and t), of the quadruple law (t) and of the amicale ladder
 # measure (s); the alpha experiment's lattice truncation (v, x) in steps.
 QUINTUPLE_LATTICE_EDGES = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 128.0, math.inf)
+# A lattice path censored at the cap passes after it, so its s or t exceeds
+# cap / 2: from this cap on, that puts it in the last (infinite) bin of one.
+QUINTUPLE_LATTICE_MIN_CAP = 2 * QUINTUPLE_LATTICE_EDGES[-2]
 QUINTUPLE_CREEPING_EDGES = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, math.inf)
 QUADRUPLE_T_EDGES = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, math.inf)
 AMICALE_S_EDGES = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
@@ -132,6 +135,16 @@ class DiscreteMeasureND:
         self._check_axes(other)
         return 0.5 * float(np.abs(self.mass - other.mass).sum())
 
+    def pooled_tv_distance(self, other: "DiscreteMeasureND", pool: np.ndarray,
+                           extra: float) -> float:
+        """TV distance with the cells of the boolean mask ``pool`` merged into
+        one cell, to whose mass on this side ``extra`` is added (mass this
+        side lost from the grid but known to lie in the pooled region)."""
+        self._check_axes(other)
+        gap = self.mass - other.mass
+        pooled = float(gap[pool].sum()) + extra
+        return 0.5 * (float(np.abs(gap[~pool]).sum()) + abs(pooled))
+
     @classmethod
     def from_points(
         cls,
@@ -189,6 +202,17 @@ def quintuple_empirical(
     return DiscreteMeasureND.from_points(axes, cols, batch.n)
 
 
+def lattice_level(spec: ProcessSpec, u: float) -> int:
+    """Index ``u / h`` of the level on the lattice of the jump law, or a
+    ValueError when ``u`` is off that lattice (or the law has none)."""
+    h = rl.LatticeWalkSpec.from_process(spec).h
+    ju = int(round(u / h))
+    if abs(ju * h - u) > 1e-9:
+        raise ValueError(f"level u = {u} must be a multiple of the lattice step {h}"
+                         " for the exact route")
+    return ju
+
+
 def quintuple_rhs_lattice(
     spec: ProcessSpec,
     u: float,
@@ -206,12 +230,9 @@ def quintuple_rhs_lattice(
     walk = rl.LatticeWalkSpec.from_process(spec)
     h = walk.h
     law = spec.jumps
-    assert isinstance(law, DiscreteAtoms)
     xi = [(v, float(p)) for v, p in zip(law.values, [float(q) for q in law.probs]) if v > 0]
     xi_max = max(v for v, _ in xi)
-    ju = int(round(u / h))
-    if abs(ju * h - u) > 1e-9:
-        raise ValueError("level u must be a lattice point for the exact route")
+    ju = lattice_level(spec, u)
 
     y_atoms = [j for j in range(0, ju + 1)]
     v_atoms = [j for j in range(0, int(round(xi_max / h)))]  # v < xi_max or no passage
@@ -262,11 +283,16 @@ def check_quintuple(
     variables against the composed right side.
 
     Lattice compound Poisson fixtures compare against the exact table route
-    and must carry zero creeping mass.  Drift-creeping fixtures compare the
-    ``x > 0`` part against a Monte-Carlo composed measure (independent
-    streams) and the creeping fibre mass against the ladder-drift times the
-    left derivative of V, within 3 combined standard errors plus the
-    difference-quotient bias estimate.
+    and must carry zero creeping mass.  Their TV pools the tail cells, every
+    cell whose s or t bin is (128, inf), into one cell, and adds the
+    censored mass to its empirical side: a censored path passes after the
+    cap, which is at least 256, so it belongs there.  The excluded mass is
+    still reported, and bounded by its own row.
+
+    Drift-creeping fixtures compare the ``x > 0`` part against a Monte-Carlo
+    composed measure (independent streams) and the creeping fibre mass
+    against the ladder-drift times the left derivative of V, within 3
+    combined standard errors plus the difference-quotient bias estimate.
     """
     if spec.is_compound_poisson:
         return _check_quintuple_lattice(spec, u, n, policy, workers, cap, fixture)
@@ -274,13 +300,19 @@ def check_quintuple(
 
 
 def _check_quintuple_lattice(spec, u, n, policy, workers, cap, fixture):
+    if not (cap >= QUINTUPLE_LATTICE_MIN_CAP):
+        raise ValueError(f"cap must be at least {QUINTUPLE_LATTICE_MIN_CAP:g} on the lattice"
+                         f" route, so that censored paths lie in its tail cell; got {cap}")
     edges = QUINTUPLE_LATTICE_EDGES
     rhs, axes = quintuple_rhs_lattice(spec, u, edges, edges)
     batch = sample_passages(spec, u, cap, n, policy.substream("emp"), workers)
     if bool(batch.creep.any()):
         raise RuntimeError("compound Poisson fixture produced a creeping record")
     emp = quintuple_empirical(batch, axes, creep_fibre=False)
-    tv = emp.tv_distance(rhs)
+    # the pooled tail cell: the last s bin or the last t bin, at every (x, v, y)
+    tail = np.zeros(rhs.mass.shape, dtype=bool)
+    tail[..., -1, :] = tail[..., -1] = True
+    tv = emp.pooled_tv_distance(rhs, tail, batch.censored_mass)
     dist, budget = verdict([(tv, 0.0, QUINTUPLE_LATTICE_TV),
                             (emp.excluded_mass, 0.0, 0.01)])
     details = [{
@@ -745,7 +777,9 @@ def check_alpha_embedding(
     h = walk.h
     law = spec.jumps
     assert isinstance(law, DiscreteAtoms)
-    s_grid = tuple(s_grid) if s_grid else tuple(np.arange(0.5, 12.5, 0.5))
+    s_grid = tuple(s_grid) if s_grid is not None else tuple(np.arange(0.5, 12.5, 0.5))
+    if not s_grid:
+        raise ValueError("s_grid must hold at least one time")
     v_max, x_max = ALPHA_V_MAX, ALPHA_X_MAX
     batch = sample_ladder_jumps(spec, n, policy.substream("alpha"), cap=float(s_grid[-1]),
                                 workers=workers)

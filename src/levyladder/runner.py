@@ -66,7 +66,8 @@ class Check:
     a finite number above 0, and ``run(spec, c, n, policy, workers,
     fixture)`` computes its report from the check's config ``c``.  An
     optional key the config leaves out is not passed, so its default is the
-    library's.
+    library's.  ``validate(spec, c, where)``, if given, raises a
+    ConfigError for values the generic rules let through.
     """
 
     kind: str | None
@@ -74,6 +75,7 @@ class Check:
     run: Callable[..., CheckReport]
     required: tuple[str, ...] = ()
     positive: tuple[str, ...] = ()
+    validate: Callable[[Any, Mapping[str, Any], str], None] | None = None
 
 
 def _given(c: Mapping[str, Any], *keys: str, conv: Callable = float) -> dict[str, Any]:
@@ -92,6 +94,48 @@ def _params_from(c: Mapping[str, Any]) -> transforms.TransformParams:
 
 
 _TRANSFORM_KEYS = ("mu", "rho", "ell", "nu", "theta")
+
+
+def _transform_ok(spec, c: Mapping[str, Any], where: str) -> None:
+    p = _params_from(c)
+    if not p.derivative_branch and abs(p.mu + p.ell - p.rho) < 1e-9:
+        raise ConfigError(
+            f"{where}: mu + ell - rho is numerically zero; use the derivative branch"
+            " (set ell = rho - mu exactly)"
+        )
+    try:
+        if isinstance(spec, BivariateSubordinatorSpec):
+            p.validate_for(spec)
+        else:
+            p.validate()
+    except ValueError as exc:
+        raise ConfigError(f"{where}: inadmissible transform parameters: {exc}") from None
+
+
+def _slfi_fluct_ok(spec, c: Mapping[str, Any], where: str) -> None:
+    if "u_nodes" in c:  # the trapezoid rule over the level nodes needs two
+        _integer(c["u_nodes"], f"{where}.u_nodes", least=2)
+    _transform_ok(spec, c, where)
+
+
+def _quintuple_ok(spec, c: Mapping[str, Any], where: str) -> None:
+    if not spec.is_compound_poisson:
+        return  # the creeping route takes any positive level
+    try:
+        lawcheck.lattice_level(spec, float(c["u"]))
+    except ValueError as exc:
+        raise ConfigError(f"{where}.u: {exc}") from None
+    least = lawcheck.QUINTUPLE_LATTICE_MIN_CAP
+    if "cap" in c and float(c["cap"]) < least:
+        raise ConfigError(f"{where}.cap: must be >= {least:g} on the lattice route, whose"
+                          f" tail cell holds the censored paths; got {c['cap']!r}")
+
+
+def _alpha_ok(spec, c: Mapping[str, Any], where: str) -> None:
+    if "s_max" in c and float(c["s_max"]) < 0.5:
+        raise ConfigError(f"{where}.s_max: must be >= 0.5, the first time of the grid;"
+                          f" got {c['s_max']!r}")
+
 
 # Entries reach library functions as module attributes at call time, so a
 # function rebound on its module after import is the one that runs.
@@ -114,7 +158,7 @@ CHECKS: dict[str, Check] = {
             spec, float(c["t"]), float(c["u"]), n, pol, w, fixture=fx)),
     "quintuple": Check(
         "Levy", ("u", "cap", "mesh", "delta"), required=("u",),
-        positive=("u", "cap", "mesh", "delta"),
+        positive=("u", "cap", "mesh", "delta"), validate=_quintuple_ok,
         run=lambda spec, c, n, pol, w, fx: lawcheck.check_quintuple(
             spec, float(c["u"]), n, pol, w, fixture=fx, **_given(c, "cap", "mesh", "delta"))),
     "quadruple": Check(
@@ -126,11 +170,11 @@ CHECKS: dict[str, Check] = {
         run=lambda spec, c, n, pol, w, fx: lawcheck.check_amicale(
             spec, n, pol, w, fixture=fx, **_given(c, "mesh"))),
     "slfi": Check(
-        "bivariate", _TRANSFORM_KEYS,
-        lambda spec, c, n, pol, w, fx: transforms.slfi_check(
+        "bivariate", _TRANSFORM_KEYS, validate=_transform_ok,
+        run=lambda spec, c, n, pol, w, fx: transforms.slfi_check(
             spec, _params_from(c), n, pol, w, fixture=fx)),
     "slfi-fluct": Check(
-        "Levy", _TRANSFORM_KEYS + ("u_nodes", "cap"), positive=("u_nodes", "cap"),
+        "Levy", _TRANSFORM_KEYS + ("u_nodes", "cap"), positive=("cap",), validate=_slfi_fluct_ok,
         run=lambda spec, c, n, pol, w, fx: transforms.slfi_fluct_check(
             spec, _params_from(c), n, pol, w, fixture=fx, **_given(c, "u_nodes", conv=int),
             **_given(c, "cap"))),
@@ -145,7 +189,7 @@ CHECKS: dict[str, Check] = {
             spec, float(c.get("q", 1.0)), float(c["u"]), n, pol, w, delta=c.get("delta"),
             fixture=fx)),
     "alpha": Check(
-        "Levy", ("s_max",), positive=("s_max",),
+        "Levy", ("s_max",), positive=("s_max",), validate=_alpha_ok,
         run=lambda spec, c, n, pol, w, fx: lawcheck.check_alpha_embedding(
             spec, n, pol, w, fixture=fx,
             s_grid=tuple(np.arange(0.5, float(c["s_max"]) + 0.25, 0.5)) if "s_max" in c
@@ -154,10 +198,13 @@ CHECKS: dict[str, Check] = {
 
 
 def _integer(value: Any, where: str, least: int | None = None) -> int:
-    """``value`` as an int of at least ``least``, or a ConfigError naming ``where``."""
+    """``value`` as an int of at least ``least``, or a ConfigError naming
+    ``where``; a number with a fractional part is refused, not truncated."""
     try:
         out = int(value)
-    except (TypeError, ValueError):
+        if isinstance(value, float) and out != value:
+            out = None
+    except (TypeError, ValueError, OverflowError):
         out = None
     if out is None or (least is not None and out < least):
         bound = "" if least is None else f" >= {least}"
@@ -226,20 +273,8 @@ class ExperimentConfig:
         for key in check.positive:
             if key in c and not all(_is_positive(v) for v in np.atleast_1d(c[key])):
                 raise ConfigError(f"{where}.{key}: must be finite and > 0, got {c[key]!r}")
-        if name in ("slfi", "slfi-fluct"):
-            p = _params_from(c)
-            if not p.derivative_branch and abs(p.mu + p.ell - p.rho) < 1e-9:
-                raise ConfigError(
-                    f"{where}: mu + ell - rho is numerically zero; use the derivative branch"
-                    " (set ell = rho - mu exactly)"
-                )
-            try:
-                if is_biv:
-                    p.validate_for(spec)
-                else:
-                    p.validate()
-            except ValueError as exc:
-                raise ConfigError(f"{where}: inadmissible transform parameters: {exc}") from None
+        if check.validate is not None:
+            check.validate(spec, c, where)
         return dict(c)
 
 

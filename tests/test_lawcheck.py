@@ -55,6 +55,25 @@ class TestMeasure:
         assert m1.tv_distance(m2) == pytest.approx(1.0)
         assert m1.tv_distance(m1) == 0.0
 
+    def test_pooled_tv_counts_censored_mass_in_the_tail_cell(self):
+        # (x, s, t) grid whose tail cell is every cell with s or t in (1, inf)
+        axes = (lc.Axis("x", "atoms", (1.0, 2.0)), lc.Axis("s", "bins", (0.0, 1.0, math.inf)),
+                lc.Axis("t", "bins", (0.0, 1.0, math.inf)))
+        mass = np.arange(1.0, 9.0).reshape(2, 2, 2) / 36.0
+        rhs = lc.DiscreteMeasureND(axes, mass)
+        tail = np.zeros(mass.shape, dtype=bool)
+        tail[:, -1, :] = tail[..., -1] = True
+        # half of every tail cell's mass censored: lost from the grid
+        emp = lc.DiscreteMeasureND(axes, np.where(tail, mass / 2, mass))
+        censored = float(mass[tail].sum()) / 2
+        assert emp.tv_distance(rhs) == pytest.approx(censored / 2)
+        assert emp.pooled_tv_distance(rhs, tail, censored) == pytest.approx(0.0, abs=1e-15)
+        # nothing censored and no tail mass: the plain TV
+        head = lc.DiscreteMeasureND(axes, np.where(tail, 0.0, mass))
+        other = lc.DiscreteMeasureND(axes, np.where(tail, 0.0, mass[::-1]))
+        assert other.tv_distance(head) > 0
+        assert other.pooled_tv_distance(head, tail, 0.0) == other.tv_distance(head)
+
     def test_grid_mismatch_rejected(self):
         axes = self._axes()
         other = (lc.Axis("a", "bins", (0.0, 1.0, 3.0)), axes[1])

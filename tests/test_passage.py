@@ -112,7 +112,7 @@ class TestZeroDriftBlocks:
         out = pg._unresolved(self.U, self.CAP, jumps.shape[0])
         done = [0]
 
-        def draw(active):
+        def draw(active, most):
             k = done[0]
             done[0] += B
             return jumps[active, k:k + B]
@@ -154,13 +154,13 @@ class TestZeroDriftBlocks:
         seen = []
         walk = pg._walk_zero_drift
 
-        def spy(out, draw, times, k_cap):
+        def spy(out, draw, times, k_cap, leap=None):
             def timed(K, G):
                 t, s = times(K, G)
                 ok = t + s <= cap
                 seen.append((K[ok], G[ok], s[ok], t[ok]))
                 return t, s
-            walk(out, draw, timed, k_cap)
+            walk(out, draw, timed, k_cap, leap)
 
         monkeypatch.setattr(pg, "_walk_zero_drift", spy)
         batch = pg.sample_passages(P3, self.U, cap, n, POL.substream("law"))
@@ -203,6 +203,89 @@ class TestZeroDriftBlocks:
                          if isinstance(getattr(batch, f.name), np.ndarray)])
         assert len(runs[0]) == 7
         assert runs[0] == runs[1] == runs[2]
+
+
+_WALK = pg._walk_zero_drift  # the engine itself, whatever a test patches in
+
+
+class TestZeroDriftLeap:
+    """The leaping engine against the block stepper: the law of (K, G, x, v,
+    y) on cells, plus the mass censored at the index cap.  The spy gives
+    every passed path time 0, so only the index cap censors."""
+
+    U, CAP, N = 2.0, 200.0, 20000
+
+    def _records(self, monkeypatch, stream, leaping):
+        seen = []
+
+        def spy(out, draw, times, k_cap, leap=None):
+            def untimed(K, G):
+                seen.append((K, G))
+                return np.zeros(K.size), np.zeros(K.size)
+            _WALK(out, draw, untimed, k_cap, leap if leaping else None)
+
+        monkeypatch.setattr(pg, "_walk_zero_drift", spy)
+        batch = pg.sample_passages(P3, self.U, self.CAP, self.N, POL.substream(stream))
+        K, G = (np.concatenate(c) for c in zip(*seen))
+        x, v, y, _, _ = batch.quintuple()
+        assert K.size == x.size == int(batch.resolved.sum())
+        return (K, G, x, v, y), batch.censored_mass
+
+    def _verdict(self, monkeypatch):
+        (K, G, x, v, y), cens = self._records(monkeypatch, "leap", True)
+        ref, ref_cens = self._records(monkeypatch, "leap-ref", False)
+        n = self.N
+
+        def cells(K, G, x, v, y):
+            idx = np.searchsorted([2, 3, 5, 9, 33, 129], K, side="right") * 4
+            idx = (idx + np.searchsorted([2, 4, 17], G, side="right")) * 2 + (x == 2.0)
+            idx = (idx * 2 + (v == 1.0)) * 3 + np.searchsorted([0.5, 1.5], y)
+            return np.bincount(idx, minlength=7 * 4 * 2 * 2 * 3) / n
+
+        p, q = np.append(cells(K, G, x, v, y), cens), np.append(cells(*ref), ref_cens)
+        live = (p + q) * n / 2 >= 30
+        rows = [(abs(a - b), math.sqrt((a * (1 - a) + b * (1 - b)) / n))
+                for a, b in zip(p[live], q[live])]
+        rest_p, rest_q = p[~live].sum(), q[~live].sum()
+        rows.append((abs(rest_p - rest_q),
+                     math.sqrt((rest_p * (1 - rest_p) + rest_q * (1 - rest_q)) / n)))
+        assert live.sum() >= 25 and live[-1]  # the censored cell is live
+        return verdict(rows)
+
+    @pytest.mark.parametrize("leap_min", [pg.LEAP_MIN, 1])
+    def test_law_matches_the_block_stepper(self, monkeypatch, leap_min):
+        # leap_min 1 leaps wherever a walk can take one jump without
+        # reaching its maximum
+        monkeypatch.setattr(pg, "LEAP_MIN", leap_min)
+        dist, budget = self._verdict(monkeypatch)
+        assert dist <= budget, (dist, budget)
+
+    def test_leaping_one_jump_too_far_fails(self, monkeypatch):
+        # fault: ceil(d / m) jumps, one more than is safe, so a leap can
+        # reach or pass the maximum (and the level) without recording it;
+        # the batch's own support check would refuse such records first
+        monkeypatch.setattr(pg.PassageBatch, "validate", lambda self: None)
+        monkeypatch.setattr(pg, "LEAP_MIN", 1)
+        monkeypatch.setattr(pg, "_leap_length", lambda depth, top: -(-depth // top))
+        dist, budget = self._verdict(monkeypatch)
+        assert dist > 3 * budget, (dist, budget)
+
+    def test_leap_length_stays_below_the_maximum(self):
+        depth = np.arange(0, 13)
+        B = pg._leap_length(depth, 2)
+        assert B.tolist() == [-1, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+        assert ((B * 2 < depth) | (B < 0)).all() and ((B + 1) * 2 >= depth).all()
+
+    def test_only_integer_laws_with_an_up_step_leap(self):
+        rng = np.random.default_rng(0)
+        top, sums = pg._leaper(P3.jumps, rng)
+        assert top == 2
+        B = np.array([8, 100, 5000])
+        total = sums(B)
+        assert (total == np.round(total)).all() and (np.abs(total) <= 2 * B).all()
+        assert pg._leaper(DiscreteAtoms([(0.5, 0.5), (-1.0, 0.5)]), rng) is None
+        assert pg._leaper(DiscreteAtoms([(-1.0, 0.5), (-2.0, 0.5)]), rng) is None
+        assert pg._leaper(P2.jumps, rng) is None
 
 
 class TestEstimateP:

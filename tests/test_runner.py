@@ -107,6 +107,38 @@ class TestConfigValidation:
         assert f"checks[0].{key}: must be finite and > 0" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    # Each of these raised inside its check, or ran on a default in place
+    # of the value given and could PASS.
+    @pytest.mark.parametrize("entry, key, why", [
+        ({"name": "quintuple", "fixture": "P3", "u": 1.5}, "u", "multiple of the lattice step"),
+        ({"name": "quintuple", "fixture": "P3", "u": 2.0, "cap": 100}, "cap", "must be >= 256"),
+        ({"name": "alpha", "fixture": "P3", "s_max": 0.2}, "s_max", "must be >= 0.5"),
+        ({"name": "slfi-fluct", "fixture": "P2", "u_nodes": 0.5}, "u_nodes",
+         "must be an integer >= 2"),
+        ({"name": "slfi-fluct", "fixture": "P2", "u_nodes": 1}, "u_nodes",
+         "must be an integer >= 2"),
+        ({"name": "slfi-fluct", "fixture": "P2", "u_nodes": 12.5}, "u_nodes",
+         "must be an integer >= 2"),
+    ])
+    def test_value_the_check_cannot_use_is_a_config_error(self, tmp_path, capsys, entry, key,
+                                                          why):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(_cfg(checks=[entry])))
+        assert runner.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"checks[0].{key}: " in err and why in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_values_at_the_limits_are_accepted(self):
+        # the lattice rules bind only the exact route: P1 creeps, so any
+        # positive level and cap are fine there
+        runner.ExperimentConfig(_cfg(checks=[
+            {"name": "quintuple", "fixture": "P1", "u": 0.45, "cap": 100},
+            {"name": "quintuple", "fixture": "P3", "u": 3.0, "cap": 256},
+            {"name": "alpha", "fixture": "P3", "s_max": 0.5},
+            {"name": "slfi-fluct", "fixture": "P2", "u_nodes": 2.0},
+        ]))
+
     def test_inline_fixture(self):
         raw = _cfg(fixtures={
             "X": {"kind": "levy", "drift": 1.0, "rate": 1.0,
