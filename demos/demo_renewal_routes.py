@@ -3,10 +3,11 @@
 The same object V(t, u) is produced exactly, as the finite sum over
 jump-count vectors of B1's atoms, by the sampled triple minimum, by
 closed-form killing integration, and (through the occupation-density
-identity) by integrating creep probabilities over levels.  The script also
-runs the quadruple law at one level, whose right side is built from the
-exact sum, and the resolvent route to the creeping time of an increasing
-process.
+identity) by integrating creep probabilities over levels, which the
+subpint check compares with d_Y times the exact sum.  The script also runs
+the quadruple law at one level, whose right side is built from the exact
+sum, and the resolvent route to the creeping time of an increasing process,
+whose right side d u^q(u) is a closed form.
 """
 
 import levyladder as ll
@@ -23,7 +24,8 @@ print(f"V({t}, {u}) for B1: exact {exact:.5f}, sampled-killing {c1.value:.5f} +-
       f"integrated-killing {c2.value:.5f} +- {c2.se:.5f}")
 
 rep = ll.check_subpint(ll.B1, t, u, 40_000, policy.substream("subpint"), fixture="B1")
-print(f"integral of p(t, v) dv = d_Y V(t, u): lhs={rep.lhs:.5f} rhs={rep.rhs:.5f} "
+print(f"integral of p(t, v) dv = d_Y V(t, u): lhs={rep.lhs:.5f} +- {rep.se_lhs:.5f}, "
+      f"exact rhs={rep.rhs:.7f}, trapezoid error {rep.details[0]['quad_bias']:.2e} "
       f"[{'PASS' if rep.passed else 'FAIL'}]")
 
 rep = ll.check_quadruple(ll.B1, 1.5, 100_000, policy.substream("quad"), fixture="B1")
@@ -34,5 +36,6 @@ print(f"quadruple law at u=1.5: TV={rep.distance:.4f} (budget {rep.budget}), "
 
 rep = ll.check_resolvent_creep(ll.S1, 1.0, 0.5, 100_000, policy.substream("res"),
                                fixture="S1")
-print(f"resolvent route to the creep time of S1: lhs={rep.lhs:.5f} rhs={rep.rhs:.5f} "
-      f"[{'PASS' if rep.passed else 'FAIL'}]")
+print(f"resolvent route to the creep time of S1 at q=1, u=0.5: "
+      f"E[e^(-q tau); creep]={rep.lhs:.5f} +- {rep.se_lhs:.5f}, "
+      f"closed form d u^q(u)={rep.rhs:.7f} [{'PASS' if rep.passed else 'FAIL'}]")

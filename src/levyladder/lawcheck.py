@@ -294,9 +294,22 @@ def check_quintuple(
     against the ladder-drift times the left derivative of V, within 3
     combined standard errors plus the difference-quotient bias estimate.
     """
-    if spec.is_compound_poisson:
+    if quintuple_route(spec) == "lattice":
         return _check_quintuple_lattice(spec, u, n, policy, workers, cap, fixture)
     return _check_quintuple_creeping(spec, u, n, policy, workers, mesh, delta, fixture)
+
+
+def quintuple_route(spec: ProcessSpec) -> str:
+    """``"lattice"`` for a compound Poisson fixture, ``"creeping"`` for positive
+    drift with integer jump atoms, else a ValueError: the routes of
+    :func:`check_quintuple`."""
+    if spec.is_compound_poisson:
+        return "lattice"
+    law = spec.jumps
+    if not (spec.drift > 0 and isinstance(law, DiscreteAtoms)
+            and all(v == round(v) for v in law.values)):
+        raise ValueError("the creeping quintuple route needs positive drift and integer jump atoms")
+    return "creeping"
 
 
 def _check_quintuple_lattice(spec, u, n, policy, workers, cap, fixture):
@@ -351,11 +364,7 @@ def _compose_jump_part(shape, v_mass, vh_mass, pi, jy, jv):
 
 
 def _check_quintuple_creeping(spec, u, n, policy, workers, mesh, delta, fixture):
-    if not (spec.drift > 0):
-        raise ValueError("creeping quintuple route requires positive drift")
     law = spec.jumps
-    if not (isinstance(law, DiscreteAtoms) and all(v == round(v) for v in law.values)):
-        raise NotImplementedError("MC quintuple composition implemented for lattice jump laws")
     xi = [(v, float(p)) for v, p in zip(law.values, [float(q) for q in law.probs]) if v > 0]
     t_edges = s_edges = QUINTUPLE_CREEPING_EDGES
     xim = max(v for v, _ in xi)
@@ -770,9 +779,8 @@ def check_alpha_embedding(
 
     The triple is ``(v, dx, ds)`` of the zero-drift ladder excursion, so the
     left side comes from :func:`sample_ladder_jumps` censored at the last
-    ``s`` of the grid."""
-    if not spec.is_compound_poisson:
-        raise ValueError("the alpha embedding check needs a compound Poisson fixture")
+    ``s`` of the grid.  A fixture that is not compound Poisson on a lattice
+    is refused by ``LatticeWalkSpec.from_process``."""
     walk = rl.LatticeWalkSpec.from_process(spec)
     h = walk.h
     law = spec.jumps

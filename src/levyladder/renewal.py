@@ -46,7 +46,10 @@ from typing import Any, Sequence, Union
 import numpy as np
 
 from .processes import BivariateSubordinatorSpec, ProcessSpec, walk
-from .results import CheckReport, EstimateWithError, estimate_from_stats, merge_monitors, verdict
+from .results import (
+    CHECK_FAIL_RATE, CheckReport, EstimateWithError, estimate_from_stats, merge_monitors,
+    row_budgets, verdict,
+)
 from .rng import RngPolicy, chunked_map, merge_mean_m2
 from .passage import estimate_p, sample_biv_passages
 from .rw_ladder import poisson_sf
@@ -326,23 +329,6 @@ def _biv_min_chunk(
     return (n_eff, mean, m2), censored
 
 
-def _biv_cell(
-    spec: BivariateSubordinatorSpec,
-    t: float,
-    u: float,
-    n: int,
-    policy: RngPolicy,
-    workers: int,
-    route: str,
-) -> EstimateWithError:
-    parts = chunked_map(
-        lambda i, m, rng: _biv_min_chunk(spec, t, u, m, rng, route), n, policy, workers
-    )
-    stats = merge_mean_m2([p[0] for p in parts])
-    cens = sum(p[1] for p in parts) / max(n, 1)
-    return estimate_from_stats(*stats, censored_mass=cens)
-
-
 # ---------------------------------------------------------------------------
 # Dual (strictly descending) ladder of the embedded walk / drift fixture
 # ---------------------------------------------------------------------------
@@ -583,7 +569,10 @@ def estimate_V(
         for j, u in enumerate(u_values):
             sub = policy.substream(f"V[{i},{j}]")
             if isinstance(spec, BivariateSubordinatorSpec):
-                est = _biv_cell(spec, t, u, n_per_cell, sub, workers, route)
+                parts = chunked_map(lambda i, m, rng: _biv_min_chunk(spec, t, u, m, rng, route),
+                                    n_per_cell, sub, workers)
+                est = estimate_from_stats(*merge_mean_m2([p[0] for p in parts]),
+                                          censored_mass=sum(p[1] for p in parts) / n_per_cell)
             else:
                 est = fluct_boxes(spec, [(0.0, t, -1.0, u)], n_per_cell, sub, workers)[0]
             value[i, j] = est.value
@@ -599,16 +588,30 @@ def check_V_grid(spec: SamplerSpec, t: float | Sequence[float], u: float | Seque
     """:func:`estimate_V` on the grid ``t`` x ``u`` (each one value or a
     list) as a report whose details hold one row per cell.
 
-    An estimate rather than an identity: there is no right side and the
-    budget is infinite.  ``lhs`` is the value at the last cell.
+    For a bivariate subordinator every cell is a row
+    ``(|V_mc - V_exact|, se, censored mass)`` against :func:`exact_V`, the
+    rows held together to ``CHECK_FAIL_RATE``; the details add each cell's
+    exact value and budget.  For a Levy fixture the grid is an estimate
+    rather than an identity: there is no right side and the budget is
+    infinite.  ``lhs`` (and ``rhs``) is the value at the last cell.
     """
     grid = estimate_V(spec, [float(v) for v in np.atleast_1d(t)],
                       [float(v) for v in np.atleast_1d(u)], n_per_cell, policy, workers)
-    return CheckReport(check="V-grid", fixture=fixture,
-                       params={"t": t, "u": u, "n": n_per_cell},
-                       lhs=float(grid.value[-1, -1]), distance=0.0, budget=math.inf,
-                       n_paths=n_per_cell * grid.value.size,
-                       details=grid.rows(), columns=GRID_COLUMNS)
+    rep = CheckReport(check="V-grid", fixture=fixture,
+                      params={"t": t, "u": u, "n": n_per_cell},
+                      lhs=float(grid.value[-1, -1]), distance=0.0, budget=math.inf,
+                      n_paths=n_per_cell * grid.value.size,
+                      details=grid.rows(), columns=GRID_COLUMNS)
+    if isinstance(spec, BivariateSubordinatorSpec):
+        exact = [exact_V(spec, t, u)[0] for t in grid.t_values for u in grid.u_values]
+        rows = list(zip(np.abs(grid.value.ravel() - exact), grid.se.ravel(),
+                        grid.censored.ravel()))
+        for row, v, budget in zip(rep.details, exact, row_budgets(rows, CHECK_FAIL_RATE)):
+            row.update(V_exact=v, budget=budget)
+        rep.rhs, rep.se_lhs = exact[-1], float(grid.se[-1, -1])
+        rep.distance, rep.budget = verdict(rows, CHECK_FAIL_RATE)
+        rep.columns += ("V_exact", "budget")
+    return rep
 
 
 def _creep_probability_nodes(
@@ -723,45 +726,48 @@ def check_subpint(
     """Occupation-density identity: ``integral_0^u p(t, v) dv = d_Y V(t, u)``.
 
     LHS by trapezoid quadrature of MC creep probabilities over a v-grid
-    (split at the discontinuities of lattice fixtures); RHS from an
-    independent MC estimate of V.  For a Levy fixture the Y-drift of the
-    ladder process is the process drift.
+    (split at the discontinuities of lattice fixtures).  For a bivariate
+    subordinator the RHS is ``d_Y`` times :func:`exact_V`, and ``quad_bias``
+    is the trapezoid rule's own error at the check's nodes, from the exact
+    creeping term ``p(t, v)`` of :func:`exact_V`; the one row is held to
+    ``CHECK_FAIL_RATE``.  For a Levy fixture, whose ladder Y-drift is the
+    process drift, the RHS is an independent MC estimate of V and
+    ``quad_bias`` a Richardson estimate, at the ``Z_ONE`` rate.
     """
-    d_y = spec.d_y if isinstance(spec, BivariateSubordinatorSpec) else spec.drift
-    if d_y == 0:
-        lhs, lhs_se, quad_bias = 0.0, 0.0, 0.0
-        monitors: dict[str, int] = {}
-        n_paths = 0
-    else:
-        segments = _segment_nodes(spec, t, u)
-        lhs = 0.0
-        var = 0.0
-        quad_bias = 0.0
-        monitors = {}
-        n_paths = 0
-        for snum, nodes in enumerate(segments):
-            p, se, mon = _creep_probability_nodes(
-                spec, t, nodes, n_per_node, policy.substream(f"seg{snum}"), workers
-            )
-            w = _trap_weights(nodes)
-            val = float(np.sum(w * p))
-            coarse = float(np.sum(_trap_weights(nodes[::2]) * p[::2])) if nodes.size >= 5 else val
-            quad_bias += abs(val - coarse) / 3.0
-            lhs += val
-            var += float(np.sum((w * se) ** 2))
-            n_paths += n_per_node * (nodes.size - 1)
-            merge_monitors(monitors, mon)
-        lhs_se = math.sqrt(var)
+    biv = isinstance(spec, BivariateSubordinatorSpec)
+    d_y = spec.d_y if biv else spec.drift
+    lhs = lhs_var = quad_bias = 0.0
+    monitors: dict[str, int] = {}
+    n_paths = 0
+    segments = _segment_nodes(spec, t, u) if d_y > 0 else []
+    for snum, nodes in enumerate(segments):
+        p, se, mon = _creep_probability_nodes(
+            spec, t, nodes, n_per_node, policy.substream(f"seg{snum}"), workers
+        )
+        w = _trap_weights(nodes)
+        val = float(np.sum(w * p))
+        coarse = float(np.sum(_trap_weights(nodes[::2]) * p[::2])) if nodes.size >= 5 else val
+        quad_bias += abs(val - coarse) / 3.0
+        lhs += val
+        lhs_var += float(np.sum((w * se) ** 2))
+        n_paths += n_per_node * (nodes.size - 1)
+        merge_monitors(monitors, mon)
+    lhs_se = math.sqrt(lhs_var)
 
-    v_est = (
-        _biv_cell(spec, t, u, n_per_node, policy.substream("V"), workers, "integrate")
-        if isinstance(spec, BivariateSubordinatorSpec)
-        else fluct_boxes(spec, [(0.0, t, -1.0, u)], n_per_node, policy.substream("V"), workers)[0]
-    )
-    rhs = d_y * v_est.value
-    se_rhs = d_y * v_est.se
+    if biv:
+        rhs, se_rhs, v_bias = d_y * exact_V(spec, t, u)[0], 0.0, 0.0
+        trap = sum(float(np.sum(_trap_weights(nodes) * [exact_V(spec, t, v)[1] for v in nodes]))
+                   for nodes in segments)
+        quad_bias = abs(trap - rhs)
+        rate = CHECK_FAIL_RATE
+    else:
+        v_est = fluct_boxes(spec, [(0.0, t, -1.0, u)], n_per_node, policy.substream("V"),
+                            workers)[0]
+        rhs, se_rhs, v_bias = d_y * v_est.value, d_y * v_est.se, v_est.bias_bound
+        n_paths += n_per_node
+        rate = None
     dist, budget = verdict([(abs(lhs - rhs), math.hypot(lhs_se, se_rhs), quad_bias,
-                             d_y * v_est.bias_bound)])
+                             d_y * v_bias)], rate)
     return CheckReport(
         check="subpint",
         fixture=fixture,
@@ -772,7 +778,7 @@ def check_subpint(
         se_rhs=se_rhs,
         distance=dist,
         budget=budget,
-        n_paths=n_paths + n_per_node,
-        details=[{"quad_bias": quad_bias, "v_bias": v_est.bias_bound}],
+        n_paths=n_paths,
+        details=[{"quad_bias": quad_bias, "v_bias": v_bias}],
         monitors=monitors,
     )

@@ -74,32 +74,37 @@ def binomial_estimate(k: int, n: int) -> EstimateWithError:
 
 # SEs that one comparison may be off before it FAILs.
 Z_ONE = 3.0
+# Two-sided false-FAIL rate of a whole check, all its rows together, for
+# the checks whose right side is exact: z = 3.89 for one row, 4.39 for nine.
+CHECK_FAIL_RATE = 1e-4
 
 
-def sidak_z(m: int) -> float:
+def sidak_z(m: int, rate: float | None = None) -> float:
     """SE multiple that holds ``m`` comparisons together to the two-sided
-    false-FAIL rate of one comparison at ``Z_ONE`` SE (Sidak): exactly
-    ``Z_ONE`` for ``m <= 1``, about 3.99 for ``m = 41``."""
-    if m <= 1:
-        return Z_ONE
-    one = 2.0 * NormalDist().cdf(-Z_ONE)
-    return -NormalDist().inv_cdf(-math.expm1(math.log1p(-one) / m) / 2.0)
+    false-FAIL rate ``rate`` (Sidak), by default that of one comparison at
+    ``Z_ONE`` SE: then exactly ``Z_ONE`` for ``m <= 1``, about 3.99 for
+    ``m = 41``."""
+    if rate is None:
+        if m <= 1:
+            return Z_ONE
+        rate = 2.0 * NormalDist().cdf(-Z_ONE)
+    return -NormalDist().inv_cdf(-math.expm1(math.log1p(-rate) / max(m, 1)) / 2.0)
 
 
-def row_budgets(rows: Sequence[Sequence[float]]) -> list[float]:
-    """Budget of each comparison row ``(gap, se, *terms)``: ``sidak_z(m) * se``
-    plus the row's bias bounds and fixed slack ``terms``, added in order,
-    where ``m`` counts the rows with ``se > 0`` (TV and sup-CDF rows have
-    none)."""
-    z = sidak_z(sum(1 for row in rows if row[1] > 0))
+def row_budgets(rows: Sequence[Sequence[float]], rate: float | None = None) -> list[float]:
+    """Budget of each comparison row ``(gap, se, *terms)``: ``sidak_z(m, rate)
+    * se`` plus the row's bias bounds and fixed slack ``terms``, added in
+    order, where ``m`` counts the rows with ``se > 0`` (TV and sup-CDF rows
+    have none)."""
+    z = sidak_z(sum(1 for row in rows if row[1] > 0), rate)
     return [reduce(add, terms, z * se) for _, se, *terms in rows]
 
 
-def verdict(rows: Sequence[Sequence[float]]) -> tuple[float, float]:
+def verdict(rows: Sequence[Sequence[float]], rate: float | None = None) -> tuple[float, float]:
     """``(distance, budget)`` of the row with the largest gap/budget ratio,
     so the first is within the second iff every row is within its budget.
-    A NaN gap counts as the worst."""
-    budgets = row_budgets(rows)
+    A NaN gap counts as the worst.  ``rate`` is as for :func:`row_budgets`."""
+    budgets = row_budgets(rows, rate)
 
     def ratio(i: int) -> float:
         gap, budget = rows[i][0], budgets[i]

@@ -47,6 +47,7 @@ import numpy as np
 from . import lawcheck, passage, renewal, transforms
 from .fixtures import FIXTURES, ConfigError, spec_from_config
 from .processes import BivariateSubordinatorSpec
+from .rw_ladder import LatticeWalkSpec
 from .results import REPORT_HEADER, SUMMARY_HEADER, CheckReport, merge_monitors, write_csv
 from .rng import RngPolicy
 
@@ -66,8 +67,10 @@ class Check:
     a finite number above 0, and ``run(spec, c, n, policy, workers,
     fixture)`` computes its report from the check's config ``c``.  An
     optional key the config leaves out is not passed, so its default is the
-    library's.  ``validate(spec, c, where)``, if given, raises a
-    ConfigError for values the generic rules let through.
+    library's.  ``takes(spec)``, if given, is the library's own test of the
+    fixture, which raises a ValueError for one the check cannot take.
+    ``validate(spec, c, where)``, if given, raises a ConfigError for values
+    the generic rules let through.
     """
 
     kind: str | None
@@ -75,6 +78,7 @@ class Check:
     run: Callable[..., CheckReport]
     required: tuple[str, ...] = ()
     positive: tuple[str, ...] = ()
+    takes: Callable[[Any], Any] | None = None
     validate: Callable[[Any, Mapping[str, Any], str], None] | None = None
 
 
@@ -137,7 +141,7 @@ def _alpha_ok(spec, c: Mapping[str, Any], where: str) -> None:
                           f" got {c['s_max']!r}")
 
 
-# Entries reach library functions as module attributes at call time, so a
+# Run entries reach library functions as module attributes at call time, so a
 # function rebound on its module after import is the one that runs.
 CHECKS: dict[str, Check] = {
     "p-estimate": Check(
@@ -158,7 +162,8 @@ CHECKS: dict[str, Check] = {
             spec, float(c["t"]), float(c["u"]), n, pol, w, fixture=fx)),
     "quintuple": Check(
         "Levy", ("u", "cap", "mesh", "delta"), required=("u",),
-        positive=("u", "cap", "mesh", "delta"), validate=_quintuple_ok,
+        positive=("u", "cap", "mesh", "delta"), takes=lawcheck.quintuple_route,
+        validate=_quintuple_ok,
         run=lambda spec, c, n, pol, w, fx: lawcheck.check_quintuple(
             spec, float(c["u"]), n, pol, w, fixture=fx, **_given(c, "cap", "mesh", "delta"))),
     "quadruple": Check(
@@ -174,22 +179,24 @@ CHECKS: dict[str, Check] = {
         run=lambda spec, c, n, pol, w, fx: transforms.slfi_check(
             spec, _params_from(c), n, pol, w, fixture=fx)),
     "slfi-fluct": Check(
-        "Levy", _TRANSFORM_KEYS + ("u_nodes", "cap"), positive=("cap",), validate=_slfi_fluct_ok,
+        "Levy", _TRANSFORM_KEYS + ("u_nodes", "cap"), positive=("cap",),
+        takes=transforms.slfi_fluct_fixture, validate=_slfi_fluct_ok,
         run=lambda spec, c, n, pol, w, fx: transforms.slfi_fluct_check(
             spec, _params_from(c), n, pol, w, fixture=fx, **_given(c, "u_nodes", conv=int),
             **_given(c, "cap"))),
     "wiener-hopf": Check(
-        "Levy", ("a",), positive=("a",),
+        "Levy", ("a",), positive=("a",), takes=LatticeWalkSpec.from_process,
         run=lambda spec, c, n, pol, w, fx: transforms.wiener_hopf_check(
             spec, tuple(float(a) for a in np.atleast_1d(c.get("a", [0.5, 1.0, 2.0]))), n,
             pol, w, fixture=fx)),
     "resolvent": Check(
-        "Levy", ("q", "u", "delta"), required=("u",), positive=("q", "u", "delta"),
+        "Levy", ("q", "u"), required=("u",), positive=("q", "u"),
+        takes=transforms.resolvent_fixture,
         run=lambda spec, c, n, pol, w, fx: transforms.check_resolvent_creep(
-            spec, float(c.get("q", 1.0)), float(c["u"]), n, pol, w, delta=c.get("delta"),
-            fixture=fx)),
+            spec, float(c.get("q", 1.0)), float(c["u"]), n, pol, w, fixture=fx)),
     "alpha": Check(
-        "Levy", ("s_max",), positive=("s_max",), validate=_alpha_ok,
+        "Levy", ("s_max",), positive=("s_max",), takes=LatticeWalkSpec.from_process,
+        validate=_alpha_ok,
         run=lambda spec, c, n, pol, w, fx: lawcheck.check_alpha_embedding(
             spec, n, pol, w, fixture=fx,
             s_grid=tuple(np.arange(0.5, float(c["s_max"]) + 0.25, 0.5)) if "s_max" in c
@@ -273,6 +280,12 @@ class ExperimentConfig:
         for key in check.positive:
             if key in c and not all(_is_positive(v) for v in np.atleast_1d(c[key])):
                 raise ConfigError(f"{where}.{key}: must be finite and > 0, got {c[key]!r}")
+        if check.takes is not None:
+            try:
+                check.takes(spec)
+            except ValueError as exc:
+                raise ConfigError(f"{where}.fixture: {name} cannot take {c['fixture']}: {exc}"
+                                  ) from None
         if check.validate is not None:
             check.validate(spec, c, where)
         return dict(c)

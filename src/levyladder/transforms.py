@@ -6,7 +6,9 @@ resolvent route to the creeping time of a subordinator.
 Every path-level Laplace functional here is integrated segment by segment
 in closed form (exponentials of affine functions), so there is no
 time-discretisation error anywhere; all remaining error is Monte-Carlo
-noise plus explicitly reported truncation bounds.
+noise plus explicitly reported truncation bounds.  The resolvent check
+reads its right side from a closed form, the resolvent density of a
+subordinator with exponential jumps, and only its left side is Monte Carlo.
 """
 
 from __future__ import annotations
@@ -18,13 +20,15 @@ import numpy as np
 
 from .processes import (
     BivariateSubordinatorSpec,
+    ExponentialJumps,
     ProcessSpec,
     kappa_biv,
     kappa_biv_rho_derivative,
     walk,
 )
 from .results import (
-    CheckReport, EstimateWithError, estimate_from_stats, merge_monitors, row_budgets, verdict,
+    CHECK_FAIL_RATE, CheckReport, EstimateWithError, estimate_from_stats, merge_monitors,
+    row_budgets, verdict,
 )
 from .rng import RngPolicy, chunked_map, merge_mean_m2
 from . import rw_ladder as rl
@@ -289,6 +293,12 @@ def slfi_check(
 # ---------------------------------------------------------------------------
 
 
+def slfi_fluct_fixture(spec: ProcessSpec) -> None:
+    """ValueError unless ``spec`` creeps upward, as :func:`slfi_fluct_check` needs."""
+    if not (spec.drift > 0):
+        raise ValueError("the fluctuation transform check needs a creeping fixture")
+
+
 def slfi_fluct_check(
     spec: ProcessSpec,
     params: TransformParams,
@@ -307,8 +317,7 @@ def slfi_fluct_check(
     ``kappa(a, b) = a + b c + rate E[1 - e^{-a dL - b dH}]`` on independent
     ladder-jump samples.
     """
-    if not (spec.drift > 0):
-        raise ValueError("the fluctuation transform check needs a creeping fixture")
+    slfi_fluct_fixture(spec)
     params.validate()
     nodes = _u_grid(params.mu, u_nodes, 1.0)
     n_per_node = max(1000, n_total // max(nodes.size - 1, 1))
@@ -397,11 +406,10 @@ def wiener_hopf_check(
     fixture: str = "",
 ) -> CheckReport:
     """``kappa(a, 0) * kappahat(a, 0) = a`` for a compound Poisson lattice
-    fixture, with ``kappahat`` computed by the exact dual-table route
-    (geometric mixing of strict-descending epoch masses) and ``kappa`` by
-    the ladder-jump Monte-Carlo route."""
-    if not spec.is_compound_poisson:
-        raise ValueError("the Wiener-Hopf check is implemented for compound Poisson fixtures")
+    fixture (any other is refused by ``LatticeWalkSpec.from_process``), with
+    ``kappahat`` computed by the exact dual-table route (geometric mixing of
+    strict-descending epoch masses) and ``kappa`` by the ladder-jump
+    Monte-Carlo route."""
     walk = rl.LatticeWalkSpec.from_process(spec)
     lam = spec.rate
     lad = sample_ladder_jumps(spec, n, policy.substream("kappa"), cap=WH_LADDER_CAP,
@@ -445,56 +453,36 @@ def wiener_hopf_check(
 # ---------------------------------------------------------------------------
 
 
-def _sub_passage_levels_chunk(
-    spec: ProcessSpec, levels: np.ndarray, n: int, rng
-) -> np.ndarray:
-    """(tau_v, creep_v) for every level v of the ascending ``levels``, from
-    common increasing paths.
+def resolvent_fixture(spec: ProcessSpec) -> tuple[float, float, float]:
+    """``(drift, rate, eta)`` of a subordinator with positive drift and either
+    no jumps (``eta`` is then 0) or Exp(``eta``) up-jumps: the fixtures whose
+    resolvent density :func:`check_resolvent_creep` has in closed form.  Any
+    other fixture is a ValueError."""
+    if not (spec.drift > 0):
+        raise ValueError("the resolvent check needs a subordinator with positive drift")
+    if spec.rate == 0:
+        return spec.drift, 0.0, 0.0
+    if not (isinstance(spec.jumps, ExponentialJumps) and spec.jumps.sign > 0):
+        raise ValueError("the resolvent check needs no jumps or exponential up-jumps")
+    return spec.drift, spec.rate, spec.jumps.rate
 
-    Requires a subordinator fixture (positive drift and nonnegative jumps);
-    passage times are then bounded by max(levels) / drift, so there is no
-    censoring.  Returns an array of shape (n, 2 * len(levels)).
+
+def _resolvent_density(spec: ProcessSpec, q: float, x):
+    """``u^q(x)``, the density of ``int_0^inf e^{-q t} P(X_t in dx) dt``.
+
+    Its transform is ``1 / (q + Phi(b))`` with ``Phi(b) = d b + lam b / (eta + b)``,
+    that is ``(eta + b) / (d b^2 + (d eta + lam + q) b + q eta)``.  The
+    quadratic has roots ``r1 < r2 <= 0``, so ``d u^q(x)`` is
+    ``((eta + r1) e^{r1 x} - (eta + r2) e^{r2 x}) / (r1 - r2)``.  With no
+    jumps ``lam = eta = 0``, so ``r1 = -q / d``, ``r2 = 0`` and ``d u^q(x)``
+    is ``e^{-q x / d}``.
     """
-    c, lam = spec.drift, spec.rate
-    nl = levels.size
-    out = np.zeros((n, 2 * nl))
-    tau = np.full((n, nl), np.nan)
-    creep = np.zeros((n, nl), dtype=bool)
-
-    sigma = np.zeros(n)
-    J = np.zeros(n)
-    nxt = np.zeros(n, dtype=int)  # index of the lowest unresolved level
-
-    def before(alive, g):
-        # the drift line crosses the unresolved levels below w_pre before
-        # the jump; levels ascend, so these are the next few in order
-        w_pre = c * (sigma[alive] + g) + J[alive]
-        for kidx in range(nl):
-            hit = (nxt[alive] == kidx) & (w_pre > levels[kidx])
-            ii = alive[hit]
-            tau[ii, kidx] = (levels[kidx] - J[ii]) / c
-            creep[ii, kidx] = True
-            nxt[ii] = kidx + 1
-
-    def after(alive, g, Y):
-        sig_next = sigma[alive] + g
-        w_land = c * sig_next + J[alive] + Y
-        for kidx in range(nl):
-            unres = nxt[alive] <= kidx
-            done = unres & (w_land >= levels[kidx])
-            ii = alive[done]
-            tau[ii, kidx] = sig_next[done]
-            nxt[ii] = kidx + 1
-            # a jump landing exactly on the level creeps at the jump instant
-            creep[alive[unres & (w_land == levels[kidx])], kidx] = True
-        J[alive] += Y
-        sigma[alive] = sig_next
-        return nxt[alive] < nl
-
-    walk(np.arange(n), lam, rng, spec.sample_jumps, before, after)
-    out[:, :nl] = tau
-    out[:, nl:] = creep
-    return out
+    d, lam, eta = resolvent_fixture(spec)
+    b = d * eta + lam + q
+    r1 = -(b + math.sqrt(b * b - 4.0 * d * q * eta)) / (2.0 * d)
+    r2 = q * eta / (d * r1)  # the product of the roots is q eta / d
+    x = np.asarray(x)
+    return ((eta + r1) * np.exp(r1 * x) - (eta + r2) * np.exp(r2 * x)) / (d * (r1 - r2))
 
 
 def check_resolvent_creep(
@@ -504,60 +492,37 @@ def check_resolvent_creep(
     n: int,
     policy: RngPolicy,
     workers: int = 1,
-    delta: float | None = None,
     fixture: str = "",
 ) -> CheckReport:
     """Resolvent characterisation of the creeping time of a subordinator:
-    ``E[e^{-q tau_u}; X_{tau_u} = u]`` equals the drift times the left
-    u-derivative of ``int_0^inf e^{-q t} P(X_t <= u) dt``.
+    ``E[e^{-q tau_u}; X_{tau_u} = u] = d u^q(u)``, the drift times the
+    resolvent density at ``u`` (Kyprianou 2006).
 
-    Both sides are Monte Carlo: the left side from creep records, the right
-    side from a common-path backward difference of the resolvent mass
-    ``(1 - e^{-q tau_v}) / q`` at ``v in {u - 2 delta, u - delta, u}``.
+    LHS: the mean of ``e^{-q tau_u}`` on creeping paths over one
+    :func:`sample_passages` batch, capped above ``u / d`` so that no path is
+    censored.  RHS: the closed form of :func:`_resolvent_density`.  The one
+    row is held to ``CHECK_FAIL_RATE``; its ``1e-12`` covers the rounding of
+    the two routes' exponentials, which the pure-drift case compares
+    exactly.  Fixtures other than those :func:`resolvent_fixture` takes are
+    a ValueError.
     """
-    if not (spec.drift > 0):
-        raise ValueError("the resolvent check requires a subordinator with positive drift")
-    if spec.rate > 0 and spec.jumps.cdf(0.0) > 0.0:
-        raise ValueError("the resolvent check requires nonnegative jumps")
-    if delta is None:
-        delta = 0.01 * u
-    if u - 2 * delta <= 0:
-        raise ValueError("u is too close to the grid edge for a backward difference")
-    levels = np.array([u - 2 * delta, u - delta, u])
-
-    parts = chunked_map(
-        lambda i, m, rng: _sub_passage_levels_chunk(spec, levels, m, rng),
-        n, policy.substream("rhs"), workers,
-    )
-    allv = np.concatenate(parts, axis=0)
-    tau = allv[:, :3]
-    resolvent = (1.0 - np.exp(-q_tilde * tau)) / q_tilde
-    d1 = (resolvent[:, 2] - resolvent[:, 1]) / delta
-    d2 = (resolvent[:, 2] - resolvent[:, 0]) / (2 * delta)
-    rhs = spec.drift * float(d1.mean())
-    se_rhs = spec.drift * float(d1.std(ddof=1) / math.sqrt(d1.size))
-    delta_bias = spec.drift * abs(float(d1.mean()) - float(d2.mean())) * 2.0
-
-    parts = chunked_map(
-        lambda i, m, rng: _sub_passage_levels_chunk(spec, np.array([u]), m, rng),
-        n, policy.substream("lhs"), workers,
-    )
-    allv = np.concatenate(parts, axis=0)
-    lvals = np.exp(-q_tilde * allv[:, 0]) * allv[:, 1]
-    lhs = float(lvals.mean())
-    lhs_se = float(lvals.std(ddof=1) / math.sqrt(lvals.size))
-
-    dist, budget = verdict([(abs(lhs - rhs), math.hypot(lhs_se, se_rhs), delta_bias)])
+    d = resolvent_fixture(spec)[0]
+    rhs = d * float(_resolvent_density(spec, q_tilde, u))
+    batch = sample_passages(spec, u, 2.0 * u / d, n, policy.substream("lhs"), workers)
+    vals = np.where(batch.creep, np.exp(-q_tilde * batch.tau), 0.0)
+    lhs = float(vals[0] + (vals - vals[0]).mean())
+    lhs_se = float(vals.std(ddof=1) / math.sqrt(vals.size))
+    dist, budget = verdict([(abs(lhs - rhs), lhs_se, 1e-12)], CHECK_FAIL_RATE)
     return CheckReport(
         check="resolvent",
         fixture=fixture,
-        params={"q": q_tilde, "u": u, "delta": delta, "n": n},
+        params={"q": q_tilde, "u": u, "n": n},
         lhs=lhs,
         rhs=rhs,
         se_lhs=lhs_se,
-        se_rhs=se_rhs,
         distance=dist,
         budget=budget,
-        n_paths=2 * n,
-        details=[{"delta_bias": delta_bias}],
+        n_paths=batch.n,
+        censored_mass=batch.censored_mass,
+        monitors=dict(batch.monitors),
     )

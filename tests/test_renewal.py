@@ -160,6 +160,36 @@ class TestFluctLadderRoute:
         assert d_above > d_below + 5 * (above.se + below.se) / delta
 
 
+def _scaled(spec: BivariateSubordinatorSpec, rates: float = 1.0, q: float | None = None):
+    """``spec`` with every atom rate times ``rates`` and killing ``q``."""
+    return BivariateSubordinatorSpec(spec.d_z, spec.d_y, spec.q if q is None else q,
+                                     tuple((dt, dx, r * rates) for dt, dx, r in spec.atoms))
+
+
+class TestVGrid:
+    def test_b1_cells_are_rows_against_exact_V(self):
+        ts, us = [0.5, 1.0, 2.0], [0.5, 1.0, 2.0]
+        rep = rn.check_V_grid(B1, ts, us, 20000, POL.substream("vg"), fixture="B1")
+        assert rep.passed and math.isfinite(rep.budget) and rep.se_rhs == 0.0
+        assert rep.columns == rn.GRID_COLUMNS + ("V_exact", "budget")
+        for row in rep.details:
+            assert row["V_exact"] == rn.exact_V(B1, row["t"], row["u"])[0]
+            assert abs(row["V"] - row["V_exact"]) <= row["budget"]
+        assert rep.rhs == rep.details[-1]["V_exact"]
+
+    def test_levy_fixture_stays_an_estimate(self):
+        rep = rn.check_V_grid(P1, [0.5], [0.5], 2000, POL.substream("vgp"), fixture="P1")
+        assert rep.budget == math.inf and rep.columns == rn.GRID_COLUMNS
+
+    def test_dropping_the_killing_fails(self, monkeypatch):
+        # fault on the exact side: B1's V computed without its killing rate
+        exact = rn.exact_V
+        monkeypatch.setattr(rn, "exact_V", lambda spec, t, u: exact(_scaled(spec, q=0.0), t, u))
+        rep = rn.check_V_grid(B1, [0.5, 1.0, 2.0], [0.5, 1.0, 2.0], 100000,
+                              POL.substream("vg-fault"), fixture="B1")
+        assert not rep.passed
+
+
 class TestSubpint:
     def test_b1_has_closed_form(self):
         # creeping before any event requires no jumps and no killing, so
@@ -168,7 +198,24 @@ class TestSubpint:
         closed = (1 - math.exp(-0.8 * 0.9)) / 0.8
         assert rep.passed
         assert abs(rep.lhs - closed) <= 4 * rep.se_lhs + 1e-3
-        assert abs(rep.rhs - closed) <= 4 * rep.se_rhs + 1e-3
+        assert rep.rhs == pytest.approx(closed, abs=1e-12) and rep.se_rhs == 0.0
+
+    def test_b1_quad_bias_is_the_trapezoid_error(self):
+        # the trapezoid rule on p(0.5, v) = e^{-0.8 v} at the check's 13 nodes
+        rep = rn.check_subpint(B1, 0.5, 0.9, 2000, POL.substream("qb"), fixture="B1")
+        nodes = np.linspace(0.0, 0.9, 13)
+        trap = float(np.sum((np.exp(-0.8 * nodes[1:]) + np.exp(-0.8 * nodes[:-1])) / 2
+                            * np.diff(nodes)))
+        closed = (1 - math.exp(-0.8 * 0.9)) / 0.8
+        assert rep.details[0]["quad_bias"] == pytest.approx(trap - closed, abs=1e-12)
+        assert rep.details[0]["quad_bias"] == pytest.approx(1.92e-4, abs=5e-7)
+
+    def test_b1_atom_rates_fault_fails(self, monkeypatch):
+        # fault on the exact side: B1's atom rates 2% high
+        exact = rn.exact_V
+        monkeypatch.setattr(rn, "exact_V", lambda spec, t, u: exact(_scaled(spec, 1.02), t, u))
+        rep = rn.check_subpint(B1, 0.5, 0.9, 100000, POL.substream("sp-fault"), fixture="B1")
+        assert not rep.passed
 
     def test_p1_with_support_gap(self):
         # u = 0.9 > drift * t: the integrand vanishes on (0.5, 0.9]

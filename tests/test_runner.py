@@ -95,8 +95,8 @@ class TestConfigValidation:
         ({"name": "amicale", "fixture": "P1", "mesh": -1}, "mesh"),
         ({"name": "wiener-hopf", "fixture": "P3", "a": [0]}, "a"),
         ({"name": "p-estimate", "fixture": "P1", "t": 0.3, "u": -1}, "u"),
-        ({"name": "resolvent", "fixture": "S1", "u": 0.5, "delta": -0.01}, "delta"),
-        ({"name": "resolvent", "fixture": "S1", "u": 0.5, "delta": 0}, "delta"),
+        ({"name": "resolvent", "fixture": "S1", "u": -0.5}, "u"),
+        ({"name": "subpint", "fixture": "B1", "t": 0, "u": 0.9}, "t"),
         ({"name": "resolvent", "fixture": "S1", "u": 0.5, "q": 0}, "q"),
     ])
     def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys, entry, key):
@@ -195,12 +195,34 @@ class TestCheckTable:
         ({"name": "V-grid", "fixture": "B1", "t": [0.5], "u": [0.5], "route": "min"}, "route"),
         ({"name": "quadruple", "fixture": "B1", "u": 1.5, "delta": 0.015}, "delta"),
         ({"name": "slfi", "fixture": "B1", "u_nodes": 40}, "u_nodes"),
+        ({"name": "resolvent", "fixture": "S1", "u": 0.5, "delta": 0.005}, "delta"),
     ])
     def test_removed_keys_are_config_errors(self, tmp_path, capsys, entry, key):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(_cfg(checks=[entry])))
         assert runner.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert f"unknown keys ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    # Each of these passed validation, then raised inside its check.
+    @pytest.mark.parametrize("entry, why", [
+        ({"name": "resolvent", "fixture": "P1", "u": 0.5}, "no jumps or exponential up-jumps"),
+        ({"name": "resolvent", "fixture": "P2", "u": 0.5}, "no jumps or exponential up-jumps"),
+        ({"name": "resolvent", "fixture": "P3", "u": 0.5}, "positive drift"),
+        ({"name": "wiener-hopf", "fixture": "P1"}, "zero-drift compound Poisson"),
+        ({"name": "slfi-fluct", "fixture": "P3"}, "creeping fixture"),
+        ({"name": "alpha", "fixture": "P1"}, "zero-drift compound Poisson"),
+        ({"name": "quintuple", "fixture": "P2", "u": 0.5}, "integer jump atoms"),
+        ({"name": "quintuple", "fixture": "S1", "u": 0.5}, "integer jump atoms"),
+    ])
+    def test_fixture_the_check_cannot_take_is_a_config_error(self, tmp_path, capsys, entry,
+                                                             why):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(_cfg(checks=[entry])))
+        assert runner.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        head = f"checks[0].fixture: {entry['name']} cannot take {entry['fixture']}: "
+        assert head in err and why in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_required_keys_are_declared(self):

@@ -2,9 +2,12 @@ import dataclasses
 import math
 
 import pytest
+from scipy.integrate import quad
 
-from levyladder.fixtures import B1, P2, P3, S1
-from levyladder.processes import BivariateSubordinatorSpec, kappa_biv
+from levyladder.fixtures import B1, P1, P2, P3, S1
+from levyladder.processes import (
+    BivariateSubordinatorSpec, ExponentialJumps, ProcessSpec, UniformJumps, kappa_biv,
+)
 from levyladder.results import verdict
 from levyladder.rng import RngPolicy
 from levyladder import transforms as tr
@@ -198,16 +201,18 @@ class TestWienerHopf:
         assert rep.details[0]["product"] < 0.07
 
     def test_requires_compound_poisson(self):
-        from levyladder.fixtures import P1
-
         with pytest.raises(ValueError):
             tr.wiener_hopf_check(P1, (1.0,), 100, POL)
 
 
+# S1 and a second subordinator with exponential up-jumps, at two killing rates
+EXP_SUBORDINATORS = [(S1, 1.0), (S1, 0.3),
+                     (ProcessSpec(0.5, 3.0, ExponentialJumps(rate=2.0)), 1.0),
+                     (ProcessSpec(0.5, 3.0, ExponentialJumps(rate=2.0)), 4.0)]
+
+
 class TestResolvent:
     def test_pure_drift_closed_form(self):
-        from levyladder.processes import ProcessSpec
-
         spec = ProcessSpec(drift=2.0, rate=0.0)
         rep = tr.check_resolvent_creep(spec, 1.0, 0.5, 2000, POL.substream("pd"))
         assert rep.passed
@@ -218,13 +223,41 @@ class TestResolvent:
         rep = tr.check_resolvent_creep(S1, 1.0, 0.5, 60000, POL.substream("s1"),
                                        fixture="S1")
         assert rep.passed
+        assert rep.rhs == pytest.approx(0.4237770, abs=5e-8) and rep.se_rhs == 0.0
+        assert rep.censored_mass == 0.0 and rep.n_paths == 60000
 
-    def test_refuses_edge_level(self):
-        with pytest.raises(ValueError):
-            tr.check_resolvent_creep(S1, 1.0, 0.01, 100, POL, delta=0.05)
+    @pytest.mark.parametrize("spec, q", EXP_SUBORDINATORS)
+    def test_density_starts_at_one_over_drift(self, spec, q):
+        assert spec.drift * tr._resolvent_density(spec, q, 0.0) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("spec, q", EXP_SUBORDINATORS)
+    def test_density_integrates_to_one_over_q(self, spec, q):
+        total, _ = quad(lambda x: tr._resolvent_density(spec, q, x), 0.0, math.inf,
+                        epsabs=1e-14, epsrel=1e-13)
+        assert total == pytest.approx(1.0 / q, abs=1e-12)
+
+    @pytest.mark.parametrize("d, q", [(1.0, 1.0), (2.0, 0.3), (0.5, 4.0)])
+    def test_density_without_jumps_is_exponential(self, d, q):
+        spec = ProcessSpec(drift=d, rate=0.0)
+        for x in (0.0, 0.5, 2.0):
+            assert d * tr._resolvent_density(spec, q, x) == pytest.approx(
+                math.exp(-q * x / d), abs=1e-12)
+
+    def test_dropping_the_jump_term_fails(self, monkeypatch):
+        # fault on the exact side: S1's density read as if it had no jumps
+        exact = tr._resolvent_density
+        monkeypatch.setattr(tr, "_resolvent_density",
+                            lambda spec, q, x: exact(ProcessSpec(spec.drift, 0.0), q, x))
+        rep = tr.check_resolvent_creep(S1, 1.0, 0.5, 200000, POL.substream("fault"))
+        assert not rep.passed
 
     def test_refuses_two_sided_jumps(self):
-        from levyladder.fixtures import P1
-
         with pytest.raises(ValueError):
             tr.check_resolvent_creep(P1, 1.0, 0.5, 100, POL)
+
+    @pytest.mark.parametrize("spec", [
+        P2, P3, ProcessSpec(1.0, 1.0, UniformJumps(0.5, 1.5)),
+        ProcessSpec(-1.0, 1.0, ExponentialJumps(rate=1.0))])
+    def test_refuses_other_fixtures(self, spec):
+        with pytest.raises(ValueError, match="the resolvent check needs"):
+            tr.check_resolvent_creep(spec, 1.0, 0.5, 100, POL)
