@@ -1,9 +1,10 @@
 """Distribution-level verification of the passage laws.
 
 Comparisons run between an empirical measure (histogrammed passage records)
-and an independently composed one (exact lattice ladder tables, the exact
-renewal sums of an atomic bivariate subordinator, or separate Monte-Carlo
-routes through the renewal measures).  Distances are total
+and an independently composed one: exact lattice ladder tables, the exact
+renewal sums of an atomic bivariate subordinator, or, for lattice jumps with
+a positive drift, the exact tables of :class:`levyladder.rw_ladder.DriftLattice`
+(the creep law, ``V`` and ``Vhat``).  Distances are total
 variation on a declared finite cell grid, or sup-CDF distance; excluded and
 censored mass is always reported, never dropped silently.
 
@@ -24,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .processes import BivariateSubordinatorSpec, DiscreteAtoms, ProcessSpec
-from .results import CheckReport, row_budgets, verdict
+from .results import CHECK_FAIL_RATE, CheckReport, row_budgets, verdict
 from .rng import RngPolicy
 from .passage import (
     K_CAP_TAIL,
@@ -33,7 +34,7 @@ from .passage import (
     sample_ladder_jumps,
     sample_passages,
 )
-from .renewal import dual_ladder_measure, exact_V, fluct_boxes
+from .renewal import exact_V
 from . import rw_ladder as rl
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "quintuple_rhs_lattice",
     "check_quintuple",
     "check_amicale",
+    "amicale_route",
     "check_quadruple",
     "check_alpha_embedding",
 ]
@@ -276,7 +278,6 @@ def check_quintuple(
     workers: int = 1,
     cap: float = 30000.0,
     mesh: float = 0.1,
-    delta: float = 0.005,
     fixture: str = "",
 ) -> CheckReport:
     """Quintuple law at level ``u``: empirical joint law of the five passage
@@ -289,14 +290,18 @@ def check_quintuple(
     cap, which is at least 256, so it belongs there.  The excluded mass is
     still reported, and bounded by its own row.
 
-    Drift-creeping fixtures compare the ``x > 0`` part against a Monte-Carlo
-    composed measure (independent streams) and the creeping fibre mass
-    against the ladder-drift times the left derivative of V, within 3
-    combined standard errors plus the difference-quotient bias estimate.
+    Drift-creeping fixtures compose the ``x > 0`` part from the exact V boxes
+    and Vhat cells of :class:`~levyladder.rw_ladder.DriftLattice` and hold its
+    TV to a fixed slack.  Three more rows: the creeping fibre mass against
+    the creep DP's ``p(t_cut, u)``, at ``CHECK_FAIL_RATE`` with the DP's
+    bound; the creep DP against the occupation route's ``d_H d^-_u V``
+    (deterministic: the paper's theorem between two exact routes); and the
+    jump part's total plus ``p(inf, u)`` against 1, within the DP bounds and
+    the most the boundary strip's sub-mesh cells could hold.
     """
     if quintuple_route(spec) == "lattice":
         return _check_quintuple_lattice(spec, u, n, policy, workers, cap, fixture)
-    return _check_quintuple_creeping(spec, u, n, policy, workers, mesh, delta, fixture)
+    return _check_quintuple_creeping(spec, u, n, policy, workers, mesh, fixture)
 
 
 def quintuple_route(spec: ProcessSpec) -> str:
@@ -309,6 +314,21 @@ def quintuple_route(spec: ProcessSpec) -> str:
     if not (spec.drift > 0 and isinstance(law, DiscreteAtoms)
             and all(v == round(v) for v in law.values)):
         raise ValueError("the creeping quintuple route needs positive drift and integer jump atoms")
+    rl.DriftLattice(spec)
+    return "creeping"
+
+
+def amicale_route(spec: ProcessSpec) -> str:
+    """``"lattice"`` for a compound Poisson lattice fixture, ``"creeping"`` for
+    positive drift (with up-jump atoms on a lattice the exact dual route can
+    hold), else a ValueError: the routes of :func:`check_amicale`."""
+    if spec.is_compound_poisson:
+        rl.LatticeWalkSpec.from_process(spec)
+        return "lattice"
+    if not (spec.drift > 0):
+        raise ValueError("amicale check requires compound Poisson or creeping fixtures")
+    if isinstance(spec.jumps, DiscreteAtoms) and max(spec.jumps.values) > 0:
+        rl.DriftLattice(spec, reach=max(spec.jumps.values))
     return "creeping"
 
 
@@ -363,7 +383,7 @@ def _compose_jump_part(shape, v_mass, vh_mass, pi, jy, jv):
     return out
 
 
-def _check_quintuple_creeping(spec, u, n, policy, workers, mesh, delta, fixture):
+def _check_quintuple_creeping(spec, u, n, policy, workers, mesh, fixture):
     law = spec.jumps
     xi = [(v, float(p)) for v, p in zip(law.values, [float(q) for q in law.probs]) if v > 0]
     t_edges = s_edges = QUINTUPLE_CREEPING_EDGES
@@ -392,71 +412,66 @@ def _check_quintuple_creeping(spec, u, n, policy, workers, mesh, delta, fixture)
     n_emp, censored, monitors = batch.n, batch.censored_mass, dict(batch.monitors)
     del batch, x, v, y, s, t, vhat, creep
 
-    # RHS: V-measure boxes (independent stream) x dual-ladder measure x Pi.
-    # The constraint x = xi - y - vhat > 0 cuts through the reporting cells
-    # along the diagonals y + vhat = xi, so the product is composed on a
-    # finer sub-mesh and aggregated: only cells fully inside the region
-    # carry mass, and the remaining boundary strip is a quarter-mesh wide.
+    # RHS: exact V boxes x exact dual-ladder measure x Pi.  The constraint
+    # x = xi - y - vhat > 0 cuts through the reporting cells along the
+    # diagonals y + vhat = xi, so the product is composed on a finer
+    # sub-mesh and aggregated: only cells fully inside the region carry
+    # mass, and the remaining boundary strip is a quarter-mesh wide.
+    lat = rl.DriftLattice(spec, reach=max(u, xim))
     sub = 4
     fm = mesh / sub
     ny_f = int(round(min(u, xim) / fm))
     y_f = [round(j * fm, 12) for j in range(ny_f + 1)]
-    v_boxes = []
-    for jt in range(t_axis.size):
-        for jyf in range(ny_f):
-            v_boxes.append((t_edges[jt], t_edges[jt + 1], u - y_f[jyf + 1], u - y_f[jyf]))
-    vests = fluct_boxes(spec, v_boxes, n, policy.substream("vmeas"), workers)
-    # dual measure grid: fine depth cells ({0} then sub-mesh bins); the
-    # infinite s bin is realised with a generous finite guard (dual ladder
-    # points of an upward-drifting fixture beyond it are exponentially
-    # unlikely and the guard loss is reported)
-    dm_s_edges = [e for e in s_edges if math.isfinite(e)]
-    if math.isinf(s_edges[-1]):
-        dm_s_edges.append(max(60.0, 4.0 * dm_s_edges[-1]))
+    # box (t bin, Y in (u - y_f[j + 1], u - y_f[j]]) from V at its corners
+    V, dV, v_bound = lat.occupation(t_edges, [max(u - yf, 0.0) for yf in y_f])
+    v_mass = -np.diff(np.diff(V, axis=0), axis=1)
+    # dual measure on fine depth cells: {0}, then the sub-mesh bins
     nv_f = int(round(xim / fm))
     dm_v_edges = [0.0, 1e-9] + [round(j * fm, 12) for j in range(1, nv_f + 1)]
-    vh_mass, _, vh_drop = dual_ladder_measure(
-        spec, dm_s_edges, dm_v_edges, n, policy.substream("vhat"), workers
-    )
-    vh_fine_hi = [1e-9] + [y_f_edge for y_f_edge in dm_v_edges[2:]]
+    vh_mass, vh_bound, vh_drop = lat.dual(s_edges, dm_v_edges)
+    vh_fine_hi = dm_v_edges[1:]
     pi = np.array([[sum(spec.rate * p for val, p in xi if val - y_hi - vhhi >= 0)
                     for vhhi in vh_fine_hi] for y_hi in y_f[1:]], dtype=float)
     jy = y_axis.index(np.array(y_f[1:]))
     jv = vh_axis.index(np.array(vh_fine_hi))
     jv[0] = 0
-    v_mass = np.array([e.value for e in vests]).reshape(t_axis.size, ny_f)
     rhs_mass = _compose_jump_part(tuple(a.size for a in axes), v_mass, vh_mass, pi, jy, jv)
     rhs = DiscreteMeasureND(axes, rhs_mass)
     tv = emp.tv_distance(rhs)
 
-    # creeping fibre: empirical creep mass versus drift * left derivative of V
-    band = fluct_boxes(spec, [(0.0, t_cut, u - delta, u)], n, policy.substream("band"),
-                       workers)[0]
-    band2 = fluct_boxes(spec, [(0.0, t_cut, u - 2 * delta, u - delta)], n,
-                        policy.substream("band2"), workers)[0]
-    deriv = spec.drift * band.value / delta
-    deriv_se = spec.drift * band.se / delta
-    delta_bias = abs(band.value - band2.value) / delta * spec.drift
-    fibre_dist = abs(creep_mass - deriv)
+    # creeping fibre: the creep DP at (t_cut, u) and at t = inf
+    (p_cut, p_inf), p_bound = lat.creep(u, [t_cut, math.inf])
+    deriv = float(dV[list(t_edges).index(t_cut), 0])
+    # total mass: the jump part plus p(inf, u) is 1, less what the boundary
+    # strip holds on x > 0: at most the whole product of each sub-mesh cell
+    # the diagonal cuts, one that x > 0 touches but pi leaves out
+    touched = sum(spec.rate * p * (np.array(y_f[:-1])[:, None]
+                                   + np.array(dm_v_edges[:-1])[None, :] < val) for val, p in xi)
+    strip_bound = float(v_mass.sum(axis=0) @ (touched - pi) @ vh_mass.sum(axis=0))
+    lam_pos = sum(spec.rate * p for _, p in xi)
+    jump_bound = lam_pos * (v_bound * (vh_mass.sum() + vh_bound) + v_mass.sum() * vh_bound)
+    total = rhs.total_mass + p_inf
     rows = [(tv, 0.0, QUINTUPLE_CREEPING_TV),
-            (fibre_dist, math.hypot(creep_se, deriv_se), delta_bias)]
-    tv_budget, fibre_budget = row_budgets(rows)
-    dist, budget = verdict(rows)
+            (abs(creep_mass - p_cut), creep_se, p_bound),
+            (abs(p_cut - deriv), 0.0, p_bound + v_bound),
+            (abs(1.0 - total), 0.0, strip_bound + jump_bound + p_bound)]
+    budgets = row_budgets(rows, CHECK_FAIL_RATE)
+    dist, budget = verdict(rows, CHECK_FAIL_RATE)
 
     details = [{
-        "tv": tv, "tv_budget": tv_budget, "creep_mass": creep_mass, "deriv_route": deriv,
-        "fibre_dist": fibre_dist, "fibre_budget": fibre_budget, "delta_bias": delta_bias,
-        "excluded_mass": emp.excluded_mass, "vhat_dropped": vh_drop,
-        "censored": censored,
+        "tv": tv, "tv_budget": budgets[0], "creep_mass": creep_mass, "creep_exact": p_cut,
+        "fibre_dist": rows[1][0], "fibre_budget": budgets[1], "deriv_exact": deriv,
+        "theorem_gap": rows[2][0], "theorem_budget": budgets[2], "total_mass": total,
+        "total_budget": budgets[3], "strip_bound": strip_bound,
+        "excluded_mass": emp.excluded_mass, "vhat_dropped": vh_drop, "censored": censored,
     }]
     return CheckReport(
         check="quintuple",
         fixture=fixture,
-        params={"u": u, "n": n, "mesh": mesh, "delta": delta},
+        params={"u": u, "n": n, "mesh": mesh},
         lhs=creep_mass,
-        rhs=deriv,
+        rhs=p_cut,
         se_lhs=creep_se,
-        se_rhs=deriv_se,
         distance=dist,
         budget=budget,
         n_paths=n_emp,
@@ -486,7 +501,9 @@ def check_amicale(
     lattice compound Poisson fixture the identity is checked cell by cell;
     for a creeping fixture the ladder measure must carry strictly positive
     mass at ``x = 0`` (at least 5 SE above zero) while the composed route
-    carries none there.
+    carries none there, and its ``x > 0`` cells are rows against the exact
+    Vhat of :class:`~levyladder.rw_ladder.DriftLattice`, held together to
+    ``CHECK_FAIL_RATE``.
     """
     s_edges = AMICALE_S_EDGES
     lam = spec.rate
@@ -545,13 +562,12 @@ def check_amicale(
     details: list[dict] = []
     rows = []
     if pos_atoms:
-        # x > 0 comparison on an aligned mesh: x = xi - v
+        # x > 0 comparison on an aligned mesh: x = xi - v, against the exact
+        # dual measure
         vh_edges = [0.0] + list(
             np.round(np.arange(mesh, max(v for v, _ in pos_atoms) + mesh / 2, mesh), 12)
         )
-        vhm, vhse, vhdrop = dual_ladder_measure(
-            spec, list(s_edges), vh_edges, n, policy.substream("rhs"), workers
-        )
+        vhm, vh_bound, vhdrop = rl.DriftLattice(spec, reach=vh_edges[-1]).dual(s_edges, vh_edges)
         s_axis = Axis("s", "bins", s_edges)
         for val, p in pos_atoms:
             for jv in range(len(vh_edges) - 1):
@@ -568,9 +584,8 @@ def check_amicale(
                     lhs_cell = lam * pe
                     se_cell = lam * math.sqrt(max(pe * (1 - pe), 0.0) / lad.n)
                     rhs_cell = vhm[js, jv] * spec.levy_atom(val)
-                    se_rhs_cell = vhse[js, jv] * spec.levy_atom(val)
-                    rows.append((abs(lhs_cell - rhs_cell), math.hypot(se_cell, se_rhs_cell),
-                                 1e-9))
+                    rows.append((abs(lhs_cell - rhs_cell), se_cell,
+                                 vh_bound * spec.levy_atom(val), 1e-9))
         details.append({"vhat_dropped": vhdrop})
     else:
         # spectrally negative: the positive part of the jump measure vanishes,
@@ -584,7 +599,7 @@ def check_amicale(
     # side carry strictly positive mass there (at least 5 SE above zero)
     rhs_zero = 0.0
     rows.append((max(5.0 * se_lhs_zero - lhs_zero, 0.0), 0.0))
-    dist, budget = verdict(rows)
+    dist, budget = verdict(rows, CHECK_FAIL_RATE)
     details.append({
         "x0_mass": lhs_zero, "x0_se": se_lhs_zero, "x0_rhs": rhs_zero,
         "censored": lad.censored_mass,

@@ -26,6 +26,11 @@ Monte-Carlo engines live here besides.
   it (plus the point mass at the origin), and ``Vhat(t, x)`` equals the
   expected index of the first ladder point leaving ``[0,t] x [0,x]``.
 
+For lattice jumps with a positive drift, :class:`levyladder.rw_ladder.DriftLattice`
+computes the measures of :func:`fluct_boxes` and :func:`dual_ladder_measure`
+exactly; the checks read those tables, and the two engines stay as the
+Monte-Carlo routes the tests compare them with.
+
 Every engine steps its paths jump by jump through
 :func:`levyladder.processes.walk`; what remains here is each engine's pair
 of hooks, the occupation or count it adds up before and at each jump.

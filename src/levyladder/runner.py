@@ -161,17 +161,17 @@ CHECKS: dict[str, Check] = {
         run=lambda spec, c, n, pol, w, fx: renewal.check_subpint(
             spec, float(c["t"]), float(c["u"]), n, pol, w, fixture=fx)),
     "quintuple": Check(
-        "Levy", ("u", "cap", "mesh", "delta"), required=("u",),
-        positive=("u", "cap", "mesh", "delta"), takes=lawcheck.quintuple_route,
+        "Levy", ("u", "cap", "mesh"), required=("u",),
+        positive=("u", "cap", "mesh"), takes=lawcheck.quintuple_route,
         validate=_quintuple_ok,
         run=lambda spec, c, n, pol, w, fx: lawcheck.check_quintuple(
-            spec, float(c["u"]), n, pol, w, fixture=fx, **_given(c, "cap", "mesh", "delta"))),
+            spec, float(c["u"]), n, pol, w, fixture=fx, **_given(c, "cap", "mesh"))),
     "quadruple": Check(
         "bivariate", ("u", "mesh"), required=("u",), positive=("u", "mesh"),
         run=lambda spec, c, n, pol, w, fx: lawcheck.check_quadruple(
             spec, float(c["u"]), n, pol, w, fixture=fx, **_given(c, "mesh"))),
     "amicale": Check(
-        "Levy", ("mesh",), positive=("mesh",),
+        "Levy", ("mesh",), positive=("mesh",), takes=lawcheck.amicale_route,
         run=lambda spec, c, n, pol, w, fx: lawcheck.check_amicale(
             spec, n, pol, w, fixture=fx, **_given(c, "mesh"))),
     "slfi": Check(

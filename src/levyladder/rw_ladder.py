@@ -544,3 +544,314 @@ def vhat_exact(table: LadderRenewalTable, rate: float, t: float, x: float) -> tu
     val = sum(sf[k] * table.uhat(k, x) for k in range(table.K + 1))
     bound = poisson_tail_mean(mu, table.K)
     return float(val), float(bound)
+
+
+# ---------------------------------------------------------------------------
+# Lattice jumps plus a positive drift: the killed walk under a moving barrier
+# ---------------------------------------------------------------------------
+
+# Poisson tail each cell's uniformized series leaves out, per unit of mass.
+DRIFT_TOL = 1e-17
+# Lattice steps the killed walk keeps past its barrier and the levels asked
+# about; mass beyond is lost and bounded.
+DRIFT_DEPTH = 96
+# Most floats the stack of powers of the killed jump matrix may hold.
+DRIFT_MAX_FLOATS = 1 << 22
+# An unbounded horizon runs cell by cell until what is still alive can add
+# at most this much; past DRIFT_MAX_CELLS it is refused.
+DRIFT_TAIL = 1e-14
+DRIFT_MAX_CELLS = 4096
+
+
+class DriftLattice:
+    """Exact tables of ``X_r = c r + h J_r``, with drift ``c > 0`` and ``J``
+    the integer jump walk (rate ``lambda``) of a lattice jump law.
+
+    Every route evolves the law of ``J`` killed on one side of a barrier that
+    moves one lattice step per cell of length ``tau = h / c``.  In the frame
+    that moves with the barrier the killed walk is the same continuous-time
+    chain in every cell, so uniformization (Jensen 1953) gives its law at an
+    offset ``o`` into a cell as ``sum_n P(N_o = n) pi P^n`` and its time
+    integral over ``[0, o]`` as ``sum_n P(N_o >= n + 1) / lambda pi P^n``,
+    where ``P`` is the killed jump matrix.  The states are the distances
+    ``0..depth`` from the barrier plus one absorbing state that collects the
+    mass lost past ``depth``.  At a cell's end the frame shifts one step:
+    toward the barrier when it sits above (the mass on it creeps), away from
+    it when it sits below.
+
+    * :meth:`creep` -- ``p(t, u) = P(tau_u <= t, X_{tau_u} = u)``: the barrier
+      is ``u`` above; the mass at ``J = k`` creeps at ``a_k = (u - k h) / c``.
+    * :meth:`occupation` -- by time reversal ``V(t, w) = int_0^t P(inf_{q <= r}
+      X_q >= 0, X_r <= w) dr``, the barrier 0 below; also ``d_H d^-_w V(t, w)``
+      with ``d_H = c``.
+    * :meth:`dual` -- ``Vhat(ds, dv) = delta_(0,0) + sum_{a < 0} lambda p_a
+      int_ds P(sup_{q <= r} X_q < |a| h, |a| h - X_r in dv) dr``, the barrier
+      ``|a| h`` above; every ``a`` shares one frame, in which the depth
+      ``|a| h - X_r`` depends only on the distance and the offset.
+
+    Each route returns a deterministic bound: the mass lost past ``depth``
+    and the Poisson tails, each times the most one unit of mass can still
+    add, plus, for an unbounded horizon, the same for the mass still alive.
+    """
+
+    def __init__(self, spec: ProcessSpec, reach: float = 0.0):
+        """``reach``: the largest level or depth the routes will be asked
+        about; the walk is kept ``DRIFT_DEPTH`` steps past it."""
+        if not (spec.drift > 0 and spec.rate > 0 and isinstance(spec.jumps, DiscreteAtoms)):
+            raise ValueError("the drift lattice needs positive drift and an atomic jump law")
+        walk = LatticeWalkSpec.from_process(ProcessSpec(0.0, spec.rate, spec.jumps))
+        self.c, self.h, self.lam = spec.drift, walk.h, walk.rate
+        self.depth = DRIFT_DEPTH + walk.max_step + math.ceil(reach / self.h)
+        self.tau = self.h / self.c
+        self.steps = np.array(walk.steps)
+        self.probs = np.array([float(p) for p in walk.probs])
+        self.mean = self.c + self.lam * self.h * float(self.steps @ self.probs)
+        self.n_terms = poisson_index_cap(self.lam * self.tau, DRIFT_TOL)
+        if (self.n_terms + 1) * (self.depth + 2) ** 2 > DRIFT_MAX_FLOATS:
+            raise ValueError("the drift lattice is too large for this process: its lattice"
+                             " step is too fine, or its jumps too many per step of drift")
+        self._powers: dict[int, np.ndarray] = {}
+
+    def _power_stack(self, side: int) -> np.ndarray:
+        """``P^n``, ``n = 0..n_terms``: ``side`` +1 for a barrier below (a
+        step ``a`` moves the distance by ``+a``), -1 for one above."""
+        if side not in self._powers:
+            D = self.depth
+            P = np.zeros((D + 2, D + 2))
+            P[D + 1, D + 1] = 1.0
+            for a, p in zip(self.steps, self.probs):
+                to = np.arange(D + 1) + side * a
+                live = to >= 0  # below 0: passed the barrier by a jump
+                P[np.arange(D + 1)[live], np.minimum(to[live], D + 1)] += p
+            stack = [np.eye(D + 2)]
+            for _ in range(self.n_terms):
+                stack.append(stack[-1] @ P)
+            self._powers[side] = np.array(stack)
+        return self._powers[side]
+
+    def _weights(self, fracs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``P(N_o = n)`` and ``P(N_o >= n + 1) / lambda`` for ``n = 0..n_terms``
+        at each offset ``o = fracs * tau``; the second by suffix sums, far
+        enough out that what they leave out is below ``DRIFT_TOL``'s scale."""
+        n = np.arange(self.n_terms + 64)
+        mus = self.lam * self.tau * np.asarray(fracs, dtype=float)[:, None]
+        logs = np.array([math.lgamma(k + 1.0) for k in n])
+        with np.errstate(divide="ignore"):
+            pmf = np.exp(n * np.log(mus) - mus - logs)
+        pmf[mus[:, 0] == 0, 0] = 1.0
+        sf = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
+        k = self.n_terms + 1
+        return pmf[:, :k], sf[:, 1 : k + 1] / self.lam
+
+    def _split(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cell index and offset fraction in (0, 1] of each time ``r``; a
+        time 0 gets cell -1."""
+        q = np.asarray(r, dtype=float) / self.tau
+        cell = np.ceil(np.round(q, 12)).astype(int) - 1
+        return cell, np.round(q - cell, 12)
+
+    def _evolve(self, side, pi0, end, cells, tail=None):
+        """Start laws of each cell, the mass the end-of-cell shifts move over
+        the barrier, and the mass lost past ``depth``.
+
+        ``end`` holds the end operators of the first and of every later cell.
+        ``cells`` is a count, or None for an unbounded horizon: then the walk
+        runs until ``tail(pi)`` is at most ``DRIFT_TAIL``.
+        """
+        D = self.depth
+        starts, out = [], []
+        pi = np.zeros(D + 2)
+        pi[: pi0.size] = pi0
+        while cells is None or len(starts) < cells:
+            if cells is None and tail(pi) <= DRIFT_TAIL:
+                break
+            if len(starts) >= DRIFT_MAX_CELLS:
+                raise ValueError(f"the drift lattice needs more than {DRIFT_MAX_CELLS} cells")
+            starts.append(pi)
+            e = pi @ end[min(len(out), 1)]
+            pi = np.zeros(D + 2)
+            pi[D + 1] = e[D + 1]
+            if side > 0:
+                pi[1 : D + 1] = e[:D]
+                pi[D + 1] += e[D]
+                out.append(0.0)
+            else:
+                pi[:D] = e[1 : D + 1]
+                out.append(e[0])
+        return np.array(starts).reshape(-1, D + 2), np.array(out), pi
+
+    def creep(self, u: float, t_values: Sequence[float]) -> tuple[np.ndarray, float]:
+        """``p(t, u)`` at each ``t`` (``inf`` allowed) and a bound on its error."""
+        if not (u > 0):
+            raise ValueError("the creep level must be positive")
+        t = np.asarray(t_values, dtype=float)
+        k0, first = self._split(np.array([u / self.c]))
+        k0, first = int(k0[0]), float(first[0])
+        if k0 > self.depth:
+            raise ValueError("the creep level lies past the lattice depth")
+        pi0 = np.zeros(k0 + 1)
+        pi0[k0] = 1.0
+        pmf, _ = self._weights(np.array([first, 1.0]))
+        state = np.tensordot(pmf, self._power_stack(-1), 1)
+        fin = t[np.isfinite(t)]
+        # creeping times first * tau + i * tau, i = 0, 1, ...
+        last = np.floor(np.round(fin / self.tau - first, 12)).astype(int)
+        n_cells = int(last.max()) + 1 if fin.size and last.max() >= 0 else 0
+        unbounded = fin.size < t.size
+        _, out, pi = self._evolve(-1, pi0, state, None if unbounded else n_cells,
+                                  tail=lambda p: p[:-1].sum())
+        cum = np.concatenate([[0.0], np.cumsum(out)])
+        p = np.where(np.isfinite(t), 0.0, cum[-1])
+        p[np.isfinite(t)] = cum[np.clip(last + 1, 0, out.size)]
+        # each unit of lost or left-out mass creeps at most once
+        bound = pi[-1] + out.size * DRIFT_TOL + (pi[:-1].sum() if unbounded else 0.0)
+        return p, float(bound)
+
+    def _cells(self, side, pi0, times, fracs, width, tail):
+        """What the full-cell routes read, over the horizon ``times`` needs
+        (an ``inf`` among them: until ``tail`` is small), for the distances
+        below ``width``: the integrals ``G[i, m, x]`` over ``[0, fracs[m]
+        tau]`` of cell ``i``, their exclusive running sums ``C[i, m, x] =
+        sum_{y < x} G[i, m, y]`` (``x <= width``), the state laws ``S``, the
+        integrals of all live mass ``T[i, m]``, the mass lost by the end of
+        each cell, and the law after the last cell."""
+        stack = self._power_stack(side)
+        pmf, sf = self._weights(fracs)
+        fin = times[np.isfinite(times)]
+        cells = None if fin.size < times.size else max(int(self._split(fin)[0].max()) + 1, 1)
+        end = np.tensordot(pmf[-1], stack, 1)
+        starts, _, pi = self._evolve(side, pi0, (end, end), cells, tail)
+        few = stack[:, :, :width]
+        G = np.tensordot(starts, np.tensordot(sf, few, 1), (1, 1))
+        S = np.tensordot(starts, np.tensordot(pmf, few, 1), (1, 1))
+        T = starts @ np.tensordot(sf, stack[:, :, :-1].sum(axis=2), 1).T
+        C = np.concatenate([np.zeros(G.shape[:2] + (1,)), np.cumsum(G, axis=2)], axis=2)
+        lost = np.append(starts[1:, -1], pi[-1])
+        return G, C, S, T, lost, pi
+
+    def _locate(self, times: np.ndarray, fracs: np.ndarray, n_cells: int):
+        """Cell (``n_cells`` for ``inf``, -1 for 0) and offset index of each time."""
+        cell, frac = self._split(np.where(np.isfinite(times), times, 0.0))
+        cell = np.where(np.isfinite(times), cell, n_cells)
+        return cell, np.searchsorted(fracs, frac)
+
+    @staticmethod
+    def _through(full: np.ndarray, part: np.ndarray, cell: np.ndarray) -> np.ndarray:
+        """Totals up to each time: the ``full`` cells (cells x values) before
+        its ``cell`` plus its ``part`` (times x values) of that cell."""
+        run = np.concatenate([np.zeros((1, full.shape[1])), np.cumsum(full, axis=0)])
+        inside = ((cell >= 0) & (cell < full.shape[0]))[:, None]
+        return run[np.clip(cell, 0, full.shape[0])] + np.where(inside, part, 0.0)
+
+    def _chernoff(self) -> tuple[float, float]:
+        """``(theta, kappa)`` with ``E e^{-theta (X_r - X_0)} = e^{-kappa r}``
+        and ``kappa`` the largest a grid finds, positive for a positive mean:
+        then ``P(X_r <= w) <= e^{theta (w - X_0)} e^{-kappa r}``."""
+        thetas = np.linspace(0.0, 4.0, 4001)[1:] / self.h
+        kappa = thetas * self.c - self.lam * (
+            np.exp(-np.outer(thetas, self.steps) * self.h) @ self.probs - 1.0)
+        best = int(np.argmax(kappa))
+        return float(thetas[best]), float(kappa[best])
+
+    def occupation(self, t_values: Sequence[float], w_values: Sequence[float]
+                   ) -> tuple[np.ndarray, np.ndarray, float]:
+        """``V(t, w)`` and ``d_H d^-_w V(t, w)`` on the grid ``t_values`` x
+        ``w_values`` (``0 <= w < depth h``; ``t = inf`` allowed for ``V``, where
+        the derivative reads NaN), and one bound on every entry's error."""
+        t = np.asarray(t_values, dtype=float)
+        w = np.asarray(w_values, dtype=float)
+        if (w < 0).any() or not (w.max() < self.depth * self.h):
+            raise ValueError("levels must lie in [0, depth * h)")
+        # the distance z whose hit time (w - h z) / c falls in (0, tau]
+        zw = np.ceil(np.round(w / self.h, 12)).astype(int) - 1
+        ow = np.round(w / self.h - zw, 12)
+        fin = np.isfinite(t)
+        fracs = np.unique(np.concatenate([ow, self._split(t[fin])[1], [1.0]]))
+        if self.mean > 0:
+            # from height x, P(X_r <= w) <= g(x) e^{-kappa r}: at most
+            # g(x) / kappa time at or below w, and at most g(x) / (1 -
+            # e^{-kappa tau}) visits at creeping times, which lie tau apart
+            theta, kappa = self._chernoff()
+            g = np.exp(theta * (w.max() - self.h * np.arange(self.depth + 2)))
+            per_time, per_hit = g / kappa, g / -math.expm1(-kappa * self.tau)
+            tail = lambda p: p[:-1] @ per_time[:-1]
+        elif fin.all():
+            per_time = per_hit = np.full(self.depth + 2, np.inf)
+            tail = None
+        else:
+            raise ValueError("an unbounded horizon needs a positive mean")
+        G, C, S, _, lost, pi = self._cells(+1, np.ones(1), t, fracs, int(zw.max()) + 1, tail)
+        cell, mt = self._locate(t, fracs, G.shape[0])
+        ci = np.clip(cell, 0, G.shape[0] - 1)[:, None]
+        mw, z, on = np.searchsorted(fracs, ow), np.maximum(zw, 0), zw >= 0
+        full = np.where(on, C[:, -1, z] + G[:, mw, z], 0.0)
+        part = np.where(on, C[ci, mt[:, None], z] + G[ci, np.minimum(mw, mt[:, None]), z], 0.0)
+        V = self._through(full, part, cell)
+        # the mass at z when the level w is crept at (i + frac_w) tau
+        hits = np.where(on, S[:, mw, z], 0.0)
+        dV = self._through(hits, np.where(on & (mw <= mt[:, None]), S[ci, mw, z], 0.0), cell)
+        dV[~fin] = np.nan
+        # a unit of mass lost past depth (above h (depth + 1)) or left out of
+        # a series (above 0) adds to V at most the time left or per_time,
+        # and to the derivative one hit per cell or per_hit
+        n = np.minimum(cell, G.shape[0] - 1) + 1
+        span, left_out = np.where(fin, t, np.inf), n * DRIFT_TOL
+        err = (lost[n - 1] * np.minimum(span, per_time[-1])
+               + left_out * (np.minimum(span, per_time[0]) + self.tau))
+        err_hits = np.where(fin, lost[n - 1] * np.minimum(n, per_hit[-1])
+                            + left_out * np.minimum(n, per_hit[0]), 0.0)
+        if tail is not None and not fin.all():
+            err = np.where(fin, err, err + tail(pi))
+        bound = float(max(err.max(), err_hits.max()))
+        return V, dV, bound
+
+    def dual(self, s_edges: Sequence[float], v_edges: Sequence[float]
+             ) -> tuple[np.ndarray, float, float]:
+        """``Vhat`` masses on the (time, depth) bin grid, binned as
+        :func:`levyladder.renewal.dual_ladder_measure` bins its points: the
+        origin in the first cell, cells ``(lo, hi]`` otherwise, the last time
+        edge may be ``inf``.  Returns the masses, a bound on their total
+        error (each mass is at most its true value), and the mass past the
+        last depth edge within the time grid (the Monte Carlo route counts
+        only the first such point of each path)."""
+        s = np.asarray(s_edges, dtype=float)
+        v = np.asarray(v_edges, dtype=float)
+        if s[0] != 0.0 or v[0] != 0.0 or not (v[-1] < self.depth * self.h):
+            raise ValueError("the grid must start at (0, 0) and end before depth * h")
+        # depth h (1 + x) - c o at distance x and offset o: at most v for
+        # x < x_v, over [frac_v tau, tau] for x = x_v, never past it
+        xv = np.floor(np.round(v / self.h, 12)).astype(int)
+        ov = np.round(1.0 + xv - v / self.h, 12)
+        fracs = np.unique(np.concatenate([ov, self._split(s[np.isfinite(s)])[1], [1.0]]))
+        neg = self.steps < 0
+        pi0 = np.zeros(int(-self.steps.min()) if neg.any() else 1)
+        np.add.at(pi0, -self.steps[neg] - 1, self.lam * self.probs[neg])
+        D, fin = self.depth, np.isfinite(s).all()
+        if self.mean > 0:
+            # Wald: from distance x the barrier is passed within
+            # h (x + 1 + largest up-step) / mean expected time
+            wald = self.h * (np.arange(D - min(self.steps.min(), 0) + 1) + 1
+                             + max(self.steps.max(), 0)) / self.mean
+            tail = lambda p: p[:-1] @ wald[: D + 1]
+        elif fin:
+            wald, tail = np.full(D + 1, np.inf), None
+        else:
+            raise ValueError("an unbounded horizon needs a positive mean")
+        G, C, _, T, lost, pi = self._cells(-1, pi0, s, fracs, int(xv.max()) + 1, tail)
+        cell, ms = self._locate(s, fracs, G.shape[0])
+        ci = np.clip(cell, 0, G.shape[0] - 1)[:, None]
+        mv = np.searchsorted(fracs, ov)
+        full = np.concatenate([C[:, -1, xv + 1] - G[:, mv, xv], T[:, -1:]], axis=1)
+        part = np.concatenate([C[ci, ms[:, None], xv + 1] - G[ci, np.minimum(mv, ms[:, None]), xv],
+                               T[ci[:, 0], ms][:, None]], axis=1)
+        F = self._through(full, part, cell)  # Vhat without the origin, [0, s] x [0, v]
+        mass = np.diff(np.diff(F[:, :-1], axis=0), axis=1)
+        mass[0, 0] += 1.0
+        dropped = float(F[-1, -1] - F[-1, -2])
+        # a unit of mass lost past depth (by at most the largest down-step)
+        # or left out of a series adds at most the time it has left, or the
+        # Wald time from where it is
+        left_out = G.shape[0] * DRIFT_TOL * float(pi0.sum())
+        bound = (lost[-1] * min(s[-1], wald[-1]) + left_out * (min(s[-1], wald[D]) + self.tau)
+                 + (0.0 if fin else tail(pi)))
+        return mass, float(bound), dropped

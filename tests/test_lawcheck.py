@@ -9,7 +9,9 @@ from levyladder.processes import BivariateSubordinatorSpec, DiscreteAtoms, Proce
 from levyladder.rng import RngPolicy
 from levyladder import lawcheck as lc
 from levyladder import passage as pg
+from levyladder import renewal as rn
 from levyladder import rw_ladder as rl
+from levyladder.results import CHECK_FAIL_RATE, verdict
 from levyladder.passage import sample_passages
 
 POL = RngPolicy(seed=424242)
@@ -142,6 +144,86 @@ class TestQuintupleCreeping:
         rep = lc.check_quintuple(P1, 0.5, 50000, POL.substream("q1b"), fixture="P1")
         assert rep.lhs > 0.3  # P1 creeps over 0.5 with high probability
 
+    def test_rows_and_columns(self):
+        rep = lc.check_quintuple(P1, 0.5, 20000, POL.substream("q1c"), fixture="P1")
+        d = rep.details[0]
+        assert rep.rhs == d["creep_exact"] == pytest.approx(0.4956273715, abs=1e-10)
+        assert rep.se_rhs == 0.0 and "delta" not in rep.params
+        # the paper's theorem between the two exact routes
+        assert d["theorem_gap"] <= 1e-14 and d["theorem_budget"] < 1e-12
+        # the jump part misses at most the boundary strip's share
+        assert 1.0 - d["strip_bound"] <= d["total_mass"] <= 1.0 + 1e-12
+        assert d["total_budget"] == pytest.approx(d["strip_bound"], rel=1e-6)
+
+    def test_reads_no_monte_carlo_right_side(self, monkeypatch):
+        # fluct_boxes and dual_ladder_measure both step renewal's walker
+        def boom(*args, **kwargs):
+            raise AssertionError("a Monte Carlo right side ran")
+
+        monkeypatch.setattr(rn, "walk", boom)
+        assert lc.check_quintuple(P1, 0.5, 20000, POL.substream("q1d"), fixture="P1").passed
+        assert lc.check_amicale(P1, 20000, POL.substream("am1d"), fixture="P1").passed
+
+    @pytest.mark.parametrize("n", [400000, 131072])
+    def test_jump_rate_two_percent_off_fails(self, monkeypatch, n):
+        # p(4, 0.5) moves from 0.49563 to 0.48854: 9.0 SE at 400000, 5.1 SE
+        # at 131072; the fibre row is held to CHECK_FAIL_RATE (3.89 SE)
+        exact = rl.DriftLattice
+        monkeypatch.setattr(rl, "DriftLattice", lambda spec, **kwargs: exact(
+            ProcessSpec(spec.drift, 1.02 * spec.rate, spec.jumps), **kwargs))
+        rep = lc.check_quintuple(P1, 0.5, n, POL.substream("q1f"), fixture="P1")
+        d = rep.details[0]
+        assert d["creep_exact"] == pytest.approx(0.48854, abs=1e-5)
+        assert not rep.passed and d["fibre_dist"] > d["fibre_budget"]
+
+    def test_dropping_the_creeping_term_fails_the_total_mass_row(self, monkeypatch):
+        creep = rl.DriftLattice.creep
+
+        def jump_part_only(self, u, t_values):
+            p, bound = creep(self, u, t_values)
+            return np.where(np.isinf(np.asarray(t_values)), 0.0, p), bound
+
+        monkeypatch.setattr(rl.DriftLattice, "creep", jump_part_only)
+        rep = lc.check_quintuple(P1, 0.5, 20000, POL.substream("q1g"), fixture="P1")
+        d = rep.details[0]
+        assert abs(1.0 - d["total_mass"]) > 0.4 > d["total_budget"]
+        assert not rep.passed
+
+
+class TestDriftLatticeAgainstMonteCarlo:
+    """The exact tables against the Monte Carlo routes they replace, cell by
+    cell, each row held to the check's false-FAIL rate."""
+
+    lat = rl.DriftLattice(P1)
+
+    @staticmethod
+    def _agree(mc, se, exact, bound):
+        rows = [(abs(a - b), e, bound) for a, e, b in zip(np.ravel(mc), np.ravel(se),
+                                                          np.ravel(exact))]
+        distance, budget = verdict(rows, CHECK_FAIL_RATE)
+        assert distance <= budget
+
+    def test_v_boxes_against_fluct_boxes(self):
+        # check_quintuple(P1, 0.5)'s 120 boxes: t bins by fine y bins
+        t_edges = lc.QUINTUPLE_CREEPING_EDGES
+        w = 0.5 - 0.025 * np.arange(21)
+        V, _, bound = self.lat.occupation(t_edges, np.maximum(w, 0.0))
+        exact = -np.diff(np.diff(V, axis=0), axis=1)
+        boxes = [(t_edges[i], t_edges[i + 1], max(w[j + 1], 0.0), w[j])
+                 for i in range(6) for j in range(20)]
+        est = rn.fluct_boxes(P1, boxes, 100000, POL.substream("vbox"))
+        self._agree([e.value for e in est], [e.se for e in est], exact, 4 * bound)
+
+    @pytest.mark.parametrize("s_edges, v_edges", [
+        ((0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 60.0), tuple(np.round(0.025 * np.arange(41), 12))),
+        (lc.AMICALE_S_EDGES, tuple(np.round(0.1 * np.arange(11), 12))),
+    ])
+    def test_vhat_cells_against_dual_ladder_measure(self, s_edges, v_edges):
+        mass, bound, _ = self.lat.dual(s_edges, v_edges)
+        mc, se, _ = rn.dual_ladder_measure(P1, s_edges, v_edges, 100000,
+                                           POL.substream("vhat"))
+        self._agree(mc, se, mass, bound)
+
 
 class TestAmicale:
     def test_p3_lattice_identity_everywhere(self):
@@ -166,13 +248,13 @@ class TestAmicale:
             assert rep.passed, seed
 
     def test_p1_dual_route_scaled_by_two_percent_fails_on_every_seed(self, monkeypatch):
-        route = lc.dual_ladder_measure
+        route = rl.DriftLattice.dual
 
         def scaled(*args, **kwargs):
-            mass, se, dropped = route(*args, **kwargs)
-            return 1.02 * mass, 1.02 * se, dropped
+            mass, bound, dropped = route(*args, **kwargs)
+            return 1.02 * mass, bound, dropped
 
-        monkeypatch.setattr(lc, "dual_ladder_measure", scaled)
+        monkeypatch.setattr(rl.DriftLattice, "dual", scaled)
         for seed in range(11, 19):
             rep = lc.check_amicale(P1, 200000, RngPolicy(seed), fixture="P1")
             assert not rep.passed, seed

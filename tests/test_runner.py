@@ -89,7 +89,7 @@ class TestConfigValidation:
     # error, a ValueError) or gave a NaN or a PASS on a forward quotient.
     @pytest.mark.parametrize("entry, key", [
         ({"name": "ct1", "fixture": "P1", "t": 0.5, "u": 0.25, "delta": 0}, "delta"),
-        ({"name": "quintuple", "fixture": "P1", "u": 0.5, "delta": 0}, "delta"),
+        ({"name": "ct1", "fixture": "P1", "t": 0.5, "u": 0.45, "delta": -0.005}, "delta"),
         ({"name": "quintuple", "fixture": "P1", "u": 0.5, "mesh": 0}, "mesh"),
         ({"name": "quadruple", "fixture": "B1", "u": 1.5, "mesh": 0}, "mesh"),
         ({"name": "amicale", "fixture": "P1", "mesh": -1}, "mesh"),
@@ -196,6 +196,7 @@ class TestCheckTable:
         ({"name": "quadruple", "fixture": "B1", "u": 1.5, "delta": 0.015}, "delta"),
         ({"name": "slfi", "fixture": "B1", "u_nodes": 40}, "u_nodes"),
         ({"name": "resolvent", "fixture": "S1", "u": 0.5, "delta": 0.005}, "delta"),
+        ({"name": "quintuple", "fixture": "P1", "u": 0.5, "delta": 0.005}, "delta"),
     ])
     def test_removed_keys_are_config_errors(self, tmp_path, capsys, entry, key):
         cfg_path = tmp_path / "bad.json"
@@ -224,6 +225,25 @@ class TestCheckTable:
         head = f"checks[0].fixture: {entry['name']} cannot take {entry['fixture']}: "
         assert head in err and why in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    # amicale refuses at config time a drifting fixture whose up-jump atoms
+    # lie on no lattice its exact dual route can hold, and one that neither
+    # creeps nor is compound Poisson (that one raised inside the check)
+    @pytest.mark.parametrize("fixture, why", [
+        ({"kind": "levy", "drift": 1.0, "rate": 1.0, "jumps": {
+            "variant": "discrete", "atoms": [[1.0, 0.5], [-0.3, 0.5]]}}, "lattice step is too fine"),
+        ({"kind": "levy", "drift": -1.0, "rate": 1.0, "jumps": {
+            "variant": "exponential", "rate": 1.0}}, "compound Poisson or creeping"),
+    ])
+    def test_amicale_fixture_it_cannot_take_is_a_config_error(self, tmp_path, capsys, fixture,
+                                                              why):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(_cfg(fixtures={"X": fixture},
+                                            checks=[{"name": "amicale", "fixture": "X"}])))
+        assert runner.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "checks[0].fixture: amicale cannot take X: " in err and why in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
 
     def test_required_keys_are_declared(self):
         assert {name: c.required for name, c in runner.CHECKS.items() if c.required} == REQUIRED

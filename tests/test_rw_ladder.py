@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from levyladder import rw_ladder as rl
-from levyladder.fixtures import P3
+from levyladder.fixtures import P1, P3
+from levyladder.processes import DiscreteAtoms, ExponentialJumps, ProcessSpec
 
 F = Fraction
 
@@ -213,3 +214,102 @@ class TestWalkSpec:
     def test_probabilities_must_be_exact(self):
         with pytest.raises(ValueError):
             rl.LatticeWalkSpec(1.0, (1, -1), (F(1, 2), F(49, 100)), 1.0)
+
+
+def _scaled(spec: ProcessSpec, time: float = 1.0, space: float = 1.0) -> ProcessSpec:
+    """``X'_r = space * X_{time * r}``: drift times ``time * space``, rate
+    times ``time``, atoms times ``space``."""
+    atoms = [(space * v, p) for v, p in zip(spec.jumps.values, spec.jumps.probs)]
+    return ProcessSpec(spec.drift * time * space, spec.rate * time, DiscreteAtoms(atoms))
+
+
+def _catalan_creep(u: float, lam: float) -> float:
+    """``p(t, u)`` of P1 for ``u <= t < u + 1``, ``u < 1``: the path can creep
+    over ``u`` only at time ``u``, with J back at 0 after 2m jumps that never
+    rose above it, which C_m of the 4^m paths do."""
+    return math.exp(-lam * u) * sum(
+        (lam * u) ** (2 * m) / math.factorial(2 * m) * math.comb(2 * m, m) / (m + 1) / 4**m
+        for m in range(60))
+
+
+# (t, u) points of the paper's theorem: inside the first creeping interval,
+# past several breakpoints, and on levels above one lattice step
+THEOREM_POINTS = [(0.5, 0.25), (0.5, 0.45), (4.0, 0.5), (1.3, 0.7), (2.5, 1.6), (3.0, 2.25)]
+
+
+class TestDriftLattice:
+    lat = rl.DriftLattice(P1)
+
+    @pytest.mark.parametrize("u, value", [(0.25, 0.6256832127), (0.45, 0.4491478464)])
+    def test_creep_matches_the_catalan_closed_form(self, u, value):
+        p, bound = self.lat.creep(u, [0.5, u, u + 0.99])
+        assert bound < 1e-15
+        assert p == pytest.approx([_catalan_creep(u, P1.rate)] * 3, abs=1e-15)
+        assert round(float(p[0]), 10) == value
+
+    def test_creep_equals_the_occupation_derivative(self):
+        # d_H d^-_u V(t, u) = p(t, u): two DPs that share no state, one with
+        # the barrier above and one below
+        for t, u in THEOREM_POINTS:
+            (p,), p_bound = self.lat.creep(u, [t])
+            _, dV, v_bound = self.lat.occupation([t], [u])
+            assert abs(p - dV[0, 0]) <= 1e-14, (t, u)
+            assert p_bound + v_bound < 1e-14
+
+    def test_creep_before_the_first_breakpoint_is_zero(self):
+        p, _ = self.lat.creep(0.5, [0.0, 0.25, 0.4999])
+        assert (p == 0.0).all()
+
+    @pytest.mark.parametrize("time, space", [(2.0, 1.0), (1.0, 0.5), (0.5, 2.0)])
+    def test_time_change_and_space_scale(self, time, space):
+        # X'_r = space X_{time r}: p'(t, u) = p(time t, u / space),
+        # V'(t, w) = V(time t, w / space) / time, d_H' d^-V' = d_H d^-V at
+        # (time t, w / space), and Vhat'([0, s], [0, v]) = Vhat at
+        # (time s, v / space)
+        other = rl.DriftLattice(_scaled(P1, time, space))
+        t = np.array([0.3, 1.1, 2.0])
+        w = np.array([0.2, 0.5, 0.95])
+        p, _ = self.lat.creep(0.7, time * t)
+        assert other.creep(0.7 * space, t)[0] == pytest.approx(p, rel=1e-12, abs=1e-15)
+        V, dV, _ = self.lat.occupation(time * t, w)
+        V2, dV2, _ = other.occupation(t, space * w)
+        assert V2 == pytest.approx(V / time, rel=1e-12, abs=1e-15)
+        assert dV2 == pytest.approx(dV, rel=1e-12, abs=1e-15)
+        s_edges, v_edges = np.array([0.0, 0.5, 1.5, 3.0]), np.array([0.0, 0.3, 0.8, 1.4])
+        m = self.lat.dual(time * s_edges, v_edges)[0]
+        assert other.dual(s_edges, space * v_edges)[0] == pytest.approx(m, rel=1e-12, abs=1e-15)
+
+    def test_unbounded_horizon_extends_the_finite_tables(self):
+        (p4, pinf), bound = self.lat.creep(0.5, [4.0, math.inf])
+        assert p4 < pinf < 1.0 and bound < 1e-13
+        V, dV, bound = self.lat.occupation([4.0, 60.0, math.inf], [0.25, 0.5])
+        assert (V[0] < V[1]).all() and V[2] == pytest.approx(V[1], abs=1e-9)
+        assert np.isnan(dV[2]).all() and bound < 1e-13
+        s_edges = [0.0, 1.0, 4.0, 60.0]
+        v_edges = [0.0, 0.25, 0.5, 1.0]
+        m60, b60, _ = self.lat.dual(s_edges, v_edges)
+        minf, binf, _ = self.lat.dual(s_edges[:-1] + [math.inf], v_edges)
+        assert minf[:-1] == pytest.approx(m60[:-1], abs=1e-15)
+        assert 0.0 <= (minf - m60)[-1].sum() < 1e-8 and max(b60, binf) < 1e-12
+
+    def test_dual_origin_and_drop(self):
+        # the origin sits in the first cell; the dropped mass is all the
+        # measure past the last depth edge: the two add up to the whole
+        m, _, dropped = self.lat.dual([0.0, 8.0], [0.0, 1.0])
+        m2, _, dropped2 = self.lat.dual([0.0, 8.0], [0.0, 1.0, 3.0])
+        assert m[0, 0] > 1.0
+        assert m[0, 0] + dropped == pytest.approx(m2.sum() + dropped2, abs=1e-14)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="positive drift"):
+            rl.DriftLattice(P3)
+        with pytest.raises(ValueError, match="atomic jump law"):
+            rl.DriftLattice(ProcessSpec(1.0, 1.0, ExponentialJumps(1.0, -1)))
+        down = rl.DriftLattice(ProcessSpec(1.0, 2.0, DiscreteAtoms([(-1.0, 1.0)])))
+        assert down.mean < 0
+        with pytest.raises(ValueError, match="positive mean"):
+            down.occupation([math.inf], [0.5])
+        with pytest.raises(ValueError, match="positive mean"):
+            down.dual([0.0, math.inf], [0.0, 0.5])
+        with pytest.raises(ValueError, match="levels"):
+            self.lat.occupation([1.0], [-0.1])
