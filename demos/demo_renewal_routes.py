@@ -19,7 +19,7 @@ t, u = 0.5, 0.9
 g_min = ll.estimate_V(ll.B1, [t], [u], 40_000, policy.substream("min"), route="min")
 g_int = ll.estimate_V(ll.B1, [t], [u], 40_000, policy.substream("int"), route="integrate")
 c1, c2 = g_min.cell(t, u), g_int.cell(t, u)
-exact, _ = ll.exact_V(ll.B1, t, u)
+exact, _, _ = ll.exact_V(ll.B1, t, u)
 print(f"V({t}, {u}) for B1: exact {exact:.5f}, sampled-killing {c1.value:.5f} +- {c1.se:.5f}, "
       f"integrated-killing {c2.value:.5f} +- {c2.se:.5f}")
 

@@ -668,7 +668,7 @@ def check_quadruple(
     y_edges = y_axis.values[1:]
     corners = np.zeros((len(t_edges), len(y_edges), 2))
     for i, te in enumerate(t_edges[1:], start=1):
-        corners[i] = [exact_V(spec, te, u - ye) for ye in y_edges]
+        corners[i] = [exact_V(spec, te, u - ye)[:2] for ye in y_edges]
     per_t = np.diff(corners, axis=0)
     # box (t bin, Y in (u - y_hi, u - y_lo]) for y bin jy >= 1
     boxes = -np.diff(per_t[:, :, 0], axis=1)

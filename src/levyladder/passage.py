@@ -76,7 +76,8 @@ import numpy as np
 
 from .processes import BivariateSubordinatorSpec, DiscreteAtoms, ProcessSpec, walk
 from .results import (
-    CheckReport, EstimateWithError, binomial_estimate, concatenate, merge_monitors,
+    CHECK_FAIL_RATE, CheckReport, EstimateWithError, binomial_estimate, concatenate,
+    merge_monitors, row_budgets, verdict,
 )
 from .rng import RngPolicy, chunked_map
 from . import rw_ladder as rl
@@ -113,6 +114,14 @@ SHALLOW_BLOCK = 256
 # Bound on P(Poisson(rate * cap) >= k_cap): the chance that a zero-drift
 # path censored for not passing by jump k_cap would have passed by the cap.
 K_CAP_TAIL = 1e-15
+
+# A time or height within this relative distance of an edge counts as on it:
+# horizons and boxes are closed there.
+_EDGE_RTOL = 1e-12
+
+
+def _closed(edge: float) -> float:
+    return edge + _EDGE_RTOL * max(1.0, abs(edge))
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +453,16 @@ def estimate_p(
 ) -> tuple[EstimateWithError, dict[str, int]]:
     """MC estimate of ``p(t, u) = P(tau_u <= t, X_{tau_u} = u)``.
 
-    The horizon cap equals ``t``, so the binomial estimate is censoring-free:
-    any path capped at ``t`` simply did not creep by ``t``.
+    The horizon cap is ``t``, so the binomial estimate is censoring-free:
+    any path capped at ``t`` simply did not creep by ``t``.  The horizon is
+    closed (:func:`_closed`): a creeping time that equals ``t`` can round
+    above it, as P1's ``(1.3 - 1) / 1`` does at ``t = 0.3``, and still counts.
     """
     if not (t > 0 and u > 0):
         raise ValueError("t and u must be positive")
-    batch = sample_passages(spec, u, cap=t, n=n, policy=policy, workers=workers)
-    hits = int((batch.creep & (batch.tau <= t)).sum())
+    cap = _closed(t)
+    batch = sample_passages(spec, u, cap=cap, n=n, policy=policy, workers=workers)
+    hits = int((batch.creep & (batch.tau <= cap)).sum())
     return binomial_estimate(hits, batch.n), dict(batch.monitors)
 
 
@@ -460,21 +472,32 @@ P_ESTIMATE_COLUMNS = ("fixture", "t", "u", "p", "se", "n")
 def check_p_estimate(spec: ProcessSpec, t: float, u: float | Sequence[float], n: int,
                      policy: RngPolicy, workers: int = 1, fixture: str = "") -> CheckReport:
     """:func:`estimate_p` at each level of ``u`` (one level or a list), one
-    substream per level, as a report whose details hold one row per level.
+    substream per level, against the creep route of a
+    :class:`~levyladder.rw_ladder.DriftLattice`.
 
-    An estimate rather than an identity: there is no right side and the
-    budget is infinite.  ``lhs`` is the estimate at the last level.
+    Each level is a row (gap, binomial SE at the exact ``p``, the route's
+    bound), the rows held together to ``CHECK_FAIL_RATE``.  A level with
+    ``p = 0`` has SE 0, so one creeping path there FAILs.  The details hold
+    one row per level with its exact ``p`` and budget; ``lhs`` and ``rhs``
+    are the values at the last level.
     """
-    rows: list[dict] = []
-    monitors: dict[str, int] = {}
-    for level in (float(v) for v in np.atleast_1d(u)):
+    levels = [float(v) for v in np.atleast_1d(u)]
+    lat = rl.DriftLattice(spec, reach=max(levels))
+    details, rows, monitors = [], [], {}
+    for level in levels:
         est, mon = estimate_p(spec, t, level, n, policy.substream(f"u{level}"), workers)
-        rows.append(dict(zip(P_ESTIMATE_COLUMNS, (fixture, t, level, est.value, est.se, est.n))))
+        (p,), bound = lat.creep(level, [t])
+        rows.append((abs(est.value - p), math.sqrt(p * (1.0 - p) / n), bound))
+        details.append(dict(zip(P_ESTIMATE_COLUMNS + ("p_exact",),
+                                (fixture, t, level, est.value, est.se, est.n, p))))
         merge_monitors(monitors, mon)
+    for row, budget in zip(details, row_budgets(rows, CHECK_FAIL_RATE)):
+        row["budget"] = budget
+    dist, budget = verdict(rows, CHECK_FAIL_RATE)
     return CheckReport(check="p-estimate", fixture=fixture, params={"t": t, "u": u, "n": n},
-                       lhs=est.value, distance=0.0, budget=math.inf,
-                       n_paths=n * len(rows), details=rows, columns=P_ESTIMATE_COLUMNS,
-                       monitors=monitors)
+                       lhs=est.value, rhs=float(p), se_lhs=rows[-1][1], distance=dist,
+                       budget=budget, n_paths=n * len(levels), details=details,
+                       columns=P_ESTIMATE_COLUMNS + ("p_exact", "budget"), monitors=monitors)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Bivariate renewal functions, exact and by Monte Carlo, and the
 creeping-time identity checks.
 
-:func:`exact_V` evaluates ``V(t, u)`` of an explicit killed bivariate
-subordinator, and its creeping term ``d_Y dV/du``, as the finite sum over
-jump-count vectors that the finitely many atoms allow.  Three exact-in-law
-Monte-Carlo engines live here besides.
+:func:`exact_V` is the exact side of every check of the creeping theorem
+``d_H d^-_u V(t, u) = p(t, u)``.  For an explicit killed bivariate
+subordinator it evaluates ``V(t, u)`` and its creeping term ``d_Y dV/du`` as
+the finite sum over jump-count vectors that the finitely many atoms allow;
+for lattice jumps with a positive drift it reads ``V`` and ``p`` from
+:class:`levyladder.rw_ladder.DriftLattice`.  Three exact-in-law Monte-Carlo
+engines live here besides.
 
 * :func:`estimate_V` -- explicit killed bivariate subordinators.
   ``V(t, u)`` is estimated either as the sampled minimum
@@ -29,7 +32,8 @@ Monte-Carlo engines live here besides.
 For lattice jumps with a positive drift, :class:`levyladder.rw_ladder.DriftLattice`
 computes the measures of :func:`fluct_boxes` and :func:`dual_ladder_measure`
 exactly; the checks read those tables, and the two engines stay as the
-Monte-Carlo routes the tests compare them with.
+Monte-Carlo routes the tests (and, for :func:`fluct_boxes`, the V-grid)
+compare them with.
 
 Every engine steps its paths jump by jump through
 :func:`levyladder.processes.walk`; what remains here is each engine's pair
@@ -52,12 +56,12 @@ import numpy as np
 
 from .processes import BivariateSubordinatorSpec, ProcessSpec, walk
 from .results import (
-    CHECK_FAIL_RATE, CheckReport, EstimateWithError, estimate_from_stats, merge_monitors,
-    row_budgets, verdict,
+    CHECK_FAIL_RATE, CheckReport, EstimateWithError, binomial_estimate, estimate_from_stats,
+    merge_monitors, row_budgets, verdict,
 )
 from .rng import RngPolicy, chunked_map, merge_mean_m2
-from .passage import estimate_p, sample_biv_passages
-from .rw_ladder import poisson_sf
+from .passage import _closed, estimate_p, sample_biv_passages
+from .rw_ladder import DriftLattice, poisson_sf
 from .transforms import _trap_weights
 
 __all__ = [
@@ -71,6 +75,7 @@ __all__ = [
 ]
 
 Boxes = np.ndarray  # shape (nb, 4): columns t_lo, t_hi, u_lo, u_hi
+SamplerSpec = Union[BivariateSubordinatorSpec, ProcessSpec]
 
 
 def _stats_per_column(values: np.ndarray) -> list[tuple[int, float, float]]:
@@ -198,16 +203,36 @@ def fluct_boxes(
 # Jump-count vectors one exact value may sum over; a spec and box that need
 # more are refused rather than left to run for minutes.
 MAX_COUNT_VECTORS = 200_000
-# A height within this relative distance of a box edge counts as on it: the
-# box is closed there.
-_EDGE_RTOL = 1e-12
 
 
-def _closed(edge: float) -> float:
-    return edge + _EDGE_RTOL * max(1.0, abs(edge))
+def exact_V(spec: SamplerSpec, t: float, u: float | Sequence[float]) -> tuple[Any, Any, float]:
+    """``V(t, u)``, the creeping probability ``p(t, u) = d_H d^-_u V(t, u)``
+    and one bound on the error of every value, at one level ``u`` (floats)
+    or at each of a sequence of levels (arrays).
+
+    A bivariate subordinator takes the finite sums of :func:`_exact_biv`
+    (bound 0); any other fixture one :class:`~levyladder.rw_ladder.DriftLattice`
+    (or its ValueError): ``V`` from the occupation route and ``p`` from the
+    creep route, never one from the other.  ``p(t, 0) = 1``: a positive
+    drift creeps over 0 at once.
+    """
+    levels = np.atleast_1d(np.asarray(u, dtype=float))
+    if isinstance(spec, BivariateSubordinatorSpec):
+        V, p = np.array([_exact_biv(spec, t, float(v)) for v in levels]).T
+        bound = 0.0
+    else:
+        lat = DriftLattice(spec, reach=float(levels.max()))
+        (V,), _, bound = lat.occupation([t], levels)
+        p = np.ones(levels.size)
+        for i in np.flatnonzero(levels > 0):
+            (p[i],), creep_bound = lat.creep(float(levels[i]), [t])
+            bound = max(bound, creep_bound)
+    if np.ndim(u) == 0:
+        return float(V[0]), float(p[0]), bound
+    return V, p, bound
 
 
-def exact_V(spec: BivariateSubordinatorSpec, t: float, u: float) -> tuple[float, float]:
+def _exact_biv(spec: BivariateSubordinatorSpec, t: float, u: float) -> tuple[float, float]:
     """``V(t, u)`` and the creeping term ``d_Y dV/du`` (left derivative), exactly.
 
     ``V(t, u) = int_0^inf e^{-qs} P(Z_s <= t, Y_s <= u) ds`` is a finite sum
@@ -411,7 +436,7 @@ def dual_ladder_cells(
 
 def _dual_measure_chunk(
     spec: ProcessSpec, s_edges: np.ndarray, v_edges: np.ndarray, n: int, rng
-) -> tuple[list[tuple[int, float, float]], int]:
+) -> list[tuple[int, float, float]]:
     """(n, mean, M2) per (time, depth) bin of the per-path counts of dual
     ladder points (strict minima), including the origin point of every path.
 
@@ -429,7 +454,6 @@ def _dual_measure_chunk(
     s_guard, v_guard = float(s_edges[-1]), float(v_edges[-1])
     # epoch-0 ladder point at (0, 0): first bin of each axis
     keys = [np.arange(n) * ncell]
-    dropped = 0
 
     sigma = np.zeros(n)
     J = np.zeros(n)
@@ -439,7 +463,6 @@ def _dual_measure_chunk(
         return ~(sigma[alive] + g > s_guard)
 
     def after(alive, g, Y):
-        nonlocal dropped
         sig_next = sigma[alive] + g
         J[alive] += Y
         sigma[alive] = sig_next
@@ -454,10 +477,9 @@ def _dual_measure_chunk(
         vi = np.searchsorted(v_edges, depth, side="left") - 1
         vi[depth == v_edges[0]] = 0
         ok = (vi >= 0) & (vi < nv) & (si >= 0) & (si < ns)
-        dropped += int((~ok).sum())
         keys.append(ii[ok] * ncell + si[ok] * nv + vi[ok])
-        # a path whose minimum is already below every depth bin can stop
-        # once its time passed the last s edge; deeper minima are dropped
+        # a path whose minimum is already below every depth bin can stop:
+        # its later minima lie deeper still
         return ~(mmin[alive] < -v_guard)
 
     walk(np.arange(n), lam, rng, spec.sample_jumps, before, after)
@@ -467,7 +489,7 @@ def _dual_measure_chunk(
     # division rounds once: the mean is the dense column mean bit for bit
     s1 = np.bincount(cell, weights=k, minlength=ncell).astype(np.int64).tolist()
     s2 = np.bincount(cell, weights=k * k, minlength=ncell).astype(np.int64).tolist()
-    return [(n, a1 / n, (n * a2 - a1 * a1) / n) for a1, a2 in zip(s1, s2)], dropped
+    return [(n, a1 / n, (n * a2 - a1 * a1) / n) for a1, a2 in zip(s1, s2)]
 
 
 def dual_ladder_measure(
@@ -477,16 +499,17 @@ def dual_ladder_measure(
     n: int,
     policy: RngPolicy,
     workers: int = 1,
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """``Vhat(ds, dv)`` masses on a (time, depth) bin grid, with SEs.
 
-    Returns (mass, se, dropped_mass) with arrays of shape
-    (len(s_edges)-1, len(v_edges)-1).  Points beyond the last edges are
-    dropped and reported, not silently ignored; for a fixture drifting
-    upward the probability of a ladder point beyond a generous last time
-    edge decays exponentially, so the last cell can stand in for an
-    unbounded one.  Each chunk keeps its points as (path, cell) keys, not
-    as a dense (paths x cells) array; its per-cell M2 is exact, rounded once.
+    Returns (mass, se), arrays of shape (len(s_edges)-1, len(v_edges)-1).
+    Only the grid's mass is estimated: a path stops at the last time edge,
+    or once its minimum passes the last depth edge, so the ladder points
+    past the edges are not counted.  For a fixture drifting upward the
+    probability of a ladder point beyond a generous last time edge decays
+    exponentially, so the last cell can stand in for an unbounded one.  Each
+    chunk keeps its points as (path, cell) keys, not as a dense (paths x
+    cells) array; its per-cell M2 is exact, rounded once.
     """
     se_arr = np.asarray(s_edges, dtype=float)
     ve_arr = np.asarray(v_edges, dtype=float)
@@ -496,7 +519,7 @@ def dual_ladder_measure(
         lambda i, m, rng: _dual_measure_chunk(spec, se_arr, ve_arr, m, rng),
         n, policy, workers,
     )
-    merged = _merge_columns([p[0] for p in parts])
+    merged = _merge_columns(parts)
     ns, nv = se_arr.size - 1, ve_arr.size - 1
     mass = np.zeros((ns, nv))
     se = np.zeros((ns, nv))
@@ -504,15 +527,12 @@ def dual_ladder_measure(
         est = estimate_from_stats(*st)
         mass[j // nv, j % nv] = est.value
         se[j // nv, j % nv] = est.se
-    dropped = sum(p[1] for p in parts) / max(n, 1)
-    return mass, se, dropped
+    return mass, se
 
 
 # ---------------------------------------------------------------------------
 # Renewal grid, derivative, and the occupation-density identity check
 # ---------------------------------------------------------------------------
-
-SamplerSpec = Union[BivariateSubordinatorSpec, ProcessSpec]
 
 GRID_COLUMNS = ("t", "u", "V", "SE", "provenance")
 
@@ -593,30 +613,28 @@ def check_V_grid(spec: SamplerSpec, t: float | Sequence[float], u: float | Seque
     """:func:`estimate_V` on the grid ``t`` x ``u`` (each one value or a
     list) as a report whose details hold one row per cell.
 
-    For a bivariate subordinator every cell is a row
-    ``(|V_mc - V_exact|, se, censored mass)`` against :func:`exact_V`, the
-    rows held together to ``CHECK_FAIL_RATE``; the details add each cell's
-    exact value and budget.  For a Levy fixture the grid is an estimate
-    rather than an identity: there is no right side and the budget is
-    infinite.  ``lhs`` (and ``rhs``) is the value at the last cell.
+    Every cell is a row ``(|V_mc - V_exact|, se, censored mass, bound)``
+    against :func:`exact_V`, the rows held together to ``CHECK_FAIL_RATE``;
+    the details add each cell's exact value and budget.  ``lhs`` and ``rhs``
+    are the values at the last cell.
     """
     grid = estimate_V(spec, [float(v) for v in np.atleast_1d(t)],
                       [float(v) for v in np.atleast_1d(u)], n_per_cell, policy, workers)
-    rep = CheckReport(check="V-grid", fixture=fixture,
-                      params={"t": t, "u": u, "n": n_per_cell},
-                      lhs=float(grid.value[-1, -1]), distance=0.0, budget=math.inf,
-                      n_paths=n_per_cell * grid.value.size,
-                      details=grid.rows(), columns=GRID_COLUMNS)
-    if isinstance(spec, BivariateSubordinatorSpec):
-        exact = [exact_V(spec, t, u)[0] for t in grid.t_values for u in grid.u_values]
-        rows = list(zip(np.abs(grid.value.ravel() - exact), grid.se.ravel(),
-                        grid.censored.ravel()))
-        for row, v, budget in zip(rep.details, exact, row_budgets(rows, CHECK_FAIL_RATE)):
-            row.update(V_exact=v, budget=budget)
-        rep.rhs, rep.se_lhs = exact[-1], float(grid.se[-1, -1])
-        rep.distance, rep.budget = verdict(rows, CHECK_FAIL_RATE)
-        rep.columns += ("V_exact", "budget")
-    return rep
+    exact_rows = [exact_V(spec, tv, grid.u_values) for tv in grid.t_values]
+    exact = np.concatenate([V for V, _, _ in exact_rows])
+    bound = max(b for _, _, b in exact_rows)
+    rows = [(gap, se, censored, bound) for gap, se, censored in
+            zip(np.abs(grid.value.ravel() - exact), grid.se.ravel(), grid.censored.ravel())]
+    details = grid.rows()
+    for row, v, budget in zip(details, exact, row_budgets(rows, CHECK_FAIL_RATE)):
+        row.update(V_exact=v, budget=budget)
+    dist, budget = verdict(rows, CHECK_FAIL_RATE)
+    return CheckReport(check="V-grid", fixture=fixture,
+                       params={"t": t, "u": u, "n": n_per_cell},
+                       lhs=float(grid.value[-1, -1]), rhs=float(exact[-1]),
+                       se_lhs=float(grid.se[-1, -1]), distance=dist, budget=budget,
+                       n_paths=n_per_cell * grid.value.size, details=details,
+                       columns=GRID_COLUMNS + ("V_exact", "budget"))
 
 
 def _creep_probability_nodes(
@@ -641,13 +659,11 @@ def _creep_probability_nodes(
         if isinstance(spec, BivariateSubordinatorSpec):
             batch = sample_biv_passages(spec, float(v), n_per_node, sub, workers)
             hits = batch.creep & (batch.z_before + batch.dz <= t)
-            p[k] = hits.mean()
-            se[k] = math.sqrt(p[k] * (1 - p[k]) / batch.n)
-            merge_monitors(monitors, batch.monitors)
+            est, mon = binomial_estimate(int(hits.sum()), batch.n), batch.monitors
         else:
             est, mon = estimate_p(spec, t, float(v), n_per_node, sub, workers)
-            p[k], se[k] = est.value, est.se
-            merge_monitors(monitors, mon)
+        p[k], se[k] = est.value, est.se
+        merge_monitors(monitors, mon)
     return p, se, monitors
 
 
@@ -658,29 +674,14 @@ SUBPINT_BASE_NODES = 12
 
 def _segment_nodes(spec: SamplerSpec, t: float, u: float) -> list[np.ndarray]:
     """v-integration segments, split at the discontinuity points of p(t, .)
-    for lattice fixtures with drift (creep support is a union of intervals)."""
+    for a Levy fixture, whose jumps lie on the lattice of its
+    :class:`~levyladder.rw_ladder.DriftLattice` (creep support is a union of
+    intervals)."""
     breaks: list[float] = []
-    if isinstance(spec, ProcessSpec) and spec.drift > 0 and spec.rate > 0:
-        law = spec.jumps
-        if hasattr(law, "values"):
-            from .rw_ladder import LatticeWalkSpec  # lattice detection only
-
-            h = None
-            try:
-                h = LatticeWalkSpec.from_process(
-                    ProcessSpec(0.0, spec.rate, spec.jumps)
-                ).h
-            except ValueError:
-                h = None
-            if h is not None:
-                k = 1
-                while k * h < u:
-                    breaks.append(k * h)
-                    if k * h + spec.drift * t < u:
-                        breaks.append(k * h + spec.drift * t)
-                    k += 1
-                if spec.drift * t < u:
-                    breaks.append(spec.drift * t)
+    if isinstance(spec, ProcessSpec):
+        # p(t, .) can jump at both ends of each level band k h + [0, c t]
+        h, c = DriftLattice(spec).h, spec.drift
+        breaks = [k * h + d for k in range(int(u / h) + 1) for d in (0.0, c * t)]
     pts = sorted(set([0.0, u] + [b for b in breaks if 0 < b < u]))
     segments = []
     for seg_idx, (a, b) in enumerate(zip(pts[:-1], pts[1:])):
@@ -695,28 +696,17 @@ def _segment_nodes(spec: SamplerSpec, t: float, u: float) -> list[np.ndarray]:
 
 
 def check_ct1(spec: ProcessSpec, t: float, u: float, n: int, policy: RngPolicy,
-              workers: int = 1, delta: float = 0.005, fixture: str = "") -> CheckReport:
-    """Creeping law ``p(t, u) = d_H * left u-derivative of V(t, u)`` for a
-    Levy fixture, whose ladder height drift ``d_H`` is the process drift.
-
-    LHS: :func:`estimate_p`.  RHS: the ladder renewal measure of the band
-    ``(0, t] x (u - delta, u]`` over ``delta``.  The budget adds to 3 SE the
-    change against the next band down, ``(u - 2 delta, u - delta]``, as the
-    bias of the one-sided difference.
-    """
+              workers: int = 1, fixture: str = "") -> CheckReport:
+    """Creeping law ``p(t, u)`` of a Levy fixture: :func:`estimate_p` against
+    the ``p`` of :func:`exact_V`, one row at ``CHECK_FAIL_RATE`` with the
+    binomial SE at the exact ``p`` and the exact side's bound."""
     est, mon = estimate_p(spec, t, u, n, policy.substream("p"), workers)
-    band = fluct_boxes(spec, [(0.0, t, u - delta, u)], n, policy.substream("b"), workers)[0]
-    band2 = fluct_boxes(spec, [(0.0, t, u - 2 * delta, u - delta)], n,
-                        policy.substream("b2"), workers)[0]
-    deriv = spec.drift * band.value / delta
-    deriv_se = spec.drift * band.se / delta
-    bias = spec.drift * abs(band.value - band2.value) / delta
-    dist, budget = verdict([(abs(est.value - deriv), math.hypot(est.se, deriv_se), bias)])
-    return CheckReport(check="ct1", fixture=fixture,
-                       params={"t": t, "u": u, "delta": delta, "n": n},
-                       lhs=est.value, rhs=deriv, se_lhs=est.se, se_rhs=deriv_se,
-                       distance=dist, budget=budget,
-                       n_paths=3 * n, monitors=mon, details=[{"delta_bias": bias}])
+    _, p, bound = exact_V(spec, t, u)
+    se = math.sqrt(p * (1.0 - p) / n)
+    dist, budget = verdict([(abs(est.value - p), se, bound)], CHECK_FAIL_RATE)
+    return CheckReport(check="ct1", fixture=fixture, params={"t": t, "u": u, "n": n},
+                       lhs=est.value, rhs=p, se_lhs=se, distance=dist, budget=budget,
+                       n_paths=n, monitors=mon, details=[{"rhs_bound": bound}])
 
 
 def check_subpint(
@@ -731,59 +721,41 @@ def check_subpint(
     """Occupation-density identity: ``integral_0^u p(t, v) dv = d_Y V(t, u)``.
 
     LHS by trapezoid quadrature of MC creep probabilities over a v-grid
-    (split at the discontinuities of lattice fixtures).  For a bivariate
-    subordinator the RHS is ``d_Y`` times :func:`exact_V`, and ``quad_bias``
-    is the trapezoid rule's own error at the check's nodes, from the exact
-    creeping term ``p(t, v)`` of :func:`exact_V`; the one row is held to
-    ``CHECK_FAIL_RATE``.  For a Levy fixture, whose ladder Y-drift is the
-    process drift, the RHS is an independent MC estimate of V and
-    ``quad_bias`` a Richardson estimate, at the ``Z_ONE`` rate.
+    (split at the discontinuities of lattice fixtures).  RHS: ``d_Y`` times
+    V of :func:`exact_V`, where a Levy fixture's ladder Y-drift is its
+    drift.  ``quad_bias`` is the trapezoid rule's own error at the check's
+    nodes, from the exact ``p`` of :func:`exact_V`, and ``rhs_bound`` what
+    the exact side's bound can move the row.  The one row is held to
+    ``CHECK_FAIL_RATE``.  With ``d_Y = 0`` nothing creeps: both sides are 0,
+    and no exact side is needed.
     """
-    biv = isinstance(spec, BivariateSubordinatorSpec)
-    d_y = spec.d_y if biv else spec.drift
-    lhs = lhs_var = quad_bias = 0.0
+    d_y = spec.d_y if isinstance(spec, BivariateSubordinatorSpec) else spec.drift
+    lhs = lhs_var = rhs = quad_bias = rhs_bound = 0.0
     monitors: dict[str, int] = {}
     n_paths = 0
     segments = _segment_nodes(spec, t, u) if d_y > 0 else []
-    for snum, nodes in enumerate(segments):
+    weights = [_trap_weights(nodes) for nodes in segments]
+    for snum, (nodes, w) in enumerate(zip(segments, weights)):
         p, se, mon = _creep_probability_nodes(
             spec, t, nodes, n_per_node, policy.substream(f"seg{snum}"), workers
         )
-        w = _trap_weights(nodes)
-        val = float(np.sum(w * p))
-        coarse = float(np.sum(_trap_weights(nodes[::2]) * p[::2])) if nodes.size >= 5 else val
-        quad_bias += abs(val - coarse) / 3.0
-        lhs += val
+        lhs += float(np.sum(w * p))
         lhs_var += float(np.sum((w * se) ** 2))
         n_paths += n_per_node * (nodes.size - 1)
         merge_monitors(monitors, mon)
     lhs_se = math.sqrt(lhs_var)
 
-    if biv:
-        rhs, se_rhs, v_bias = d_y * exact_V(spec, t, u)[0], 0.0, 0.0
-        trap = sum(float(np.sum(_trap_weights(nodes) * [exact_V(spec, t, v)[1] for v in nodes]))
-                   for nodes in segments)
-        quad_bias = abs(trap - rhs)
-        rate = CHECK_FAIL_RATE
-    else:
-        v_est = fluct_boxes(spec, [(0.0, t, -1.0, u)], n_per_node, policy.substream("V"),
-                            workers)[0]
-        rhs, se_rhs, v_bias = d_y * v_est.value, d_y * v_est.se, v_est.bias_bound
-        n_paths += n_per_node
-        rate = None
-    dist, budget = verdict([(abs(lhs - rhs), math.hypot(lhs_se, se_rhs), quad_bias,
-                             d_y * v_bias)], rate)
-    return CheckReport(
-        check="subpint",
-        fixture=fixture,
-        params={"t": t, "u": u, "n_per_node": n_per_node},
-        lhs=lhs,
-        rhs=rhs,
-        se_lhs=lhs_se,
-        se_rhs=se_rhs,
-        distance=dist,
-        budget=budget,
-        n_paths=n_paths,
-        details=[{"quad_bias": quad_bias, "v_bias": v_bias}],
-        monitors=monitors,
-    )
+    if segments:
+        V, p, bound = exact_V(spec, t, np.concatenate(segments))
+        rhs = d_y * float(V[-1])
+        quad_bias = abs(float(np.sum(np.concatenate(weights) * p)) - rhs)
+        # each exact value is off by at most `bound`: the rhs by d_Y bound,
+        # and the trapezoid (weights summing to u) and rhs behind quad_bias
+        # by u bound + d_Y bound
+        rhs_bound = (u + 2.0 * d_y) * bound
+    dist, budget = verdict([(abs(lhs - rhs), lhs_se, quad_bias, rhs_bound)], CHECK_FAIL_RATE)
+    return CheckReport(check="subpint", fixture=fixture,
+                       params={"t": t, "u": u, "n_per_node": n_per_node}, lhs=lhs, rhs=rhs,
+                       se_lhs=lhs_se, distance=dist, budget=budget, n_paths=n_paths,
+                       details=[{"quad_bias": quad_bias, "rhs_bound": rhs_bound}],
+                       monitors=monitors)

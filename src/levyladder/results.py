@@ -124,9 +124,8 @@ class CheckReport:
     and reports the ``distance`` and ``budget`` of its worst row, so
     ``passed`` -- ``distance <= budget`` -- holds iff every row is within
     its budget.  A row's budget is ``sidak_z(m) * se`` plus its bias bounds
-    and slack, with ``m`` the number of rows that carry an SE.  Estimates
-    with no right side report distance 0 and budget inf.  ``details`` carries
-    per-cell or per-node rows for the CSV report, in the order ``columns``
+    and slack, with ``m`` the number of rows that carry an SE.  ``details``
+    carries per-cell or per-node rows for the CSV report, in the order ``columns``
     gives (empty: the sorted union of the rows' keys); ``monitors`` carries
     never-observed-event counters accumulated over all paths the check ran.
     ``measures`` holds the (empirical, exact) measures a distribution check

@@ -21,7 +21,7 @@ rejected, with the offending path named)::
                    "jumps": {"variant": "discrete", "atoms": [[1, 0.5], [-1, 0.5]]}}
       },
       "checks": [
-        {"name": "ct1", "fixture": "P1", "t": 0.5, "u": 0.25, "delta": 0.005},
+        {"name": "ct1", "fixture": "P1", "t": 0.5, "u": 0.25},
         {"name": "quintuple", "fixture": "P3", "u": 2.0, "n": 400000}
       ]
     }
@@ -47,7 +47,7 @@ import numpy as np
 from . import lawcheck, passage, renewal, transforms
 from .fixtures import FIXTURES, ConfigError, spec_from_config
 from .processes import BivariateSubordinatorSpec
-from .rw_ladder import LatticeWalkSpec
+from .rw_ladder import DriftLattice, LatticeWalkSpec
 from .results import REPORT_HEADER, SUMMARY_HEADER, CheckReport, merge_monitors, write_csv
 from .rng import RngPolicy
 
@@ -67,8 +67,8 @@ class Check:
     a finite number above 0, and ``run(spec, c, n, policy, workers,
     fixture)`` computes its report from the check's config ``c``.  An
     optional key the config leaves out is not passed, so its default is the
-    library's.  ``takes(spec)``, if given, is the library's own test of the
-    fixture, which raises a ValueError for one the check cannot take.
+    library's.  ``takes(spec)``, if given, is the library's own test of a
+    Levy fixture, which raises a ValueError for one the check cannot take.
     ``validate(spec, c, where)``, if given, raises a ConfigError for values
     the generic rules let through.
     """
@@ -145,19 +145,22 @@ def _alpha_ok(spec, c: Mapping[str, Any], where: str) -> None:
 # function rebound on its module after import is the one that runs.
 CHECKS: dict[str, Check] = {
     "p-estimate": Check(
-        "Levy", ("t", "u"), required=("t", "u"), positive=("t", "u"),
+        "Levy", ("t", "u"), required=("t", "u"), positive=("t", "u"), takes=DriftLattice,
         run=lambda spec, c, n, pol, w, fx: passage.check_p_estimate(
             spec, float(c["t"]), c["u"], n, pol, w, fixture=fx)),
     "V-grid": Check(
-        None, ("t", "u"), required=("t", "u"),
+        None, ("t", "u"), required=("t", "u"), takes=DriftLattice,
         run=lambda spec, c, n, pol, w, fx: renewal.check_V_grid(
             spec, c["t"], c["u"], n, pol, w, fixture=fx)),
+    # ct1 validates "delta" and ignores it: configs written for its former
+    # difference-quotient right side still pass the key
     "ct1": Check(
         "Levy", ("t", "u", "delta"), required=("t", "u"), positive=("t", "u", "delta"),
+        takes=DriftLattice,
         run=lambda spec, c, n, pol, w, fx: renewal.check_ct1(
-            spec, float(c["t"]), float(c["u"]), n, pol, w, fixture=fx, **_given(c, "delta"))),
+            spec, float(c["t"]), float(c["u"]), n, pol, w, fixture=fx)),
     "subpint": Check(
-        None, ("t", "u"), required=("t", "u"), positive=("t", "u"),
+        None, ("t", "u"), required=("t", "u"), positive=("t", "u"), takes=DriftLattice,
         run=lambda spec, c, n, pol, w, fx: renewal.check_subpint(
             spec, float(c["t"]), float(c["u"]), n, pol, w, fixture=fx)),
     "quintuple": Check(
@@ -280,7 +283,7 @@ class ExperimentConfig:
         for key in check.positive:
             if key in c and not all(_is_positive(v) for v in np.atleast_1d(c[key])):
                 raise ConfigError(f"{where}.{key}: must be finite and > 0, got {c[key]!r}")
-        if check.takes is not None:
+        if check.takes is not None and not is_biv:
             try:
                 check.takes(spec)
             except ValueError as exc:

@@ -812,8 +812,7 @@ class DriftLattice:
         origin in the first cell, cells ``(lo, hi]`` otherwise, the last time
         edge may be ``inf``.  Returns the masses, a bound on their total
         error (each mass is at most its true value), and the mass past the
-        last depth edge within the time grid (the Monte Carlo route counts
-        only the first such point of each path)."""
+        last depth edge within the time grid."""
         s = np.asarray(s_edges, dtype=float)
         v = np.asarray(v_edges, dtype=float)
         if s[0] != 0.0 or v[0] != 0.0 or not (v[-1] < self.depth * self.h):

@@ -6,9 +6,10 @@ import pytest
 
 from levyladder.fixtures import B1, P1, P2, P3
 from levyladder.processes import BivariateSubordinatorSpec, DiscreteAtoms, ProcessSpec
-from levyladder.results import concatenate, verdict
+from levyladder.results import CHECK_FAIL_RATE, concatenate, verdict
 from levyladder.rng import RngPolicy
 from levyladder import passage as pg
+from levyladder import rw_ladder as rl
 
 POL = RngPolicy(seed=20250808)
 
@@ -299,6 +300,18 @@ class TestEstimateP:
         est, _ = pg.estimate_p(P1, 0.5, 0.25, 50000, POL.substream("lb"))
         assert est.value >= math.exp(-0.5) - 3 * est.se
 
+    @pytest.mark.parametrize("u", [1.3, 2.3])
+    def test_creep_atom_at_the_horizon_counts(self, u):
+        # P1 creeps over u at the times u - k, and u - 1 resp. u - 2 is t =
+        # 0.3; in floats 1.3 - 1.0 = 0.30000000000000004 lies above it
+        n = 50000
+        est, _ = pg.estimate_p(P1, 0.3, u, n, POL.substream(f"atom{u}"))
+        (p,), bound = rl.DriftLattice(P1, reach=u).creep(u, [0.3])
+        assert p == pytest.approx({1.3: 0.1696386974, 2.3: 0.0252572215}[u], abs=1e-10)
+        distance, budget = verdict([(abs(est.value - p), math.sqrt(p * (1 - p) / n), bound)],
+                                   CHECK_FAIL_RATE)
+        assert distance <= budget
+
     def test_compound_poisson_gives_zero(self):
         est, _ = pg.estimate_p(P3, 1.0, 1.0, 2000, POL.substream("cp"))
         assert est.value == 0.0
@@ -319,6 +332,46 @@ class TestEstimateP:
         band = 3 * (prx.se + psy.se + prs_xy.se + ps_xy.se)
         assert prs_xy.value >= prx.value * psy.value - band
         assert ps_xy.value <= prx.value * psy.value + 1 - prx.value + band
+
+
+class TestCheckPEstimate:
+    # the levels of demos/full_suite.json, at t = 0.3
+    LEVELS = (0.1, 0.2, 0.3, 0.5, 0.8, 1.1, 1.2, 1.3, 1.5, 2.0, 2.2, 2.3)
+
+    def test_levels_are_rows_against_the_creep_route(self):
+        rep = pg.check_p_estimate(P1, 0.3, self.LEVELS, 20000, POL.substream("pe"),
+                                  fixture="P1")
+        assert rep.passed and 0.0 < rep.budget < 0.02
+        assert rep.columns == pg.P_ESTIMATE_COLUMNS + ("p_exact", "budget")
+        lat = rl.DriftLattice(P1, reach=2.3)
+        for row in rep.details:
+            assert row["p_exact"] == lat.creep(row["u"], [0.3])[0][0]
+            # off the creeping support both sides are exactly 0, and so is the budget
+            if row["p_exact"] == 0.0:
+                assert row["p"] == 0.0 and row["budget"] == 0.0
+        assert sum(row["p_exact"] > 0 for row in rep.details) == 8
+        assert rep.rhs == rep.details[-1]["p_exact"] and rep.lhs == rep.details[-1]["p"]
+
+    def test_open_horizon_fails(self, monkeypatch):
+        # the horizon left open: level 1.3 reads 0 against p = 0.1696
+        monkeypatch.setattr(pg, "_closed", lambda edge: edge)
+        rep = pg.check_p_estimate(P1, 0.3, self.LEVELS, 100000, POL.substream("pe-open"),
+                                  fixture="P1")
+        assert not rep.passed
+
+    def test_creep_route_without_up_jumps_fails(self, monkeypatch):
+        # fault on the exact side: creeping only where the drift alone reaches
+        # u by t, so the levels past 1 read p = 0
+        creep = rl.DriftLattice.creep
+
+        def drift_alone(self, u, t_values):
+            p, bound = creep(self, u, t_values)
+            return np.where(u / self.c <= np.asarray(t_values), p, 0.0), bound
+
+        monkeypatch.setattr(rl.DriftLattice, "creep", drift_alone)
+        rep = pg.check_p_estimate(P1, 0.3, self.LEVELS, 100000, POL.substream("pe-j0"),
+                                  fixture="P1")
+        assert not rep.passed
 
 
 class TestBivPassage:

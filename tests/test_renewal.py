@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from levyladder.fixtures import B1, P1, P3
+from levyladder.fixtures import B1, P1, P2, P3
 from levyladder.lawcheck import _compose_jump_part
 from levyladder.processes import BivariateSubordinatorSpec, ProcessSpec, walk
 from levyladder.results import verdict
@@ -61,7 +61,8 @@ class TestExactV:
         q = 0.5
         spec = BivariateSubordinatorSpec(d_z=1.0, d_y=1.0, q=q)
         for t, u in [(0.5, 1.0), (2.0, 1.0), (1.0, 1.0), (math.inf, 0.7), (0.3, math.inf)]:
-            v, creep = rn.exact_V(spec, t, u)
+            v, creep, bound = rn.exact_V(spec, t, u)
+            assert bound == 0.0
             assert v == pytest.approx((1 - math.exp(-q * min(t, u))) / q, rel=1e-14)
             # Y leaves through u unkilled, and Z is then u <= t
             assert creep == pytest.approx(math.exp(-q * u) if u <= t else 0.0, rel=1e-14)
@@ -69,8 +70,8 @@ class TestExactV:
     @pytest.mark.parametrize("t, u", [(4.0, 1.5), (math.inf, 1.5), (1.0, 0.9)])
     def test_creeping_term_is_the_left_u_derivative(self, t, u):
         h = 1e-7
-        v, creep = rn.exact_V(B1, t, u)
-        below, _ = rn.exact_V(B1, t, u - h)
+        v, creep, _ = rn.exact_V(B1, t, u)
+        below, _, _ = rn.exact_V(B1, t, u - h)
         assert creep == pytest.approx(B1.d_y * (v - below) / h, abs=1e-7)
 
     def test_creeping_atom_on_a_t_edge_is_in_the_closed_bin(self):
@@ -91,12 +92,12 @@ class TestExactV:
         def closed(jmax):
             return sum(r ** j / (r + q) ** (j + 1) for j in range(jmax + 1))
 
-        assert rn.exact_V(spec, 5.0, 2.0) == (pytest.approx(closed(2), rel=1e-14), 0.0)
+        assert rn.exact_V(spec, 5.0, 2.0) == (pytest.approx(closed(2), rel=1e-14), 0.0, 0.0)
         assert rn.exact_V(spec, 5.0, 2.5)[0] == pytest.approx(closed(2), rel=1e-14)
         assert rn.exact_V(spec, 5.0, 1.999)[0] == pytest.approx(closed(1), rel=1e-14)
         assert rn.exact_V(spec, 1.0, 5.0)[0] == pytest.approx(closed(1), rel=1e-14)
         assert rn.exact_V(spec, math.inf, math.inf)[0] == pytest.approx(1 / q, rel=1e-14)
-        assert rn.exact_V(spec, 1.0, -0.5) == (0.0, 0.0)
+        assert rn.exact_V(spec, 1.0, -0.5) == (0.0, 0.0, 0.0)
 
     def test_atoms_moving_only_an_unbounded_coordinate_drop_out(self):
         with_z_only = BivariateSubordinatorSpec(d_z=0.5, d_y=1.0, q=0.2,
@@ -166,6 +167,35 @@ def _scaled(spec: BivariateSubordinatorSpec, rates: float = 1.0, q: float | None
                                      tuple((dt, dx, r * rates) for dt, dx, r in spec.atoms))
 
 
+def _rate_fault(monkeypatch):
+    """Fault on the exact side: a Levy fixture's jump rate 2% high in :func:`exact_V`."""
+    exact = rn.exact_V
+    monkeypatch.setattr(rn, "exact_V", lambda spec, t, u: exact(
+        ProcessSpec(spec.drift, 1.02 * spec.rate, spec.jumps), t, u))
+
+
+class TestExactVOnTheDriftLattice:
+    def test_reads_the_creep_and_occupation_routes(self):
+        # for u <= t < u + 1, P1 creeps only at time u with J = 0: the
+        # Catalan form gives p(0.5, 0.25) and p(0.5, 0.45)
+        levels = [0.0, 0.25, 0.45]
+        V, p, bound = rn.exact_V(P1, 0.5, levels)
+        assert p == pytest.approx([1.0, 0.6256832127, 0.4491478464], abs=1e-10)
+        lat = rl.DriftLattice(P1, reach=0.45)
+        occ, deriv, occ_bound = lat.occupation([0.5], levels)
+        assert np.array_equal(V, occ[0]) and V[0] == 0.0
+        # the paper's theorem between the two routes
+        assert p[1:] == pytest.approx(deriv[0, 1:], abs=1e-14)
+        assert occ_bound <= bound < 1e-15
+        assert rn.exact_V(P1, 0.5, 0.45) == (pytest.approx(V[2], abs=1e-15),
+                                             pytest.approx(p[2], abs=1e-15), bound)
+
+    def test_takes_only_the_drift_lattice(self):
+        for spec in (P2, P3):
+            with pytest.raises(ValueError, match="drift lattice"):
+                rn.exact_V(spec, 0.5, 0.4)
+
+
 class TestVGrid:
     def test_b1_cells_are_rows_against_exact_V(self):
         ts, us = [0.5, 1.0, 2.0], [0.5, 1.0, 2.0]
@@ -177,9 +207,14 @@ class TestVGrid:
             assert abs(row["V"] - row["V_exact"]) <= row["budget"]
         assert rep.rhs == rep.details[-1]["V_exact"]
 
-    def test_levy_fixture_stays_an_estimate(self):
-        rep = rn.check_V_grid(P1, [0.5], [0.5], 2000, POL.substream("vgp"), fixture="P1")
-        assert rep.budget == math.inf and rep.columns == rn.GRID_COLUMNS
+    def test_levy_fixture_cells_are_rows_against_the_drift_lattice(self):
+        rep = rn.check_V_grid(P1, [0.5, 1.0], [0.5, 1.0], 20000, POL.substream("vgp"),
+                              fixture="P1")
+        assert rep.passed and math.isfinite(rep.budget)
+        assert rep.columns == rn.GRID_COLUMNS + ("V_exact", "budget")
+        V, _, _ = rl.DriftLattice(P1, reach=1.0).occupation([0.5, 1.0], [0.5, 1.0])
+        assert [row["V_exact"] for row in rep.details] == pytest.approx(V.ravel(), abs=1e-14)
+        assert rep.rhs == rep.details[-1]["V_exact"]
 
     def test_dropping_the_killing_fails(self, monkeypatch):
         # fault on the exact side: B1's V computed without its killing rate
@@ -222,9 +257,47 @@ class TestSubpint:
         rep = rn.check_subpint(P1, 0.5, 0.9, 25000, POL.substream("p1"), fixture="P1")
         assert rep.passed
 
+    def test_p1_right_side_is_the_occupation_route(self, monkeypatch):
+        # no Monte Carlo V: renewal's walker (fluct_boxes) never runs
+        def boom(*args, **kwargs):
+            raise AssertionError("a Monte Carlo right side ran")
+
+        monkeypatch.setattr(rn, "walk", boom)
+        rep = rn.check_subpint(P1, 0.5, 0.4, 2000, POL.substream("p1x"), fixture="P1")
+        assert rep.rhs == P1.drift * rn.exact_V(P1, 0.5, 0.4)[0] and rep.se_rhs == 0.0
+        # the trapezoid of the creep route's p at the check's 13 nodes
+        nodes = np.linspace(0.0, 0.4, 13)
+        trap = float(np.sum(rn._trap_weights(nodes) * rn.exact_V(P1, 0.5, nodes)[1]))
+        assert rep.details[0]["quad_bias"] == pytest.approx(abs(trap - rep.rhs), abs=1e-15)
+        assert 0.0 < rep.details[0]["rhs_bound"] < 1e-15
+
+    def test_p1_jump_rate_fault_fails(self, monkeypatch):
+        # V(0.5, 0.4) moves by 0.0017 against a budget of about 0.00072
+        _rate_fault(monkeypatch)
+        rep = rn.check_subpint(P1, 0.5, 0.4, 100000, POL.substream("sp1-fault"), fixture="P1")
+        assert not rep.passed
+
     def test_zero_drift_fixture_is_trivially_zero(self):
         rep = rn.check_subpint(P3, 0.5, 0.9, 100, POL.substream("p3"), fixture="P3")
         assert rep.passed and rep.lhs == 0.0 and rep.rhs == 0.0
+
+
+class TestCt1:
+    def test_right_side_is_the_creep_route(self):
+        n = 20000
+        rep = rn.check_ct1(P1, 0.5, 0.25, n, POL.substream("ct1"), fixture="P1")
+        assert rep.passed and rep.n_paths == n and "delta" not in rep.params
+        assert rep.rhs == pytest.approx(0.6256832127, abs=1e-10) and rep.se_rhs == 0.0
+        assert rep.se_lhs == pytest.approx(math.sqrt(rep.rhs * (1 - rep.rhs) / n), rel=1e-12)
+        assert rep.budget == pytest.approx(3.8906 * rep.se_lhs, rel=1e-4)
+
+    @pytest.mark.parametrize("u", [0.25, 0.45])
+    def test_jump_rate_fault_fails(self, monkeypatch, u):
+        # p(0.5, u) moves 7.1 SE at u = 0.25 and 8.0 SE at u = 0.45 at
+        # n = 400000, against 3.89 SE at CHECK_FAIL_RATE
+        _rate_fault(monkeypatch)
+        rep = rn.check_ct1(P1, 0.5, u, 400000, POL.substream(f"ct1-fault{u}"), fixture="P1")
+        assert not rep.passed
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +490,7 @@ def _ref_stats_per_column(values: np.ndarray) -> list[tuple[int, float, float]]:
 
 def _ref_dual_counts(
     spec: ProcessSpec, s_edges: np.ndarray, v_edges: np.ndarray, n: int, rng
-) -> tuple[np.ndarray, int]:
+) -> np.ndarray:
     c, lam = spec.drift, spec.rate
     if c < 0:
         raise ValueError("dual ladder measure requires nonnegative drift")
@@ -426,7 +499,6 @@ def _ref_dual_counts(
     counts = np.zeros((n, ns * nv))
     # epoch-0 ladder point at (0, 0): first bin of each axis
     counts[:, 0] += 1.0
-    dropped = 0
 
     sigma = np.zeros(n)
     J = np.zeros(n)
@@ -436,7 +508,6 @@ def _ref_dual_counts(
         return ~(sigma[alive] + g > s_guard)
 
     def after(alive, g, Y):
-        nonlocal dropped
         sig_next = sigma[alive] + g
         J[alive] += Y
         sigma[alive] = sig_next
@@ -451,17 +522,15 @@ def _ref_dual_counts(
         vi = np.searchsorted(v_edges, depth, side="left") - 1
         vi[depth == v_edges[0]] = 0
         ok = (vi >= 0) & (vi < nv) & (si >= 0) & (si < ns)
-        dropped += int((~ok).sum())
         np.add.at(counts, (ii[ok], si[ok] * nv + vi[ok]), 1.0)
         return ~(mmin[alive] < -v_guard)
 
     walk(np.arange(n), lam, rng, spec.sample_jumps, before, after)
-    return counts, dropped
+    return counts
 
 
 def _ref_dual_measure_chunk(spec, s_edges, v_edges, n, rng):
-    counts, dropped = _ref_dual_counts(spec, s_edges, v_edges, n, rng)
-    return _ref_stats_per_column(counts), dropped
+    return _ref_stats_per_column(_ref_dual_counts(spec, s_edges, v_edges, n, rng))
 
 
 # quintuple P1's V-hat grid at u = 0.5, mesh 0.1: 6 time bins x 41 depth bins
@@ -501,12 +570,9 @@ class TestDualMeasureBitwise:
     def test_ragged_chunk_m2_is_exact(self, grid):
         spec, s_edges, v_edges = DUAL_GRIDS[grid]
         n = 1000
-        got, dropped = rn._dual_measure_chunk(spec, s_edges, v_edges, n,
-                                              np.random.default_rng(5))
-        counts, ref_dropped = _ref_dual_counts(spec, s_edges, v_edges, n,
-                                               np.random.default_rng(5))
+        got = rn._dual_measure_chunk(spec, s_edges, v_edges, n, np.random.default_rng(5))
+        counts = _ref_dual_counts(spec, s_edges, v_edges, n, np.random.default_rng(5))
         ref = _ref_stats_per_column(counts)
-        assert dropped == ref_dropped
         assert [s[:2] for s in got] == [s[:2] for s in ref]
         k = counts.astype(np.int64)
         for j, (s1, s2) in enumerate(zip(k.sum(axis=0).tolist(), (k * k).sum(axis=0).tolist())):
@@ -525,7 +591,7 @@ class TestDualMeasureBitwise:
 
         monkeypatch.setattr(rn, "np", DropLastKey())
         got, ref = _dual_pair("quintuple-P1", 16384, seed=16385)
-        assert got[1] == ref[1] and got[0] != ref[0]
+        assert got != ref
 
     def test_chunk_peak_memory(self):
         tracemalloc.start()

@@ -144,7 +144,7 @@ class TestConfigValidation:
             "X": {"kind": "levy", "drift": 1.0, "rate": 1.0,
                   "jumps": {"variant": "exponential", "rate": 1.0, "sign": -1}}
         })
-        raw["checks"] = [{"name": "p-estimate", "fixture": "X", "t": 0.5, "u": 0.25}]
+        raw["checks"] = [{"name": "amicale", "fixture": "X"}]
         cfg = runner.ExperimentConfig(raw)
         assert "X" in cfg.fixtures
 
@@ -215,6 +215,10 @@ class TestCheckTable:
         ({"name": "alpha", "fixture": "P1"}, "zero-drift compound Poisson"),
         ({"name": "quintuple", "fixture": "P2", "u": 0.5}, "integer jump atoms"),
         ({"name": "quintuple", "fixture": "S1", "u": 0.5}, "integer jump atoms"),
+        # the four checks of the creeping theorem need an exact side
+        *[({"name": name, "fixture": fixture, "t": 0.5, "u": 0.4}, "positive drift and an atomic")
+          for name in ("ct1", "p-estimate", "subpint", "V-grid") for fixture in ("P2", "S1")],
+        ({"name": "subpint", "fixture": "P3", "t": 0.5, "u": 0.4}, "positive drift"),
     ])
     def test_fixture_the_check_cannot_take_is_a_config_error(self, tmp_path, capsys, entry,
                                                              why):
@@ -244,6 +248,16 @@ class TestCheckTable:
         err = capsys.readouterr().err
         assert "checks[0].fixture: amicale cannot take X: " in err and why in err
         assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+    def test_ct1_delta_is_accepted_and_ignored(self, tmp_path):
+        # configs written for the retired difference quotient still run
+        blobs = []
+        for tag, extra in (("with", {"delta": 0.005}), ("without", {})):
+            out = tmp_path / tag
+            entry = {"name": "ct1", "fixture": "P1", "t": 0.5, "u": 0.25, "n": 2000, **extra}
+            runner.run(_cfg(out=str(out), checks=[entry]))
+            blobs.append([(f, (out / f).read_bytes()) for f in sorted(os.listdir(out))])
+        assert blobs[0] == blobs[1]
 
     def test_required_keys_are_declared(self):
         assert {name: c.required for name, c in runner.CHECKS.items() if c.required} == REQUIRED
