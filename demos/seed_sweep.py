@@ -6,7 +6,9 @@ sweep judges exactly what the benchmark runs), runs it, and reads every
 check's verdict from ``summary.csv``.  Prints one line per seed with each
 check's distance/budget, then each check's FAIL count and its worst
 distance/budget over the sweep, with the seed that gave it, which shows how
-much headroom a budget has.
+much headroom a budget has.  Last comes the number of seeds whose run had
+any FAIL: the run-level share that the benchmark's more_failures gate
+compares between two trees.
 
     python demos/seed_sweep.py --workload lattice-tail --seeds 11-40
 """
@@ -44,12 +46,14 @@ def ratio(distance: float, budget: float) -> float:
 
 
 def sweep(workload: str, seeds: range
-          ) -> tuple[dict[str, int], dict[str, tuple[float, int | None]]]:
+          ) -> tuple[dict[str, int], dict[str, tuple[float, int | None]], int]:
     """FAIL count and worst (distance/budget, seed) per check
-    (``index.check.fixture``) over ``seeds``."""
+    (``index.check.fixture``) over ``seeds``, and the number of seeds whose
+    run had any FAIL."""
     names = [f"{i}.{c['name']}.{c['fixture']}" for i, c in workloads.check_entries(workload)]
     fails = dict.fromkeys(names, 0)
     worst: dict[str, tuple[float, int | None]] = dict.fromkeys(names, (-math.inf, None))
+    failed_runs = 0
     for seed in seeds:
         with tempfile.TemporaryDirectory() as out:
             config = workloads.make_config(workload, seed, 0, out)
@@ -57,6 +61,7 @@ def sweep(workload: str, seeds: range
                 runner.run(config)
             with open(os.path.join(out, "summary.csv"), encoding="utf-8") as fh:
                 rows = list(csv.DictReader(fh))
+        failed_runs += any(row["pass"] != "PASS" for row in rows)
         cells = []
         for name, row in zip(names, rows):
             fails[name] += row["pass"] != "PASS"
@@ -66,7 +71,7 @@ def sweep(workload: str, seeds: range
             cells.append(f"{name} {float(row['distance']):.4g}/{float(row['budget']):.4g} "
                          f"{row['pass']}")
         print(f"seed {seed}: " + "; ".join(cells), flush=True)
-    return fails, worst
+    return fails, worst, failed_runs
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -75,11 +80,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", default="11-40", help="inclusive range, e.g. 11-40")
     args = parser.parse_args(argv)
     seeds = seed_range(args.seeds)
-    fails, worst = sweep(args.workload, seeds)
+    fails, worst, failed_runs = sweep(args.workload, seeds)
     for name, count in fails.items():
         r, seed = worst[name]
         print(f"{name}: {count}/{len(seeds)} FAIL, worst distance/budget {r:.3g}"
               f" (seed {seed})")
+    print(f"runs with any FAIL: {failed_runs}/{len(seeds)}")
     return 0
 
 

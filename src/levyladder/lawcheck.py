@@ -226,6 +226,16 @@ def quintuple_rhs_lattice(
     No creeping term: the fixture has zero ladder height drift, so the law
     is carried entirely by ``x > 0``.  Axes are (x, v, y, s, t) with lattice
     atoms in space and the given time bins (the last bin may be infinite).
+
+    Each cell is ``V(dt, u - y) Vhat(ds, vhat) Pi(v + x)``.  For summed
+    errors ``vbound`` of V and ``vhbound`` of Vhat, all cells' summed error
+    is at most ``bound = lambda vbound + vhbound (1 + lambda vbound)``: an
+    error in V meets the weight ``sum Vhat(vhat) Pi((y + vhat, inf)) = lambda
+    chi+((y, inf)) <= lambda`` (Vigon's equation amicale; ``chi+`` is the
+    weak ascending height law), one in Vhat ``sum_y V(u - y) Pi((y + vhat,
+    inf)) <= sum_y V(u - y) lambda chi+((y, inf))`` (a first step above ``y``
+    is a ladder height above it), the chance that the ladder heights pass
+    ``u``, at most 1, plus ``lambda vbound`` for the computed V.
     """
     if not spec.is_compound_poisson:
         raise ValueError("the exact quintuple route needs a compound Poisson lattice fixture")
@@ -266,7 +276,7 @@ def quintuple_rhs_lattice(
                 mass[x_atoms.index(xlat), iv, iy] += (
                     np.outer(vhmass[:, vhat], vmass[:, ju - y]) * (spec.rate * p)
                 )
-    bound = vbound * 2.0 + vhbound * 2.0  # coarse: each factor is at most 1-ish
+    bound = spec.rate * vbound + vhbound * (1.0 + spec.rate * vbound)
     return DiscreteMeasureND(axes, mass, bound=bound), axes
 
 
@@ -287,7 +297,8 @@ def check_quintuple(
     and must carry zero creeping mass.  Their TV pools the tail cells, every
     cell whose s or t bin is (128, inf), into one cell, and adds the
     censored mass to its empirical side: a censored path passes after the
-    cap, which is at least 256, so it belongs there.  The excluded mass is
+    cap, which is at least 256, so it belongs there.  The TV row's budget is
+    its fixed slack plus the exact side's own bound.  The excluded mass is
     still reported, and bounded by its own row.
 
     Drift-creeping fixtures compose the ``x > 0`` part from the exact V boxes
@@ -346,7 +357,7 @@ def _check_quintuple_lattice(spec, u, n, policy, workers, cap, fixture):
     tail = np.zeros(rhs.mass.shape, dtype=bool)
     tail[..., -1, :] = tail[..., -1] = True
     tv = emp.pooled_tv_distance(rhs, tail, batch.censored_mass)
-    dist, budget = verdict([(tv, 0.0, QUINTUPLE_LATTICE_TV),
+    dist, budget = verdict([(tv, 0.0, rhs.bound, QUINTUPLE_LATTICE_TV),
                             (emp.excluded_mass, 0.0, 0.01)])
     details = [{
         "tv": tv, "excluded_mass": emp.excluded_mass, "rhs_total": rhs.total_mass,

@@ -34,9 +34,9 @@ Two independent computational routes to the same tables are provided:
 puts the masses of ``V`` or ``Vhat`` on a grid of time bins as a single
 product of Poisson-survival differences with ``L``, with a deterministic
 error bound.  All-epoch totals ``sum_k U(k, {w})`` (needed for an unbounded
-last time bin) are Green functions of the walk killed outside the stay
-region; :func:`green_function` computes them by a banded linear solve with a
-ceiling-doubling error estimate.
+last time bin) are the renewal sequences of the Wiener-Hopf ladder-height
+factors; :func:`green_function` reads those factors off the roots of one
+polynomial, with a bound from the factorisation's residual at its roots.
 """
 
 from __future__ import annotations
@@ -45,10 +45,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .processes import DiscreteAtoms, ProcessSpec
 
@@ -106,10 +106,6 @@ class LatticeWalkSpec:
             raise ValueError("step probabilities must be positive")
         if sum(self.probs, Fraction(0)) != 1:
             raise ValueError("step probabilities must sum to 1 exactly")
-
-    @property
-    def max_step(self) -> int:
-        return max(abs(s) for s in self.steps)
 
     @classmethod
     def from_process(cls, spec: ProcessSpec) -> "LatticeWalkSpec":
@@ -317,78 +313,70 @@ def stay_region_layers(spec: LatticeWalkSpec, K: int, mode: Mode) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# All-epoch totals: Green functions of the killed walk
+# All-epoch totals: Wiener-Hopf ladder-height factors
 # ---------------------------------------------------------------------------
 
 
-def green_function(
-    spec: LatticeWalkSpec,
-    mode: Mode,
-    w_max: int,
-    ceiling: int = 4096,
-) -> tuple[np.ndarray, np.ndarray]:
-    """All-epoch ladder mass totals ``sum_k U(k, {w h})`` for ``w <= w_max``.
+def green_function(spec: LatticeWalkSpec, mode: Mode, w_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """All-epoch ladder mass totals ``sum_k U(k, {w h})``, ``w <= w_max``, and
+    a bound on the error of each: the renewal sequences, ``1 / (1 - chi)`` as
+    power series, of the weak ascending height law ``chi+`` on ``0..M`` and
+    the strict descending depth law ``chi-`` on ``1..m`` (steps in ``[-m,
+    M]``), the Wiener-Hopf factors (Spitzer; Feller vol. II, ch. XII) of
+    ``c(z) = z^m (1 - E z^xi) = (1 - chi+(z)) z^m (1 - chi-(1/z))``.  ``z = 1``
+    is divided out exactly: it is a root of each factor whose law is proper
+    (both at mean 0, else the one on the mean's side).  Coprime steps put no
+    other root on ``|z| = 1``; the second factor, monic, has the ``m - [mean
+    <= 0]`` others inside it, the first those outside.
 
-    By time reversal these are Green functions: expected visit counts to
-    ``w`` of the walk killed on leaving the stay region.  Solved as a banded
-    linear system truncated at ``ceiling``; the returned ``bound`` array is
-    a per-state error estimate obtained by doubling the ceiling (the
-    truncated values increase to the true ones, and for the oscillating
-    walks used here the omitted mass decays like 1/ceiling, so twice the
-    doubling increment is a safe report).
+    *Bound.*  For ``c0 = c / (z - 1)^j`` with leading coefficient ``a`` and
+    ``k`` computed roots ``r_i``, the discs ``|z - r_i| <= rho_i = k |c0(r_i)|
+    / |a prod_{l != i} (r_i - r_l)|`` hold the roots, one each when disjoint
+    (Braess & Hadeler 1973); the residual ``|c0(r_i)|`` includes Horner's
+    rounding ``2 k eps sum_j |c0_j| |r_i|^j``.  As ``l1`` is submultiplicative
+    and ``||z - r||_1 = 1 + |r|``, a factor ``b (z - 1)^e prod (z - r_i)`` is
+    off by at most ``beta = |b| 2^e (prod (1 + |r_i| + rho_i) (1 + k eps) -
+    prod (1 + |r_i|))`` in ``l1``.  A law off by ``e`` has ``u~ - u = u * e *
+    u~``, so ``|u~_w - u_w| <= A U / (1 - A)`` for ``U = max_{s <= w} u~_s``
+    and ``A = beta (w + 1) U``; rounding in the series adds ``2 (d + 2) eps``
+    to ``beta`` for a law on ``0..d``.  A disc that meets another or
+    ``|z| = 1`` makes the bound infinite.
     """
-    if w_max >= ceiling // 4:
-        raise ValueError("ceiling should be much larger than w_max")
-    g1 = _green_truncated(spec, mode, ceiling)[: w_max + 1]
-    g2 = _green_truncated(spec, mode, 2 * ceiling)[: w_max + 1]
-    bound = 2.0 * np.abs(g2 - g1)
-    return g2, bound
-
-
-def _green_truncated(spec: LatticeWalkSpec, mode: Mode, ceiling: int) -> np.ndarray:
-    m = spec.max_step
-    n = ceiling
-    probs = [float(p) for p in spec.probs]
-
-    # g = source + g P_region  =>  (I - P)^T g = source, banded with width m.
-    def pos(i: int) -> int:
-        if mode == "weak-ascending":
-            return i
-        if mode == "strict-ascending":
-            return i + 1
-        return -(i + 1)
-
-    def idx(w: int) -> int | None:
-        if mode == "weak-ascending":
-            return w if 0 <= w < n else None
-        if mode == "strict-ascending":
-            return w - 1 if 1 <= w <= n else None
-        return (-w) - 1 if 1 <= -w <= n else None
-
-    ab = np.zeros((2 * m + 1, n))
-    source = np.zeros(n)
-
-    if mode == "weak-ascending":
-        source[0] = 1.0  # the epoch-0 visit at height 0 lies inside the region
-    else:
-        # region excludes the start state; source is the first entry step
-        for y, p in zip(spec.steps, probs):
-            i = idx(y)
-            if i is not None:
-                source[i] += p
-
-    for j in range(n):  # from-state (column of (I - P)^T)
-        ab[m, j] += 1.0
-        w_from = pos(j)
-        for y, p in zip(spec.steps, probs):
-            i = idx(w_from + y)
-            if i is None:
-                continue
-            ab[m + i - j, j] -= p  # row i, column j
-    g = solve_banded((m, m), ab, source)
-    if mode != "weak-ascending":
-        g = np.concatenate([[1.0], g])  # the epoch-0 mass sits at height/depth 0
-    return g
+    if mode == "strict-ascending":  # the strict descents of the mirrored walk
+        mirror = LatticeWalkSpec(spec.h, tuple(-a for a in spec.steps), spec.probs, spec.rate)
+        return green_function(mirror, "strict-descending", w_max)
+    if math.gcd(*spec.steps) != 1:
+        raise ValueError("the Wiener-Hopf route needs coprime steps")
+    m, up = max(0, -min(spec.steps)), max(0, max(spec.steps))
+    c = [Fraction(0)] * (m + up + 1)  # c(z), highest degree first
+    c[up] += 1
+    for a, p in zip(spec.steps, spec.probs):
+        c[up - a] -= p
+    mean = sum((a * p for a, p in zip(spec.steps, spec.probs)), Fraction(0))
+    for _ in range(2 if mean == 0 else 1):
+        *c, _ = accumulate(c)  # divided by z - 1: c(1) = 0, and c'(1) = 0 at mean 0
+    c0 = np.array([float(x) for x in c])
+    r = np.roots(c0)
+    r, k, eps = r[np.argsort(np.abs(r))], r.size, np.finfo(float).eps
+    gap = np.abs(r[:, None] - r[None, :]) + np.eye(k)
+    resid = np.abs(np.polyval(c0, r)) + 2 * k * eps * np.polyval(np.abs(c0), np.abs(r))
+    rho = k * resid / np.abs(c0[0] * gap.prod(axis=1))
+    inner = m - (mean <= 0)
+    certified = ((gap > rho[:, None] + rho[None, :]) | np.eye(k, dtype=bool)).all() and (
+        (np.abs(r) + rho < 1)[:inner].all() and (np.abs(r) - rho > 1)[inner:].all())
+    descending = mode == "strict-descending"
+    side = slice(None, inner) if descending else slice(inner, None)
+    lead, unit = (1.0, mean <= 0) if descending else (c0[0], mean >= 0)
+    factor = lead * np.polymul(np.poly(r[side]), [1.0, -1.0][: 1 + unit]).real
+    factor = factor if descending else factor[::-1]  # 1 - chi, lowest power first
+    u = np.polydiv(np.eye(1, w_max + factor.size)[0], factor)[0]  # series division
+    size = np.abs(r[side]) + 1.0
+    beta = abs(lead) * 2**unit * (np.prod(size + rho[side]) * (1 + k * eps) - np.prod(size))
+    beta = beta + 2 * (factor.size + 1) * eps if certified else math.inf
+    top = np.maximum.accumulate(u)
+    a = beta * np.arange(1, w_max + 2) * top
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return u, np.where(a < 1, a * top / (1 - a), math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +477,7 @@ def erlang_mixture(
     ``sigma_0 = 0`` of the dual epoch-0 term belongs to it.  Epochs are cut
     at the depth :func:`truncation_depth` gives the last finite edge for
     ``ERLANG_TOL``.  An infinite last bin is completed from the all-epoch
-    totals of :func:`green_function`; its bound adds the Green bound and
+    totals of :func:`green_function`; its bound adds their bound and
     ``ERLANG_TOL`` per height.
     """
     if mode not in ("weak-ascending", "strict-descending"):
@@ -601,7 +589,7 @@ class DriftLattice:
             raise ValueError("the drift lattice needs positive drift and an atomic jump law")
         walk = LatticeWalkSpec.from_process(ProcessSpec(0.0, spec.rate, spec.jumps))
         self.c, self.h, self.lam = spec.drift, walk.h, walk.rate
-        self.depth = DRIFT_DEPTH + walk.max_step + math.ceil(reach / self.h)
+        self.depth = DRIFT_DEPTH + max(map(abs, walk.steps)) + math.ceil(reach / self.h)
         self.tau = self.h / self.c
         self.steps = np.array(walk.steps)
         self.probs = np.array([float(p) for p in walk.probs])

@@ -89,8 +89,9 @@ class TestQuintupleLattice:
     def test_rhs_total_mass_is_one(self):
         rhs, _ = lc.quintuple_rhs_lattice(P3, 2.0, lc.QUINTUPLE_LATTICE_EDGES,
                                           lc.QUINTUPLE_LATTICE_EDGES)
-        assert rhs.total_mass == pytest.approx(1.0, abs=2e-3)
-        assert rhs.bound < 0.02
+        # the all-epoch totals of the infinite bins are exact (Wiener-Hopf)
+        assert abs(rhs.total_mass - 1.0) <= 1e-10
+        assert 0.0 < rhs.bound <= 1e-9
 
     def test_requires_lattice_level(self):
         with pytest.raises(ValueError):

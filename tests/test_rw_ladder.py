@@ -172,9 +172,103 @@ class TestErlangMixture:
             rl.erlang_mixture(P3WALK, (0.0, 1.0), "strict-ascending", 2)
 
 
+def renewal_sequence(law, w_max):
+    """``u_w``, ``w <= w_max``, of the renewal sequence of ``law`` (index = height)."""
+    u = []
+    for w in range(w_max + 1):
+        hits = sum(law[j] * u[w - j] for j in range(1, min(w, len(law) - 1) + 1))
+        u.append(((w == 0) + hits) / (1 - law[0]))
+    return np.array(u)
+
+
+def green_residual(spec, mode, g, w_max):
+    """Residual of the killed walk's Green equation at ``w <= w_max``: the
+    totals of the stay region ``w >= 0`` solve ``g(w) = [w = 0] + sum_a p_a
+    g(w - a)``, those of ``w < 0`` (in depths) ``g(v) = [v = 0] + [v >= 1]
+    sum_a p_a g(v + a)``."""
+    sign = 1 if mode == "weak-ascending" else -1
+
+    def at(w):
+        return g[w] if 0 <= w < g.size else (0.0 if w < 0 else math.nan)
+
+    out = []
+    for w in range(w_max + 1):
+        inflow = sum(float(p) * at(w - sign * a) for a, p in zip(spec.steps, spec.probs))
+        if mode == "strict-descending" and w == 0:
+            inflow = 0.0
+        out.append(g[w] - (w == 0) - inflow)
+    return np.array(out)
+
+
+SQ5 = math.sqrt(5.0)
+NEG = rl.LatticeWalkSpec(1.0, (-2, 1), (F(1, 2), F(1, 2)), 1.0)
+POS = rl.LatticeWalkSpec(1.0, (-1, 2), (F(1, 2), F(1, 2)), 1.0)
+# mean 0 exactly, but -2 * float(3/5) + 3 * float(2/5) = 2.2e-16
+ZERO_INEXACT = rl.LatticeWalkSpec(1.0, (-2, 3), (F(3, 5), F(2, 5)), 1.0)
+BOTH = ("weak-ascending", "strict-descending")
+
+
 class TestGreen:
+    @pytest.mark.parametrize("mode, law", [
+        ("weak-ascending", [(5 - SQ5) / 8, (1 + SQ5) / 8, 1 / 4]),
+        ("strict-descending", [0.0, (SQ5 - 1) / 2, (3 - SQ5) / 2]),
+    ])
+    def test_p3_closed_form_ladder_laws(self, mode, law):
+        # c(z) = -(z - 1)^2 (z^2 + 3z + 1) / 4: the roots -(3 -+ sqrt 5) / 2
+        # split between the factors, each with one unit root
+        g, bound = rl.green_function(P3WALK, mode, 8)
+        assert np.abs(g - renewal_sequence(law, 8)).max() <= 1e-14
+        assert bound.max() <= 1e-12
+        if mode == "weak-ascending":
+            assert abs(g[0] - 8 / (3 + SQ5)) <= 1e-14
+        else:
+            assert g[0] == 1.0
+
+    @pytest.mark.parametrize("walk", [NEG, POS], ids=["negative-mean", "positive-mean"])
+    @pytest.mark.parametrize("mode", BOTH + ("strict-ascending",))
+    def test_drifting_walks_match_partial_layer_sums(self, walk, mode):
+        # a walk with a mean leaves any height geometrically fast, so the
+        # stay-region layers summed over 800 epochs are the totals
+        g, bound = rl.green_function(walk, mode, 5)
+        partial = rl.stay_region_layers(walk, 800, mode)[:, :6].sum(axis=0)
+        assert (np.abs(partial - g) <= bound + 1e-13).all()
+        assert bound.max() <= 1e-12
+
+    @pytest.mark.parametrize("mode", BOTH)
+    def test_one_sided_walks(self, mode):
+        up = rl.LatticeWalkSpec(1.0, (1, 2), (F(1, 3), F(2, 3)), 1.0)
+        down = rl.LatticeWalkSpec(1.0, (-1, -3), (F(1, 3), F(2, 3)), 1.0)
+        # every step of a one-sided walk is a ladder epoch of its side, so the
+        # ladder law is the step law; the other side has only epoch 0
+        law = [0.0, 1 / 3, 2 / 3] if mode == "weak-ascending" else [0.0, 1 / 3, 0.0, 2 / 3]
+        g, bound = rl.green_function(up if mode == "weak-ascending" else down, mode, 6)
+        assert np.abs(g - renewal_sequence(law, 6)).max() <= 1e-14
+        assert bound.max() <= 1e-12
+        g, _ = rl.green_function(down if mode == "weak-ascending" else up, mode, 6)
+        assert g.tolist() == [1.0] + [0.0] * 6
+
+    @pytest.mark.parametrize("mode", BOTH)
+    def test_zero_mean_with_inexact_float_mean(self, mode):
+        # the exact mean, not its float, decides that z = 1 is a double root
+        g, bound = rl.green_function(ZERO_INEXACT, mode, 9)
+        assert bound.max() <= 1e-12
+        assert np.abs(green_residual(ZERO_INEXACT, mode, g, 6)).max() <= 1e-13
+        partial = rl.stay_region_layers(ZERO_INEXACT, 400, mode)[:, :10].sum(axis=0)
+        assert (partial <= g).all() and (g - partial)[1:].min() > 1e-3  # a K^{-1/2} tail
+
+    @pytest.mark.parametrize("walk", [P3WALK, ASYM, NEG, ZERO_INEXACT])
+    @pytest.mark.parametrize("mode", BOTH)
+    def test_solves_the_killed_green_equation(self, walk, mode):
+        g, _ = rl.green_function(walk, mode, 12)
+        assert np.abs(green_residual(walk, mode, g, 8)).max() <= 1e-13
+
+    def test_rejects_steps_with_a_common_factor(self):
+        with pytest.raises(ValueError):
+            rl.green_function(rl.LatticeWalkSpec(1.0, (2, -2), (F(1, 2), F(1, 2)), 1.0),
+                              "weak-ascending", 3)
+
     def test_limit_of_partial_layer_sums(self):
-        g, bound = rl.green_function(P3WALK, "weak-ascending", 4, ceiling=2048)
+        g, bound = rl.green_function(P3WALK, "weak-ascending", 4)
 
         def partial(K):
             return rl.stay_region_layers(P3WALK, K, "weak-ascending")[:, :5].sum(axis=0)
@@ -194,10 +288,6 @@ class TestGreen:
         g, _ = rl.green_function(P3WALK, "strict-descending", 3)
         assert g[0] == 1.0
         assert (g[1:] > 0).all()
-
-    def test_ceiling_must_dominate_heights(self):
-        with pytest.raises(ValueError):
-            rl.green_function(P3WALK, "weak-ascending", 100, ceiling=128)
 
 
 class TestWalkSpec:
