@@ -77,7 +77,7 @@ import numpy as np
 from .processes import BivariateSubordinatorSpec, DiscreteAtoms, ProcessSpec, walk
 from .results import (
     CHECK_FAIL_RATE, CheckReport, EstimateWithError, binomial_estimate, concatenate,
-    merge_monitors, row_budgets, verdict,
+    row_budgets, verdict,
 )
 from .rng import RngPolicy, chunked_map
 from . import rw_ladder as rl
@@ -142,6 +142,7 @@ class PassageBatch:
     g_before: np.ndarray
     creep: np.ndarray
     censored: np.ndarray
+    level_creep: np.ndarray
     monitors: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -186,12 +187,13 @@ class PassageBatch:
             raise RuntimeError("passage batch violates quintuple support constraints")
 
 
-def _unresolved(u: float, cap: float, n: int) -> PassageBatch:
+def _unresolved(u: float, cap: float, n: int, n_below: int = 0) -> PassageBatch:
     """Batch of ``n`` records still to be resolved: every field unset."""
     return PassageBatch(
         u, cap, np.full(n, np.inf), np.full(n, np.nan), np.full(n, np.nan),
         np.full(n, np.nan), np.full(n, np.nan), np.zeros(n, dtype=bool),
-        np.zeros(n, dtype=bool), {"creep_with_undershoot": 0},
+        np.zeros(n, dtype=bool), np.zeros((n, n_below), dtype=bool),
+        {"creep_with_undershoot": 0},
     )
 
 
@@ -343,10 +345,11 @@ def _leaper(law, rng):
     return int(vals.max()), sums
 
 
-def _passage_chunk(spec: ProcessSpec, u: float, cap: float, n: int, rng) -> PassageBatch:
+def _passage_chunk(spec: ProcessSpec, u: float, cap: float, n: int, rng,
+                   below: Sequence[float] = ()) -> PassageBatch:
     c = spec.drift
     lam = spec.rate
-    out = _unresolved(u, cap, n)
+    out = _unresolved(u, cap, n, len(below))
     tau, x_at, x_before, max_before = out.tau, out.x_at, out.x_before, out.max_before
     g_before, creep, censored, monitors = out.g_before, out.creep, out.censored, out.monitors
 
@@ -373,11 +376,41 @@ def _passage_chunk(spec: ProcessSpec, u: float, cap: float, n: int, rng) -> Pass
     M = np.zeros(n)      # running maximum over [0, sigma] plus resolved segment suprema
     G = np.zeros(n)      # last time at the running maximum
 
+    # The levels ``below`` (increasing, at most u) are passed on the way to u.
+    # Each path keeps a pointer to the first it has not passed; every level
+    # is decided by the comparisons a walk to it alone would make, so a walk
+    # to u decides them all.  Only an upward drift creeps.
+    track = c > 0 and len(below) > 0
+    lv = np.append(np.asarray(below, dtype=float), np.inf)
+    nxt = np.zeros(n, dtype=np.int64)
+    runs = []  # (paths, first, end): each path crept over levels first..end-1
+
+    def pass_levels(active, reach, first_crept) -> int:
+        # move the pointers past the first ``reach`` levels and record those
+        # from ``first_crept`` on as crept; returns how many were recorded
+        k = nxt[active]
+        lo = np.maximum(k, first_crept)
+        new = lo < reach
+        runs.append((active[new], lo[new], reach[new]))
+        nxt[active] = np.maximum(k, reach)
+        return int((reach[new] - lo[new]).sum())
+
     def before(active, g):
         # creeping iff the drift line reaches u strictly before the jump
         sig_next = sigma[active] + g
-        t_creep = (u - J[active]) / c
+        J_now = J[active]
+        t_creep = (u - J_now) / c
         hits = (t_creep < sig_next) & (c > 0)
+        if track:
+            # the levels crept before the jump and by the cap, one at a time:
+            # the creep time grows with the level (a path that stops here
+            # never reads its pointer again)
+            reach, sel = nxt[active], np.arange(active.size)
+            while sel.size:
+                t_level = (lv[reach[sel]] - J_now[sel]) / c
+                sel = sel[(t_level < sig_next[sel]) & (t_level <= cap)]
+                reach[sel] += 1
+            pass_levels(active, reach, 0)
         cens = np.where(hits, t_creep, sig_next) > cap
         ok = hits & ~cens
         fin = active[ok]
@@ -410,6 +443,11 @@ def _passage_chunk(spec: ProcessSpec, u: float, cap: float, n: int, rng) -> Pass
         g_before[fin] = G[fin]
         creep[active[inst]] = True
         monitors["creep_with_undershoot"] += int(inst.sum())
+        if track:
+            # the levels the jump reaches; one it lands on exactly is crept,
+            # as at u
+            monitors["creep_with_undershoot"] += pass_levels(
+                active, np.searchsorted(lv, w_land, "right"), np.searchsorted(lv, w_land))
         cont = ~done
         ii = active[cont]
         J[ii] += Y[cont]
@@ -422,6 +460,14 @@ def _passage_chunk(spec: ProcessSpec, u: float, cap: float, n: int, rng) -> Pass
         return cont
 
     walk(np.arange(n), lam, rng, spec.sample_jumps, before, after)
+    if runs:
+        paths, first, end = (np.concatenate(a) for a in zip(*runs))
+        # +1 where a run starts and -1 past its end; a path's runs are
+        # disjoint, so no (level, path) pair repeats among the starts or ends
+        mark = np.zeros((lv.size, n), dtype=np.int8)
+        mark[first, paths] += 1
+        mark[end, paths] -= 1
+        out.level_creep[:] = (np.cumsum(mark[:-1], axis=0, dtype=np.int8) > 0).T
     out.validate()
     return out
 
@@ -433,12 +479,18 @@ def sample_passages(
     n: int,
     policy: RngPolicy,
     workers: int = 1,
+    below: Sequence[float] = (),
 ) -> PassageBatch:
-    """Batch of ``n`` independent passage records, deterministic per policy."""
+    """Batch of ``n`` independent passage records, deterministic per policy.
+
+    ``below`` holds increasing levels at most ``u``; column ``j`` of
+    ``level_creep`` marks the paths that creep over ``below[j]`` by the cap.
+    They add no draws: a batch with them has the records of one without.
+    """
     if not (u > 0):
         raise ValueError("level u must be positive")
     parts = chunked_map(
-        lambda i, m, rng: _passage_chunk(spec, u, cap, m, rng), n, policy, workers
+        lambda i, m, rng: _passage_chunk(spec, u, cap, m, rng, below), n, policy, workers
     )
     return concatenate(parts)
 
@@ -446,24 +498,38 @@ def sample_passages(
 def estimate_p(
     spec: ProcessSpec,
     t: float,
-    u: float,
+    u: float | Sequence[float],
     n: int,
     policy: RngPolicy,
     workers: int = 1,
-) -> tuple[EstimateWithError, dict[str, int]]:
-    """MC estimate of ``p(t, u) = P(tau_u <= t, X_{tau_u} = u)``.
+) -> tuple[EstimateWithError | list[EstimateWithError], dict[str, int]]:
+    """MC estimate of ``p(t, u) = P(tau_u <= t, X_{tau_u} = u)`` at one level
+    ``u``, or one estimate per level of a sequence, in its order.
 
     The horizon cap is ``t``, so the binomial estimate is censoring-free:
     any path capped at ``t`` simply did not creep by ``t``.  The horizon is
     closed (:func:`_closed`): a creeping time that equals ``t`` can round
     above it, as P1's ``(1.3 - 1) / 1`` does at ``t = 0.3``, and still counts.
+
+    All levels share one walk of ``n`` paths to the highest, which passes
+    every lower level on its way and decides each as a walk to it alone
+    would (:func:`sample_passages`' ``below``).  So each estimate is
+    unbiased, the highest is the one a single-level call gives, and the
+    estimates of one call are correlated.
     """
-    if not (t > 0 and u > 0):
+    levels = np.atleast_1d(np.asarray(u, dtype=float))
+    if not (t > 0 and (levels > 0).all()):
         raise ValueError("t and u must be positive")
     cap = _closed(t)
-    batch = sample_passages(spec, u, cap=cap, n=n, policy=policy, workers=workers)
-    hits = int((batch.creep & (batch.tau <= cap)).sum())
-    return binomial_estimate(hits, batch.n), dict(batch.monitors)
+    order = np.argsort(levels, kind="stable")
+    top, lower = order[-1], order[:-1]
+    batch = sample_passages(spec, float(levels[top]), cap=cap, n=n, policy=policy,
+                            workers=workers, below=levels[lower])
+    hits = np.empty(levels.size, dtype=np.int64)
+    hits[top] = (batch.creep & (batch.tau <= cap)).sum()
+    hits[lower] = batch.level_creep.sum(axis=0)
+    ests = [binomial_estimate(int(k), batch.n) for k in hits]
+    return (ests[0] if np.ndim(u) == 0 else ests), dict(batch.monitors)
 
 
 P_ESTIMATE_COLUMNS = ("fixture", "t", "u", "p", "se", "n")
@@ -471,32 +537,34 @@ P_ESTIMATE_COLUMNS = ("fixture", "t", "u", "p", "se", "n")
 
 def check_p_estimate(spec: ProcessSpec, t: float, u: float | Sequence[float], n: int,
                      policy: RngPolicy, workers: int = 1, fixture: str = "") -> CheckReport:
-    """:func:`estimate_p` at each level of ``u`` (one level or a list), one
-    substream per level, against the creep route of a
+    """:func:`estimate_p` at each level of ``u`` (one level or a list), all
+    from one walk of ``n`` paths, against the creep route of a
     :class:`~levyladder.rw_ladder.DriftLattice`.
 
     Each level is a row (gap, binomial SE at the exact ``p``, the route's
-    bound), the rows held together to ``CHECK_FAIL_RATE``.  A level with
-    ``p = 0`` has SE 0, so one creeping path there FAILs.  The details hold
-    one row per level with its exact ``p`` and budget; ``lhs`` and ``rhs``
-    are the values at the last level.
+    bound), the rows held together to ``CHECK_FAIL_RATE``.  The rows share
+    their paths, so they are correlated; Sidak's bound on the chance that
+    some row passes its budget holds for any dependence between centred
+    normal rows, so the budget is the same as for independent rows.  A level
+    with ``p = 0`` has SE 0, so one creeping path there FAILs.  The details
+    hold one row per level, in the order of ``u``, with its exact ``p`` and
+    budget; ``lhs`` and ``rhs`` are the values at the last level.
     """
     levels = [float(v) for v in np.atleast_1d(u)]
     lat = rl.DriftLattice(spec, reach=max(levels))
-    details, rows, monitors = [], [], {}
-    for level in levels:
-        est, mon = estimate_p(spec, t, level, n, policy.substream(f"u{level}"), workers)
+    ests, monitors = estimate_p(spec, t, levels, n, policy.substream("walk"), workers)
+    details, rows = [], []
+    for level, est in zip(levels, ests):
         (p,), bound = lat.creep(level, [t])
         rows.append((abs(est.value - p), math.sqrt(p * (1.0 - p) / n), bound))
         details.append(dict(zip(P_ESTIMATE_COLUMNS + ("p_exact",),
                                 (fixture, t, level, est.value, est.se, est.n, p))))
-        merge_monitors(monitors, mon)
     for row, budget in zip(details, row_budgets(rows, CHECK_FAIL_RATE)):
         row["budget"] = budget
     dist, budget = verdict(rows, CHECK_FAIL_RATE)
     return CheckReport(check="p-estimate", fixture=fixture, params={"t": t, "u": u, "n": n},
                        lhs=est.value, rhs=float(p), se_lhs=rows[-1][1], distance=dist,
-                       budget=budget, n_paths=n * len(levels), details=details,
+                       budget=budget, n_paths=n, details=details,
                        columns=P_ESTIMATE_COLUMNS + ("p_exact", "budget"), monitors=monitors)
 
 

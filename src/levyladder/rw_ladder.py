@@ -602,19 +602,25 @@ class DriftLattice:
 
     def _power_stack(self, side: int) -> np.ndarray:
         """``P^n``, ``n = 0..n_terms``: ``side`` +1 for a barrier below (a
-        step ``a`` moves the distance by ``+a``), -1 for one above."""
+        step ``a`` moves the distance by ``+a``), -1 for one above.
+
+        ``P`` has one band per step plus the absorbing column, so ``Q P``
+        shifts ``Q``'s columns by each step and adds them: no matrix product
+        (a threaded BLAS product of this size costs more than it saves)."""
         if side not in self._powers:
             D = self.depth
-            P = np.zeros((D + 2, D + 2))
-            P[D + 1, D + 1] = 1.0
-            for a, p in zip(self.steps, self.probs):
-                to = np.arange(D + 1) + side * a
-                live = to >= 0  # below 0: passed the barrier by a jump
-                P[np.arange(D + 1)[live], np.minimum(to[live], D + 1)] += p
-            stack = [np.eye(D + 2)]
-            for _ in range(self.n_terms):
-                stack.append(stack[-1] @ P)
-            self._powers[side] = np.array(stack)
+            stack = np.zeros((self.n_terms + 1, D + 2, D + 2))
+            stack[0] = np.eye(D + 2)
+            for prev, cur in zip(stack, stack[1:]):
+                cur[:, D + 1] = prev[:, D + 1]
+                for a, p in zip(self.steps, self.probs):
+                    s = int(side * a)
+                    if s >= 0:  # distances past depth are lost to the absorbing state
+                        cur[:, s : D + 1] += p * prev[:, : D + 1 - s]
+                        cur[:, D + 1] += p * prev[:, D + 1 - s : D + 1].sum(axis=1)
+                    else:  # distances below 0 have passed the barrier by a jump
+                        cur[:, : D + 1 + s] += p * prev[:, -s : D + 1]
+            self._powers[side] = stack
         return self._powers[side]
 
     def _weights(self, fracs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -724,6 +730,13 @@ class DriftLattice:
         return cell, np.searchsorted(fracs, frac)
 
     @staticmethod
+    def _distinct(*parts) -> np.ndarray:
+        """The sorted distinct values of ``parts``: ``np.unique`` without its
+        ``numpy.ma`` import (about 10 ms)."""
+        x = np.sort(np.concatenate(parts))
+        return x[np.append(True, x[1:] != x[:-1])]
+
+    @staticmethod
     def _through(full: np.ndarray, part: np.ndarray, cell: np.ndarray) -> np.ndarray:
         """Totals up to each time: the ``full`` cells (cells x values) before
         its ``cell`` plus its ``part`` (times x values) of that cell."""
@@ -754,7 +767,7 @@ class DriftLattice:
         zw = np.ceil(np.round(w / self.h, 12)).astype(int) - 1
         ow = np.round(w / self.h - zw, 12)
         fin = np.isfinite(t)
-        fracs = np.unique(np.concatenate([ow, self._split(t[fin])[1], [1.0]]))
+        fracs = self._distinct(ow, self._split(t[fin])[1], [1.0])
         if self.mean > 0:
             # from height x, P(X_r <= w) <= g(x) e^{-kappa r}: at most
             # g(x) / kappa time at or below w, and at most g(x) / (1 -
@@ -809,7 +822,7 @@ class DriftLattice:
         # x < x_v, over [frac_v tau, tau] for x = x_v, never past it
         xv = np.floor(np.round(v / self.h, 12)).astype(int)
         ov = np.round(1.0 + xv - v / self.h, 12)
-        fracs = np.unique(np.concatenate([ov, self._split(s[np.isfinite(s)])[1], [1.0]]))
+        fracs = self._distinct(ov, self._split(s[np.isfinite(s)])[1], [1.0])
         neg = self.steps < 0
         pi0 = np.zeros(int(-self.steps.min()) if neg.any() else 1)
         np.add.at(pi0, -self.steps[neg] - 1, self.lam * self.probs[neg])

@@ -202,7 +202,7 @@ class TestZeroDriftBlocks:
             batch = pg.sample_passages(P3, 2.0, cap=2000.0, n=12000, policy=pol, workers=workers)
             runs.append([getattr(batch, f.name).tobytes() for f in dataclasses.fields(batch)
                          if isinstance(getattr(batch, f.name), np.ndarray)])
-        assert len(runs[0]) == 7
+        assert len(runs[0]) == 8
         assert runs[0] == runs[1] == runs[2]
 
 
@@ -332,6 +332,92 @@ class TestEstimateP:
         band = 3 * (prx.se + psy.se + prs_xy.se + ps_xy.se)
         assert prs_xy.value >= prx.value * psy.value - band
         assert ps_xy.value <= prx.value * psy.value + 1 - prx.value + band
+
+
+class _Script:
+    """Stands in for one path's generator: hands out the given gaps, and
+    uniforms that make P1's jump law return the given jumps (+-1)."""
+
+    def __init__(self, gaps, jumps):
+        self.gaps, self.jumps = list(gaps), list(jumps)
+
+    def exponential(self, scale, size):
+        return np.array([self.gaps.pop(0) for _ in range(size)])
+
+    def random(self, size):
+        return np.array([0.75 if self.jumps.pop(0) > 0 else 0.25 for _ in range(size)])
+
+
+class TestSharedWalk:
+    # the levels of demos/full_suite.json, at t = 0.3
+    LEVELS = (0.1, 0.2, 0.3, 0.5, 0.8, 1.1, 1.2, 1.3, 1.5, 2.0, 2.2, 2.3)
+
+    def test_top_level_is_the_single_level_estimate(self):
+        pol = POL.substream("share")
+        ests, mon = pg.estimate_p(P1, 0.3, self.LEVELS, 20000, pol)
+        est, mon1 = pg.estimate_p(P1, 0.3, 2.3, 20000, pol)
+        assert ests[-1] == est and mon == mon1
+        # the lower levels add no draws: every record keeps its bytes
+        cap = pg._closed(0.3)
+        a = pg.sample_passages(P1, 2.3, cap, 20000, pol)
+        b = pg.sample_passages(P1, 2.3, cap, 20000, pol, below=self.LEVELS[:-1])
+        for f in dataclasses.fields(a):
+            if f.name != "level_creep" and isinstance(getattr(a, f.name), np.ndarray):
+                assert getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes()
+        assert a.level_creep.shape == (20000, 0) and b.level_creep.shape == (20000, 11)
+
+    @pytest.mark.parametrize("below, t, gaps, jumps, crept, monitor", [
+        # the jump comes when the path stands on 0.5, its running maximum;
+        # it creeps over 0.5 later, from below
+        ((0.5,), 5.0, (0.5, 10.0), (-1,), (True,), 0),
+        # the creep time 0.5 equals the next jump time: passed by the jump
+        ((0.5,), 5.0, (0.5, 10.0), (1,), (False,), 0),
+        # the creep time equals the closed cap
+        ((pg._closed(0.3),), 0.3, (10.0,), (), (True,), 0),
+        # (1.3 - 1) / 1 = 0.30000000000000004 lies above t = 0.3, within the cap
+        ((1.3,), 0.3, (0.1, 5.0), (1,), (True,), 0),
+        # a jump landing exactly on 1.5: a creep with undershoot
+        ((1.5,), 5.0, (0.5, 10.0), (1,), (True,), 1),
+        # two levels crept in one segment, one jumped over, one crept after
+        ((0.1, 0.2, 1.1, 1.5), 5.0, (0.25, 3.0), (1,), (True, True, False, True), 0),
+    ])
+    def test_level_pointer_on_hand_rows(self, below, t, gaps, jumps, crept, monitor):
+        cap = pg._closed(t)
+        out = pg._passage_chunk(P1, 2.3, cap, 1, _Script(gaps, jumps), below)
+        assert tuple(out.level_creep[0]) == crept
+        assert out.monitors["creep_with_undershoot"] == monitor
+        # each level decided as a walk to it alone decides it
+        for level, c in zip(below, crept):
+            alone = pg._passage_chunk(P1, level, cap, 1, _Script(gaps, jumps))
+            assert bool(alone.creep[0] and alone.tau[0] <= cap) == c
+
+    def test_each_level_as_its_own_walk_path_by_path(self):
+        # one path per chunk, so a path draws the same gaps and jumps
+        # whichever level its walk stops at
+        pol, cap = RngPolicy(seed=7, chunk_size=1), pg._closed(1.0)
+        levels = (0.3, 0.5, 1.1, 1.5, 2.0)
+        shared = pg.sample_passages(P1, 2.3, cap, 300, pol, below=levels)
+        for j, level in enumerate(levels):
+            alone = pg.sample_passages(P1, level, cap, 300, pol)
+            np.testing.assert_array_equal(shared.level_creep[:, j], alone.creep)
+        assert shared.level_creep.any(axis=0).all() and not shared.level_creep.all(axis=0).any()
+
+    def test_unsorted_and_duplicate_levels(self):
+        pol = POL.substream("order")
+        (lo, hi), _ = pg.estimate_p(P1, 0.3, [0.2, 1.3], 20000, pol)
+        ests, _ = pg.estimate_p(P1, 0.3, [1.3, 0.2, 1.3, 0.2], 20000, pol)
+        assert ests == [hi, lo, hi, lo]
+
+    def test_levels_against_the_creep_route_as_one_family(self):
+        n = 100000
+        ests, mon = pg.estimate_p(P1, 0.3, self.LEVELS, n, POL.substream("family"))
+        lat = rl.DriftLattice(P1, reach=2.3)
+        rows = []
+        for level, est in zip(self.LEVELS, ests):
+            (p,), bound = lat.creep(level, [0.3])
+            rows.append((abs(est.value - p), math.sqrt(p * (1 - p) / n), bound))
+        distance, budget = verdict(rows, CHECK_FAIL_RATE)
+        assert distance <= budget and mon == {"creep_with_undershoot": 0}
 
 
 class TestCheckPEstimate:

@@ -52,11 +52,23 @@ class TestVerdict:
             CheckReport(check="c", fixture="f", passed=True)
 
 
-def test_import_does_not_load_scipy():
+def _fresh(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter on this package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(levyladder.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, levyladder; "
-            "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def test_import_does_not_load_scipy():
+    assert _fresh("import sys, levyladder; "
+                  "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+                  ) == "False"
+
+
+def test_drift_lattice_does_not_load_numpy_ma():
+    # np.unique imports numpy.ma, about 10 ms on the first call of a run
+    assert _fresh("import sys, levyladder as ll; lat = ll.rw_ladder.DriftLattice(ll.P1); "
+                  "lat.occupation([0.5, float('inf')], [0.25, 0.5]); "
+                  "lat.dual([0.0, 0.5, float('inf')], [0.0, 0.5]); "
+                  "print('numpy.ma' in sys.modules)") == "False"
