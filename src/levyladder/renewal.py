@@ -62,7 +62,6 @@ from .results import (
 from .rng import RngPolicy, chunked_map, merge_mean_m2
 from .passage import _closed, estimate_p, sample_biv_passages
 from .rw_ladder import DriftLattice, poisson_sf
-from .transforms import _trap_weights
 
 __all__ = [
     "RenewalGrid",
@@ -670,6 +669,14 @@ def _creep_probability_nodes(
 # Level nodes of the subpint quadrature over (0, u), spread over its segments
 # by length (at least 3 per segment).
 SUBPINT_BASE_NODES = 12
+
+
+def _trap_weights(nodes: np.ndarray) -> np.ndarray:
+    w = np.zeros(nodes.size)
+    dx = np.diff(nodes)
+    w[:-1] += dx / 2
+    w[1:] += dx / 2
+    return w
 
 
 def _segment_nodes(spec: SamplerSpec, t: float, u: float) -> list[np.ndarray]:

@@ -82,9 +82,9 @@ class Check:
     validate: Callable[[Any, Mapping[str, Any], str], None] | None = None
 
 
-def _given(c: Mapping[str, Any], *keys: str, conv: Callable = float) -> dict[str, Any]:
-    """The optional ``keys`` that ``c`` sets, converted by ``conv``."""
-    return {k: conv(c[k]) for k in keys if k in c}
+def _given(c: Mapping[str, Any], *keys: str) -> dict[str, float]:
+    """The optional ``keys`` that ``c`` sets, as floats."""
+    return {k: float(c[k]) for k in keys if k in c}
 
 
 def _params_from(c: Mapping[str, Any]) -> transforms.TransformParams:
@@ -108,18 +108,9 @@ def _transform_ok(spec, c: Mapping[str, Any], where: str) -> None:
             " (set ell = rho - mu exactly)"
         )
     try:
-        if isinstance(spec, BivariateSubordinatorSpec):
-            p.validate_for(spec)
-        else:
-            p.validate()
+        p.validate_for(spec)
     except ValueError as exc:
         raise ConfigError(f"{where}: inadmissible transform parameters: {exc}") from None
-
-
-def _slfi_fluct_ok(spec, c: Mapping[str, Any], where: str) -> None:
-    if "u_nodes" in c:  # the trapezoid rule over the level nodes needs two
-        _integer(c["u_nodes"], f"{where}.u_nodes", least=2)
-    _transform_ok(spec, c, where)
 
 
 def _quintuple_ok(spec, c: Mapping[str, Any], where: str) -> None:
@@ -182,11 +173,9 @@ CHECKS: dict[str, Check] = {
         run=lambda spec, c, n, pol, w, fx: transforms.slfi_check(
             spec, _params_from(c), n, pol, w, fixture=fx)),
     "slfi-fluct": Check(
-        "Levy", _TRANSFORM_KEYS + ("u_nodes", "cap"), positive=("cap",),
-        takes=transforms.slfi_fluct_fixture, validate=_slfi_fluct_ok,
+        "Levy", _TRANSFORM_KEYS, takes=transforms.slfi_fluct_fixture, validate=_transform_ok,
         run=lambda spec, c, n, pol, w, fx: transforms.slfi_fluct_check(
-            spec, _params_from(c), n, pol, w, fixture=fx, **_given(c, "u_nodes", conv=int),
-            **_given(c, "cap"))),
+            spec, _params_from(c), n, pol, w, fixture=fx)),
     "wiener-hopf": Check(
         "Levy", ("a",), positive=("a",), takes=LatticeWalkSpec.from_process,
         run=lambda spec, c, n, pol, w, fx: transforms.wiener_hopf_check(

@@ -27,8 +27,7 @@ from .processes import (
     walk,
 )
 from .results import (
-    CHECK_FAIL_RATE, CheckReport, EstimateWithError, estimate_from_stats, merge_monitors,
-    row_budgets, verdict,
+    CHECK_FAIL_RATE, CheckReport, EstimateWithError, estimate_from_stats, row_budgets, verdict,
 )
 from .rng import RngPolicy, chunked_map, merge_mean_m2
 from . import rw_ladder as rl
@@ -48,6 +47,9 @@ WH_REL_TOL = 0.03
 # lt_V and slfi_check stop a path once its multiplicative weight (e^{-a Z - b Y - q s},
 # e^{-mu Y - nu Z - q s}) drops below this; the discarded tail is bounded and reported.
 LT_WEIGHT_TOL = 1e-15
+# slfi_fluct_check stops a path once the bound on what it can still add is below
+# this: on P2 at n = 4e5 trunc_bias is 2e-7 against an SE of 1.5e-4.
+SLFI_FLUCT_STOP = 1e-6
 # Time caps of the ladder-jump samples behind the fluctuation-level kappa
 # and behind the Wiener-Hopf kappa.
 SLFI_LADDER_CAP = 200.0
@@ -85,17 +87,22 @@ class TransformParams:
 
     def validate(self) -> None:
         """``mu > 0`` and ``rho, ell, nu, theta >= 0`` keep the level integrand
-        below ``e^{-mu u}``, which every tail and censoring bound assumes."""
+        below ``e^{-mu u}``, which every truncation bound assumes."""
         if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         for name in ("rho", "ell", "nu", "theta"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
-    def validate_for(self, spec: BivariateSubordinatorSpec) -> None:
-        """:meth:`validate`; and with ``q = 0``, ``Y`` must move so paths stop."""
+    def validate_for(self, spec: BivariateSubordinatorSpec | ProcessSpec) -> None:
+        """:meth:`validate`, and refuses a ``spec`` on which no path would stop: with
+        ``q = 0``, a ``Y`` that never moves; with ``min(nu, theta) = 0``, a mean <= 0."""
         self.validate()
-        if spec.q == 0 and spec.d_y == 0 and not any(dx > 0 for _, dx, _ in spec.atoms):
+        if isinstance(spec, ProcessSpec):
+            mean = spec.drift + (spec.rate * spec.jumps.mean() if spec.rate else 0.0)
+            if min(self.nu, self.theta) == 0 and not mean > 0:
+                raise ValueError(f"min(nu, theta) = 0, mean {mean:g} <= 0: no path would stop")
+        elif spec.q == 0 and spec.d_y == 0 and not any(dx > 0 for _, dx, _ in spec.atoms):
             raise ValueError("q = 0 with a Y that never moves: no path would ever stop")
 
 
@@ -176,6 +183,8 @@ def lt_V(
     ``LT_WEIGHT_TOL``; the discarded tail is bounded by ``weight / kappa(a, b)`` and
     reported.
     """
+    if route not in ("integrate", "sample"):
+        raise ValueError(f"route must be 'integrate' or 'sample', got {route!r}")
     if not (a >= 0 and b >= 0):
         raise ValueError("transform arguments must be nonnegative")
     kap = kappa_biv(spec, a, b)
@@ -198,26 +207,17 @@ def slfi_rhs_closed_form(spec: BivariateSubordinatorSpec, p: TransformParams) ->
     return num / ((p.mu + p.ell - p.rho) * den)
 
 
-def _u_grid(mu: float, u_nodes: int, u_pad: float, tail_tol: float = 1e-7) -> np.ndarray:
-    """Integration grid for ``int e^{-mu u} E[...] du``: truncated where the
-    exponential weight is negligible relative to the running integral, and
-    quadratically graded towards 0 where the integrand is steepest."""
-    u_max = -math.log(tail_tol) / max(mu, 1e-2) + u_pad
-    return u_max * np.linspace(0.0, 1.0, u_nodes) ** 2
-
-
-def _trap_weights(nodes: np.ndarray) -> np.ndarray:
-    w = np.zeros(nodes.size)
-    dx = np.diff(nodes)
-    w[:-1] += dx / 2
-    w[1:] += dx / 2
-    return w
+def _leap_factor(p: TransformParams, span):
+    """``int_0^span e^{-(mu + ell - rho) v} dv``, the integral over the levels
+    a jump leaps of their undershoot factor; ``span`` itself, its limit, on
+    the derivative branch."""
+    a = p.mu + p.ell - p.rho
+    return span if p.derivative_branch else -np.expm1(-a * span) / a
 
 
 def _slfi_chunk(spec, p: TransformParams, n: int, rng) -> tuple[np.ndarray, float]:
     dz, dy, q = spec.d_z, spec.d_y, spec.q
     c = p.mu * dy + p.nu * dz + q  # growth rate of mu Y + nu Z + q s on a drift segment
-    a = p.mu + p.ell - p.rho
     rest = (1.0 - q / kappa_biv(spec, 0.0, p.mu)) / p.mu  # a fresh path's transform bound
     vals, expo = np.zeros(n), np.zeros(n)  # expo: mu Y + nu Z + q s along the path
     bias_total = 0.0
@@ -232,8 +232,7 @@ def _slfi_chunk(spec, p: TransformParams, n: int, rng) -> tuple[np.ndarray, floa
         jt, jx = jump
         expo[alive] += c * g
         # levels y_pre + v, v in (0, jx), are leapt with overshoot jx - v, undershoot v
-        over = jx if p.derivative_branch else -np.expm1(-a * jx) / a  # jx: the limit a -> 0
-        vals[alive] += np.exp(-expo[alive] - p.rho * jx - p.theta * jt) * over
+        vals[alive] += np.exp(-expo[alive] - p.rho * jx - p.theta * jt) * _leap_factor(p, jx)
         expo[alive] += p.mu * jx + p.nu * jt
         w1 = np.exp(-expo[alive])
         tail = w1 < LT_WEIGHT_TOL
@@ -299,56 +298,69 @@ def slfi_fluct_fixture(spec: ProcessSpec) -> None:
         raise ValueError("the fluctuation transform check needs a creeping fixture")
 
 
+def _slfi_fluct_chunk(spec: ProcessSpec, p: TransformParams, n: int, rng):
+    c = spec.drift
+    k = p.mu + p.nu / c  # decay rate in u of e^{-mu u - nu t} over the crept levels
+    slow = min(p.nu, p.theta)
+    # per path: position J at the last jump time sigma, maximum M, last time G at it
+    vals, J, sigma, M, G = (np.zeros(n) for _ in range(5))
+    bias_total = 0.0
+
+    def before(alive, g):
+        # the segment passes M at r* = sigma + (M - J) / c and creeps the
+        # levels (M, M + L) at times r* + (u - M) / c: x = y = s = 0, t = tau
+        top = J[alive] + c * g
+        up = top > M[alive]
+        i, top = alive[up], top[up]
+        r = sigma[i] + (M[i] - J[i]) / c
+        vals[i] += np.exp(-p.mu * M[i] - p.nu * r) * -np.expm1(-k * (top - M[i])) / k
+        M[i], G[i] = top, sigma[i] + g[up]
+
+    def after(alive, g, y):
+        nonlocal bias_total
+        t = sigma[alive] + g
+        land = J[alive] + c * g + y
+        # a jump landing above M leaps the levels (M, land) at time t: x and
+        # y are affine in u, the last maximum is at G and s = t - G
+        up = land > M[alive]
+        i, t_up = alive[up], t[up]
+        span = land[up] - M[i]
+        vals[i] += np.exp(-p.mu * M[i] - p.rho * span - p.nu * G[i]
+                          - p.theta * (t_up - G[i])) * _leap_factor(p, span)
+        M[i], G[i] = land[up], t_up
+        J[alive], sigma[alive] = land, t
+        # every level still to come lies above M, passed at a time past t
+        # whose last maximum lies past G
+        rest = np.exp(-p.mu * M[alive] - np.maximum(p.nu * G[alive], slow * t)) / p.mu
+        stop = rest < SLFI_FLUCT_STOP
+        bias_total += float(rest[stop].sum())
+        return ~stop
+
+    walk(np.arange(n), spec.rate, rng, spec.sample_jumps, before, after)
+    return vals, bias_total
+
+
 def slfi_fluct_check(
     spec: ProcessSpec,
     params: TransformParams,
     n_total: int,
     policy: RngPolicy,
     workers: int = 1,
-    u_nodes: int = 40,
-    cap: float = 60.0,
     fixture: str = "",
 ) -> CheckReport:
     """Fluctuation version of the transform identity for a creeping fixture.
 
-    LHS from first-passage records (overshoot, undershoot of the maximum,
-    time of/since the last maximum) integrated over a level grid; RHS from
-    the Laplace exponent estimated through the ladder representation
-    ``kappa(a, b) = a + b c + rate E[1 - e^{-a dL - b dH}]`` on independent
-    ladder-jump samples.
+    LHS: ``int_0^inf e^{-mu u} E[e^{-rho x - ell y - nu t - theta s}] du`` over the
+    passage records of each level ``u``, integrated exactly along each of
+    ``n_total`` paths as :func:`slfi_check` does; ``trunc_bias`` bounds what the
+    paths stopped at ``SLFI_FLUCT_STOP`` leave out.  RHS: ``kappa(a, b) = a + b c
+    + rate E[1 - e^{-a dL - b dH}]`` on independent ladder-jump samples.
+    Budget: 3 SE, ``SLFI_FLUCT_REL_TOL`` relative slack and both bias bounds.
     """
     slfi_fluct_fixture(spec)
-    params.validate()
-    nodes = _u_grid(params.mu, u_nodes, 1.0)
-    n_per_node = max(1000, n_total // max(nodes.size - 1, 1))
-    f = np.zeros(nodes.size)
-    fse = np.zeros(nodes.size)
-    cens = 0.0
-    monitors: dict[str, int] = {}
-    for k, u in enumerate(nodes):
-        if u == 0.0:
-            # positive drift: the path creeps over 0+ at once, so f(0+) = 1
-            f[k] = 1.0
-            continue
-        batch = sample_passages(spec, float(u), cap, n_per_node, policy.substream(f"u{k}"), workers)
-        x, v, y, s, t = batch.quintuple()
-        vals = np.zeros(batch.n)
-        vals[batch.resolved] = np.exp(
-            -params.rho * x - params.ell * y - params.nu * t - params.theta * s
-        )
-        f[k] = float(vals.mean())
-        fse[k] = float(vals.std(ddof=1) / math.sqrt(batch.n))
-        cens = max(cens, batch.censored_mass)
-        merge_monitors(monitors, batch.monitors)
-    weight = np.exp(-params.mu * nodes)
-    w = _trap_weights(nodes)
-    lhs = float(np.sum(w * weight * f))
-    lhs_se = float(np.sqrt(np.sum((w * weight * fse) ** 2)))
-    coarse = float(np.sum(_trap_weights(nodes[::2]) * (weight * f)[::2]))
-    quad_bias = abs(lhs - coarse) / 3.0
-    tail_bound = math.exp(-params.mu * nodes[-1]) / max(params.mu, 1e-2)
-    # censored passage mass enters the integrand with weight at most 1
-    censor_bound = cens * float(np.sum(w * weight))
+    params.validate_for(spec)
+    est = _path_estimate(lambda m, rng: _slfi_fluct_chunk(spec, params, m, rng), n_total,
+                         policy.substream("lhs"), workers)
 
     lad = sample_ladder_jumps(spec, max(n_total // 4, 20000), policy.substream("ladder"),
                               cap=SLFI_LADDER_CAP, workers=workers)
@@ -365,26 +377,15 @@ def slfi_fluct_check(
         se_rhs = _ratio_se(diff.value, diff.se, den.value, den.se) / abs(scale)
         rhs_bias = (diff.bias_bound + abs(rhs * scale) * den.bias_bound) / (abs(scale) * den.value)
 
-    dist, budget = verdict([(abs(lhs - rhs), math.hypot(lhs_se, se_rhs),
-                             SLFI_FLUCT_REL_TOL * abs(rhs), quad_bias, tail_bound,
-                             censor_bound, rhs_bias)])
+    dist, budget = verdict([(abs(est.value - rhs), math.hypot(est.se, se_rhs),
+                             SLFI_FLUCT_REL_TOL * abs(rhs), est.bias_bound, rhs_bias)])
     return CheckReport(
-        check="slfi-fluct" + ("-deriv" if params.derivative_branch else ""),
-        fixture=fixture,
+        check="slfi-fluct" + ("-deriv" if params.derivative_branch else ""), fixture=fixture,
         params={"mu": params.mu, "rho": params.rho, "ell": params.ell,
                 "nu": params.nu, "theta": params.theta, "n_total": n_total},
-        lhs=lhs,
-        rhs=rhs,
-        se_lhs=lhs_se,
-        se_rhs=se_rhs,
-        distance=dist,
-        budget=budget,
-        n_paths=n_per_node * (nodes.size - 1) + lad.n,
-        censored_mass=cens,
-        details=[{"quad_bias": quad_bias, "tail_bound": tail_bound,
-                  "censor_bound": censor_bound, "ladder_censored": lad.censored_mass}],
-        monitors=monitors,
-    )
+        lhs=est.value, rhs=rhs, se_lhs=est.se, se_rhs=se_rhs, distance=dist, budget=budget,
+        n_paths=n_total + lad.n,
+        details=[{"trunc_bias": est.bias_bound, "ladder_censored": lad.censored_mass}])
 
 
 def _ratio_se(num: float, num_se: float, den: float, den_se: float) -> float:

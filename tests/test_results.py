@@ -72,3 +72,10 @@ def test_drift_lattice_does_not_load_numpy_ma():
                   "lat.occupation([0.5, float('inf')], [0.25, 0.5]); "
                   "lat.dual([0.0, 0.5, float('inf')], [0.0, 0.5]); "
                   "print('numpy.ma' in sys.modules)") == "False"
+
+
+def test_dual_ladder_measure_does_not_load_numpy_ma():
+    # its np.unique asks for counts, which skips the np.ma.is_masked test
+    assert _fresh("import sys, levyladder as ll; from levyladder.rng import RngPolicy; "
+                  "ll.renewal.dual_ladder_measure(ll.P1, [0, 0.5, 2], [0, 0.5, 2], 2000, "
+                  "RngPolicy(1)); print('numpy.ma' in sys.modules)") == "False"

@@ -69,17 +69,23 @@ class TestConfigValidation:
         ("P2", {"mu": 0.0}, "mu must be positive"),
         ("P2", {"rho": -1.0}, "rho must be nonnegative"),
         ("P2", {"nu": -2.0}, "nu must be nonnegative"),
+        ("DOWN", {"nu": 0.0}, "no path would stop"),
+        ("DOWN", {"theta": 0.0}, "no path would stop"),
     ])
     def test_inadmissible_slfi_parameters_are_config_errors(self, tmp_path, capsys, fixture,
                                                            over, why):
         # Y never moves and nothing kills: d_y = 0, q = 0, one Z-only atom
         flat = {"kind": "bivariate", "d_z": 1.0, "d_y": 0.0, "q": 0.0, "atoms": [[1.0, 0.0, 0.5]]}
-        # P2 is a Levy fixture, whose transform check is slfi-fluct
-        name = "slfi-fluct" if fixture == "P2" else "slfi"
+        # creeps, but its mean is -1: with nu or theta 0 no path stops
+        down = {"kind": "levy", "drift": 1.0, "rate": 2.0,
+                "jumps": {"variant": "exponential", "rate": 1.0, "sign": -1}}
+        # P2 and DOWN are Levy fixtures, whose transform check is slfi-fluct
+        name = "slfi" if fixture in ("B1", "FLAT") else "slfi-fluct"
         entry = {"name": name, "fixture": fixture, "mu": 1.0, "rho": 2.0, "ell": 0.0,
                  "nu": 1.0, "theta": 1.0, **over}
         cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps(_cfg(fixtures={"FLAT": flat}, checks=[entry])))
+        cfg_path.write_text(json.dumps(_cfg(fixtures={"FLAT": flat, "DOWN": down},
+                                            checks=[entry])))
         assert runner.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "checks[0]: inadmissible transform parameters" in err and why in err
@@ -113,12 +119,6 @@ class TestConfigValidation:
         ({"name": "quintuple", "fixture": "P3", "u": 1.5}, "u", "multiple of the lattice step"),
         ({"name": "quintuple", "fixture": "P3", "u": 2.0, "cap": 100}, "cap", "must be >= 256"),
         ({"name": "alpha", "fixture": "P3", "s_max": 0.2}, "s_max", "must be >= 0.5"),
-        ({"name": "slfi-fluct", "fixture": "P2", "u_nodes": 0.5}, "u_nodes",
-         "must be an integer >= 2"),
-        ({"name": "slfi-fluct", "fixture": "P2", "u_nodes": 1}, "u_nodes",
-         "must be an integer >= 2"),
-        ({"name": "slfi-fluct", "fixture": "P2", "u_nodes": 12.5}, "u_nodes",
-         "must be an integer >= 2"),
     ])
     def test_value_the_check_cannot_use_is_a_config_error(self, tmp_path, capsys, entry, key,
                                                           why):
@@ -136,7 +136,6 @@ class TestConfigValidation:
             {"name": "quintuple", "fixture": "P1", "u": 0.45, "cap": 100},
             {"name": "quintuple", "fixture": "P3", "u": 3.0, "cap": 256},
             {"name": "alpha", "fixture": "P3", "s_max": 0.5},
-            {"name": "slfi-fluct", "fixture": "P2", "u_nodes": 2.0},
         ]))
 
     def test_inline_fixture(self):
@@ -197,6 +196,8 @@ class TestCheckTable:
         ({"name": "slfi", "fixture": "B1", "u_nodes": 40}, "u_nodes"),
         ({"name": "resolvent", "fixture": "S1", "u": 0.5, "delta": 0.005}, "delta"),
         ({"name": "quintuple", "fixture": "P1", "u": 0.5, "delta": 0.005}, "delta"),
+        ({"name": "slfi-fluct", "fixture": "P2", "u_nodes": 40}, "u_nodes"),
+        ({"name": "slfi-fluct", "fixture": "P2", "cap": 60.0}, "cap"),
     ])
     def test_removed_keys_are_config_errors(self, tmp_path, capsys, entry, key):
         cfg_path = tmp_path / "bad.json"

@@ -8,9 +8,10 @@ from levyladder.fixtures import B1, P1, P2, P3, S1
 from levyladder.processes import (
     BivariateSubordinatorSpec, ExponentialJumps, ProcessSpec, UniformJumps, kappa_biv,
 )
-from levyladder.results import verdict
+from levyladder.results import CHECK_FAIL_RATE, verdict
 from levyladder.rng import RngPolicy
 from levyladder import transforms as tr
+from test_passage import _Script
 
 POL = RngPolicy(seed=80808)
 
@@ -41,6 +42,12 @@ class TestLtV:
         with pytest.raises(ValueError):
             tr.lt_V(spec, 1.0, 0.0, 10, POL.substream("div"))  # kappa(1, 0) = 0
 
+    def test_unknown_route_is_refused(self):
+        # any other route would drop the killing: a biased value, or a walk
+        # that never ends at a = b = 0
+        with pytest.raises(ValueError, match="route must be 'integrate' or 'sample'"):
+            tr.lt_V(B1, 0.5, 0.5, 100, POL.substream("bogus"), route="bogus")
+
 
 class TestParams:
     def test_derivative_branch_detection(self):
@@ -69,6 +76,20 @@ class TestParams:
         with pytest.raises(ValueError, match="never moves"):
             tr.slfi_check(spec, tr.TransformParams(1.0, 2.0, 0.0, 1.0, 1.0), 100,
                           POL.substream("flat"))
+
+    # drift 1, rate 2, jumps -Exp(1): it creeps, but its mean is -1
+    DOWN = ProcessSpec(1.0, 2.0, ExponentialJumps(rate=1.0, sign=-1))
+
+    @pytest.mark.parametrize("params", [
+        tr.TransformParams(1.0, 2.0, 0.0, 0.0, 1.0), tr.TransformParams(1.0, 2.0, 0.0, 1.0, 0.0)],
+        ids=["nu=0", "theta=0"])
+    def test_refuses_a_levy_fixture_whose_paths_never_stop(self, params):
+        with pytest.raises(ValueError, match="no path would stop"):
+            params.validate_for(self.DOWN)
+        with pytest.raises(ValueError, match="no path would stop"):
+            tr.slfi_fluct_check(self.DOWN, params, 100, POL.substream("down"))
+        params.validate_for(P2)  # a positive mean takes them
+        tr.TransformParams(1.0, 2.0, 0.0, 1.0, 1.0).validate_for(self.DOWN)
 
     def test_generic_branch_refused_near_degeneracy(self):
         p = tr.TransformParams(1.0, 2.0, 1.0 + 1e-10, 1.0, 1.0)
@@ -158,6 +179,94 @@ class TestSlfiExactLevels:
         monkeypatch.setattr(tr, "_slfi_chunk", lambda spec, p, m, rng: chunk(
             dataclasses.replace(spec, q=0.0), p, m, rng))
         assert not tr.slfi_check(B1, GENERIC, 100_000, POL.substream("f2")).passed
+
+
+def _fluct_lhs(spec, params, n, policy):
+    return tr._path_estimate(lambda m, rng: tr._slfi_fluct_chunk(spec, params, m, rng), n,
+                             policy, 1)
+
+
+class TestSlfiFluctExactLevels:
+    @pytest.mark.parametrize("params", [GENERIC, DERIV], ids=["generic", "deriv"])
+    def test_pure_drift_is_exact(self, params):
+        # rate 0: every level u is crept at time u / c
+        spec = ProcessSpec(drift=2.0, rate=0.0)
+        est = _fluct_lhs(spec, params, 1000, POL.substream("pure"))
+        assert est.value == 1.0 / (params.mu + params.nu / 2.0)
+        assert est.se == 0.0 and est.bias_bound == 0.0
+
+    # nu != theta, so that t and s are told apart; the second is on the
+    # derivative branch (ell = rho - mu)
+    @pytest.mark.parametrize("params", [tr.TransformParams(1.5, 0.5, 0.3, 0.7, 2.0),
+                                        tr.TransformParams(1.0, 2.5, 1.5, 0.4, 1.3)],
+                             ids=["generic", "deriv"])
+    def test_scripted_path_against_the_level_integral(self, params):
+        # drift 2, jumps +-1: creep to 0.5 by time 0.25 and jump to -0.5; drift
+        # to 0.3 and jump over the maximum to 1.3 at time 0.65; creep to 1.7
+        # by time 0.85 and jump to 0.7; drift back to the maximum at time 1.35
+        # and creep to 40.7 by time 20.85, where the path stops
+        spec = ProcessSpec(2.0, 2.0, P1.jumps)
+        script = _Script((0.25, 0.4, 0.2, 20.0), (-1, 1, -1, -1))
+        vals, bias = tr._slfi_fluct_chunk(spec, params, 1, script)
+
+        def record(u):  # (x, y, t, s) of the passage over level u
+            if u <= 0.5:
+                return 0.0, 0.0, u / 2.0, 0.0
+            if u < 1.3:
+                return 1.3 - u, u - 0.5, 0.25, 0.4
+            if u <= 1.7:
+                return 0.0, 0.0, 0.65 + (u - 1.3) / 2.0, 0.0
+            return 0.0, 0.0, 1.35 + (u - 1.7) / 2.0, 0.0
+
+        def f(u):
+            x, y, t, s = record(u)
+            return math.exp(-params.mu * u - params.rho * x - params.ell * y - params.nu * t
+                            - params.theta * s)
+
+        assert params.derivative_branch == (params.rho == 2.5)
+        hand = sum(quad(f, lo, hi, epsabs=1e-15)[0]
+                   for lo, hi in ((0.0, 0.5), (0.5, 1.3), (1.3, 1.7), (1.7, 40.7)))
+        assert vals[0] == pytest.approx(hand, abs=1e-14)
+        left_out = quad(f, 40.7, math.inf)[0]
+        assert 0.0 < left_out <= bias < tr.SLFI_FLUCT_STOP
+
+    def test_p2_against_the_closed_form(self):
+        # P2 is spectrally negative: every level is crept, so the left side is
+        # 1 / (mu + Phi(nu)), with Phi(nu) the positive root of
+        # x^2 + (1/2 - nu) x - nu = 0
+        rows = []
+        for params in (GENERIC, tr.TransformParams(2.5, 0.5, 0.3, 0.3, 2.0)):
+            nu = params.nu
+            phi = ((nu - 0.5) + math.sqrt((0.5 - nu) ** 2 + 4.0 * nu)) / 2.0
+            est = _fluct_lhs(P2, params, 100000, POL.substream(f"p2:{params}"))
+            rows.append((abs(est.value - 1.0 / (params.mu + phi)), est.se, est.bias_bound))
+        dist, budget = verdict(rows, CHECK_FAIL_RATE)
+        assert dist <= budget
+
+    @pytest.mark.parametrize("params", [GENERIC, DERIV], ids=["generic", "deriv"])
+    def test_trunc_bias_covers_an_early_stop(self, monkeypatch, params):
+        # one path per chunk, so each path draws the same gaps and jumps
+        # wherever it stops
+        pol = RngPolicy(seed=5, chunk_size=1)
+        full = _fluct_lhs(P1, params, 300, pol)
+        monkeypatch.setattr(tr, "SLFI_FLUCT_STOP", 1e-3)
+        cut = _fluct_lhs(P1, params, 300, pol)
+        assert 0.0 < full.value - cut.value <= cut.bias_bound
+        assert full.bias_bound < 1e-6
+
+    def test_fault_without_nu_in_the_creep_term_fails(self, monkeypatch):
+        # P2 never jumps over its maximum, so nu acts only through the creep
+        # term; without it the left side reads 1 / mu
+        chunk = tr._slfi_fluct_chunk
+        monkeypatch.setattr(tr, "_slfi_fluct_chunk", lambda spec, p, m, rng: chunk(
+            spec, dataclasses.replace(p, nu=0.0), m, rng))
+        rep = tr.slfi_fluct_check(P2, GENERIC, 400_000, POL.substream("f1"))
+        assert rep.lhs == pytest.approx(1.0, abs=1e-5) and not rep.passed
+
+    def test_fault_without_the_jump_over_term_fails(self, monkeypatch):
+        # P1's up-jumps leap over its maximum
+        monkeypatch.setattr(tr, "_leap_factor", lambda p, span: 0.0 * span)
+        assert not tr.slfi_fluct_check(P1, GENERIC, 400_000, POL.substream("f2")).passed
 
 
 class TestSlfiChecks:
