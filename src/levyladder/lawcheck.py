@@ -285,7 +285,6 @@ def check_quintuple(
     u: float,
     n: int,
     policy: RngPolicy,
-    workers: int = 1,
     cap: float = 30000.0,
     mesh: float = 0.1,
     fixture: str = "",
@@ -311,8 +310,8 @@ def check_quintuple(
     the most the boundary strip's sub-mesh cells could hold.
     """
     if quintuple_route(spec) == "lattice":
-        return _check_quintuple_lattice(spec, u, n, policy, workers, cap, fixture)
-    return _check_quintuple_creeping(spec, u, n, policy, workers, mesh, fixture)
+        return _check_quintuple_lattice(spec, u, n, policy, cap, fixture)
+    return _check_quintuple_creeping(spec, u, n, policy, mesh, fixture)
 
 
 def quintuple_route(spec: ProcessSpec) -> str:
@@ -343,13 +342,13 @@ def amicale_route(spec: ProcessSpec) -> str:
     return "creeping"
 
 
-def _check_quintuple_lattice(spec, u, n, policy, workers, cap, fixture):
+def _check_quintuple_lattice(spec, u, n, policy, cap, fixture):
     if not (cap >= QUINTUPLE_LATTICE_MIN_CAP):
         raise ValueError(f"cap must be at least {QUINTUPLE_LATTICE_MIN_CAP:g} on the lattice"
                          f" route, so that censored paths lie in its tail cell; got {cap}")
     edges = QUINTUPLE_LATTICE_EDGES
     rhs, axes = quintuple_rhs_lattice(spec, u, edges, edges)
-    batch = sample_passages(spec, u, cap, n, policy.substream("emp"), workers)
+    batch = sample_passages(spec, u, cap, n, policy.substream("emp"))
     if bool(batch.creep.any()):
         raise RuntimeError("compound Poisson fixture produced a creeping record")
     emp = quintuple_empirical(batch, axes, creep_fibre=False)
@@ -394,7 +393,7 @@ def _compose_jump_part(shape, v_mass, vh_mass, pi, jy, jv):
     return out
 
 
-def _check_quintuple_creeping(spec, u, n, policy, workers, mesh, fixture):
+def _check_quintuple_creeping(spec, u, n, policy, mesh, fixture):
     law = spec.jumps
     xi = [(v, float(p)) for v, p in zip(law.values, [float(q) for q in law.probs]) if v > 0]
     t_edges = s_edges = QUINTUPLE_CREEPING_EDGES
@@ -408,8 +407,7 @@ def _check_quintuple_creeping(spec, u, n, policy, workers, mesh, fixture):
     axes = (t_axis, y_axis, s_axis, vh_axis)
 
     # empirical (x > 0): coordinates (t, y, s, vhat) determine x = xi - y - vhat
-    batch = sample_passages(spec, u, cap=200.0, n=n, policy=policy.substream("emp"),
-                            workers=workers)
+    batch = sample_passages(spec, u, cap=200.0, n=n, policy=policy.substream("emp"))
     x, v, y, s, t = batch.quintuple()
     creep = batch.creep[batch.resolved]
     vhat = v - y
@@ -501,7 +499,6 @@ def check_amicale(
     spec: ProcessSpec,
     n: int,
     policy: RngPolicy,
-    workers: int = 1,
     mesh: float = 0.1,
     fixture: str = "",
 ) -> CheckReport:
@@ -509,11 +506,12 @@ def check_amicale(
 
     On ``x > 0`` the identity must hold for every fixture.  On the ``x = 0``
     fibre the two sides must agree iff the fixture does not creep: for a
-    lattice compound Poisson fixture the identity is checked cell by cell;
-    for a creeping fixture the ladder measure must carry strictly positive
-    mass at ``x = 0`` (at least 5 SE above zero) while the composed route
-    carries none there, and its ``x > 0`` cells are rows against the exact
-    Vhat of :class:`~levyladder.rw_ladder.DriftLattice`, held together to
+    lattice compound Poisson fixture the identity is checked cell by cell,
+    the cells held together to ``CHECK_FAIL_RATE``; for a creeping fixture
+    the ladder measure must carry strictly positive mass at ``x = 0`` (at
+    least 5 SE above zero) while the composed route carries none there, and
+    its ``x > 0`` cells are rows against the exact Vhat of
+    :class:`~levyladder.rw_ladder.DriftLattice`, held together to
     ``CHECK_FAIL_RATE``.
     """
     s_edges = AMICALE_S_EDGES
@@ -523,8 +521,7 @@ def check_amicale(
         h = walk.h
         law = spec.jumps
         assert isinstance(law, DiscreteAtoms)
-        lad = sample_ladder_jumps(spec, n, policy.substream("lhs"), cap=s_edges[-1] + 1.0,
-                                  workers=workers)
+        lad = sample_ladder_jumps(spec, n, policy.substream("lhs"), cap=s_edges[-1] + 1.0)
         xim = int(round(max(abs(v) for v in law.values) / h))
         x_atoms = tuple(j * h for j in range(0, xim + 1))
         axes = (Axis("s", "bins", s_edges), Axis("x", "atoms", x_atoms))
@@ -539,7 +536,8 @@ def check_amicale(
                         for xl in range(xim + 1)] for vhat in range(xim + 1)])
         rhs = vhm @ pi
         gap = np.abs(emp.mass - rhs)
-        dist, budget = verdict([(g, e, 1e-9) for g, e in zip(gap.ravel(), se.ravel())])
+        dist, budget = verdict([(g, e, 1e-9) for g, e in zip(gap.ravel(), se.ravel())],
+                               CHECK_FAIL_RATE)
         return CheckReport(
             check="amicale",
             fixture=fixture,
@@ -555,8 +553,7 @@ def check_amicale(
 
     if not (spec.drift > 0):
         raise ValueError("amicale check requires compound Poisson or creeping fixtures")
-    lad = sample_ladder_jumps(spec, n, policy.substream("lhs"), cap=s_edges[-1] * 10,
-                              workers=workers)
+    lad = sample_ladder_jumps(spec, n, policy.substream("lhs"), cap=s_edges[-1] * 10)
     res = ~lad.censored
     zero_fibre = res & (lad.dx == 0.0)
     p_zero = float(zero_fibre.mean())
@@ -640,7 +637,6 @@ def check_quadruple(
     u: float,
     n: int,
     policy: RngPolicy,
-    workers: int = 1,
     mesh: float = 0.05,
     fixture: str = "",
 ) -> CheckReport:
@@ -658,7 +654,7 @@ def check_quadruple(
     if not dx_vals and spec.d_y == 0:
         raise ValueError("Y never crosses: no quadruple law to check")
     if spec.d_y == 0:
-        return _check_quadruple_lattice_y(spec, u, n, policy, workers, t_edges, fixture)
+        return _check_quadruple_lattice_y(spec, u, n, policy, t_edges, fixture)
     for dxv in dx_vals:
         if abs(round(dxv / mesh) * mesh - dxv) > 1e-9:
             raise ValueError("mesh must divide the Y jump sizes for aligned cells")
@@ -670,7 +666,7 @@ def check_quadruple(
     t_axis = Axis("t", "bins", t_edges)
     axes = (x_axis, y_axis, s_axis, t_axis)
 
-    batch = sample_biv_passages(spec, u, n, policy.substream("emp"), workers)
+    batch = sample_biv_passages(spec, u, n, policy.substream("emp"))
     x, yv, s, t = batch.quadruple()
     emp = DiscreteMeasureND.from_points(axes, [x, yv, s, t], batch.n)
 
@@ -723,7 +719,7 @@ def check_quadruple(
     )
 
 
-def _check_quadruple_lattice_y(spec, u, n, policy, workers, t_edges, fixture):
+def _check_quadruple_lattice_y(spec, u, n, policy, t_edges, fixture):
     """Quadruple law when the Y component is a pure lattice jump process.
 
     Undershoots then sit exactly on the lattice, so all space coordinates
@@ -746,7 +742,7 @@ def _check_quadruple_lattice_y(spec, u, n, policy, workers, t_edges, fixture):
     t_axis = Axis("t", "bins", t_edges)
     axes = (x_axis, y_axis, s_axis, t_axis)
 
-    batch = sample_biv_passages(spec, u, n, policy.substream("emp"), workers,
+    batch = sample_biv_passages(spec, u, n, policy.substream("emp"),
                                 s_cap=1e7 if spec.q == 0 else math.inf)
     x, yv, s, t = batch.quadruple()
     emp = DiscreteMeasureND.from_points(axes, [x, yv, s, t], batch.n)
@@ -795,7 +791,6 @@ def check_alpha_embedding(
     spec: ProcessSpec,
     n: int,
     policy: RngPolicy,
-    workers: int = 1,
     s_grid: Sequence[float] | None = None,
     fixture: str = "",
 ) -> CheckReport:
@@ -815,8 +810,7 @@ def check_alpha_embedding(
     if not s_grid:
         raise ValueError("s_grid must hold at least one time")
     v_max, x_max = ALPHA_V_MAX, ALPHA_X_MAX
-    batch = sample_ladder_jumps(spec, n, policy.substream("alpha"), cap=float(s_grid[-1]),
-                                workers=workers)
+    batch = sample_ladder_jumps(spec, n, policy.substream("alpha"), cap=float(s_grid[-1]))
     ok = ~batch.censored
 
     # exact CDF G(s, v, x) = sum_{w <= v} Vhat([0, s], {w h}) F[w, x], where

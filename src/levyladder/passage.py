@@ -478,7 +478,6 @@ def sample_passages(
     cap: float,
     n: int,
     policy: RngPolicy,
-    workers: int = 1,
     below: Sequence[float] = (),
 ) -> PassageBatch:
     """Batch of ``n`` independent passage records, deterministic per policy.
@@ -489,9 +488,7 @@ def sample_passages(
     """
     if not (u > 0):
         raise ValueError("level u must be positive")
-    parts = chunked_map(
-        lambda i, m, rng: _passage_chunk(spec, u, cap, m, rng, below), n, policy, workers
-    )
+    parts = chunked_map(lambda i, m, rng: _passage_chunk(spec, u, cap, m, rng, below), n, policy)
     return concatenate(parts)
 
 
@@ -501,7 +498,6 @@ def estimate_p(
     u: float | Sequence[float],
     n: int,
     policy: RngPolicy,
-    workers: int = 1,
 ) -> tuple[EstimateWithError | list[EstimateWithError], dict[str, int]]:
     """MC estimate of ``p(t, u) = P(tau_u <= t, X_{tau_u} = u)`` at one level
     ``u``, or one estimate per level of a sequence, in its order.
@@ -524,7 +520,7 @@ def estimate_p(
     order = np.argsort(levels, kind="stable")
     top, lower = order[-1], order[:-1]
     batch = sample_passages(spec, float(levels[top]), cap=cap, n=n, policy=policy,
-                            workers=workers, below=levels[lower])
+                            below=levels[lower])
     hits = np.empty(levels.size, dtype=np.int64)
     hits[top] = (batch.creep & (batch.tau <= cap)).sum()
     hits[lower] = batch.level_creep.sum(axis=0)
@@ -536,7 +532,7 @@ P_ESTIMATE_COLUMNS = ("fixture", "t", "u", "p", "se", "n")
 
 
 def check_p_estimate(spec: ProcessSpec, t: float, u: float | Sequence[float], n: int,
-                     policy: RngPolicy, workers: int = 1, fixture: str = "") -> CheckReport:
+                     policy: RngPolicy, fixture: str = "") -> CheckReport:
     """:func:`estimate_p` at each level of ``u`` (one level or a list), all
     from one walk of ``n`` paths, against the creep route of a
     :class:`~levyladder.rw_ladder.DriftLattice`.
@@ -552,7 +548,7 @@ def check_p_estimate(spec: ProcessSpec, t: float, u: float | Sequence[float], n:
     """
     levels = [float(v) for v in np.atleast_1d(u)]
     lat = rl.DriftLattice(spec, reach=max(levels))
-    ests, monitors = estimate_p(spec, t, levels, n, policy.substream("walk"), workers)
+    ests, monitors = estimate_p(spec, t, levels, n, policy.substream("walk"))
     details, rows = [], []
     for level, est in zip(levels, ests):
         (p,), bound = lat.creep(level, [t])
@@ -693,14 +689,13 @@ def sample_biv_passages(
     u: float,
     n: int,
     policy: RngPolicy,
-    workers: int = 1,
     s_cap: float = math.inf,
 ) -> SubPassageBatch:
     if not (u > 0):
         raise ValueError("level u must be positive")
     if math.isinf(s_cap) and spec.q == 0 and spec.d_y == 0:
         raise ValueError("q = 0 with d_y = 0 needs a finite cap (passage may never resolve)")
-    parts = chunked_map(lambda i, m, rng: _biv_chunk(spec, u, m, rng, s_cap), n, policy, workers)
+    parts = chunked_map(lambda i, m, rng: _biv_chunk(spec, u, m, rng, s_cap), n, policy)
     return concatenate(parts)
 
 
@@ -790,7 +785,7 @@ def _ladder_chunk(spec: ProcessSpec, n: int, rng, cap: float) -> LadderJumpBatch
 
 
 def sample_ladder_jumps(
-    spec: ProcessSpec, n: int, policy: RngPolicy, cap: float = 200.0, workers: int = 1
+    spec: ProcessSpec, n: int, policy: RngPolicy, cap: float = 200.0
 ) -> LadderJumpBatch:
     """Batch of ``n`` excursions below the running maximum, each started by
     one jump, censored once they outlast ``cap`` (see :class:`LadderJumpBatch`).
@@ -802,7 +797,7 @@ def sample_ladder_jumps(
     """
     if not math.isfinite(cap):
         raise ValueError(f"cap must be finite (an excursion may never return), got {cap}")
-    parts = chunked_map(lambda i, m, rng: _ladder_chunk(spec, m, rng, cap), n, policy, workers)
+    parts = chunked_map(lambda i, m, rng: _ladder_chunk(spec, m, rng, cap), n, policy)
     return concatenate(parts)
 
 

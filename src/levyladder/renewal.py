@@ -180,15 +180,12 @@ def fluct_boxes(
     boxes: Sequence[Sequence[float]],
     n: int,
     policy: RngPolicy,
-    workers: int = 1,
 ) -> list[EstimateWithError]:
     """Ladder renewal measure of each box (t_lo, t_hi] x (u_lo, u_hi] for the
     weakly ascending ladder process of ``spec``, via at-the-maximum
     occupation times of the raw path (common paths across boxes)."""
     arr = np.asarray([[b[0], b[1], b[2], b[3]] for b in boxes], dtype=float)
-    parts = chunked_map(
-        lambda i, m, rng: _fluct_occ_chunk(spec, arr, m, rng), n, policy, workers
-    )
+    parts = chunked_map(lambda i, m, rng: _fluct_occ_chunk(spec, arr, m, rng), n, policy)
     merged = _merge_columns([p[0] for p in parts])
     cens = sum(p[1] for p in parts) / max(n, 1)
     return [estimate_from_stats(*s, censored_mass=cens) for s in merged]
@@ -422,14 +419,11 @@ def dual_ladder_cells(
     cells: Sequence[tuple[float, float]],
     n: int,
     policy: RngPolicy,
-    workers: int = 1,
 ) -> list[EstimateWithError]:
     """MC estimates of ``Vhat(t, x)`` for a compound Poisson fixture."""
     if not spec.is_compound_poisson:
         raise ValueError("dual ladder cells require a compound Poisson fixture")
-    parts = chunked_map(
-        lambda i, m, rng: _dual_cells_chunk(spec, list(cells), m, rng), n, policy, workers
-    )
+    parts = chunked_map(lambda i, m, rng: _dual_cells_chunk(spec, list(cells), m, rng), n, policy)
     return [estimate_from_stats(*s) for s in _merge_columns(parts)]
 
 
@@ -497,7 +491,6 @@ def dual_ladder_measure(
     v_edges: Sequence[float],
     n: int,
     policy: RngPolicy,
-    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``Vhat(ds, dv)`` masses on a (time, depth) bin grid, with SEs.
 
@@ -514,10 +507,8 @@ def dual_ladder_measure(
     ve_arr = np.asarray(v_edges, dtype=float)
     if not math.isfinite(se_arr[-1]):
         raise ValueError("dual ladder measure needs a finite last time edge")
-    parts = chunked_map(
-        lambda i, m, rng: _dual_measure_chunk(spec, se_arr, ve_arr, m, rng),
-        n, policy, workers,
-    )
+    parts = chunked_map(lambda i, m, rng: _dual_measure_chunk(spec, se_arr, ve_arr, m, rng),
+                        n, policy)
     merged = _merge_columns(parts)
     ns, nv = se_arr.size - 1, ve_arr.size - 1
     mass = np.zeros((ns, nv))
@@ -571,7 +562,6 @@ def estimate_V(
     u_values: Sequence[float],
     n_per_cell: int,
     policy: RngPolicy,
-    workers: int = 1,
     route: str = "integrate",
 ) -> RenewalGrid:
     """Renewal function ``V(t, u)`` on a grid, one substream per cell.
@@ -594,11 +584,11 @@ def estimate_V(
             sub = policy.substream(f"V[{i},{j}]")
             if isinstance(spec, BivariateSubordinatorSpec):
                 parts = chunked_map(lambda i, m, rng: _biv_min_chunk(spec, t, u, m, rng, route),
-                                    n_per_cell, sub, workers)
+                                    n_per_cell, sub)
                 est = estimate_from_stats(*merge_mean_m2([p[0] for p in parts]),
                                           censored_mass=sum(p[1] for p in parts) / n_per_cell)
             else:
-                est = fluct_boxes(spec, [(0.0, t, -1.0, u)], n_per_cell, sub, workers)[0]
+                est = fluct_boxes(spec, [(0.0, t, -1.0, u)], n_per_cell, sub)[0]
             value[i, j] = est.value
             se[i, j] = est.se
             cens[i, j] = est.censored_mass
@@ -607,8 +597,7 @@ def estimate_V(
 
 
 def check_V_grid(spec: SamplerSpec, t: float | Sequence[float], u: float | Sequence[float],
-                 n_per_cell: int, policy: RngPolicy, workers: int = 1,
-                 fixture: str = "") -> CheckReport:
+                 n_per_cell: int, policy: RngPolicy, fixture: str = "") -> CheckReport:
     """:func:`estimate_V` on the grid ``t`` x ``u`` (each one value or a
     list) as a report whose details hold one row per cell.
 
@@ -618,7 +607,7 @@ def check_V_grid(spec: SamplerSpec, t: float | Sequence[float], u: float | Seque
     are the values at the last cell.
     """
     grid = estimate_V(spec, [float(v) for v in np.atleast_1d(t)],
-                      [float(v) for v in np.atleast_1d(u)], n_per_cell, policy, workers)
+                      [float(v) for v in np.atleast_1d(u)], n_per_cell, policy)
     exact_rows = [exact_V(spec, tv, grid.u_values) for tv in grid.t_values]
     exact = np.concatenate([V for V, _, _ in exact_rows])
     bound = max(b for _, _, b in exact_rows)
@@ -642,7 +631,6 @@ def _creep_probability_nodes(
     v_nodes: np.ndarray,
     n_per_node: int,
     policy: RngPolicy,
-    workers: int,
 ) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
     """p(t, v) at each node: creep-by-t probability of the fixture."""
     p = np.zeros(v_nodes.size)
@@ -656,11 +644,11 @@ def _creep_probability_nodes(
             continue
         sub = policy.substream(f"p[{k}]")
         if isinstance(spec, BivariateSubordinatorSpec):
-            batch = sample_biv_passages(spec, float(v), n_per_node, sub, workers)
+            batch = sample_biv_passages(spec, float(v), n_per_node, sub)
             hits = batch.creep & (batch.z_before + batch.dz <= t)
             est, mon = binomial_estimate(int(hits.sum()), batch.n), batch.monitors
         else:
-            est, mon = estimate_p(spec, t, float(v), n_per_node, sub, workers)
+            est, mon = estimate_p(spec, t, float(v), n_per_node, sub)
         p[k], se[k] = est.value, est.se
         merge_monitors(monitors, mon)
     return p, se, monitors
@@ -703,11 +691,11 @@ def _segment_nodes(spec: SamplerSpec, t: float, u: float) -> list[np.ndarray]:
 
 
 def check_ct1(spec: ProcessSpec, t: float, u: float, n: int, policy: RngPolicy,
-              workers: int = 1, fixture: str = "") -> CheckReport:
+              fixture: str = "") -> CheckReport:
     """Creeping law ``p(t, u)`` of a Levy fixture: :func:`estimate_p` against
     the ``p`` of :func:`exact_V`, one row at ``CHECK_FAIL_RATE`` with the
     binomial SE at the exact ``p`` and the exact side's bound."""
-    est, mon = estimate_p(spec, t, u, n, policy.substream("p"), workers)
+    est, mon = estimate_p(spec, t, u, n, policy.substream("p"))
     _, p, bound = exact_V(spec, t, u)
     se = math.sqrt(p * (1.0 - p) / n)
     dist, budget = verdict([(abs(est.value - p), se, bound)], CHECK_FAIL_RATE)
@@ -722,7 +710,6 @@ def check_subpint(
     u: float,
     n_per_node: int,
     policy: RngPolicy,
-    workers: int = 1,
     fixture: str = "",
 ) -> CheckReport:
     """Occupation-density identity: ``integral_0^u p(t, v) dv = d_Y V(t, u)``.
@@ -744,7 +731,7 @@ def check_subpint(
     weights = [_trap_weights(nodes) for nodes in segments]
     for snum, (nodes, w) in enumerate(zip(segments, weights)):
         p, se, mon = _creep_probability_nodes(
-            spec, t, nodes, n_per_node, policy.substream(f"seg{snum}"), workers
+            spec, t, nodes, n_per_node, policy.substream(f"seg{snum}")
         )
         lhs += float(np.sum(w * p))
         lhs_var += float(np.sum((w * se) ** 2))

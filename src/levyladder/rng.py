@@ -1,11 +1,11 @@
-"""Deterministic chunked random streams for reproducible parallel Monte Carlo.
+"""Deterministic chunked random streams for reproducible Monte Carlo.
 
 Every estimator in this package consumes randomness through an
 :class:`RngPolicy`.  The stream attached to chunk ``i`` is a pure function of
 ``(seed, label path, i)``, so
 
 * replaying a run with the same seed gives byte-identical results,
-* the number of workers only changes scheduling, never the numbers,
+* the chunk boundaries, not the order of evaluation, fix the numbers,
 * independent estimation routes (for example the two sides of an identity
   check) can be segregated with :meth:`RngPolicy.substream` and never share
   random numbers.
@@ -14,7 +14,6 @@ Every estimator in this package consumes randomness through an
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar
 
@@ -42,8 +41,7 @@ class RngPolicy:
     """Master seed plus a fixed chunking scheme.
 
     ``chunk_size`` is part of the reproducibility contract: it fixes the
-    chunk boundaries of every estimator, so results do not depend on how
-    chunks are scheduled across workers.
+    chunk boundaries of every estimator, and with them every number drawn.
     """
 
     seed: int
@@ -87,19 +85,14 @@ def chunked_map(
     fn: Callable[[int, int, np.random.Generator], T],
     n_total: int,
     policy: RngPolicy,
-    workers: int = 1,
 ) -> list[T]:
-    """Evaluate ``fn(chunk_index, chunk_n, rng)`` over all chunks.
+    """Evaluate ``fn(chunk_index, chunk_n, rng)`` over all chunks, serially.
 
-    Results are returned in chunk order regardless of ``workers``, so any
-    reduction performed by the caller is deterministic.
+    Results are returned in chunk order, so any reduction performed by the
+    caller is deterministic.
     """
     sizes = chunk_sizes(n_total, policy.chunk_size)
-    if workers <= 1 or len(sizes) <= 1:
-        return [fn(i, m, policy.stream(i)) for i, m in enumerate(sizes)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, i, m, policy.stream(i)) for i, m in enumerate(sizes)]
-        return [f.result() for f in futures]
+    return [fn(i, m, policy.stream(i)) for i, m in enumerate(sizes)]
 
 
 def merge_mean_m2(parts: Sequence[tuple[int, float, float]]) -> tuple[int, float, float]:

@@ -4,8 +4,8 @@ A run is described by a JSON config (schema below), executes a list of
 checks against the shipped or inline-defined fixtures, and writes one CSV
 per check plus a ``summary.csv``.  Outputs are a pure function of
 ``(config, seed)``: rerunning with the same seed produces byte-identical
-files, and the ``workers`` setting never changes any number, only wall
-time.  The exit status is 0 iff every check passed its budget.
+files.  Checks and their chunks run one after another in a single process.
+The exit status is 0 iff every check passed its budget.
 
 Config schema (unknown keys, missing required keys and bad values are
 rejected, with the offending path named)::
@@ -13,7 +13,6 @@ rejected, with the offending path named)::
     {
       "seed": 42,                  # master seed (CLI --seed overrides)
       "n": 100000,                 # default sample count
-      "workers": 1,                # worker threads (CLI --workers overrides)
       "out": "results",            # output directory (CLI --out overrides)
       "chunk_size": 16384,         # RNG chunk size (part of reproducibility)
       "fixtures": {                # optional inline fixture definitions
@@ -53,7 +52,7 @@ from .rng import RngPolicy
 
 __all__ = ["ExperimentConfig", "run", "report_plotdata", "main"]
 
-_TOP_KEYS = {"seed", "n", "workers", "out", "chunk_size", "fixtures", "checks"}
+_TOP_KEYS = {"seed", "n", "out", "chunk_size", "fixtures", "checks"}
 
 
 @dataclass(frozen=True)
@@ -64,11 +63,11 @@ class Check:
     None takes either), ``keys`` the config keys it accepts besides
     ``name``, ``fixture`` and ``n``, ``required`` those of them it cannot run
     without, ``positive`` those whose value (each value, for a list) must be
-    a finite number above 0, and ``run(spec, c, n, policy, workers,
-    fixture)`` computes its report from the check's config ``c``.  An
-    optional key the config leaves out is not passed, so its default is the
-    library's.  ``takes(spec)``, if given, is the library's own test of a
-    Levy fixture, which raises a ValueError for one the check cannot take.
+    a finite number above 0, and ``run(spec, c, n, policy, fixture)``
+    computes its report from the check's config ``c``.  An optional key the
+    config leaves out is not passed, so its default is the library's.
+    ``takes(spec)``, if given, is the library's own test of a Levy fixture,
+    which raises a ValueError for one the check cannot take.
     ``validate(spec, c, where)``, if given, raises a ConfigError for values
     the generic rules let through.
     """
@@ -137,60 +136,60 @@ def _alpha_ok(spec, c: Mapping[str, Any], where: str) -> None:
 CHECKS: dict[str, Check] = {
     "p-estimate": Check(
         "Levy", ("t", "u"), required=("t", "u"), positive=("t", "u"), takes=DriftLattice,
-        run=lambda spec, c, n, pol, w, fx: passage.check_p_estimate(
-            spec, float(c["t"]), c["u"], n, pol, w, fixture=fx)),
+        run=lambda spec, c, n, pol, fx: passage.check_p_estimate(
+            spec, float(c["t"]), c["u"], n, pol, fixture=fx)),
     "V-grid": Check(
         None, ("t", "u"), required=("t", "u"), takes=DriftLattice,
-        run=lambda spec, c, n, pol, w, fx: renewal.check_V_grid(
-            spec, c["t"], c["u"], n, pol, w, fixture=fx)),
+        run=lambda spec, c, n, pol, fx: renewal.check_V_grid(
+            spec, c["t"], c["u"], n, pol, fixture=fx)),
     # ct1 validates "delta" and ignores it: configs written for its former
     # difference-quotient right side still pass the key
     "ct1": Check(
         "Levy", ("t", "u", "delta"), required=("t", "u"), positive=("t", "u", "delta"),
         takes=DriftLattice,
-        run=lambda spec, c, n, pol, w, fx: renewal.check_ct1(
-            spec, float(c["t"]), float(c["u"]), n, pol, w, fixture=fx)),
+        run=lambda spec, c, n, pol, fx: renewal.check_ct1(
+            spec, float(c["t"]), float(c["u"]), n, pol, fixture=fx)),
     "subpint": Check(
         None, ("t", "u"), required=("t", "u"), positive=("t", "u"), takes=DriftLattice,
-        run=lambda spec, c, n, pol, w, fx: renewal.check_subpint(
-            spec, float(c["t"]), float(c["u"]), n, pol, w, fixture=fx)),
+        run=lambda spec, c, n, pol, fx: renewal.check_subpint(
+            spec, float(c["t"]), float(c["u"]), n, pol, fixture=fx)),
     "quintuple": Check(
         "Levy", ("u", "cap", "mesh"), required=("u",),
         positive=("u", "cap", "mesh"), takes=lawcheck.quintuple_route,
         validate=_quintuple_ok,
-        run=lambda spec, c, n, pol, w, fx: lawcheck.check_quintuple(
-            spec, float(c["u"]), n, pol, w, fixture=fx, **_given(c, "cap", "mesh"))),
+        run=lambda spec, c, n, pol, fx: lawcheck.check_quintuple(
+            spec, float(c["u"]), n, pol, fixture=fx, **_given(c, "cap", "mesh"))),
     "quadruple": Check(
         "bivariate", ("u", "mesh"), required=("u",), positive=("u", "mesh"),
-        run=lambda spec, c, n, pol, w, fx: lawcheck.check_quadruple(
-            spec, float(c["u"]), n, pol, w, fixture=fx, **_given(c, "mesh"))),
+        run=lambda spec, c, n, pol, fx: lawcheck.check_quadruple(
+            spec, float(c["u"]), n, pol, fixture=fx, **_given(c, "mesh"))),
     "amicale": Check(
         "Levy", ("mesh",), positive=("mesh",), takes=lawcheck.amicale_route,
-        run=lambda spec, c, n, pol, w, fx: lawcheck.check_amicale(
-            spec, n, pol, w, fixture=fx, **_given(c, "mesh"))),
+        run=lambda spec, c, n, pol, fx: lawcheck.check_amicale(
+            spec, n, pol, fixture=fx, **_given(c, "mesh"))),
     "slfi": Check(
         "bivariate", _TRANSFORM_KEYS, validate=_transform_ok,
-        run=lambda spec, c, n, pol, w, fx: transforms.slfi_check(
-            spec, _params_from(c), n, pol, w, fixture=fx)),
+        run=lambda spec, c, n, pol, fx: transforms.slfi_check(
+            spec, _params_from(c), n, pol, fixture=fx)),
     "slfi-fluct": Check(
         "Levy", _TRANSFORM_KEYS, takes=transforms.slfi_fluct_fixture, validate=_transform_ok,
-        run=lambda spec, c, n, pol, w, fx: transforms.slfi_fluct_check(
-            spec, _params_from(c), n, pol, w, fixture=fx)),
+        run=lambda spec, c, n, pol, fx: transforms.slfi_fluct_check(
+            spec, _params_from(c), n, pol, fixture=fx)),
     "wiener-hopf": Check(
         "Levy", ("a",), positive=("a",), takes=LatticeWalkSpec.from_process,
-        run=lambda spec, c, n, pol, w, fx: transforms.wiener_hopf_check(
+        run=lambda spec, c, n, pol, fx: transforms.wiener_hopf_check(
             spec, tuple(float(a) for a in np.atleast_1d(c.get("a", [0.5, 1.0, 2.0]))), n,
-            pol, w, fixture=fx)),
+            pol, fixture=fx)),
     "resolvent": Check(
         "Levy", ("q", "u"), required=("u",), positive=("q", "u"),
         takes=transforms.resolvent_fixture,
-        run=lambda spec, c, n, pol, w, fx: transforms.check_resolvent_creep(
-            spec, float(c.get("q", 1.0)), float(c["u"]), n, pol, w, fixture=fx)),
+        run=lambda spec, c, n, pol, fx: transforms.check_resolvent_creep(
+            spec, float(c.get("q", 1.0)), float(c["u"]), n, pol, fixture=fx)),
     "alpha": Check(
         "Levy", ("s_max",), positive=("s_max",), takes=LatticeWalkSpec.from_process,
         validate=_alpha_ok,
-        run=lambda spec, c, n, pol, w, fx: lawcheck.check_alpha_embedding(
-            spec, n, pol, w, fixture=fx,
+        run=lambda spec, c, n, pol, fx: lawcheck.check_alpha_embedding(
+            spec, n, pol, fixture=fx,
             s_grid=tuple(np.arange(0.5, float(c["s_max"]) + 0.25, 0.5)) if "s_max" in c
             else None)),
 }
@@ -198,9 +197,10 @@ CHECKS: dict[str, Check] = {
 
 def _integer(value: Any, where: str, least: int | None = None) -> int:
     """``value`` as an int of at least ``least``, or a ConfigError naming
-    ``where``; a number with a fractional part is refused, not truncated."""
+    ``where``; a number with a fractional part is refused, not truncated, and
+    a JSON boolean is not a number."""
     try:
-        out = int(value)
+        out = None if isinstance(value, bool) else int(value)
         if isinstance(value, float) and out != value:
             out = None
     except (TypeError, ValueError, OverflowError):
@@ -212,7 +212,9 @@ def _integer(value: Any, where: str, least: int | None = None) -> int:
 
 
 def _is_positive(value: Any) -> bool:
-    """Whether ``value`` is a finite number above 0."""
+    """Whether ``value`` is a finite number above 0 (a JSON boolean is not)."""
+    if isinstance(value, bool):
+        return False
     try:
         return math.isfinite(float(value)) and float(value) > 0
     except (TypeError, ValueError):
@@ -228,7 +230,6 @@ class ExperimentConfig:
             raise ConfigError(f"config: unknown keys {sorted(unknown)}")
         self.seed = _integer(raw.get("seed", 0), "config.seed")
         self.n = _integer(raw.get("n", 10000), "config.n", least=1)
-        self.workers = _integer(raw.get("workers", 1), "config.workers", least=1)
         self.out = str(raw.get("out", "results"))
         self.chunk_size = _integer(raw.get("chunk_size", 16384), "config.chunk_size")
         try:
@@ -269,8 +270,9 @@ class ExperimentConfig:
         for key, value in c.items():
             if isinstance(value, list) and not value:
                 raise ConfigError(f"{where}.{key}: empty list, {name} needs at least one value")
-        for key in check.positive:
-            if key in c and not all(_is_positive(v) for v in np.atleast_1d(c[key])):
+        for key in (k for k in check.positive if k in c):
+            values = c[key] if isinstance(c[key], list) else [c[key]]
+            if not all(_is_positive(v) for v in values):
                 raise ConfigError(f"{where}.{key}: must be finite and > 0, got {c[key]!r}")
         if check.takes is not None and not is_biv:
             try:
@@ -292,7 +294,7 @@ def _run_check(c: dict[str, Any], cfg: ExperimentConfig, policy: RngPolicy,
                out_dir: str, idx: int) -> CheckReport:
     name, fixture = c["name"], c["fixture"]
     rep = CHECKS[name].run(cfg.fixtures[fixture], c, int(c.get("n", cfg.n)),
-                           policy.substream(f"{idx}:{name}:{fixture}"), cfg.workers, fixture)
+                           policy.substream(f"{idx}:{name}:{fixture}"), fixture)
     if rep.details:
         header = list(rep.columns) or sorted({k for row in rep.details for k in row})
         write_csv(os.path.join(out_dir, f"check{idx:02d}{_details_suffix(name)}"),
@@ -374,8 +376,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to the JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker threads (must not change results)")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--plotdata", action="store_true",
                         help="also emit long-format plot CSVs from the results")
@@ -388,8 +388,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.seed is not None:
         raw["seed"] = args.seed
-    if args.workers is not None:
-        raw["workers"] = args.workers
     if args.out is not None:
         raw["out"] = args.out
     try:

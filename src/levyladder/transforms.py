@@ -152,12 +152,12 @@ def _lt_chunk(
     return vals, bias_total
 
 
-def _path_estimate(chunk, n: int, policy: RngPolicy, workers: int) -> EstimateWithError:
+def _path_estimate(chunk, n: int, policy: RngPolicy) -> EstimateWithError:
     """Mean, SE and bias bound (summed ``bias`` per path) of the values that
     ``chunk(m, rng) -> (values, bias)`` gives.  A chunk's mean is taken about
     its first value, so equal values give that value and zero spread exactly."""
     stats, bias = [], 0.0
-    for vals, b in chunked_map(lambda i, m, rng: chunk(m, rng), n, policy, workers):
+    for vals, b in chunked_map(lambda i, m, rng: chunk(m, rng), n, policy):
         mean = float(vals[0] + (vals - vals[0]).mean())
         stats.append((vals.size, mean, float(((vals - mean) ** 2).sum())))
         bias += b
@@ -170,7 +170,6 @@ def lt_V(
     b: float,
     n: int,
     policy: RngPolicy,
-    workers: int = 1,
     route: str = "integrate",
 ) -> EstimateWithError:
     """MC estimate of the renewal-measure transform
@@ -190,7 +189,7 @@ def lt_V(
     kap = kappa_biv(spec, a, b)
     if kap <= 0:
         raise ValueError(f"kappa({a}, {b}) = {kap} <= 0: the transform diverges")
-    return _path_estimate(lambda m, rng: _lt_chunk(spec, a, b, m, rng, route), n, policy, workers)
+    return _path_estimate(lambda m, rng: _lt_chunk(spec, a, b, m, rng, route), n, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +247,6 @@ def slfi_check(
     params: TransformParams,
     n: int,
     policy: RngPolicy,
-    workers: int = 1,
     fixture: str = "",
 ) -> CheckReport:
     """Quadruple transform identity for an explicit bivariate subordinator.
@@ -268,7 +266,7 @@ def slfi_check(
             "mu + ell - rho is numerically zero: the generic branch is ill-conditioned,"
             " use the derivative branch (set ell = rho - mu exactly)"
         )
-    est = _path_estimate(lambda m, rng: _slfi_chunk(spec, params, m, rng), n, policy, workers)
+    est = _path_estimate(lambda m, rng: _slfi_chunk(spec, params, m, rng), n, policy)
     rhs = slfi_rhs_closed_form(spec, params)
     dist, budget = verdict([(abs(est.value - rhs), est.se, SLFI_REL_TOL * abs(rhs),
                              est.bias_bound)])
@@ -345,7 +343,6 @@ def slfi_fluct_check(
     params: TransformParams,
     n_total: int,
     policy: RngPolicy,
-    workers: int = 1,
     fixture: str = "",
 ) -> CheckReport:
     """Fluctuation version of the transform identity for a creeping fixture.
@@ -360,10 +357,10 @@ def slfi_fluct_check(
     slfi_fluct_fixture(spec)
     params.validate_for(spec)
     est = _path_estimate(lambda m, rng: _slfi_fluct_chunk(spec, params, m, rng), n_total,
-                         policy.substream("lhs"), workers)
+                         policy.substream("lhs"))
 
     lad = sample_ladder_jumps(spec, max(n_total // 4, 20000), policy.substream("ladder"),
-                              cap=SLFI_LADDER_CAP, workers=workers)
+                              cap=SLFI_LADDER_CAP)
     den = kappa_from_ladder(spec, lad, params.nu, params.mu)
     if params.derivative_branch:
         num = kappa_deriv_from_ladder(spec, lad, params.theta, params.rho)
@@ -403,7 +400,6 @@ def wiener_hopf_check(
     a_values: tuple[float, ...],
     n: int,
     policy: RngPolicy,
-    workers: int = 1,
     fixture: str = "",
 ) -> CheckReport:
     """``kappa(a, 0) * kappahat(a, 0) = a`` for a compound Poisson lattice
@@ -413,8 +409,7 @@ def wiener_hopf_check(
     Monte-Carlo route."""
     walk = rl.LatticeWalkSpec.from_process(spec)
     lam = spec.rate
-    lad = sample_ladder_jumps(spec, n, policy.substream("kappa"), cap=WH_LADDER_CAP,
-                              workers=workers)
+    lad = sample_ladder_jumps(spec, n, policy.substream("kappa"), cap=WH_LADDER_CAP)
     rows, comparisons = [], []
     for a in a_values:
         r = lam / (lam + a)
@@ -492,7 +487,6 @@ def check_resolvent_creep(
     u: float,
     n: int,
     policy: RngPolicy,
-    workers: int = 1,
     fixture: str = "",
 ) -> CheckReport:
     """Resolvent characterisation of the creeping time of a subordinator:
@@ -509,7 +503,7 @@ def check_resolvent_creep(
     """
     d = resolvent_fixture(spec)[0]
     rhs = d * float(_resolvent_density(spec, q_tilde, u))
-    batch = sample_passages(spec, u, 2.0 * u / d, n, policy.substream("lhs"), workers)
+    batch = sample_passages(spec, u, 2.0 * u / d, n, policy.substream("lhs"))
     vals = np.where(batch.creep, np.exp(-q_tilde * batch.tau), 0.0)
     lhs = float(vals[0] + (vals - vals[0]).mean())
     lhs_se = float(vals.std(ddof=1) / math.sqrt(vals.size))

@@ -52,12 +52,6 @@ class TestFirstPassage:
         x = batch.x_at[batch.resolved] - 2.0
         assert (x > 0).all()
 
-    def test_determinism_across_workers(self):
-        a = pg.sample_passages(P1, 0.5, cap=20.0, n=50000, policy=POL.substream("det"))
-        b = pg.sample_passages(P1, 0.5, cap=20.0, n=50000, policy=POL.substream("det"), workers=4)
-        np.testing.assert_array_equal(a.tau, b.tau)
-        np.testing.assert_array_equal(a.x_at, b.x_at)
-        np.testing.assert_array_equal(a.g_before, b.g_before)
 
 
 def _one_jump_at_a_time(gaps, jumps, u, cap):
@@ -198,8 +192,8 @@ class TestZeroDriftBlocks:
         # every array of the batch, byte for byte: the bytes any CSV of it holds
         pol = RngPolicy(seed=20250809, chunk_size=4096)
         runs = []
-        for workers in (1, 1, 3):
-            batch = pg.sample_passages(P3, 2.0, cap=2000.0, n=12000, policy=pol, workers=workers)
+        for _ in range(3):
+            batch = pg.sample_passages(P3, 2.0, cap=2000.0, n=12000, policy=pol)
             runs.append([getattr(batch, f.name).tobytes() for f in dataclasses.fields(batch)
                          if isinstance(getattr(batch, f.name), np.ndarray)])
         assert len(runs[0]) == 8

@@ -66,6 +66,11 @@ def test_import_does_not_load_scipy():
                   ) == "False"
 
 
+def test_import_does_not_load_concurrent_futures():
+    # chunks run serially; numpy alone does not load it
+    assert _fresh("import sys, levyladder; print('concurrent.futures' in sys.modules)") == "False"
+
+
 def test_drift_lattice_does_not_load_numpy_ma():
     # np.unique imports numpy.ma, about 10 ms on the first call of a run
     assert _fresh("import sys, levyladder as ll; lat = ll.rw_ladder.DriftLattice(ll.P1); "

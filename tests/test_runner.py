@@ -104,6 +104,8 @@ class TestConfigValidation:
         ({"name": "resolvent", "fixture": "S1", "u": -0.5}, "u"),
         ({"name": "subpint", "fixture": "B1", "t": 0, "u": 0.9}, "t"),
         ({"name": "resolvent", "fixture": "S1", "u": 0.5, "q": 0}, "q"),
+        ({"name": "ct1", "fixture": "P1", "t": True, "u": 0.25}, "t"),
+        ({"name": "wiener-hopf", "fixture": "P3", "a": [0.5, True]}, "a"),
     ])
     def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys, entry, key):
         cfg_path = tmp_path / "bad.json"
@@ -198,10 +200,11 @@ class TestCheckTable:
         ({"name": "quintuple", "fixture": "P1", "u": 0.5, "delta": 0.005}, "delta"),
         ({"name": "slfi-fluct", "fixture": "P2", "u_nodes": 40}, "u_nodes"),
         ({"name": "slfi-fluct", "fixture": "P2", "cap": 60.0}, "cap"),
+        ({"workers": 1}, "workers"),  # a top-level key: no check name
     ])
     def test_removed_keys_are_config_errors(self, tmp_path, capsys, entry, key):
         cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps(_cfg(checks=[entry])))
+        cfg_path.write_text(json.dumps(_cfg(checks=[entry]) if "name" in entry else _cfg(**entry)))
         assert runner.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert f"unknown keys ['{key}']" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -289,7 +292,7 @@ class TestCheckTable:
         assert not (tmp_path / "o").exists()
 
     def test_one_entry_adds_a_check(self, tmp_path, monkeypatch):
-        def run_dummy(spec, c, n, policy, workers, fixture):
+        def run_dummy(spec, c, n, policy, fixture):
             x = float(c["x"])
             return CheckReport(check="my-dummy", fixture=fixture, params={"x": x, "n": n},
                                lhs=x, rhs=x, distance=0.0, budget=1.0,
@@ -329,15 +332,6 @@ class TestRun:
             b2 = open(os.path.join(out2, name), "rb").read()
             assert b1 == b2, name
 
-    def test_workers_do_not_change_results(self, tmp_path):
-        out1, out2 = str(tmp_path / "w1"), str(tmp_path / "w4")
-        runner.run(_cfg(out=out1, workers=1))
-        runner.run(_cfg(out=out2, workers=4))
-        for name in sorted(os.listdir(out1)):
-            b1 = open(os.path.join(out1, name), "rb").read()
-            b2 = open(os.path.join(out2, name), "rb").read()
-            assert b1 == b2, name
-
     def test_seed_changes_results(self, tmp_path):
         out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
         runner.run(_cfg(out=out1))
@@ -351,9 +345,19 @@ class TestMain:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(_cfg()))
         rc = runner.main(["--config", str(cfg_path), "--out", str(tmp_path / "o"),
-                          "--seed", "42", "--workers", "2"])
+                          "--seed", "42"])
         assert rc == 0
         assert (tmp_path / "o" / "summary.csv").exists()
+
+    def test_cli_workers_flag_is_refused(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_cfg()))
+        with pytest.raises(SystemExit) as exc:
+            runner.main(["--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                         "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_cli_config_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
@@ -365,8 +369,11 @@ class TestMain:
         (None, {"seed": -3}, "config.seed"),
         (None, {"seed": "x"}, "config.seed"),
         (None, {"n": -5}, "config.n"),
-        (None, {"workers": 0}, "config.workers"),
+        (None, {"n": True}, "config.n"),
         (0, {"n": -5}, "checks[0].n"),
+        (None, {"seed": True}, "config.seed"),
+        (0, {"n": True}, "checks[0].n"),
+        (None, {"chunk_size": True}, "config.chunk_size"),
     ])
     def test_cli_bad_value_exit_code(self, tmp_path, capsys, where, value, key):
         raw = _cfg()

@@ -183,7 +183,7 @@ class TestSlfiExactLevels:
 
 def _fluct_lhs(spec, params, n, policy):
     return tr._path_estimate(lambda m, rng: tr._slfi_fluct_chunk(spec, params, m, rng), n,
-                             policy, 1)
+                             policy)
 
 
 class TestSlfiFluctExactLevels:
