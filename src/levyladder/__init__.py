@@ -22,16 +22,7 @@ from .processes import (
 from .fixtures import B1, FIXTURES, P1, P2, P3, S1, fixture, spec_from_config
 from .rng import RngPolicy
 from .results import CheckReport, EstimateWithError
-from .rw_ladder import (
-    LadderRenewalTable,
-    LatticeWalkSpec,
-    brute_force_tables,
-    green_function,
-    ladder_epochs,
-    renewal_tables,
-    v_exact,
-    vhat_exact,
-)
+from .rw_ladder import LatticeWalkSpec, green_function
 from .passage import (
     LadderJumpBatch,
     PassageBatch,
@@ -45,8 +36,6 @@ from .passage import (
 from .renewal import (
     RenewalGrid,
     check_subpint,
-    dual_ladder_cells,
-    dual_ladder_measure,
     estimate_V,
     exact_V,
     fluct_boxes,

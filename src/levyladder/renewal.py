@@ -6,7 +6,7 @@ creeping-time identity checks.
 subordinator it evaluates ``V(t, u)`` and its creeping term ``d_Y dV/du`` as
 the finite sum over jump-count vectors that the finitely many atoms allow;
 for lattice jumps with a positive drift it reads ``V`` and ``p`` from
-:class:`levyladder.rw_ladder.DriftLattice`.  Three exact-in-law Monte-Carlo
+:class:`levyladder.rw_ladder.DriftLattice`.  Two exact-in-law Monte-Carlo
 engines live here besides.
 
 * :func:`estimate_V` -- explicit killed bivariate subordinators.
@@ -21,29 +21,16 @@ engines live here besides.
   expected real time the path spends *at its running maximum* with
   ``(time, running max)`` inside the box.  Occupations are computed in
   closed form segment by segment, so truncating at the largest finite box
-  edge is exact, not a censoring.
-* :func:`dual_ladder_cells` / :func:`dual_ladder_measure` -- the strictly
-  descending dual ladder.  Its points are the successive strict minima of
-  the path; the auxiliary rate-1 Poisson index integrates out, so
-  ``Vhat`` of a box is the expected number of strict-minimum points inside
-  it (plus the point mass at the origin), and ``Vhat(t, x)`` equals the
-  expected index of the first ladder point leaving ``[0,t] x [0,x]``.
-
-For lattice jumps with a positive drift, :class:`levyladder.rw_ladder.DriftLattice`
-computes the measures of :func:`fluct_boxes` and :func:`dual_ladder_measure`
-exactly; the checks read those tables, and the two engines stay as the
-Monte-Carlo routes the tests (and, for :func:`fluct_boxes`, the V-grid)
-compare them with.
+  edge is exact, not a censoring.  It is the Monte-Carlo side of the V-grid
+  of a Levy fixture, and the tests compare it with the exact tables of
+  :class:`levyladder.rw_ladder.DriftLattice`.
 
 Every engine steps its paths jump by jump through
 :func:`levyladder.processes.walk`; what remains here is each engine's pair
-of hooks, the occupation or count it adds up before and at each jump.
-The box hooks of :func:`fluct_boxes` and :func:`dual_ladder_cells` treat
-all boxes at once as (paths x boxes) arrays, over the paths that can add to
-them, in row blocks of at most ``OCC_BLOCK`` floats per temporary.
-:func:`dual_ladder_measure` keeps only the points it records, as a list of
-(path, cell) keys, and takes each cell's mean and M2 from exact integer
-sums of the per-path counts.
+of hooks, the occupation it adds up before and at each jump.  The box hooks
+of :func:`fluct_boxes` treat all boxes at once as (paths x boxes) arrays,
+over the paths that can add to them, in row blocks of at most ``OCC_BLOCK``
+floats per temporary.
 """
 
 from __future__ import annotations
@@ -61,7 +48,7 @@ from .results import (
 )
 from .rng import RngPolicy, chunked_map, merge_mean_m2
 from .passage import _closed, estimate_p, sample_biv_passages
-from .rw_ladder import DriftLattice, poisson_sf
+from .rw_ladder import DriftLattice, poisson_weights
 
 __all__ = [
     "RenewalGrid",
@@ -69,8 +56,6 @@ __all__ = [
     "check_subpint",
     "fluct_boxes",
     "exact_V",
-    "dual_ladder_cells",
-    "dual_ladder_measure",
 ]
 
 Boxes = np.ndarray  # shape (nb, 4): columns t_lo, t_hi, u_lo, u_hi
@@ -284,7 +269,7 @@ def _exact_biv(spec: BivariateSubordinatorSpec, t: float, u: float) -> tuple[flo
     v = creep = 0.0
     for kj, lw, sj, ej in zip(k.tolist(), log_w.tolist(), s.tolist(), exits_y.tolist()):
         # P(N >= k) and P(N >= k + 1) for N ~ Poisson(c S(m))
-        sf = poisson_sf(c * sj, kj + 1) if math.isfinite(sj) else np.ones(kj + 2)
+        sf = poisson_weights([c * sj], kj)[1][0] if math.isfinite(sj) else np.ones(kj + 2)
         v += math.exp(lw - (kj + 1) * log_c) * float(sf[kj + 1])
         if ej:
             creep += math.exp(lw - kj * log_c) * float(sf[kj] - sf[kj + 1])
@@ -353,171 +338,6 @@ def _biv_min_chunk(
     mean = float(vals.mean())
     m2 = float(((vals - mean) ** 2).sum())
     return (n_eff, mean, m2), censored
-
-
-# ---------------------------------------------------------------------------
-# Dual (strictly descending) ladder of the embedded walk / drift fixture
-# ---------------------------------------------------------------------------
-
-
-def _dual_cells_chunk(
-    spec: ProcessSpec, cells: list[tuple[float, float]], n: int, rng
-) -> list[tuple[int, float, float]]:
-    """Per-path index of the first dual ladder point outside [0,t] x [0,x].
-
-    Valid for compound Poisson fixtures: the strictly descending ladder
-    process steps through the successive strict minima at the events of an
-    independent rate-1 Poisson process, so E[T^Hhat_x ^ T^Lhat_t] equals the
-    expected count of ladder points needed to leave the rectangle.
-    """
-    lam = spec.rate
-    nc = len(cells)
-    t_arr = np.array([c[0] for c in cells])
-    x_arr = np.array([c[1] for c in cells])
-    tmax = float(t_arr.max())
-
-    counts = np.zeros((n, nc))
-    resolved = np.zeros((n, nc), dtype=bool)
-
-    sigma = np.zeros(n)
-    S = np.zeros(n)
-    mmin = np.zeros(n)  # current minimum (<= 0)
-    kmin = np.zeros(n)  # number of strict minima so far
-
-    def resolve(rows, reach, edges, index):
-        # cells still open whose edge ``reach`` has passed are left at ``index``
-        for b in _row_blocks(rows.size, nc):
-            r, j = np.nonzero(~resolved[rows[b]] & (reach[b, None] > edges))
-            ii = rows[b][r]
-            counts[ii, j] = index[b][r]
-            resolved[ii, j] = True
-
-    def before(alive, g):
-        # time passed t with no new minimum: the next ladder point has
-        # sigma > t, so the rectangle is left at index kmin + 1
-        resolve(alive, sigma[alive] + g, t_arr, kmin[alive] + 1.0)
-
-    def after(alive, g, Y):
-        S[alive] += Y
-        sigma[alive] += g
-        new_min = S[alive] < mmin[alive]
-        ii = alive[new_min]
-        mmin[ii] = S[ii]
-        kmin[ii] += 1.0
-        resolve(ii, -S[ii], x_arr, kmin[ii])
-        go_on = ~resolved[alive].all(axis=1)
-        # paths past the largest t are always fully resolved above
-        assert not ((sigma[alive[go_on]] > tmax).any())
-        return go_on
-
-    walk(np.arange(n), lam, rng, spec.sample_jumps, before, after)
-    return _stats_per_column(counts)
-
-
-def dual_ladder_cells(
-    spec: ProcessSpec,
-    cells: Sequence[tuple[float, float]],
-    n: int,
-    policy: RngPolicy,
-) -> list[EstimateWithError]:
-    """MC estimates of ``Vhat(t, x)`` for a compound Poisson fixture."""
-    if not spec.is_compound_poisson:
-        raise ValueError("dual ladder cells require a compound Poisson fixture")
-    parts = chunked_map(lambda i, m, rng: _dual_cells_chunk(spec, list(cells), m, rng), n, policy)
-    return [estimate_from_stats(*s) for s in _merge_columns(parts)]
-
-
-def _dual_measure_chunk(
-    spec: ProcessSpec, s_edges: np.ndarray, v_edges: np.ndarray, n: int, rng
-) -> list[tuple[int, float, float]]:
-    """(n, mean, M2) per (time, depth) bin of the per-path counts of dual
-    ladder points (strict minima), including the origin point of every path.
-
-    Each recorded point is kept as the key ``path * ncell + cell``; the
-    per-path count ``k`` of a bin is the multiplicity of its key, and the
-    bin's statistics follow from the exact integer sums ``S1 = sum k`` and
-    ``S2 = sum k^2`` over its paths, with ``M2 = (n S2 - S1^2) / n`` rounded
-    once.  Paths without a point in a bin count there as zeros.
-    """
-    c, lam = spec.drift, spec.rate
-    if c < 0:
-        raise ValueError("dual ladder measure requires nonnegative drift")
-    ns, nv = s_edges.size - 1, v_edges.size - 1
-    ncell = ns * nv
-    s_guard, v_guard = float(s_edges[-1]), float(v_edges[-1])
-    # epoch-0 ladder point at (0, 0): first bin of each axis
-    keys = [np.arange(n) * ncell]
-
-    sigma = np.zeros(n)
-    J = np.zeros(n)
-    mmin = np.zeros(n)
-
-    def before(alive, g):
-        return ~(sigma[alive] + g > s_guard)
-
-    def after(alive, g, Y):
-        sig_next = sigma[alive] + g
-        J[alive] += Y
-        sigma[alive] = sig_next
-        w_land = c * sig_next + J[alive]
-        new_min = w_land < mmin[alive]
-        ii = alive[new_min]
-        mmin[ii] = w_land[new_min]
-        depth = -w_land[new_min]
-        tt = sig_next[new_min]
-        si = np.searchsorted(s_edges, tt, side="left") - 1
-        si[tt == s_edges[0]] = 0
-        vi = np.searchsorted(v_edges, depth, side="left") - 1
-        vi[depth == v_edges[0]] = 0
-        ok = (vi >= 0) & (vi < nv) & (si >= 0) & (si < ns)
-        keys.append(ii[ok] * ncell + si[ok] * nv + vi[ok])
-        # a path whose minimum is already below every depth bin can stop:
-        # its later minima lie deeper still
-        return ~(mmin[alive] < -v_guard)
-
-    walk(np.arange(n), lam, rng, spec.sample_jumps, before, after)
-    path_cell, k = np.unique(np.concatenate(keys), return_counts=True)
-    cell = path_cell % ncell
-    # integer-valued float sums below 2^53 are exact, and Python int
-    # division rounds once: the mean is the dense column mean bit for bit
-    s1 = np.bincount(cell, weights=k, minlength=ncell).astype(np.int64).tolist()
-    s2 = np.bincount(cell, weights=k * k, minlength=ncell).astype(np.int64).tolist()
-    return [(n, a1 / n, (n * a2 - a1 * a1) / n) for a1, a2 in zip(s1, s2)]
-
-
-def dual_ladder_measure(
-    spec: ProcessSpec,
-    s_edges: Sequence[float],
-    v_edges: Sequence[float],
-    n: int,
-    policy: RngPolicy,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``Vhat(ds, dv)`` masses on a (time, depth) bin grid, with SEs.
-
-    Returns (mass, se), arrays of shape (len(s_edges)-1, len(v_edges)-1).
-    Only the grid's mass is estimated: a path stops at the last time edge,
-    or once its minimum passes the last depth edge, so the ladder points
-    past the edges are not counted.  For a fixture drifting upward the
-    probability of a ladder point beyond a generous last time edge decays
-    exponentially, so the last cell can stand in for an unbounded one.  Each
-    chunk keeps its points as (path, cell) keys, not as a dense (paths x
-    cells) array; its per-cell M2 is exact, rounded once.
-    """
-    se_arr = np.asarray(s_edges, dtype=float)
-    ve_arr = np.asarray(v_edges, dtype=float)
-    if not math.isfinite(se_arr[-1]):
-        raise ValueError("dual ladder measure needs a finite last time edge")
-    parts = chunked_map(lambda i, m, rng: _dual_measure_chunk(spec, se_arr, ve_arr, m, rng),
-                        n, policy)
-    merged = _merge_columns(parts)
-    ns, nv = se_arr.size - 1, ve_arr.size - 1
-    mass = np.zeros((ns, nv))
-    se = np.zeros((ns, nv))
-    for j, st in enumerate(merged):
-        est = estimate_from_stats(*st)
-        mass[j // nv, j % nv] = est.value
-        se[j // nv, j % nv] = est.se
-    return mass, se
 
 
 # ---------------------------------------------------------------------------

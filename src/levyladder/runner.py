@@ -139,7 +139,7 @@ CHECKS: dict[str, Check] = {
         run=lambda spec, c, n, pol, fx: passage.check_p_estimate(
             spec, float(c["t"]), c["u"], n, pol, fixture=fx)),
     "V-grid": Check(
-        None, ("t", "u"), required=("t", "u"), takes=DriftLattice,
+        None, ("t", "u"), required=("t", "u"), positive=("t", "u"), takes=DriftLattice,
         run=lambda spec, c, n, pol, fx: renewal.check_V_grid(
             spec, c["t"], c["u"], n, pol, fixture=fx)),
     # ct1 validates "delta" and ignores it: configs written for its former

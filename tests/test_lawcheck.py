@@ -14,6 +14,8 @@ from levyladder import rw_ladder as rl
 from levyladder.results import CHECK_FAIL_RATE, verdict
 from levyladder.passage import sample_passages
 
+import reference
+
 POL = RngPolicy(seed=424242)
 
 
@@ -221,7 +223,7 @@ class TestDriftLatticeAgainstMonteCarlo:
     ])
     def test_vhat_cells_against_dual_ladder_measure(self, s_edges, v_edges):
         mass, bound, _ = self.lat.dual(s_edges, v_edges)
-        mc, se = rn.dual_ladder_measure(P1, s_edges, v_edges, 100000, POL.substream("vhat"))
+        mc, se = reference.dual_ladder_measure(P1, s_edges, v_edges, 100000, POL.substream("vhat"))
         self._agree(mc, se, mass, bound)
 
 
@@ -278,8 +280,9 @@ class TestErlangMixtureFaults:
 
     def test_erlang_index_shifted_by_one_fails_every_exact_side(self, monkeypatch):
         # P(sigma_{k+1} <= t) read in place of P(sigma_k <= t)
-        sf = rl.poisson_sf
-        monkeypatch.setattr(rl, "poisson_sf", lambda mu, kmax: sf(mu, kmax + 1)[1:])
+        weights = rl.poisson_weights
+        monkeypatch.setattr(rl, "poisson_weights", lambda mus, kmax: tuple(
+            w[:, 1:] for w in weights(mus, kmax + 1)))
         rep = lc.check_quintuple(P3, 2.0, 65536, POL.substream("q3"), cap=5e4, fixture="P3")
         assert not rep.passed
         rep = lc.check_amicale(P3, 200000, POL.substream("am3"), fixture="P3")

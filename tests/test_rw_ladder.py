@@ -4,11 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import special
+from scipy import special, stats
 
 from levyladder import rw_ladder as rl
 from levyladder.fixtures import P1, P3
 from levyladder.processes import DiscreteAtoms, ExponentialJumps, ProcessSpec
+
+import reference
 
 F = Fraction
 
@@ -19,19 +21,19 @@ P3WALK = rl.LatticeWalkSpec.from_process(P3)
 
 class TestLadderEpochs:
     def test_weak_tie_handling(self):
-        assert rl.ladder_epochs([0, 1, 1], "weak-ascending") == [(1, 1), (2, 1)]
+        assert reference.ladder_epochs([0, 1, 1], "weak-ascending") == [(1, 1), (2, 1)]
 
     def test_hand_enumeration(self):
         path = [0, -1, 1, 0]
-        assert rl.ladder_epochs(path, "weak-ascending") == [(2, 1)]
-        assert rl.ladder_epochs(path, "strict-descending") == [(1, 1)]
+        assert reference.ladder_epochs(path, "weak-ascending") == [(2, 1)]
+        assert reference.ladder_epochs(path, "strict-descending") == [(1, 1)]
 
     def test_strictly_decreasing_path_has_no_ascents(self):
-        assert rl.ladder_epochs([0, -1, -2, -3], "weak-ascending") == []
+        assert reference.ladder_epochs([0, -1, -2, -3], "weak-ascending") == []
 
     def test_requires_start_at_zero(self):
         with pytest.raises(ValueError):
-            rl.ladder_epochs([1, 2], "weak-ascending")
+            reference.ladder_epochs([1, 2], "weak-ascending")
 
     @given(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=1, max_size=10))
     @settings(max_examples=200, deadline=None)
@@ -39,36 +41,36 @@ class TestLadderEpochs:
         path = [0]
         for y in steps:
             path.append(path[-1] + y)
-        weak = {k for k, _ in rl.ladder_epochs(path, "weak-ascending")}
-        strict = {k for k, _ in rl.ladder_epochs(path, "strict-ascending")}
+        weak = {k for k, _ in reference.ladder_epochs(path, "weak-ascending")}
+        strict = {k for k, _ in reference.ladder_epochs(path, "strict-ascending")}
         assert strict <= weak
         # implementation lemma: chained definition == running-extremum test
         assert weak == {k for k in range(1, len(path)) if path[k] >= max(path[:k])}
-        desc = {k for k, _ in rl.ladder_epochs(path, "strict-descending")}
+        desc = {k for k, _ in reference.ladder_epochs(path, "strict-descending")}
         assert desc == {k for k in range(1, len(path)) if path[k] < min(path[:k])}
 
 
 class TestTables:
     def test_symmetric_single_step(self):
-        t = rl.renewal_tables(SYMM, 3)
+        t = reference.renewal_tables(SYMM, 3)
         assert t.u(1, 0.5) == 0.0
         assert t.u(1, 1.0) == 0.5
         assert t.u(0, 0.0) == 1.0  # epoch-0 term
 
     def test_symmetric_two_step_enumeration(self):
-        t = rl.renewal_tables(SYMM, 2)
+        t = reference.renewal_tables(SYMM, 2)
         assert t.u(2, 0.0) == 0.25
         assert t.u(2, 2.0) == 0.5
 
     def test_dp_equals_brute_force_exactly(self):
         for spec, K in ((SYMM, 8), (ASYM, 6), (P3WALK, 5)):
-            dp = rl.renewal_tables(spec, K)
-            bf = rl.brute_force_tables(spec, K)
+            dp = reference.renewal_tables(spec, K)
+            bf = reference.brute_force_tables(spec, K)
             assert dp.u_layers == bf.u_layers
             assert dp.uhat_layers == bf.uhat_layers
 
     def test_reversal_recursion_agrees_with_dp(self):
-        dp = rl.renewal_tables(P3WALK, 8)
+        dp = reference.renewal_tables(P3WALK, 8)
         asc = rl.stay_region_layers(P3WALK, 8, "weak-ascending")
         desc = rl.stay_region_layers(P3WALK, 8, "strict-descending")
         for k in range(9):
@@ -87,16 +89,28 @@ class TestTables:
 
     def test_state_space_guard(self):
         with pytest.raises(MemoryError):
-            rl.renewal_tables(P3WALK, 30, max_states=10)
+            reference.renewal_tables(P3WALK, 30, max_states=10)
 
 
 class TestErlangMixing:
+    MUS = (0.0, 1e-9, 0.3, 2.0, 40.0, 128.0, 2000.0, 5e4)
+
     def test_poisson_sf_matches_scipy(self):
-        for mu in (0.3, 2.0, 40.0, 2000.0):
-            sf = rl.poisson_sf(mu, 12)
-            for k in range(1, 13):
+        for mu in self.MUS:
+            (pmf,), (sf,) = rl.poisson_weights([mu], 12)
+            assert pmf.shape == sf.shape == (14,)
+            for k in range(1, 14):
                 assert sf[k] == pytest.approx(float(special.gammainc(k, mu)), rel=1e-10, abs=1e-13)
+            for k in range(14):
+                exact = float(stats.poisson.pmf(k, mu))
+                assert pmf[k] == pytest.approx(exact, rel=1e-10, abs=1e-13)
             assert sf[0] == 1.0
+        # one call over every mu: each row is its single-row call
+        pmf, sf = rl.poisson_weights(self.MUS, 12)
+        for i, mu in enumerate(self.MUS):
+            one_pmf, one_sf = rl.poisson_weights([mu], 12)
+            assert pmf[i] == pytest.approx(one_pmf[0], rel=1e-15, abs=0.0)
+            assert sf[i] == pytest.approx(one_sf[0], rel=1e-15, abs=0.0)
 
     def test_poisson_tail_mean_direct_sum(self):
         mu, j = 3.0, 5
@@ -106,23 +120,23 @@ class TestErlangMixing:
         assert rl.poisson_tail_mean(mu, j) == pytest.approx(direct, rel=1e-10)
 
     def test_vhat_at_zero_column_is_one(self):
-        t = rl.renewal_tables(P3WALK, 14)
+        t = reference.renewal_tables(P3WALK, 14)
         for tt in (0.1, 0.5, 2.0):
-            val, bound = rl.vhat_exact(t, 1.0, tt, 0.0)
+            val, bound = reference.vhat_exact(t, 1.0, tt, 0.0)
             assert val == pytest.approx(1.0, abs=1e-12)
             assert bound < 1e-6
 
     def test_v_monotone_in_t_and_x(self):
-        t = rl.renewal_tables(P3WALK, 14)
-        v1, _ = rl.v_exact(t, 1.0, 0.5, 1.0)
-        v2, _ = rl.v_exact(t, 1.0, 1.5, 1.0)
-        v3, _ = rl.v_exact(t, 1.0, 1.5, 3.0)
+        t = reference.renewal_tables(P3WALK, 14)
+        v1, _ = reference.v_exact(t, 1.0, 0.5, 1.0)
+        v2, _ = reference.v_exact(t, 1.0, 1.5, 1.0)
+        v3, _ = reference.v_exact(t, 1.0, 1.5, 3.0)
         assert v1 <= v2 <= v3
 
     def test_vhat_converges_to_full_renewal_function(self):
         K = 40
-        t = rl.renewal_tables(P3WALK, K, exact=False)
-        big_t, bound = rl.vhat_exact(t, 1.0, 30.0, 2.0)
+        t = reference.renewal_tables(P3WALK, K, exact=False)
+        big_t, bound = reference.vhat_exact(t, 1.0, 30.0, 2.0)
         total = sum(t.uhat(k, 2.0) for k in range(K + 1))
         assert big_t <= total + 1e-9
         assert big_t == pytest.approx(total, abs=bound + 0.06)
@@ -133,7 +147,7 @@ class TestErlangMixing:
         tail = 1e-15
         for mu in (1e-20, 0.3, 1.0, 2.0, 40.0, 2000.0, 5e4):
             k = rl.poisson_index_cap(mu, tail)
-            sf = rl.poisson_sf(mu, k)
+            sf = rl.poisson_weights([mu], k)[1][0]
             assert sf[k] <= tail
             assert k < 2 or sf[k - 2] > tail
         assert rl.poisson_index_cap(0.0, tail) == 1
@@ -144,7 +158,7 @@ class TestErlangMixing:
 
 
 class TestErlangMixture:
-    TABLE = rl.renewal_tables(P3WALK, rl.truncation_depth(1.0, 2.0, 1e-10))
+    TABLE = reference.renewal_tables(P3WALK, rl.truncation_depth(1.0, 2.0, 1e-10))
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_finite_bins_match_the_dp_route(self, t):
@@ -152,8 +166,8 @@ class TestErlangMixture:
         m_up, b_up = rl.erlang_mixture(P3WALK, (0.0, t), "weak-ascending", 3)
         m_dn, b_dn = rl.erlang_mixture(P3WALK, (0.0, t), "strict-descending", 3)
         for x in range(4):
-            v, bv = rl.v_exact(self.TABLE, 1.0, t, float(x))
-            vh, bvh = rl.vhat_exact(self.TABLE, 1.0, t, float(x))
+            v, bv = reference.v_exact(self.TABLE, 1.0, t, float(x))
+            vh, bvh = reference.vhat_exact(self.TABLE, 1.0, t, float(x))
             assert abs(m_up[0, : x + 1].sum() - v) <= b_up + bv + 1e-14
             assert abs(m_dn[0, : x + 1].sum() - vh) <= b_dn + bvh + 1e-14
 
@@ -164,6 +178,17 @@ class TestErlangMixture:
         g, _ = rl.green_function(P3WALK, mode, 4)
         assert m.shape == (3, 5)
         assert np.abs(m.sum(axis=0) - scale * g).max() <= bound + 1e-14
+
+    def test_time_change(self):
+        # the walk at rate 2 on the edges e / 2 takes the same jumps by each
+        # edge as at rate 1 on e: V carries 1 / rate, so its masses halve,
+        # and Vhat's do not move
+        fast = rl.LatticeWalkSpec(P3WALK.h, P3WALK.steps, P3WALK.probs, 2.0)
+        edges = np.array([0.0, 0.5, 1.0, 2.0, 3.5, math.inf])
+        for mode, factor in (("weak-ascending", 0.5), ("strict-descending", 1.0)):
+            m, _ = rl.erlang_mixture(P3WALK, edges, mode, 5)
+            m_fast, _ = rl.erlang_mixture(fast, edges / 2, mode, 5)
+            assert m_fast == pytest.approx(factor * m, rel=1e-12, abs=0.0), mode
 
     def test_rejects_bad_edges_and_modes(self):
         with pytest.raises(ValueError):
@@ -327,8 +352,41 @@ def _catalan_creep(u: float, lam: float) -> float:
 THEOREM_POINTS = [(0.5, 0.25), (0.5, 0.45), (4.0, 0.5), (1.3, 0.7), (2.5, 1.6), (3.0, 2.25)]
 
 
+def _killed_jump_matrix(lat: rl.DriftLattice, side: int) -> np.ndarray:
+    """The killed jump matrix from its definition: from distance ``x`` a
+    step ``a`` lands at ``x + side a``; below 0 it has passed the barrier,
+    past ``depth`` it is lost to the absorbing state ``depth + 1``."""
+    D = lat.depth
+    P = np.zeros((D + 2, D + 2))
+    P[D + 1, D + 1] = 1.0
+    for x in range(D + 1):
+        for a, p in zip(lat.steps, lat.probs):
+            if x + side * a >= 0:
+                P[x, min(x + side * a, D + 1)] += p
+    return P
+
+
+UP_TWO = ProcessSpec(1.0, 1.0, DiscreteAtoms([(2.0, 0.5), (-1.0, 0.5)]))
+
+
 class TestDriftLattice:
     lat = rl.DriftLattice(P1)
+
+    @pytest.mark.parametrize("spec", [P1, UP_TWO], ids=["P1", "up-two"])
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_power_stack_is_the_killed_jump_matrix_power(self, spec, side):
+        lat = rl.DriftLattice(spec)
+        stack, P = lat._power_stack(side), _killed_jump_matrix(lat, side)
+        for n in range(4):
+            assert np.abs(stack[n] - np.linalg.matrix_power(P, n)).max() <= 1e-15, n
+
+    def test_weights_are_the_poisson_laws_of_each_offset(self):
+        fracs = np.array([0.0, 0.25, 1.0])
+        pmf, sf = self.lat._weights(fracs)
+        n = np.arange(self.lat.n_terms + 1)
+        mu = P1.rate * self.lat.tau * fracs[:, None]
+        assert pmf == pytest.approx(stats.poisson.pmf(n, mu), rel=1e-12, abs=1e-300)
+        assert sf == pytest.approx(stats.poisson.sf(n, mu) / P1.rate, rel=1e-10, abs=1e-300)
 
     @pytest.mark.parametrize("u, value", [(0.25, 0.6256832127), (0.45, 0.4491478464)])
     def test_creep_matches_the_catalan_closed_form(self, u, value):
