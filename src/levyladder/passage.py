@@ -30,23 +30,24 @@ from the carried state so every float is the one a single-jump loop would
 compute.  ``B`` only decides how many variates one numpy call draws; fed
 the same per-path jumps, every block size gives identical records.
 
-A law of integer atoms also leaps through deep excursions.  A walk ``d =
-M - J`` below its maximum, whose largest up-step is ``m``, cannot reach
-``M`` within ``B = ceil(d / m) - 1`` jumps, so those jumps change only its
-position and its jump count: when ``B >= LEAP_MIN`` (with ``B`` capped at
-``k_cap - k``) the walk takes them as one multinomial draw of the atom
-counts, ``J += counts @ values``, and keeps ``M`` and ``G``.  The sum of
-``B`` i.i.d. jumps has exactly that law, and integer floats add exactly, so
-the records still hit lattice atoms by equality.  Walks near their maximum
-step blocks of at most ``SHALLOW_BLOCK`` jumps, so the few shallow ones do
-not draw thousands of jumps each.  Other laws only block step.  The times then
-come from the embedding: jump ``G`` happens at ``t ~ Gamma(G, 1/rate)`` and
-jump ``K`` an independent ``s ~ Gamma(K - G, 1/rate)`` later, and the path
-is censored iff ``tau = t + s`` exceeds the time cap.  The time cap also
-caps the walk: a path that has not passed by jump ``k_cap`` is censored,
-where ``k_cap`` is the first index whose Poisson tail bound puts
-``P(sigma_{k_cap} <= cap)`` at or below ``K_CAP_TAIL``, which thus bounds
-the passage mass this censors.
+A law of integer atoms (spanning at most ``LEAP_SPAN``) also leaps through
+deep excursions.  A walk ``d = M - J`` below its maximum, whose largest
+up-step is ``m``, cannot reach ``M`` within ``B = ceil(d / m) - 1`` jumps,
+so those jumps change only its position and its jump count: when ``B >=
+LEAP_MIN`` (with ``B`` capped at ``k_cap - k`` and at ``LEAP_MAX``) the
+walk takes them as one draw from the law of the sum of ``B`` jumps, ``J +=
+sum``, and keeps ``M`` and ``G``.  The draw is one uniform looked up in a
+table of that law's CDF, one row per ``B``, so integer floats add exactly
+and the records still hit lattice atoms by equality.  A deeper walk leaps
+again.  Walks near their maximum step blocks of at most ``SHALLOW_BLOCK``
+jumps, so the few shallow ones do not draw thousands of jumps each.  Other
+laws only block step.  The times then come from the embedding: jump ``G``
+happens at ``t ~ Gamma(G, 1/rate)`` and jump ``K`` an independent ``s ~
+Gamma(K - G, 1/rate)`` later, and the path is censored iff ``tau = t + s``
+exceeds the time cap.  The time cap also caps the walk: a path that has not
+passed by jump ``k_cap`` is censored, where ``k_cap`` is the first index
+whose Poisson tail bound puts ``P(sigma_{k_cap} <= cap)`` at or below
+``K_CAP_TAIL``, which thus bounds the passage mass this censors.
 
 The ladder-jump engine samples one jump of the ladder process ``(L^{-1},
 H)``: the excursion below the running maximum that one jump starts, up to
@@ -67,6 +68,7 @@ Monitors accumulated by the engines:
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -103,17 +105,27 @@ DRAWS = 32768
 
 # Excursion leaping of the zero-drift walk, for integer-atom jump laws: a
 # walk that can take at least LEAP_MIN jumps without reaching its maximum
-# takes them at once, and the walks near their maximum step blocks of at
-# most SHALLOW_BLOCK jumps.  Walking 4 x 16384 P3 paths (u = 2, cap 5e4, 2
-# shared vCPUs, 5 seeds twice) took 0.62-0.89 s at (8, 256) against
-# 0.98-1.11 s without leaping; LEAP_MIN 4..32 with SHALLOW_BLOCK 64..1024
-# all took 0.60-0.95 s, a spread within the host's noise.
+# takes up to LEAP_MAX of them at once, as one lookup in a table of the law
+# of their sum (one row per leap length), and the walks near their maximum
+# step blocks of at most SHALLOW_BLOCK jumps.  Walking 4 x 16384 P3 paths
+# (u = 2, cap 5e4, 2 shared vCPUs, 5 seeds twice, one multinomial draw per
+# leap) took 0.62-0.89 s at (8, 256) against 0.98-1.11 s without leaping;
+# LEAP_MIN 4..32 with SHALLOW_BLOCK 64..1024 all took 0.60-0.95 s, a spread
+# within the host's noise.  LEAP_MAX bounds the table: P3's holds 194601
+# keys (1.6 MB), built in about 12 ms on first use, and 135 of the 746159
+# leaps of 4 x 16384 such paths reach it.  The table grows with the span of
+# the atoms (largest minus smallest): about 1M keys (8 MB, 45 ms) at
+# LEAP_SPAN = 16 and 3.9M at 64, so a wider law from a config block steps.
 LEAP_MIN = 8
+LEAP_MAX = 512
+LEAP_SPAN = 16
 SHALLOW_BLOCK = 256
 
 # Bound on P(Poisson(rate * cap) >= k_cap): the chance that a zero-drift
 # path censored for not passing by jump k_cap would have passed by the cap.
 K_CAP_TAIL = 1e-15
+
+_ONE = 2.0**53  # a 53-bit uniform times this is an exact integer
 
 # A time or height within this relative distance of an edge counts as on it:
 # horizons and boxes are closed there.
@@ -168,22 +180,26 @@ class PassageBatch:
         return x, v, y, s, t
 
     def validate(self) -> None:
-        """Structural invariants that hold for every resolved record."""
-        r = self.resolved
-        if not r.any():
-            return
-        x, v, y, s, t = self.quintuple()
-        bad = (
-            (self.x_before[r] > self.max_before[r])
-            | (self.max_before[r] > self.u)
-            | (x < 0)
-            | (y < -0.0)
-            | (y > np.minimum(self.u, v))
-            | (s < 0)
-            | (t < 0)
-            | (self.creep[r] & (self.x_at[r] != self.u))
-        )
-        if bad.any():
+        """Structural invariants that hold for every resolved record.
+
+        They are those of :meth:`quintuple`'s ``(x, v, y, s, t)``, read on
+        the whole arrays (``s < 0`` as ``tau < g_before``); a censored
+        record's NaN fields fail no comparison, and ``resolved`` masks it.
+        """
+        u = self.u
+        with np.errstate(invalid="ignore"):
+            y = u - self.max_before
+            bad = (
+                (self.x_before > self.max_before)
+                | (self.max_before > u)
+                | (self.x_at < u)
+                | (y < 0)
+                | (y > np.minimum(u, u - self.x_before))
+                | (self.tau < self.g_before)
+                | (self.g_before < 0)
+                | (self.creep & (self.x_at != u))
+            )
+        if (bad & self.resolved).any():
             raise RuntimeError("passage batch violates quintuple support constraints")
 
 
@@ -269,9 +285,9 @@ def _walk_zero_drift(out: PassageBatch, draw, times, k_cap: int, leap=None) -> N
     ``leap``, for an integer-atom law, is ``(top, sums)``: the largest
     up-step and ``sums(B)``, the sums of ``B[i]`` fresh jumps for each ``i``.
     A walk that can take ``B >= LEAP_MIN`` jumps without reaching its
-    maximum (:func:`_leap_length`, capped at ``k_cap - k``) then takes them
-    as one sum; they change only its position and jump count.  The others
-    step one block.
+    maximum (:func:`_leap_length`, capped at ``k_cap - k`` and at
+    ``LEAP_MAX``) then takes them as one sum; they change only its position
+    and jump count.  The others step one block.
     """
     n = out.n
     active = np.arange(n)
@@ -285,7 +301,8 @@ def _walk_zero_drift(out: PassageBatch, draw, times, k_cap: int, leap=None) -> N
         step = np.arange(active.size)  # the walks that step a block
         if leap is not None:
             top, sums = leap
-            B = np.minimum(_leap_length((M - J).astype(np.int64), top), k_cap - k)
+            B = np.minimum(_leap_length((M - J).astype(np.int64), top),
+                           np.minimum(k_cap - k, LEAP_MAX))
             deep = B >= LEAP_MIN
             if deep.any():
                 J[deep] += sums(B[deep])
@@ -323,24 +340,68 @@ def _walk_zero_drift(out: PassageBatch, draw, times, k_cap: int, leap=None) -> N
     out.g_before[fin[ok]] = t[ok]
 
 
+@functools.cache
+def _leap_table(law: DiscreteAtoms) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF table of the sum of ``B`` jumps of the integer-atom
+    ``law``, one row for each ``B`` in ``1..LEAP_MAX`` (so whatever
+    ``LEAP_MIN`` is), built on first use and shared read-only.
+
+    Row ``B`` is the ``B``-fold convolution of the atom probabilities on the
+    integer lattice, cumulated and normalised by its own total, so its last
+    entry is exactly 1.  Its entries ``c`` become the exact integer keys
+    ``B * 2**53 + ceil(c * 2**53)``, so a uniform ``w = k / 2**53`` finds in
+    row ``B`` the count of ``c <= w``, the cell :func:`processes._cell_index`
+    gives, with no rounding from the row offset.  Each row is cut to the
+    entries a 53-bit uniform can reach: the left tail at or below ``2**-53``
+    (whose cells only ``w = 0`` would hit; it goes to the first kept entry)
+    and everything past the first entry that is exactly 1.
+
+    Returns ``(keys, base)``: the rows' keys, stacked in order of ``B``, and
+    per ``B`` the number that turns a position in ``keys`` into the sum.
+    """
+    vals = np.asarray(law.values).astype(np.int64)
+    lo = int(vals.min())
+    pmf = np.zeros(int(vals.max()) - lo + 1)
+    pmf[vals - lo] = law.probs_float
+    row, rows = np.ones(1), []
+    base = np.zeros(LEAP_MAX + 1, dtype=np.int64)
+    start = 0
+    for B in range(1, LEAP_MAX + 1):
+        row = np.convolve(row, pmf)  # P(sum = B * lo + j)
+        cdf = np.cumsum(row)
+        cdf /= cdf[-1]
+        key = np.ceil(cdf * _ONE).astype(np.int64)
+        a = int(np.count_nonzero(key <= 1))  # reached by no w > 0
+        b = int(np.argmax(cdf == 1.0))  # no w < 1 reaches past b
+        rows.append((B << 53) + key[a:b])
+        base[B] = B * lo + a - start
+        start += b - a
+    keys = np.concatenate(rows)
+    keys.flags.writeable = base.flags.writeable = False  # shared by every caller
+    return keys, base
+
+
 def _leaper(law, rng):
     """The ``leap`` of :func:`_walk_zero_drift` for ``law``, or None.
 
-    Only a law of integer atoms with an up-step leaps: the sum of ``B``
-    jumps is then ``counts @ values`` with ``counts ~ Multinomial(B,
-    probs)``, and every float it adds is an exact integer, so the positions
-    are the ones jump-by-jump sums give and the records hit lattice atoms by
-    equality.
+    Only a law of integer atoms with an up-step and a span of at most
+    ``LEAP_SPAN`` leaps.  The sum of ``B <= LEAP_MAX`` jumps is then one
+    uniform looked up in row ``B`` of :func:`_leap_table`; every float it
+    adds is an exact integer, so the positions are ones jump-by-jump sums
+    can give and the records hit lattice atoms by equality.
     """
     if not isinstance(law, DiscreteAtoms):
         return None
     vals = np.asarray(law.values)
-    if not (vals.max() > 0 and (vals == np.round(vals)).all()):
+    if not (vals.max() > 0 and vals.max() - vals.min() <= LEAP_SPAN
+            and (vals == np.round(vals)).all()):
         return None
-    probs = law.probs_float
+
+    keys, base = _leap_table(law)
 
     def sums(B):
-        return rng.multinomial(B, probs) @ vals
+        w = (B << 53) + (rng.random(B.size) * _ONE).astype(np.int64)
+        return (np.searchsorted(keys, w, side="right") + base[B]).astype(float)
 
     return int(vals.max()), sums
 

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from levyladder.processes import BivariateSubordinatorSpec, DiscreteAtoms, Proce
 from levyladder.results import CHECK_FAIL_RATE, concatenate, verdict
 from levyladder.rng import RngPolicy
 from levyladder import passage as pg
+from levyladder import processes
 from levyladder import rw_ladder as rl
 
 POL = RngPolicy(seed=20250808)
@@ -41,6 +44,37 @@ class TestFirstPassage:
             assert (y <= np.minimum(u, v) + 1e-15).all()
             assert (x >= 0).all() and (s >= 0).all() and (t >= 0).all()
 
+    def test_validate_refuses_each_violation_on_a_resolved_record(self):
+        # one resolved record (u = 2): passage by a jump from 1 to 3 after a
+        # maximum of 1.5 left at t = 1, at tau = 2; and one censored record
+        # with every field unset, which validates
+        def batch(**fields):
+            rec = dict(tau=2.0, x_at=3.0, x_before=1.0, max_before=1.5, g_before=1.0,
+                       creep=False)
+            rec.update(fields)
+            out = pg._unresolved(2.0, 10.0, 2)
+            out.censored[1] = True
+            for name, value in rec.items():
+                getattr(out, name)[0] = value
+            return out
+
+        batch().validate()
+        # each record breaks one invariant; y < 0 is max_before > u, and
+        # y > v is x_before > max_before up to rounding (the first record is
+        # rounded so that y == v), so seven records cover the eight
+        violations = [
+            dict(x_before=1e-17, max_before=0.0, x_at=2.5),  # x_before > max_before
+            dict(max_before=2.5),                            # max_before > u, y < 0
+            dict(x_at=1.9),                                  # x < 0
+            dict(x_before=-1.0, max_before=-0.5, x_at=2.5),  # y > min(u, v) = u
+            dict(tau=0.5),                                   # s < 0
+            dict(tau=-0.5, g_before=-1.0),                   # t < 0
+            dict(creep=True),                                # creeps off the level
+        ]
+        for fields in violations:
+            with pytest.raises(RuntimeError, match="quintuple support"):
+                batch(**fields).validate()
+
     def test_spectrally_negative_always_creeps(self):
         batch = pg.sample_passages(P2, 0.7, cap=80.0, n=30000, policy=POL.substream("p2"))
         assert batch.creep[batch.resolved].all()
@@ -52,6 +86,19 @@ class TestFirstPassage:
         x = batch.x_at[batch.resolved] - 2.0
         assert (x > 0).all()
 
+
+
+def _cell_rows(p, q, n):
+    """Verdict rows comparing two cell laws, each read from ``n`` samples:
+    one per cell with ``n (p + q) / 2 >= 30`` (the live ones) and one for
+    the pooled rest, as ``(|p - q|, se)``.  Returns ``(live, rows)``."""
+    live = (p + q) * n / 2 >= 30
+    rows = [(abs(a - b), math.sqrt((a * (1 - a) + b * (1 - b)) / n))
+            for a, b in zip(p[live], q[live])]
+    rest_p, rest_q = p[~live].sum(), q[~live].sum()
+    rows.append((abs(rest_p - rest_q),
+                 math.sqrt((rest_p * (1 - rest_p) + rest_q * (1 - rest_q)) / n)))
+    return live, rows
 
 
 def _one_jump_at_a_time(gaps, jumps, u, cap):
@@ -178,12 +225,7 @@ class TestZeroDriftBlocks:
             return np.append(counts, n - K.size) / n  # last cell: censored
 
         p, q = cells(*engine), cells(*ref)
-        live = (p + q) * n / 2 >= 30
-        rows = [(abs(a - b), math.sqrt((a * (1 - a) + b * (1 - b)) / n))
-                for a, b in zip(p[live], q[live])]
-        rest_p, rest_q = p[~live].sum(), q[~live].sum()
-        rows.append((abs(rest_p - rest_q),
-                     math.sqrt((rest_p * (1 - rest_p) + rest_q * (1 - rest_q)) / n)))
+        live, rows = _cell_rows(p, q, n)
         dist, budget = verdict(rows)
         assert live.sum() >= 20
         assert dist <= budget, (dist, budget)
@@ -238,12 +280,7 @@ class TestZeroDriftLeap:
             return np.bincount(idx, minlength=7 * 4 * 2 * 2 * 3) / n
 
         p, q = np.append(cells(K, G, x, v, y), cens), np.append(cells(*ref), ref_cens)
-        live = (p + q) * n / 2 >= 30
-        rows = [(abs(a - b), math.sqrt((a * (1 - a) + b * (1 - b)) / n))
-                for a, b in zip(p[live], q[live])]
-        rest_p, rest_q = p[~live].sum(), q[~live].sum()
-        rows.append((abs(rest_p - rest_q),
-                     math.sqrt((rest_p * (1 - rest_p) + rest_q * (1 - rest_q)) / n)))
+        live, rows = _cell_rows(p, q, n)
         assert live.sum() >= 25 and live[-1]  # the censored cell is live
         return verdict(rows)
 
@@ -271,16 +308,163 @@ class TestZeroDriftLeap:
         assert B.tolist() == [-1, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
         assert ((B * 2 < depth) | (B < 0)).all() and ((B + 1) * 2 >= depth).all()
 
-    def test_only_integer_laws_with_an_up_step_leap(self):
+    def test_leaping_one_jump_short_fails(self, monkeypatch):
+        # fault: a leap of B jumps adds the sum of B - 1 (row B - 1 of the
+        # table, the empty sum for B = 1) and still counts B.  Where every
+        # leap is long (LEAP_MIN 8) this comparison cannot see it at N; at
+        # LEAP_MIN 1 it must
+        leaper = pg._leaper
+
+        def short(law, rng):
+            top, sums = leaper(law, rng)
+            return top, lambda B: sums(B - 1)
+
+        monkeypatch.setattr(pg, "_leaper", short)
+        monkeypatch.setattr(pg, "LEAP_MIN", 1)
+        dist, budget = self._verdict(monkeypatch)
+        assert dist > 3 * budget, (dist, budget)
+
+    def test_only_integer_laws_with_an_up_step_leap(self, monkeypatch):
         rng = np.random.default_rng(0)
         top, sums = pg._leaper(P3.jumps, rng)
         assert top == 2
-        B = np.array([8, 100, 5000])
+        B = np.array([8, 100, pg.LEAP_MAX])
         total = sums(B)
         assert (total == np.round(total)).all() and (np.abs(total) <= 2 * B).all()
         assert pg._leaper(DiscreteAtoms([(0.5, 0.5), (-1.0, 0.5)]), rng) is None
         assert pg._leaper(DiscreteAtoms([(-1.0, 0.5), (-2.0, 0.5)]), rng) is None
         assert pg._leaper(P2.jumps, rng) is None
+        assert pg._leaper(DiscreteAtoms([(-15.0, 0.5), (1.0, 0.5)]), rng) is not None
+        assert pg._leaper(DiscreteAtoms([(-16.0, 0.5), (1.0, 0.5)]), rng) is None  # too wide
+
+        # the walk never asks for a leap longer than the table's last row,
+        # though its deepest walks could take more jumps at once
+        asked = []
+        leaper = pg._leaper
+
+        def spy(law, rng):
+            top, sums = leaper(law, rng)
+            return top, lambda B: asked.append(B.max()) or sums(B)
+
+        monkeypatch.setattr(pg, "_leaper", spy)
+        pg.sample_passages(P3, 2.0, 1e6, 1024, POL.substream("deep"))
+        assert max(asked) == pg.LEAP_MAX
+
+
+def _table_row(law, B):
+    """Row ``B`` of the leap table: its kept keys, less the row offset, over
+    ``2**53`` (the CDF at each kept sum), and the smallest kept sum."""
+    keys, base = pg._leap_table(law)
+    pos = np.flatnonzero((keys - 1) >> 53 == B)
+    return (keys[pos] - (B << 53)) / 2.0**53, int(pos[0] + base[B])
+
+
+def _exact_cdf(law, B):
+    """The CDF of the sum of ``B`` jumps in exact rationals, ``{sum: cdf}``."""
+    law_pmf = {0: Fraction(1)}
+    for _ in range(B):
+        nxt = {}
+        for x, p in law_pmf.items():
+            for v, q in zip(law.values, law.probs):
+                nxt[x + int(v)] = nxt.get(x + int(v), 0) + p * q
+        law_pmf = nxt
+    return dict(zip(sorted(law_pmf), itertools.accumulate(law_pmf[x] for x in sorted(law_pmf))))
+
+
+class _Uniforms:
+    """A generator stand-in whose ``random`` serves the given uniforms."""
+
+    def __init__(self, w):
+        self.w = w
+
+    def random(self, size):
+        assert size == self.w.size
+        return self.w
+
+
+SKEWED = DiscreteAtoms([(-3.0, Fraction(1, 2)), (1.0, Fraction(1, 3)), (4.0, Fraction(1, 6))])
+
+
+class TestLeapTable:
+    """The table of the law of a sum of B jumps against exact convolution,
+    against the per-row cell lookup, and in law against multinomial sums."""
+
+    @pytest.mark.parametrize("law", [P3.jumps, SKEWED], ids=["P3", "skewed"])
+    @pytest.mark.parametrize("B", [8, 9, 64])
+    def test_rows_match_exact_convolution(self, law, B):
+        cdf, first = _table_row(law, B)
+        worst = 0.0
+        for x, c in _exact_cdf(law, B).items():
+            i = x - first  # kept sums at most x: 0..i
+            table = 0.0 if i < 0 else 1.0 if i >= cdf.size else cdf[i]
+            worst = max(worst, abs(table - float(c)))
+        assert worst <= 1e-15, worst
+
+    def test_rows_hold_only_what_a_uniform_reaches(self):
+        # each row starts past its left tail at or below 2**-53 and ends at
+        # its first entry of 1; P3's table stays under 2 MB
+        keys, base = pg._leap_table(P3.jumps)
+        row = (keys - 1) >> 53
+        cdf = keys - (row << 53)
+        starts = np.searchsorted(row, np.arange(1, pg.LEAP_MAX + 1))
+        first, last = cdf[starts], cdf[starts[1:] - 1]
+        assert (first > 1).all() and (last < 2**53).all() and (np.diff(keys) >= 0).all()
+        assert keys.nbytes < 2e6 and base.size == pg.LEAP_MAX + 1
+
+    @pytest.mark.parametrize("law", [P3.jumps, SKEWED], ids=["P3", "skewed"])
+    @pytest.mark.parametrize("B", [8, 37, pg.LEAP_MAX])
+    def test_lookup_is_the_cell_index_of_its_row(self, law, B):
+        # the full float row, cumulated and normalised as the table's
+        vals = np.asarray(law.values, dtype=np.int64)
+        pmf = np.zeros(vals.max() - vals.min() + 1)
+        pmf[vals - vals.min()] = law.probs_float
+        row = np.ones(1)
+        for _ in range(B):
+            row = np.convolve(row, pmf)
+        cdf = np.cumsum(row)
+        cdf /= cdf[-1]
+        lo = B * int(vals.min())
+        # 53-bit uniforms on each entry (P3's rows are dyadic to B = 26, so
+        # the entry itself) and one step of 2**-53 below it
+        on = np.ceil(cdf * 2.0**53) / 2.0**53
+        if law is P3.jumps and B < 27:
+            assert (on == cdf).all()
+        w = np.unique(np.concatenate([on, on - 2.0**-53]))
+        w = w[(w > 0) & (w < 1)]
+        _, sums = pg._leaper(law, _Uniforms(w))
+        want = lo + processes._cell_index(cdf[:-1], w)
+        assert (sums(np.full(w.size, B)) == want).all()
+        # w = 0 falls below the cut left tail, on the first kept sum
+        _, sums = pg._leaper(law, _Uniforms(np.zeros(1)))
+        assert sums(np.array([B]))[0] == _table_row(law, B)[1]
+
+    N = 200000
+
+    def _verdict(self, B, served):
+        """Sums of ``served`` jumps from the table against multinomial sums
+        of ``B`` jumps, on their sums' cells, each on its own substream."""
+        n, law = self.N, P3.jumps
+        _, sums = pg._leaper(law, POL.substream(f"table-{served}").stream(0))
+        got = sums(np.full(n, served))
+        ref = (POL.substream(f"multinomial-{B}").stream(0).multinomial(B, law.probs_float, n)
+               @ np.asarray(law.values))
+        lo, hi = min(got.min(), ref.min()), max(got.max(), ref.max())
+        p, q = (np.bincount((a - lo).astype(np.int64), minlength=int(hi - lo) + 1) / n
+                for a in (got, ref))
+        live, rows = _cell_rows(p, q, n)
+        assert live.sum() >= 10
+        return verdict(rows, CHECK_FAIL_RATE)
+
+    @pytest.mark.parametrize("B", [8, 37, pg.LEAP_MAX])
+    def test_sums_match_multinomial_sums_in_law(self, B):
+        dist, budget = self._verdict(B, B)
+        assert dist <= budget, (dist, budget)
+
+    def test_row_b_minus_one_fails(self):
+        # fault: row 7 served for 8 jumps; a jump short is 1/8 of the
+        # variance here (at 37 and 512 it is too little for this n)
+        dist, budget = self._verdict(8, 7)
+        assert dist > budget, (dist, budget)
 
 
 class TestEstimateP:
