@@ -45,6 +45,7 @@ __all__ = [
     "check_quintuple",
     "check_amicale",
     "amicale_route",
+    "amicale_grid",
     "check_quadruple",
     "check_alpha_embedding",
 ]
@@ -65,6 +66,10 @@ QUINTUPLE_LATTICE_MIN_CAP = 2 * QUINTUPLE_LATTICE_EDGES[-2]
 QUINTUPLE_CREEPING_EDGES = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, math.inf)
 QUADRUPLE_T_EDGES = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, math.inf)
 AMICALE_S_EDGES = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
+# The amicale creeping route's default x mesh; and the fewest records a cell
+# of the ladder measure must expect to be a row of its own.
+AMICALE_MESH = 0.1
+AMICALE_MIN_COUNT = 30
 ALPHA_V_MAX, ALPHA_X_MAX = 5, 4
 
 
@@ -495,130 +500,111 @@ def _check_quintuple_creeping(spec, u, n, policy, mesh, fixture):
 # ---------------------------------------------------------------------------
 
 
+def amicale_grid(spec: ProcessSpec, mesh: float):
+    """The creeping route's ``(x axis, depth edges, pi)``, or None for a
+    fixture with no up-jump atoms.
+
+    The depth edges are ``0, mesh, ..., K mesh <= top``, ``top`` the largest
+    up atom; the x cells are ``(top - e_{j+1}, top - e_j]`` after a first
+    cell ``[-mesh, top - K mesh]`` that holds the zero fibre.  The up atom
+    ``top - k mesh`` jumps from depth cell ``i`` into the x cell fed from
+    depth cell ``i + k`` by ``top``, and ``pi[i, x cell]`` sums those Levy
+    masses.  Cells stay whole only if ``mesh`` divides every difference of
+    two up atoms: a ValueError refuses any other mesh, and one above ``top``.
+    """
+    law = spec.jumps
+    up = [v for v in law.values if v > 0] if isinstance(law, DiscreteAtoms) else []
+    if not up:
+        return None
+    top, K = max(up), math.floor(max(up) / mesh + 1e-9)
+    shifts = [round((top - v) / mesh) for v in up]
+    if K < 1 or any(abs(top - v - k * mesh) > 1e-9 for v, k in zip(up, shifts)):
+        raise ValueError(f"mesh {mesh:g} must be at most the largest up-jump and divide the"
+                         f" differences of the up-jump sizes {sorted(up)}")
+    vh_edges = [round(j * mesh, 12) for j in range(K + 1)]
+    x_axis = Axis("x", "bins", (-mesh,) + tuple(round(top - e, 12) for e in vh_edges[::-1]))
+    pi = np.zeros((K, K + 1))
+    for v, k in zip(up, shifts):
+        i = np.arange(K - k)
+        pi[i, K - k - i] += spec.levy_atom(v)
+    return x_axis, vh_edges, pi
+
+
 def check_amicale(
     spec: ProcessSpec,
     n: int,
     policy: RngPolicy,
-    mesh: float = 0.1,
+    mesh: float = AMICALE_MESH,
     fixture: str = "",
 ) -> CheckReport:
-    """Ladder jump measure versus the composed dual route.
-
-    On ``x > 0`` the identity must hold for every fixture.  On the ``x = 0``
-    fibre the two sides must agree iff the fixture does not creep: for a
-    lattice compound Poisson fixture the identity is checked cell by cell,
-    the cells held together to ``CHECK_FAIL_RATE``; for a creeping fixture
-    the ladder measure must carry strictly positive mass at ``x = 0`` (at
-    least 5 SE above zero) while the composed route carries none there, and
-    its ``x > 0`` cells are rows against the exact Vhat of
-    :class:`~levyladder.rw_ladder.DriftLattice`, held together to
-    ``CHECK_FAIL_RATE``.
+    """Ladder jump measure versus the composed dual route ``Vhat @ Pi``, one
+    (s, x) histogram held to ``CHECK_FAIL_RATE``: each cell a row with its
+    binomial SE at its exact mass and Vhat's bound times the largest Pi mass
+    that feeds it, the cells that expect under ``AMICALE_MIN_COUNT`` records
+    pooled.  A lattice fixture takes every x atom (Erlang-mixed Vhat); a
+    creeping one the x > 0 cells of :func:`amicale_grid` (the drift
+    lattice's Vhat), or none without up atoms, and on its x = 0 fibre the
+    ladder measure must carry at least 5 SE where ``Vhat @ Pi`` carries none.
     """
-    s_edges = AMICALE_S_EDGES
-    lam = spec.rate
-    if spec.is_compound_poisson:
+    lattice = amicale_route(spec) == "lattice"
+    s_edges, lam = AMICALE_S_EDGES, spec.rate
+    lad = sample_ladder_jumps(spec, n, policy.substream("lhs"),
+                              cap=s_edges[-1] + 1.0 if lattice else s_edges[-1] * 10)
+    ok = ~lad.censored
+    details, rows, pi = [], [], None
+    if lattice:
         walk = rl.LatticeWalkSpec.from_process(spec)
-        h = walk.h
-        law = spec.jumps
-        assert isinstance(law, DiscreteAtoms)
-        lad = sample_ladder_jumps(spec, n, policy.substream("lhs"), cap=s_edges[-1] + 1.0)
-        xim = int(round(max(abs(v) for v in law.values) / h))
-        x_atoms = tuple(j * h for j in range(0, xim + 1))
-        axes = (Axis("s", "bins", s_edges), Axis("x", "atoms", x_atoms))
-        ok = ~lad.censored
-        emp = DiscreteMeasureND.from_points(axes, [lad.ds[ok], lad.dx[ok]], lad.n, weight=lam)
-        # binomial SE per cell; each cell holds mass * n / lam records
-        p = np.rint(emp.mass * (lad.n / lam)) / lad.n
-        se = np.sqrt(np.maximum(p * (1 - p), 0.0) / lad.n) * lam
+        xim = int(round(max(abs(v) for v in spec.jumps.values) / walk.h))
+        x_axis = Axis("x", "atoms", tuple(j * walk.h for j in range(xim + 1)))
+        vhm, vh_bound = rl.erlang_mixture(walk, s_edges, "strict-descending", xim)
         # (Vhat * Pi)(ds, {x}) = sum_vhat Vhat(ds, {vhat}) Pi({x + vhat})
-        vhm, _ = rl.erlang_mixture(walk, s_edges, "strict-descending", xim)
-        pi = np.array([[spec.levy_atom((xl + vhat) * h) if xl + vhat <= xim else 0.0
+        pi = np.array([[spec.levy_atom((xl + vhat) * walk.h) if xl + vhat <= xim else 0.0
                         for xl in range(xim + 1)] for vhat in range(xim + 1)])
-        rhs = vhm @ pi
-        gap = np.abs(emp.mass - rhs)
-        dist, budget = verdict([(g, e, 1e-9) for g, e in zip(gap.ravel(), se.ravel())],
-                               CHECK_FAIL_RATE)
-        return CheckReport(
-            check="amicale",
-            fixture=fixture,
-            params={"n": n},
-            lhs=float(emp.mass[:, 0].sum()),
-            rhs=float(rhs[:, 0].sum()),
-            distance=dist,
-            budget=budget,
-            n_paths=lad.n,
-            censored_mass=lad.censored_mass,
-            details=[{"x0_lhs": float(emp.mass[:, 0].sum()), "x0_rhs": float(rhs[:, 0].sum())}],
-        )
-
-    if not (spec.drift > 0):
-        raise ValueError("amicale check requires compound Poisson or creeping fixtures")
-    lad = sample_ladder_jumps(spec, n, policy.substream("lhs"), cap=s_edges[-1] * 10)
-    res = ~lad.censored
-    zero_fibre = res & (lad.dx == 0.0)
-    p_zero = float(zero_fibre.mean())
-    se_zero = math.sqrt(max(p_zero * (1 - p_zero), 1e-300) / lad.n)
-    lhs_zero = lam * p_zero
-    se_lhs_zero = lam * se_zero
-
-    law = spec.jumps
-    pos_atoms = (
-        [(float(v), float(p)) for v, p in zip(law.values, law.probs) if v > 0]
-        if isinstance(law, DiscreteAtoms)
-        else []
-    )
-    details: list[dict] = []
-    rows = []
-    if pos_atoms:
-        # x > 0 comparison on an aligned mesh: x = xi - v, against the exact
-        # dual measure
-        vh_edges = [0.0] + list(
-            np.round(np.arange(mesh, max(v for v, _ in pos_atoms) + mesh / 2, mesh), 12)
-        )
+    elif (grid := amicale_grid(spec, mesh)) is not None:
+        x_axis, vh_edges, pi = grid
         vhm, vh_bound, vhdrop = rl.DriftLattice(spec, reach=vh_edges[-1]).dual(s_edges, vh_edges)
-        s_axis = Axis("s", "bins", s_edges)
-        for val, p in pos_atoms:
-            for jv in range(len(vh_edges) - 1):
-                xlo = val - vh_edges[jv + 1]
-                xhi = val - vh_edges[jv]
-                if xhi <= 0:
-                    continue
-                sel = res & (lad.dx > max(xlo, 0.0)) & (lad.dx <= xhi)
-                for js in range(s_axis.size):
-                    in_s = sel & (lad.ds > s_edges[js]) & (lad.ds <= s_edges[js + 1])
-                    if js == 0:
-                        in_s = sel & (lad.ds <= s_edges[1])
-                    pe = float(in_s.mean())
-                    lhs_cell = lam * pe
-                    se_cell = lam * math.sqrt(max(pe * (1 - pe), 0.0) / lad.n)
-                    rhs_cell = vhm[js, jv] * spec.levy_atom(val)
-                    rows.append((abs(lhs_cell - rhs_cell), se_cell,
-                                 vh_bound * spec.levy_atom(val), 1e-9))
         details.append({"vhat_dropped": vhdrop})
     else:
         # spectrally negative: the positive part of the jump measure vanishes,
         # so the composed route is identically zero for x > 0 and at {0}
-        pos_mass = float((res & (lad.dx > 0)).mean())
+        pos_mass = float((ok & (lad.dx > 0)).mean())
         rows.append((pos_mass, 0.0))
         details.append({"x_pos_mass": pos_mass})
-
-    # composed route on the zero fibre: sum_v Vhat({v}) Pi({v}) -- zero for
-    # diffuse dual heights; the creeping characterisation demands the ladder
-    # side carry strictly positive mass there (at least 5 SE above zero)
-    rhs_zero = 0.0
-    rows.append((max(5.0 * se_lhs_zero - lhs_zero, 0.0), 0.0))
+    if pi is not None:
+        axes = (Axis("s", "bins", s_edges), x_axis)
+        emp = DiscreteMeasureND.from_points(axes, [lad.ds[ok], lad.dx[ok]], lad.n, weight=lam)
+        rhs = vhm @ pi
+        # a creeping fixture's rows take the x > 0 cells, after the zero cell
+        x0 = 0 if lattice else 1
+        e, r = emp.mass[:, x0:], rhs[:, x0:]
+        p, b = r / lam, np.broadcast_to(vh_bound * pi.max(axis=0)[x0:], r.shape)
+        big = lad.n * p >= AMICALE_MIN_COUNT
+        cells = list(zip(e[big], r[big], p[big], b[big]))
+        if not big.all():
+            cells.append((e[~big].sum(), r[~big].sum(), p[~big].sum(), b[~big].sum()))
+        rows += [(abs(ec - rc), lam * math.sqrt(max(q * (1 - q), 0.0) / lad.n), bc, 1e-9)
+                 for ec, rc, q, bc in cells]
+    if lattice:
+        lhs, rhs_x0, se_lhs = float(emp.mass[:, 0].sum()), float(rhs[:, 0].sum()), 0.0
+        details.append({"x0_lhs": lhs, "x0_rhs": rhs_x0})
+    else:
+        # composed route on the zero fibre: sum_v Vhat({v}) Pi({v}) -- zero
+        # for diffuse dual heights; the creeping characterisation demands
+        # the ladder side carry strictly positive mass there
+        p_zero = float((ok & (lad.dx == 0.0)).mean())
+        lhs, rhs_x0 = lam * p_zero, 0.0
+        se_lhs = lam * math.sqrt(max(p_zero * (1 - p_zero), 1e-300) / lad.n)
+        rows.append((max(5.0 * se_lhs - lhs, 0.0), 0.0))
+        details.append({"x0_mass": lhs, "x0_se": se_lhs, "x0_rhs": 0.0,
+                        "censored": lad.censored_mass})
     dist, budget = verdict(rows, CHECK_FAIL_RATE)
-    details.append({
-        "x0_mass": lhs_zero, "x0_se": se_lhs_zero, "x0_rhs": rhs_zero,
-        "censored": lad.censored_mass,
-    })
     return CheckReport(
         check="amicale",
         fixture=fixture,
         params={"n": n},
-        lhs=lhs_zero,
-        rhs=rhs_zero,
-        se_lhs=se_lhs_zero,
+        lhs=lhs,
+        rhs=rhs_x0,
+        se_lhs=se_lhs,
         distance=dist,
         budget=budget,
         n_paths=lad.n,

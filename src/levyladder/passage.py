@@ -183,18 +183,18 @@ class PassageBatch:
         """Structural invariants that hold for every resolved record.
 
         They are those of :meth:`quintuple`'s ``(x, v, y, s, t)``, read on
-        the whole arrays (``s < 0`` as ``tau < g_before``); a censored
-        record's NaN fields fail no comparison, and ``resolved`` masks it.
+        the whole arrays: ``0 <= y <= min(u, v)`` as ``0 <= max_before <= u``
+        and ``x_before <= max_before``, ``s >= 0`` as ``tau >= g_before``; a
+        censored record's NaN fields fail no comparison, and ``resolved``
+        masks it.
         """
         u = self.u
         with np.errstate(invalid="ignore"):
-            y = u - self.max_before
             bad = (
                 (self.x_before > self.max_before)
                 | (self.max_before > u)
                 | (self.x_at < u)
-                | (y < 0)
-                | (y > np.minimum(u, u - self.x_before))
+                | (self.max_before < 0)
                 | (self.tau < self.g_before)
                 | (self.g_before < 0)
                 | (self.creep & (self.x_at != u))

@@ -125,6 +125,15 @@ def _quintuple_ok(spec, c: Mapping[str, Any], where: str) -> None:
                           f" tail cell holds the censored paths; got {c['cap']!r}")
 
 
+def _amicale_ok(spec, c: Mapping[str, Any], where: str) -> None:
+    if spec.is_compound_poisson:
+        return  # the lattice route reads no mesh
+    try:
+        lawcheck.amicale_grid(spec, float(c.get("mesh", lawcheck.AMICALE_MESH)))
+    except ValueError as exc:
+        raise ConfigError(f"{where}.mesh: {exc}") from None
+
+
 def _alpha_ok(spec, c: Mapping[str, Any], where: str) -> None:
     if "s_max" in c and float(c["s_max"]) < 0.5:
         raise ConfigError(f"{where}.s_max: must be >= 0.5, the first time of the grid;"
@@ -165,6 +174,7 @@ CHECKS: dict[str, Check] = {
             spec, float(c["u"]), n, pol, fixture=fx, **_given(c, "mesh"))),
     "amicale": Check(
         "Levy", ("mesh",), positive=("mesh",), takes=lawcheck.amicale_route,
+        validate=_amicale_ok,
         run=lambda spec, c, n, pol, fx: lawcheck.check_amicale(
             spec, n, pol, fixture=fx, **_given(c, "mesh"))),
     "slfi": Check(

@@ -17,6 +17,8 @@ from levyladder.passage import sample_passages
 import reference
 
 POL = RngPolicy(seed=424242)
+# drift 1 with two up-jump sizes: one x cell takes ladder jumps of both
+TWO_UP = ProcessSpec(1.0, 1.0, DiscreteAtoms([(1.0, 0.25), (2.0, 0.25), (-1.0, 0.5)]))
 
 
 class TestAxes:
@@ -241,9 +243,8 @@ class TestAmicale:
         assert d["x0_mass"] >= 5 * d["x0_se"]
         assert d["x0_rhs"] == 0.0
 
-    # At n = 200000 the P1 x > 0 cells number about 40.  Each held to 3 SE,
-    # seeds 12, 15 and 17 of 11-18 FAIL on correct code; held together to
-    # the false-FAIL rate of one 3-SE comparison, all pass.
+    # P1's 50 x > 0 cells, each with its binomial SE at its exact mass and
+    # the sparse ones pooled, are held together to CHECK_FAIL_RATE
     def test_p1_passes_on_every_seed(self):
         for seed in range(11, 19):
             rep = lc.check_amicale(P1, 200000, RngPolicy(seed), fixture="P1")
@@ -260,6 +261,39 @@ class TestAmicale:
         for seed in range(11, 19):
             rep = lc.check_amicale(P1, 200000, RngPolicy(seed), fixture="P1")
             assert not rep.passed, seed
+
+    @pytest.mark.parametrize("mesh", [0.1, 0.5])
+    def test_two_up_atoms_pass_on_every_seed(self, mesh):
+        # a row's ladder jumps in one x cell come from both atoms; the
+        # per-atom rows this replaced read about 52 times their budget
+        for seed in range(11, 19):
+            rep = lc.check_amicale(TWO_UP, 200000, RngPolicy(seed), mesh=mesh, fixture="T")
+            assert rep.passed, seed
+
+    def test_one_up_atom_dropped_from_pi_fails_on_every_seed(self, monkeypatch):
+        atom = ProcessSpec.levy_atom
+        monkeypatch.setattr(ProcessSpec, "levy_atom",
+                            lambda self, x: 0.0 if x == 1.0 else atom(self, x))
+        for seed in range(11, 19):
+            rep = lc.check_amicale(TWO_UP, 200000, RngPolicy(seed), fixture="T")
+            assert not rep.passed, seed
+
+    def test_creeping_returns_censored_fail_p1_and_p2(self, monkeypatch):
+        # a ladder sampler that loses every return by creeping (x = 0)
+        sample = lc.sample_ladder_jumps
+
+        def no_creeping(*args, **kwargs):
+            lad = sample(*args, **kwargs)
+            return dataclasses.replace(lad, censored=lad.censored | (lad.dx == 0.0))
+
+        monkeypatch.setattr(lc, "sample_ladder_jumps", no_creeping)
+        assert not lc.check_amicale(P2, 100000, POL.substream("am2"), fixture="P2").passed
+        assert not lc.check_amicale(P1, 150000, POL.substream("am1"), fixture="P1").passed
+
+    @pytest.mark.parametrize("spec, mesh", [(TWO_UP, 0.3), (P1, 1.5)])
+    def test_mesh_that_cannot_align_the_up_atoms_is_refused(self, spec, mesh):
+        with pytest.raises(ValueError, match="mesh"):
+            lc.check_amicale(spec, 1000, POL.substream("am"), mesh=mesh)
 
     def test_p3_summary_agrees_with_verdict(self):
         rep = lc.check_amicale(P3, 400000, RngPolicy(20), fixture="P3")

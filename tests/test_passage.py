@@ -59,14 +59,12 @@ class TestFirstPassage:
             return out
 
         batch().validate()
-        # each record breaks one invariant; y < 0 is max_before > u, and
-        # y > v is x_before > max_before up to rounding (the first record is
-        # rounded so that y == v), so seven records cover the eight
+        # each record breaks one of the seven invariants
         violations = [
             dict(x_before=1e-17, max_before=0.0, x_at=2.5),  # x_before > max_before
-            dict(max_before=2.5),                            # max_before > u, y < 0
+            dict(max_before=2.5),                            # max_before > u
             dict(x_at=1.9),                                  # x < 0
-            dict(x_before=-1.0, max_before=-0.5, x_at=2.5),  # y > min(u, v) = u
+            dict(x_before=-1.0, max_before=-0.5, x_at=2.5),  # max_before < 0
             dict(tau=0.5),                                   # s < 0
             dict(tau=-0.5, g_before=-1.0),                   # t < 0
             dict(creep=True),                                # creeps off the level

@@ -255,6 +255,25 @@ class TestCheckTable:
         assert "checks[0].fixture: amicale cannot take X: " in err and why in err
         assert "Traceback" not in err and not (tmp_path / "o").exists()
 
+    # an up-jump pair that the mesh cannot align: 1 and 1.5 are 0.5 apart,
+    # and the default mesh (0.1) does divide that; the lattice route of the
+    # same jumps without drift reads no mesh
+    @pytest.mark.parametrize("mesh", [0.2, 0.3])
+    def test_amicale_mesh_that_cannot_align_the_up_atoms_is_a_config_error(
+            self, tmp_path, capsys, mesh):
+        fixture = {"kind": "levy", "drift": 1.0, "rate": 1.0, "jumps": {
+            "variant": "discrete", "atoms": [[1.0, 0.25], [1.5, 0.25], [-1.0, 0.5]]}}
+        entry = {"name": "amicale", "fixture": "X", "mesh": mesh}
+        runner.ExperimentConfig(_cfg(fixtures={"X": fixture},
+                                     checks=[{"name": "amicale", "fixture": "X"}]))
+        runner.ExperimentConfig(_cfg(fixtures={"X": {**fixture, "drift": 0.0}}, checks=[entry]))
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(_cfg(fixtures={"X": fixture}, checks=[entry])))
+        assert runner.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "checks[0].mesh: " in err and "up-jump sizes [1.0, 1.5]" in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
     def test_ct1_delta_is_accepted_and_ignored(self, tmp_path):
         # configs written for the retired difference quotient still run
         blobs = []
