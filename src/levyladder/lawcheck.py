@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .processes import BivariateSubordinatorSpec, DiscreteAtoms, ProcessSpec
-from .results import CHECK_FAIL_RATE, CheckReport, row_budgets, verdict
+from .results import CheckReport, row_budgets, verdict
 from .rng import RngPolicy
 from .passage import (
     K_CAP_TAIL,
@@ -469,8 +469,8 @@ def _check_quintuple_creeping(spec, u, n, policy, mesh, fixture):
             (abs(creep_mass - p_cut), creep_se, p_bound),
             (abs(p_cut - deriv), 0.0, p_bound + v_bound),
             (abs(1.0 - total), 0.0, strip_bound + jump_bound + p_bound)]
-    budgets = row_budgets(rows, CHECK_FAIL_RATE)
-    dist, budget = verdict(rows, CHECK_FAIL_RATE)
+    budgets = row_budgets(rows)
+    dist, budget = verdict(rows)
 
     details = [{
         "tv": tv, "tv_budget": budgets[0], "creep_mass": creep_mass, "creep_exact": p_cut,
@@ -597,7 +597,7 @@ def check_amicale(
         rows.append((max(5.0 * se_lhs - lhs, 0.0), 0.0))
         details.append({"x0_mass": lhs, "x0_se": se_lhs, "x0_rhs": 0.0,
                         "censored": lad.censored_mass})
-    dist, budget = verdict(rows, CHECK_FAIL_RATE)
+    dist, budget = verdict(rows)
     return CheckReport(
         check="amicale",
         fixture=fixture,

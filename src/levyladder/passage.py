@@ -78,8 +78,7 @@ import numpy as np
 
 from .processes import BivariateSubordinatorSpec, DiscreteAtoms, ProcessSpec, walk
 from .results import (
-    CHECK_FAIL_RATE, CheckReport, EstimateWithError, binomial_estimate, concatenate,
-    row_budgets, verdict,
+    CheckReport, EstimateWithError, binomial_estimate, concatenate, row_budgets, verdict,
 )
 from .rng import RngPolicy, chunked_map
 from . import rw_ladder as rl
@@ -616,9 +615,9 @@ def check_p_estimate(spec: ProcessSpec, t: float, u: float | Sequence[float], n:
         rows.append((abs(est.value - p), math.sqrt(p * (1.0 - p) / n), bound))
         details.append(dict(zip(P_ESTIMATE_COLUMNS + ("p_exact",),
                                 (fixture, t, level, est.value, est.se, est.n, p))))
-    for row, budget in zip(details, row_budgets(rows, CHECK_FAIL_RATE)):
+    for row, budget in zip(details, row_budgets(rows)):
         row["budget"] = budget
-    dist, budget = verdict(rows, CHECK_FAIL_RATE)
+    dist, budget = verdict(rows)
     return CheckReport(check="p-estimate", fixture=fixture, params={"t": t, "u": u, "n": n},
                        lhs=est.value, rhs=float(p), se_lhs=rows[-1][1], distance=dist,
                        budget=budget, n_paths=n, details=details,

@@ -43,8 +43,8 @@ import numpy as np
 
 from .processes import BivariateSubordinatorSpec, ProcessSpec, walk
 from .results import (
-    CHECK_FAIL_RATE, CheckReport, EstimateWithError, binomial_estimate, estimate_from_stats,
-    merge_monitors, row_budgets, verdict,
+    CheckReport, EstimateWithError, binomial_estimate, estimate_from_stats, merge_monitors,
+    row_budgets, verdict,
 )
 from .rng import RngPolicy, chunked_map, merge_mean_m2
 from .passage import _closed, estimate_p, sample_biv_passages
@@ -434,9 +434,9 @@ def check_V_grid(spec: SamplerSpec, t: float | Sequence[float], u: float | Seque
     rows = [(gap, se, censored, bound) for gap, se, censored in
             zip(np.abs(grid.value.ravel() - exact), grid.se.ravel(), grid.censored.ravel())]
     details = grid.rows()
-    for row, v, budget in zip(details, exact, row_budgets(rows, CHECK_FAIL_RATE)):
+    for row, v, budget in zip(details, exact, row_budgets(rows)):
         row.update(V_exact=v, budget=budget)
-    dist, budget = verdict(rows, CHECK_FAIL_RATE)
+    dist, budget = verdict(rows)
     return CheckReport(check="V-grid", fixture=fixture,
                        params={"t": t, "u": u, "n": n_per_cell},
                        lhs=float(grid.value[-1, -1]), rhs=float(exact[-1]),
@@ -518,7 +518,7 @@ def check_ct1(spec: ProcessSpec, t: float, u: float, n: int, policy: RngPolicy,
     est, mon = estimate_p(spec, t, u, n, policy.substream("p"))
     _, p, bound = exact_V(spec, t, u)
     se = math.sqrt(p * (1.0 - p) / n)
-    dist, budget = verdict([(abs(est.value - p), se, bound)], CHECK_FAIL_RATE)
+    dist, budget = verdict([(abs(est.value - p), se, bound)])
     return CheckReport(check="ct1", fixture=fixture, params={"t": t, "u": u, "n": n},
                        lhs=est.value, rhs=p, se_lhs=se, distance=dist, budget=budget,
                        n_paths=n, monitors=mon, details=[{"rhs_bound": bound}])
@@ -567,7 +567,7 @@ def check_subpint(
         # and the trapezoid (weights summing to u) and rhs behind quad_bias
         # by u bound + d_Y bound
         rhs_bound = (u + 2.0 * d_y) * bound
-    dist, budget = verdict([(abs(lhs - rhs), lhs_se, quad_bias, rhs_bound)], CHECK_FAIL_RATE)
+    dist, budget = verdict([(abs(lhs - rhs), lhs_se, quad_bias, rhs_bound)])
     return CheckReport(check="subpint", fixture=fixture,
                        params={"t": t, "u": u, "n_per_node": n_per_node}, lhs=lhs, rhs=rhs,
                        se_lhs=lhs_se, distance=dist, budget=budget, n_paths=n_paths,

@@ -72,35 +72,29 @@ def binomial_estimate(k: int, n: int) -> EstimateWithError:
     return EstimateWithError(p, math.sqrt(p * (1.0 - p) / n), n)
 
 
-# SEs that one comparison may be off before it FAILs.
-Z_ONE = 3.0
-# Two-sided false-FAIL rate of a whole check, all its rows together, for
-# the checks whose right side is exact: z = 3.89 for one row, 4.39 for nine.
+# Two-sided false-FAIL rate of a whole check, all its rows that carry an SE
+# together: z = 3.89 for one row, 4.15 for three, 4.39 for nine.
 CHECK_FAIL_RATE = 1e-4
 
 
-def sidak_z(m: int, rate: float | None = None) -> float:
+def sidak_z(m: int, rate: float = CHECK_FAIL_RATE) -> float:
     """SE multiple that holds ``m`` comparisons together to the two-sided
-    false-FAIL rate ``rate`` (Sidak), by default that of one comparison at
-    ``Z_ONE`` SE: then exactly ``Z_ONE`` for ``m <= 1``, about 3.99 for
-    ``m = 41``."""
-    if rate is None:
-        if m <= 1:
-            return Z_ONE
-        rate = 2.0 * NormalDist().cdf(-Z_ONE)
+    false-FAIL rate ``rate`` (Sidak): 3.89 for ``m <= 1``, 4.15 for ``m = 3``
+    at ``CHECK_FAIL_RATE``."""
     return -NormalDist().inv_cdf(-math.expm1(math.log1p(-rate) / max(m, 1)) / 2.0)
 
 
-def row_budgets(rows: Sequence[Sequence[float]], rate: float | None = None) -> list[float]:
+def row_budgets(rows: Sequence[Sequence[float]], rate: float = CHECK_FAIL_RATE) -> list[float]:
     """Budget of each comparison row ``(gap, se, *terms)``: ``sidak_z(m, rate)
-    * se`` plus the row's bias bounds and fixed slack ``terms``, added in
-    order, where ``m`` counts the rows with ``se > 0`` (TV and sup-CDF rows
-    have none)."""
+    * se`` plus the row's bias bounds and fixed ``terms``, added in order,
+    where ``m`` counts the rows with ``se > 0`` (TV and sup-CDF rows have
+    none, and only their fixed terms)."""
     z = sidak_z(sum(1 for row in rows if row[1] > 0), rate)
     return [reduce(add, terms, z * se) for _, se, *terms in rows]
 
 
-def verdict(rows: Sequence[Sequence[float]], rate: float | None = None) -> tuple[float, float]:
+def verdict(rows: Sequence[Sequence[float]], rate: float = CHECK_FAIL_RATE
+            ) -> tuple[float, float]:
     """``(distance, budget)`` of the row with the largest gap/budget ratio,
     so the first is within the second iff every row is within its budget.
     A NaN gap counts as the worst.  ``rate`` is as for :func:`row_budgets`."""
@@ -123,10 +117,11 @@ class CheckReport:
     A check compares its routes in one or more rows (see :func:`verdict`)
     and reports the ``distance`` and ``budget`` of its worst row, so
     ``passed`` -- ``distance <= budget`` -- holds iff every row is within
-    its budget.  A row's budget is ``sidak_z(m) * se`` plus its bias bounds
-    and slack, with ``m`` the number of rows that carry an SE.  ``details``
-    carries per-cell or per-node rows for the CSV report, in the order ``columns``
-    gives (empty: the sorted union of the rows' keys); ``monitors`` carries
+    its budget.  A row's budget is ``sidak_z(m) * se`` plus its bias bounds,
+    with ``m`` the number of rows that carry an SE; a TV or sup-CDF row has
+    none, and a fixed budget.  ``details`` carries per-cell or per-node rows
+    for the CSV report, in the order ``columns`` gives (empty: the sorted
+    union of the rows' keys); ``monitors`` carries
     never-observed-event counters accumulated over all paths the check ran.
     ``measures`` holds the (empirical, exact) measures a distribution check
     compared, for callers that regroup their cells; no file records it.

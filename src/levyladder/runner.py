@@ -100,14 +100,8 @@ _TRANSFORM_KEYS = ("mu", "rho", "ell", "nu", "theta")
 
 
 def _transform_ok(spec, c: Mapping[str, Any], where: str) -> None:
-    p = _params_from(c)
-    if not p.derivative_branch and abs(p.mu + p.ell - p.rho) < 1e-9:
-        raise ConfigError(
-            f"{where}: mu + ell - rho is numerically zero; use the derivative branch"
-            " (set ell = rho - mu exactly)"
-        )
     try:
-        p.validate_for(spec)
+        _params_from(c).validate_for(spec)
     except ValueError as exc:
         raise ConfigError(f"{where}: inadmissible transform parameters: {exc}") from None
 

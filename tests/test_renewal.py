@@ -15,6 +15,7 @@ from levyladder import rw_ladder as rl
 from levyladder.renewal import OCC_TIME_GUARD, Boxes, _stats_per_column
 
 import reference
+from test_passage import THREE_SE
 
 POL = RngPolicy(seed=1157)
 
@@ -121,7 +122,7 @@ class TestExactV:
         grid = rn.estimate_V(B1, ts, us, n, POL.substream("exact-grid"))
         rows = [(abs(grid.value[i, j] - rn.exact_V(B1, t, u)[0]), grid.se[i, j])
                 for i, t in enumerate(ts) for j, u in enumerate(us)]
-        distance, budget = verdict(rows)
+        distance, budget = verdict(rows, THREE_SE)
         assert distance <= budget
 
 

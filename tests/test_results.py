@@ -6,30 +6,34 @@ import sys
 import pytest
 
 import levyladder
-from levyladder.results import CheckReport, row_budgets, sidak_z, verdict
+from levyladder.results import CHECK_FAIL_RATE, CheckReport, row_budgets, sidak_z, verdict
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
 class TestVerdict:
+    def test_one_comparison_is_held_to_the_check_rate(self):
+        assert sidak_z(1) == pytest.approx(3.8906, abs=5e-5)
+        assert sidak_z(0) == sidak_z(1)
+        assert sidak_z(3) == pytest.approx(4.1494, abs=5e-5)
+
     def test_one_comparison_is_three_se_exactly(self):
-        assert sidak_z(1) == 3.0
-        assert sidak_z(0) == 3.0
+        # an explicit rate overrides the default: one comparison at the rate
+        # of 3 SE is 3 SE, to rounding
+        assert sidak_z(1, math.erfc(3.0 / math.sqrt(2.0))) == pytest.approx(3.0, rel=1e-12)
 
     def test_sidak_z_grows_with_the_number_of_comparisons(self):
         zs = [sidak_z(m) for m in (1, 2, 3, 10, 41, 1000)]
         assert zs == sorted(zs) and len(set(zs)) == len(zs)
-        assert sidak_z(41) == pytest.approx(3.99, abs=0.005)
-        # m comparisons at z(m) fail together as often as one fails at 3 SE
-        one = math.erfc(3.0 / math.sqrt(2.0))
-        for m in (2, 41, 1000):
+        # m comparisons at z(m) fail together at CHECK_FAIL_RATE
+        for m in (1, 2, 41, 1000):
             each = math.erfc(sidak_z(m) / math.sqrt(2.0))
-            assert 1.0 - (1.0 - each) ** m == pytest.approx(one, rel=1e-9)
+            assert 1.0 - (1.0 - each) ** m == pytest.approx(CHECK_FAIL_RATE, rel=1e-9)
 
     def test_budget_adds_terms_in_order_after_the_se_term(self):
         se, slack, bias, tail = 0.0123, 0.02 * 0.7, 1.1e-4, 3.3e-7
         [budget] = row_budgets([(0.0, se, slack, bias, tail)])
-        assert budget == slack + 3.0 * se + bias + tail
+        assert budget == sidak_z(1) * se + slack + bias + tail
 
     def test_only_rows_with_an_se_count(self):
         rows = [(0.0, 0.1, 0.5), (0.0, 0.0, 0.02), (0.0, 0.2)]

@@ -10,8 +10,9 @@ from levyladder.processes import (
 )
 from levyladder.results import CHECK_FAIL_RATE, verdict
 from levyladder.rng import RngPolicy
+from levyladder import rw_ladder as rl
 from levyladder import transforms as tr
-from test_passage import _Script
+from test_passage import THREE_SE, _Script
 
 POL = RngPolicy(seed=80808)
 
@@ -97,6 +98,12 @@ class TestParams:
         with pytest.raises(ValueError, match="derivative branch"):
             tr.slfi_check(B1, p, 100, POL.substream("deg"))
 
+    def test_fluct_generic_branch_refused_near_degeneracy(self):
+        p = tr.TransformParams(1.0, 2.0, 1.0 + 1e-11, 1.0, 1.0)
+        assert not p.derivative_branch
+        with pytest.raises(ValueError, match="derivative branch"):
+            tr.slfi_fluct_check(P2, p, 100, POL.substream("deg"))
+
 
 class TestSlfiRhs:
     def test_swap_symmetry_is_exact(self):
@@ -147,7 +154,7 @@ class TestSlfiExactLevels:
     def test_unbiased_within_se_without_slack(self, spec, params):
         rep = tr.slfi_check(spec, params, 50000, POL.substream("specs"))
         dist, budget = verdict([(abs(rep.lhs - rep.rhs), rep.se_lhs,
-                                 rep.details[0]["trunc_bias"])])
+                                 rep.details[0]["trunc_bias"])], THREE_SE)
         assert dist <= budget
 
     def test_derivative_branch_is_the_limit_of_the_generic_jump_term(self):
@@ -292,6 +299,23 @@ class TestSlfiChecks:
                                   POL.substream("fld"), fixture="P2")
         assert rep.passed
 
+    @pytest.mark.parametrize("params", [GENERIC, DERIV], ids=["generic", "deriv"])
+    def test_fault_d_y_two_percent_high_on_the_right_side_fails(self, monkeypatch, params):
+        # a 2% error on the exact side, at the suite's n
+        rhs = tr.slfi_rhs_closed_form
+        monkeypatch.setattr(tr, "slfi_rhs_closed_form", lambda spec, p: rhs(
+            dataclasses.replace(spec, d_y=1.02 * spec.d_y), p))
+        rep = tr.slfi_check(B1, params, 100_000, POL.substream(f"dy:{params}"))
+        assert not rep.passed
+
+    def test_fault_rate_two_percent_high_in_the_ladder_kappa_fails(self, monkeypatch):
+        # a 2% error in the ladder route of the right side, at the suite's n
+        kappa = tr.kappa_from_ladder
+        monkeypatch.setattr(tr, "kappa_from_ladder", lambda spec, lad, a, b: kappa(
+            dataclasses.replace(spec, rate=1.02 * spec.rate), lad, a, b))
+        rep = tr.slfi_fluct_check(P2, GENERIC, 400_000, POL.substream("fluct-lam"))
+        assert not rep.passed
+
     def test_fluct_needs_creeping_fixture(self):
         with pytest.raises(ValueError):
             tr.slfi_fluct_check(P3, tr.TransformParams(1, 2, 0, 1, 1), 100, POL)
@@ -312,6 +336,29 @@ class TestWienerHopf:
     def test_requires_compound_poisson(self):
         with pytest.raises(ValueError):
             tr.wiener_hopf_check(P1, (1.0,), 100, POL)
+
+    def test_fault_rate_two_percent_high_in_kappa_fails(self, monkeypatch):
+        # a 2% error in the ladder route of kappa, at the suite's n
+        kappa = tr.kappa_from_ladder
+        monkeypatch.setattr(tr, "kappa_from_ladder", lambda spec, lad, a, b: kappa(
+            dataclasses.replace(spec, rate=1.02 * spec.rate), lad, a, b))
+        rep = tr.wiener_hopf_check(P3, (0.5, 1.0, 2.0), 200_000, POL.substream("wh-lam"))
+        assert not rep.passed
+
+    def test_fault_kappahat_from_weak_descending_layers_fails(self, monkeypatch):
+        # the weak-descending layers are the weak-ascending ones of the
+        # reflected walk: they count returns to the start level as ladder epochs
+        layers = rl.stay_region_layers
+
+        def weak(walk, K, mode):
+            if mode == "strict-descending":
+                reflected = dataclasses.replace(walk, steps=tuple(-s for s in walk.steps))
+                return layers(reflected, K, "weak-ascending")
+            return layers(walk, K, mode)
+
+        monkeypatch.setattr(rl, "stay_region_layers", weak)
+        rep = tr.wiener_hopf_check(P3, (0.5, 1.0, 2.0), 200_000, POL.substream("wh-weak"))
+        assert not rep.passed
 
 
 # S1 and a second subordinator with exponential up-jumps, at two killing rates
