@@ -6,11 +6,17 @@ sweep judges exactly what the benchmark runs), runs it, and reads every
 check's verdict from ``summary.csv``.  Prints one line per seed with each
 check's distance/budget, then each check's FAIL count and its worst
 distance/budget over the sweep, with the seed that gave it, which shows how
-much headroom a budget has.  Last comes the number of seeds whose run had
+much headroom a budget has.  Then comes the number of seeds whose run had
 any FAIL: the run-level share that the benchmark's more_failures gate
 compares between two trees.
 
-    python demos/seed_sweep.py --workload lattice-tail --seeds 11-40
+Last, each check's nominal false-FAIL rate: ``CHECK_FAIL_RATE``, or
+``fixed`` for a check with a fixed-budget row (a TV, sup-CDF or mass bound
+with no SE), whose rate has no nominal value; and ``--runs`` times the sum
+of the nominal rates, the false FAILs to expect from one perfbench
+invocation of that many runs, the fixed-budget checks left out.
+
+    python demos/seed_sweep.py --workload lattice-tail --seeds 11-40 --runs 44
 """
 
 from __future__ import annotations
@@ -29,7 +35,12 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from levyladder import runner  # noqa: E402
+from levyladder.results import CHECK_FAIL_RATE  # noqa: E402
 import workloads  # noqa: E402
+
+# Checks with a fixed-budget row: quintuple's and quadruple's TV and mass
+# rows, alpha's sup-CDF.
+FIXED_BUDGET_CHECKS = ("quintuple", "quadruple", "alpha")
 
 
 def seed_range(text: str) -> range:
@@ -43,6 +54,14 @@ def ratio(distance: float, budget: float) -> float:
     if budget > 0 and distance == distance:
         return distance / budget
     return 0.0 if distance <= 0 else math.inf
+
+
+def nominal_rates(workload: str) -> dict[str, float | None]:
+    """Nominal false-FAIL rate per check (``index.check.fixture``):
+    ``CHECK_FAIL_RATE``, or None for a check with a fixed-budget row."""
+    return {f"{i}.{c['name']}.{c['fixture']}":
+            None if c["name"] in FIXED_BUDGET_CHECKS else CHECK_FAIL_RATE
+            for i, c in workloads.check_entries(workload)}
 
 
 def sweep(workload: str, seeds: range
@@ -78,6 +97,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seeds", default="11-40", help="inclusive range, e.g. 11-40")
+    parser.add_argument("--runs", type=int, default=1,
+                        help="runs of one perfbench invocation, for its expected false FAILs")
     args = parser.parse_args(argv)
     seeds = seed_range(args.seeds)
     fails, worst, failed_runs = sweep(args.workload, seeds)
@@ -86,6 +107,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name}: {count}/{len(seeds)} FAIL, worst distance/budget {r:.3g}"
               f" (seed {seed})")
     print(f"runs with any FAIL: {failed_runs}/{len(seeds)}")
+    rates = nominal_rates(args.workload)
+    for name, rate in rates.items():
+        print(f"{name}: nominal false-FAIL rate {'fixed' if rate is None else f'{rate:g}'}")
+    expected = args.runs * sum(rate for rate in rates.values() if rate is not None)
+    print(f"expected false FAILs in {args.runs} runs: {expected:.3g}"
+          " (fixed-budget checks not counted)")
     return 0
 
 

@@ -641,42 +641,34 @@ def check_quadruple(
         raise ValueError("Y never crosses: no quadruple law to check")
     if spec.d_y == 0:
         return _check_quadruple_lattice_y(spec, u, n, policy, t_edges, fixture)
-    for dxv in dx_vals:
-        if abs(round(dxv / mesh) * mesh - dxv) > 1e-9:
-            raise ValueError("mesh must divide the Y jump sizes for aligned cells")
-    x_hi = max(dx_vals) if dx_vals else mesh
-    x_axis = Axis("x", "bins", _zero_offset_edges(mesh, x_hi))
+    if any(abs(round(dxv / mesh) * mesh - dxv) > 1e-9 for dxv in dx_vals):
+        raise ValueError("mesh must divide the Y jump sizes for aligned cells")
+    x_axis = Axis("x", "bins", _zero_offset_edges(mesh, max(dx_vals, default=mesh)))
     y_axis = Axis("y", "bins", _zero_offset_edges(mesh, u))
     s_atoms = tuple(sorted({0.0} | {dt for dt, dx, _ in spec.atoms if dx > 0}))
-    s_axis = Axis("s", "atoms", s_atoms)
-    t_axis = Axis("t", "bins", t_edges)
-    axes = (x_axis, y_axis, s_axis, t_axis)
+    axes = (x_axis, y_axis, Axis("s", "atoms", s_atoms), Axis("t", "bins", t_edges))
 
     batch = sample_biv_passages(spec, u, n, policy.substream("emp"))
     x, yv, s, t = batch.quadruple()
     emp = DiscreteMeasureND.from_points(axes, [x, yv, s, t], batch.n)
 
-    # V and its creeping term at every corner (t-edge, u - y-edge), y >= 0;
-    # the t = 0 row stands for Z < 0 and stays zero
-    y_edges = y_axis.values[1:]
-    corners = np.zeros((len(t_edges), len(y_edges), 2))
+    # V and its creeping term at every corner (t-edge, u - y-edge), y >= 0,
+    # one exact_V call per t-edge; the t = 0 row stands for Z < 0 and stays zero
+    y_edges = np.array(y_axis.values[1:])
+    corners = np.zeros((len(t_edges), y_edges.size, 2))
     for i, te in enumerate(t_edges[1:], start=1):
-        corners[i] = [exact_V(spec, te, u - ye)[:2] for ye in y_edges]
+        corners[i, :, 0], corners[i, :, 1] = exact_V(spec, te, u - y_edges)[:2]
     per_t = np.diff(corners, axis=0)
     # box (t bin, Y in (u - y_hi, u - y_lo]) for y bin jy >= 1
     boxes = -np.diff(per_t[:, :, 0], axis=1)
     rhs_mass = np.zeros(tuple(a.size for a in axes))
-    for jy in range(1, y_axis.size):
-        ylo = y_axis.values[jy]
-        for dt, dxv, r in spec.atoms:
-            # x-cell aligned with the diagonal x = dx - y
-            if dxv - ylo <= 0:
-                continue
-            ix = x_axis.index(np.array([dxv - ylo]))[0]
-            rhs_mass[ix, jy, s_atoms.index(dt)] += boxes[:, jy - 1] * r
-    ix0 = x_axis.index(np.array([0.0]))[0]
-    iy0 = y_axis.index(np.array([0.0]))[0]
-    rhs_mass[ix0, iy0, s_atoms.index(0.0)] += per_t[:, 0, 1]
+    for dt, dxv, r in spec.atoms:
+        # x-cells aligned with the diagonal x = dx - y, y the bins' lower edges
+        ix = x_axis.index(dxv - y_edges[:-1])
+        for jy in np.flatnonzero(dxv > y_edges[:-1]):
+            rhs_mass[ix[jy], jy + 1, s_atoms.index(dt)] += boxes[:, jy] * r
+    # the creeping atom x = y = 0 is cell 0 of both axes
+    rhs_mass[0, 0, s_atoms.index(0.0)] += per_t[:, 0, 1]
     deriv_mass = float(corners[-2, 0, 1])
     rhs = DiscreteMeasureND(axes, rhs_mass)
     tv = emp.tv_distance(rhs)
@@ -716,8 +708,7 @@ def _check_quadruple_lattice_y(spec, u, n, policy, t_edges, fixture):
     from functools import reduce
     from .rw_ladder import _fraction_gcd
 
-    dx_fracs = [Fraction(dx) for _, dx, _ in spec.atoms if dx > 0]
-    h = float(reduce(_fraction_gcd, dx_fracs))
+    h = float(reduce(_fraction_gcd, [Fraction(dx) for _, dx, _ in spec.atoms if dx > 0]))
     y_atoms = sorted({round(u - k * h, 12) for k in range(int(u / h) + 1) if u - k * h >= 0})
     x_atoms = sorted({round(dxv - y, 12) for _, dxv, _ in spec.atoms if dxv > 0
                       for y in y_atoms if dxv - y > 0})
@@ -733,19 +724,17 @@ def _check_quadruple_lattice_y(spec, u, n, policy, t_edges, fixture):
     x, yv, s, t = batch.quadruple()
     emp = DiscreteMeasureND.from_points(axes, [x, yv, s, t], batch.n)
 
-    heights = [round((u - ya) / h) for ya in y_atoms]
-    corners = np.zeros((len(t_edges), len(heights)))
+    k = np.array([round((u - ya) / h) for ya in y_atoms])
+    corners = np.zeros((len(t_edges), k.size))
     for i, te in enumerate(t_edges[1:], start=1):
-        corners[i] = [exact_V(spec, te, (k + 0.5) * h)[0] - exact_V(spec, te, (k - 0.5) * h)[0]
-                      for k in heights]
+        corners[i] = exact_V(spec, te, (k + 0.5) * h)[0] - exact_V(spec, te, (k - 0.5) * h)[0]
     boxes = np.diff(corners, axis=0)
     rhs_mass = np.zeros(tuple(a.size for a in axes))
     for jy, ya in enumerate(y_atoms):
         for dt, dxv, r in spec.atoms:
             xa = round(dxv - ya, 12)
-            if dxv <= 0 or xa <= 0:
-                continue
-            rhs_mass[x_atoms.index(xa), jy, s_atoms.index(dt)] += boxes[:, jy] * r
+            if dxv > 0 and xa > 0:
+                rhs_mass[x_atoms.index(xa), jy, s_atoms.index(dt)] += boxes[:, jy] * r
     rhs = DiscreteMeasureND(axes, rhs_mass)
     tv = emp.tv_distance(rhs)
     dist, budget = verdict([(tv, 0.0, QUADRUPLE_TV)])

@@ -89,7 +89,8 @@ def _merge_columns(parts: list[list[tuple[int, float, float]]]) -> list[tuple[in
 # Real-time cap of the occupation paths when some box is unbounded in time;
 # paths stopped there are reported as censored.
 OCC_TIME_GUARD = 1e7
-# Most floats one (paths x boxes) temporary of a per-box hook holds.
+# Most floats one (paths x boxes) temporary of a per-box hook, or one Poisson
+# table of the exact renewal sum, holds.
 OCC_BLOCK = 2**16
 
 
@@ -199,8 +200,10 @@ def exact_V(spec: SamplerSpec, t: float, u: float | Sequence[float]) -> tuple[An
     """
     levels = np.atleast_1d(np.asarray(u, dtype=float))
     if isinstance(spec, BivariateSubordinatorSpec):
-        V, p = np.array([_exact_biv(spec, t, float(v)) for v in levels]).T
-        bound = 0.0
+        V, p, bound = np.zeros(levels.size), np.zeros(levels.size), 0.0
+        for part in (levels >= 0) & np.isfinite(levels), levels == math.inf:
+            if t >= 0 and part.any():
+                V[part], p[part] = _exact_biv(spec, t, levels[part])
     else:
         lat = DriftLattice(spec, reach=float(levels.max()))
         (V,), _, bound = lat.occupation([t], levels)
@@ -213,7 +216,7 @@ def exact_V(spec: SamplerSpec, t: float, u: float | Sequence[float]) -> tuple[An
     return V, p, bound
 
 
-def _exact_biv(spec: BivariateSubordinatorSpec, t: float, u: float) -> tuple[float, float]:
+def _exact_biv(spec: BivariateSubordinatorSpec, t: float, levels: np.ndarray) -> tuple[Any, Any]:
     """``V(t, u)`` and the creeping term ``d_Y dV/du`` (left derivative), exactly.
 
     ``V(t, u) = int_0^inf e^{-qs} P(Z_s <= t, Y_s <= u) ds`` is a finite sum
@@ -229,51 +232,57 @@ def _exact_biv(spec: BivariateSubordinatorSpec, t: float, u: float) -> tuple[flo
     ``sum_m W(m) c^{-k} P(Poisson(c S(m)) = k)``: the probability that Y
     creeps over ``u`` unkilled with ``Z <= t``.  An atom that moves only an
     unbounded coordinate never leaves the box; summing out its count removes
-    its rate from ``c``.  Both boxes are closed.
+    its rate from ``c``.  Both boxes are closed.  All ``levels`` (``>= 0``, all
+    finite or all infinite; ``t >= 0``) share the largest level's vectors.
     """
-    if t < 0 or u < 0:
-        return 0.0, 0.0
+    u_finite = math.isfinite(levels[0])
     kept = [(dt, dx, r) for dt, dx, r in spec.atoms
-            if (dt > 0 and math.isfinite(t)) or (dx > 0 and math.isfinite(u))]
-    t_top, u_top = _closed(t), _closed(u)
-    m = np.zeros((1, 0), dtype=np.int64)
-    a = np.zeros(1)
-    b = np.zeros(1)
+            if (dt > 0 and math.isfinite(t)) or (dx > 0 and u_finite)]
+    t_top, u_tops = _closed(t), np.array([_closed(v) for v in levels.tolist()])
+    u_top = float(u_tops.max())
+    m, a, b = np.zeros((1, 0), dtype=np.int64), np.zeros(1), np.zeros(1)
     for dt, dx, _ in kept:
         steps = np.arange(int(min(t_top / dt if dt > 0 else math.inf,
                                   u_top / dx if dx > 0 else math.inf)) + 1)
         rows, cols = np.nonzero((a[:, None] + steps * dt <= t_top)
                                 & (b[:, None] + steps * dx <= u_top))
         if rows.size > MAX_COUNT_VECTORS:
-            raise ValueError(f"V({t}, {u}) needs at least {rows.size} jump-count vectors, "
+            raise ValueError(f"V({t}, {u_top}) needs at least {rows.size} jump-count vectors, "
                              f"more than {MAX_COUNT_VECTORS}")
         m = np.column_stack([m[rows], steps[cols]])
         a = a[rows] + steps[cols] * dt
         b = b[rows] + steps[cols] * dx
 
-    never = np.full(a.size, math.inf)
-    s_z = (t - a) / spec.d_z if spec.d_z > 0 and math.isfinite(t) else never
-    y_drifts_out = spec.d_y > 0 and math.isfinite(u)
-    s_y = np.maximum((u - b) / spec.d_y, 0.0) if y_drifts_out else never
+    # (vector, level) pairs that fit, in vector order; S(m) at which each leaves
+    vec, lev = np.nonzero(b[:, None] <= u_tops)
+    never = np.full(vec.size, math.inf)
+    s_z = (t - a[vec]) / spec.d_z if spec.d_z > 0 and math.isfinite(t) else never
+    y_drifts_out = spec.d_y > 0 and u_finite
+    s_y = np.maximum((levels[lev] - b[vec]) / spec.d_y, 0.0) if y_drifts_out else never
     s = np.minimum(s_z, s_y)
-    exits_y = (spec.d_z * s_y + a <= t_top) if y_drifts_out else np.zeros(a.size, bool)
+    exits_y = (spec.d_z * s_y + a[vec] <= t_top) if y_drifts_out else np.zeros(vec.size, bool)
     rates = np.array([r for _, _, r in kept])
     c = spec.q + float(rates.sum())
     if c == 0:  # nothing kills or jumps: the drift alone, from the origin
-        return float(s[0]), float(exits_y[0])
+        return s, exits_y
 
     k = m.sum(axis=1)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, k.max() + 1)))))
     log_w = log_fact[k] - log_fact[m].sum(axis=1) + (m * np.log(rates)).sum(axis=1)
-    log_c = math.log(c)
-    v = creep = 0.0
-    for kj, lw, sj, ej in zip(k.tolist(), log_w.tolist(), s.tolist(), exits_y.tolist()):
-        # P(N >= k) and P(N >= k + 1) for N ~ Poisson(c S(m))
-        sf = poisson_weights([c * sj], kj)[1][0] if math.isfinite(sj) else np.ones(kj + 2)
-        v += math.exp(lw - (kj + 1) * log_c) * float(sf[kj + 1])
-        if ej:
-            creep += math.exp(lw - kj * log_c) * float(sf[kj] - sf[kj + 1])
-    return v, creep
+    w = np.exp(log_w - np.stack([k + 1, k]) * math.log(c))[:, vec]
+    # P(N >= k + 1) and P(N >= k) for N ~ Poisson(c S(m)), both 1 when S(m)
+    # is infinite, from tables of at most OCC_BLOCK floats
+    mu, kv = c * s, k[vec]
+    fin = np.flatnonzero(np.isfinite(mu))
+    top = float(mu[fin].max(initial=0.0))
+    sf = np.ones((2, vec.size))
+    for blk in _row_blocks(fin.size, int(top + 40.0 * math.sqrt(top + 1.0) + 62.0) + k.max()):
+        rows = fin[blk]
+        table = poisson_weights(mu[rows], int(kv[rows].max()))[1]
+        sf[:, rows] = table[np.arange(rows.size), kv[rows] + [[1], [0]]]
+    # each level adds up its terms in vector order
+    return (np.bincount(lev, w[0] * sf[0], levels.size),
+            np.bincount(lev, np.where(exits_y, w[1] * (sf[1] - sf[0]), 0.0), levels.size))
 
 
 # Time cap of the bivariate minimum T^Y_u ^ T^Z_t; paths reaching it are

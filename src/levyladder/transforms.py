@@ -408,7 +408,8 @@ def wiener_hopf_check(
     Monte-Carlo route.  Each ``a`` is one row, ``|kappa kappahat - a| / a``
     against its SE, with the ladder sample's truncation and the dual table's
     geometric tail added to its budget; the rows are held together to
-    ``CHECK_FAIL_RATE``."""
+    ``CHECK_FAIL_RATE``.  ``lhs`` and ``rhs`` are the last row's product and
+    ``a``, but ``distance`` and ``budget`` the worst row's, maybe another."""
     walk = rl.LatticeWalkSpec.from_process(spec)
     lam = spec.rate
     lad = sample_ladder_jumps(spec, n, policy.substream("kappa"), cap=WH_LADDER_CAP)
@@ -436,8 +437,6 @@ def wiener_hopf_check(
         params={"a_values": list(a_values), "n": n},
         lhs=rows[-1]["product"],
         rhs=a_values[-1],
-        se_lhs=0.0,
-        se_rhs=0.0,
         distance=dist,
         budget=budget,
         n_paths=lad.n,

@@ -20,6 +20,11 @@
   :func:`dual_ladder_measure` keeps only the points it records, as a list
   of (path, cell) keys, and takes each cell's mean and M2 from exact
   integer sums of the per-path counts.
+* The one-level renewal sum of an explicit bivariate subordinator:
+  :func:`biv_renewal_one_level` enumerates the jump-count vectors of one
+  box ``[0, t] x [0, u]`` and adds each vector's term in a Python loop,
+  one Poisson table per vector.  The library evaluates every level of one
+  ``t`` in one pass; the tests compare the two.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from levyladder.processes import ProcessSpec, walk
+from levyladder.passage import _closed
+from levyladder.processes import BivariateSubordinatorSpec, ProcessSpec, walk
 from levyladder.renewal import _merge_columns, _row_blocks, _stats_per_column
 from levyladder.results import EstimateWithError, estimate_from_stats
 from levyladder.rng import RngPolicy, chunked_map
@@ -393,3 +399,55 @@ def dual_ladder_measure(
         mass[j // nv, j % nv] = est.value
         se[j // nv, j % nv] = est.se
     return mass, se
+
+
+# ---------------------------------------------------------------------------
+# Exact bivariate renewal sum at one level (per-vector loop)
+# ---------------------------------------------------------------------------
+
+
+def biv_renewal_one_level(spec: BivariateSubordinatorSpec, t: float,
+                          u: float) -> tuple[float, float]:
+    """``V(t, u)`` and the creeping term ``d_Y dV/du`` at one level, the
+    terms of :func:`levyladder.renewal._exact_biv` summed one jump-count
+    vector at a time."""
+    if t < 0 or u < 0:
+        return 0.0, 0.0
+    kept = [(dt, dx, r) for dt, dx, r in spec.atoms
+            if (dt > 0 and math.isfinite(t)) or (dx > 0 and math.isfinite(u))]
+    t_top, u_top = _closed(t), _closed(u)
+    m = np.zeros((1, 0), dtype=np.int64)
+    a = np.zeros(1)
+    b = np.zeros(1)
+    for dt, dx, _ in kept:
+        steps = np.arange(int(min(t_top / dt if dt > 0 else math.inf,
+                                  u_top / dx if dx > 0 else math.inf)) + 1)
+        rows, cols = np.nonzero((a[:, None] + steps * dt <= t_top)
+                                & (b[:, None] + steps * dx <= u_top))
+        m = np.column_stack([m[rows], steps[cols]])
+        a = a[rows] + steps[cols] * dt
+        b = b[rows] + steps[cols] * dx
+
+    never = np.full(a.size, math.inf)
+    s_z = (t - a) / spec.d_z if spec.d_z > 0 and math.isfinite(t) else never
+    y_drifts_out = spec.d_y > 0 and math.isfinite(u)
+    s_y = np.maximum((u - b) / spec.d_y, 0.0) if y_drifts_out else never
+    s = np.minimum(s_z, s_y)
+    exits_y = (spec.d_z * s_y + a <= t_top) if y_drifts_out else np.zeros(a.size, bool)
+    rates = np.array([r for _, _, r in kept])
+    c = spec.q + float(rates.sum())
+    if c == 0:
+        return float(s[0]), float(exits_y[0])
+
+    k = m.sum(axis=1)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, k.max() + 1)))))
+    log_w = log_fact[k] - log_fact[m].sum(axis=1) + (m * np.log(rates)).sum(axis=1)
+    log_c = math.log(c)
+    v = creep = 0.0
+    for kj, lw, sj, ej in zip(k.tolist(), log_w.tolist(), s.tolist(), exits_y.tolist()):
+        # P(N >= k) and P(N >= k + 1) for N ~ Poisson(c S(m))
+        sf = poisson_weights([c * sj], kj)[1][0] if math.isfinite(sj) else np.ones(kj + 2)
+        v += math.exp(lw - (kj + 1) * log_c) * float(sf[kj + 1])
+        if ej:
+            creep += math.exp(lw - kj * log_c) * float(sf[kj] - sf[kj + 1])
+    return v, creep

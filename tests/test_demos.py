@@ -49,3 +49,17 @@ def test_a_moved_name_is_caught():
     names = _library_names(tree)
     assert ("levyladder", "no_such_check") in names and ("levyladder.rng", "RngPolicy") in names
     assert not _exists("levyladder", "no_such_check") and _exists("levyladder", "runner")
+
+
+def test_seed_sweep_prints_nominal_rates_and_expected_fails(capsys):
+    spec = importlib.util.spec_from_file_location("seed_sweep", DEMOS[0].parent / "seed_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert set(sweep.nominal_rates("box-occupation").values()) == {None}
+    # an empty seed range runs nothing and still prints the rates
+    assert sweep.main(["--workload", "suite-breadth", "--seeds", "5-4", "--runs", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "17.alpha.P3: nominal false-FAIL rate fixed" in lines
+    assert "0.p-estimate.P1: nominal false-FAIL rate 0.0001" in lines
+    # 14 checks at 1e-4 each, alpha left out
+    assert lines[-1] == "expected false FAILs in 20 runs: 0.028 (fixed-budget checks not counted)"

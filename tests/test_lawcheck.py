@@ -364,6 +364,20 @@ class TestQuadruple:
         rep = lc.check_quadruple(spec, 1.5, 40000, POL.substream("qlz"), fixture="LZ")
         assert rep.passed
 
+    @pytest.mark.parametrize("spec, calls_per_edge", [
+        (B1, 1),
+        (BivariateSubordinatorSpec(d_z=0.3, d_y=0.0, q=0.1, atoms=((0.0, 1.0, 1.0),)), 2),
+    ], ids=["B1", "lattice-y"])
+    def test_exact_side_takes_each_t_edge_in_one_pass(self, monkeypatch, spec, calls_per_edge):
+        # all y-edges of a t-edge in one exact_V call (two for a lattice Y:
+        # the half-lattice levels above and below each height)
+        calls = []
+        exact = lc.exact_V
+        monkeypatch.setattr(lc, "exact_V", lambda spec, t, u: calls.append(t) or exact(spec, t, u))
+        lc.check_quadruple(spec, 1.5, 2000, POL.substream("spy"))
+        edges = lc.QUADRUPLE_T_EDGES[1:]
+        assert sorted(calls) == sorted(edges * calls_per_edge)
+
     def test_killing_dropped_from_the_exact_side_fails(self, monkeypatch):
         exact = lc.exact_V
         monkeypatch.setattr(lc, "exact_V",

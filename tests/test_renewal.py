@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from levyladder.fixtures import B1, P1, P2, P3
+from levyladder import lawcheck as lc
 from levyladder.lawcheck import _compose_jump_part
 from levyladder.processes import BivariateSubordinatorSpec, ProcessSpec, walk
 from levyladder.results import verdict
@@ -114,6 +115,39 @@ class TestExactV:
                                          atoms=((1e-3, 0.0, 1.0), (0.0, 1e-3, 1.0)))
         with pytest.raises(ValueError, match="jump-count vectors"):
             rn.exact_V(spec, 1.0, 1.0)
+
+    @pytest.mark.parametrize("spec", [
+        B1,
+        # no killing, and an atom that moves Z only
+        BivariateSubordinatorSpec(d_z=0.7, d_y=0.4, q=0.0,
+                                  atoms=((0.5, 0.0, 0.6), (0.3, 0.25, 1.2))),
+        # an atom that moves Y only
+        BivariateSubordinatorSpec(d_z=0.3, d_y=0.8, q=0.5,
+                                  atoms=((0.0, 0.35, 0.9), (0.75, 0.5, 0.4))),
+    ], ids=["B1", "q0-z-only-atom", "y-only-atom"])
+    def test_one_pass_matches_the_one_level_sum(self, spec):
+        # levels on box edges are sums of Y jumps; -0.5 and inf take their own routes
+        edges = [0.25, 0.35, 0.7, 0.75, 1.05, 1.5, 3.0]
+        levels = np.concatenate([np.linspace(0, 2.5, 26), [-0.5, math.inf], edges])
+        for t in (0.25, 0.5, 1.0, 2.0, 3.7, 6.0, math.inf):
+            V, p, bound = rn.exact_V(spec, t, levels)
+            assert bound == 0.0
+            for j, u in enumerate(levels):
+                v_ref, p_ref = reference.biv_renewal_one_level(spec, t, float(u))
+                assert V[j] == pytest.approx(v_ref, rel=1e-15, abs=0.0)
+                assert p[j] == pytest.approx(p_ref, rel=1e-15, abs=0.0)
+
+    def test_b1_check_levels_equal_the_one_level_sum(self):
+        # the levels the shipped B1 checks ask for: quadruple corners (u = 1.5,
+        # mesh 0.05), the V-grid and the subpint nodes
+        y_edges = np.array(lc._zero_offset_edges(0.05, 1.5)[1:])
+        asks = [(te, 1.5 - y_edges) for te in lc.QUADRUPLE_T_EDGES[1:]]
+        asks += [(t, np.array([0.5, 1.0, 2.0])) for t in (0.5, 1.0, 2.0)]
+        asks += [(0.5, np.concatenate(rn._segment_nodes(B1, 0.5, 0.9)))]
+        for t, levels in asks:
+            V, p, _ = rn.exact_V(B1, t, levels)
+            ref = np.array([reference.biv_renewal_one_level(B1, t, float(u)) for u in levels])
+            assert np.array_equal(V, ref[:, 0]) and np.array_equal(p, ref[:, 1])
 
     def test_monte_carlo_grid_matches_exact_grid(self):
         # one row per cell: |MC - exact| within the family-wise budget of its SE
