@@ -25,14 +25,14 @@ from typing import Sequence
 import numpy as np
 
 from .processes import BivariateSubordinatorSpec, DiscreteAtoms, ProcessSpec
-from .results import CheckReport, row_budgets, verdict
+from .results import CheckReport, fold, row_budgets, verdict
 from .rng import RngPolicy
 from .passage import (
     K_CAP_TAIL,
     PassageBatch,
-    sample_biv_passages,
-    sample_ladder_jumps,
-    sample_passages,
+    biv_passage_chunks,
+    ladder_jump_chunks,
+    passage_chunks,
 )
 from .renewal import exact_V
 from . import rw_ladder as rl
@@ -152,33 +152,36 @@ class DiscreteMeasureND:
         pooled = float(gap[pool].sum()) + extra
         return 0.5 * (float(np.abs(gap[~pool]).sum()) + abs(pooled))
 
-    @classmethod
-    def from_points(
-        cls,
-        axes: Sequence[Axis],
-        columns: Sequence[np.ndarray],
-        n_total: int,
-        weight: float = 1.0,
-    ) -> "DiscreteMeasureND":
-        """Histogram measure: each point carries mass ``weight / n_total``.
-
-        ``n_total`` may exceed the number of points supplied (censored or
-        out-of-scope records); the shortfall plus out-of-grid points are
-        accounted in ``excluded_mass``.
-        """
+    @staticmethod
+    def cell_counts(axes: Sequence[Axis], columns: Sequence[np.ndarray]) -> np.ndarray:
+        """Number of points in each cell of the grid (an integer array of
+        its shape), one column per axis; out-of-grid points count nowhere.
+        Counts of disjoint point sets add up to the counts of their union."""
         if len(columns) != len(axes):
             raise ValueError("one column per axis required")
         shape = tuple(a.size for a in axes)
         idx = [a.index(col) for a, col in zip(axes, columns)]
-        ok = np.ones(columns[0].size, dtype=bool)
-        for ix in idx:
-            ok &= ix >= 0
-        flat = np.zeros(int(np.prod(shape)))
-        if ok.any():
-            lin = np.ravel_multi_index([ix[ok] for ix in idx], shape)
-            np.add.at(flat, lin, 1.0)
-        mass = flat.reshape(shape) * (weight / n_total)
-        excluded = weight * (n_total - int(ok.sum())) / n_total
+        ok = np.logical_and.reduce([ix >= 0 for ix in idx])
+        lin = np.ravel_multi_index([ix[ok] for ix in idx], shape)
+        return np.bincount(lin, minlength=math.prod(shape)).reshape(shape)
+
+    @classmethod
+    def from_counts(
+        cls,
+        axes: Sequence[Axis],
+        counts: np.ndarray,
+        n_total: int,
+        weight: float = 1.0,
+    ) -> "DiscreteMeasureND":
+        """Histogram measure of :meth:`cell_counts`: each point carries mass
+        ``weight / n_total``.
+
+        ``n_total`` may exceed the number of points counted (censored or
+        out-of-scope records); the shortfall plus out-of-grid points are
+        accounted in ``excluded_mass``.
+        """
+        mass = counts * (weight / n_total)
+        excluded = weight * (n_total - int(counts.sum())) / n_total
         return cls(tuple(axes), mass, excluded)
 
 
@@ -202,11 +205,15 @@ def quintuple_empirical(
     records are then accounted in ``excluded_mass`` and are compared
     separately against the derivative term.
     """
+    counts = DiscreteMeasureND.cell_counts(axes, _quintuple_columns(batch, creep_fibre))
+    return DiscreteMeasureND.from_counts(axes, counts, batch.n)
+
+
+def _quintuple_columns(batch: PassageBatch, creep_fibre: bool = False) -> list[np.ndarray]:
     x, v, y, s, t = batch.quintuple()
     creep = batch.creep[batch.resolved]
     keep = creep if creep_fibre else ~creep
-    cols = [x[keep], v[keep], y[keep], s[keep], t[keep]]
-    return DiscreteMeasureND.from_points(axes, cols, batch.n)
+    return [x[keep], v[keep], y[keep], s[keep], t[keep]]
 
 
 def lattice_level(spec: ProcessSpec, u: float) -> int:
@@ -353,14 +360,16 @@ def _check_quintuple_lattice(spec, u, n, policy, cap, fixture):
                          f" route, so that censored paths lie in its tail cell; got {cap}")
     edges = QUINTUPLE_LATTICE_EDGES
     rhs, axes = quintuple_rhs_lattice(spec, u, edges, edges)
-    batch = sample_passages(spec, u, cap, n, policy.substream("emp"))
-    if bool(batch.creep.any()):
+    (counts, n_creep), censored, monitors = fold(
+        passage_chunks(spec, u, cap, n, policy.substream("emp")), lambda b: (
+            DiscreteMeasureND.cell_counts(axes, _quintuple_columns(b)), int(b.creep.sum())))
+    if n_creep:
         raise RuntimeError("compound Poisson fixture produced a creeping record")
-    emp = quintuple_empirical(batch, axes, creep_fibre=False)
+    emp = DiscreteMeasureND.from_counts(axes, counts, n)
     # the pooled tail cell: the last s bin or the last t bin, at every (x, v, y)
     tail = np.zeros(rhs.mass.shape, dtype=bool)
     tail[..., -1, :] = tail[..., -1] = True
-    tv = emp.pooled_tv_distance(rhs, tail, batch.censored_mass)
+    tv = emp.pooled_tv_distance(rhs, tail, censored)
     dist, budget = verdict([(tv, 0.0, rhs.bound, QUINTUPLE_LATTICE_TV),
                             (emp.excluded_mass, 0.0, 0.01)])
     details = [{
@@ -376,10 +385,10 @@ def _check_quintuple_lattice(spec, u, n, policy, cap, fixture):
         rhs=rhs.total_mass,
         distance=dist,
         budget=budget,
-        n_paths=batch.n,
-        censored_mass=batch.censored_mass,
+        n_paths=n,
+        censored_mass=censored,
         details=details,
-        monitors=dict(batch.monitors),
+        monitors=monitors,
         measures=(emp, rhs),
     )
 
@@ -411,20 +420,21 @@ def _check_quintuple_creeping(spec, u, n, policy, mesh, fixture):
     t_axis = Axis("t", "bins", t_edges)
     axes = (t_axis, y_axis, s_axis, vh_axis)
 
-    # empirical (x > 0): coordinates (t, y, s, vhat) determine x = xi - y - vhat
-    batch = sample_passages(spec, u, cap=200.0, n=n, policy=policy.substream("emp"))
-    x, v, y, s, t = batch.quintuple()
-    creep = batch.creep[batch.resolved]
-    vhat = v - y
-    emp = DiscreteMeasureND.from_points(
-        axes, [t[~creep], y[~creep], s[~creep], vhat[~creep]], batch.n
-    )
-    # creeping fibre mass; then the batch goes before the right side is built
+    # empirical (x > 0): coordinates (t, y, s, vhat) determine x = xi - y - vhat;
+    # and the creeping fibre's records by t_cut
     t_cut = float(t_edges[-2] if math.isinf(t_edges[-1]) else t_edges[-1])
-    creep_mass = float((batch.creep & (batch.tau <= t_cut)).mean())
-    creep_se = math.sqrt(creep_mass * (1 - creep_mass) / batch.n)
-    n_emp, censored, monitors = batch.n, batch.censored_mass, dict(batch.monitors)
-    del batch, x, v, y, s, t, vhat, creep
+
+    def tally(b):
+        x, v, y, s, t = b.quintuple()
+        jump = ~b.creep[b.resolved]
+        return (DiscreteMeasureND.cell_counts(axes, [t[jump], y[jump], s[jump], (v - y)[jump]]),
+                int((b.creep & (b.tau <= t_cut)).sum()))
+
+    (counts, n_creep), censored, monitors = fold(
+        passage_chunks(spec, u, 200.0, n, policy.substream("emp")), tally)
+    emp = DiscreteMeasureND.from_counts(axes, counts, n)
+    creep_mass = n_creep / n
+    creep_se = math.sqrt(creep_mass * (1 - creep_mass) / n)
 
     # RHS: exact V boxes x exact dual-ladder measure x Pi.  The constraint
     # x = xi - y - vhat > 0 cuts through the reporting cells along the
@@ -488,10 +498,11 @@ def _check_quintuple_creeping(spec, u, n, policy, mesh, fixture):
         se_lhs=creep_se,
         distance=dist,
         budget=budget,
-        n_paths=n_emp,
+        n_paths=n,
         censored_mass=censored,
         details=details,
         monitors=monitors,
+        measures=(emp, rhs),
     )
 
 
@@ -548,9 +559,6 @@ def check_amicale(
     """
     lattice = amicale_route(spec) == "lattice"
     s_edges, lam = AMICALE_S_EDGES, spec.rate
-    lad = sample_ladder_jumps(spec, n, policy.substream("lhs"),
-                              cap=s_edges[-1] + 1.0 if lattice else s_edges[-1] * 10)
-    ok = ~lad.censored
     details, rows, pi = [], [], None
     if lattice:
         walk = rl.LatticeWalkSpec.from_process(spec)
@@ -564,25 +572,35 @@ def check_amicale(
         x_axis, vh_edges, pi = grid
         vhm, vh_bound, vhdrop = rl.DriftLattice(spec, reach=vh_edges[-1]).dual(s_edges, vh_edges)
         details.append({"vhat_dropped": vhdrop})
-    else:
+    axes = None if pi is None else (Axis("s", "bins", s_edges), x_axis)
+
+    def tally(lad):
+        ok = ~lad.censored
+        cols = [lad.ds[ok], lad.dx[ok]]
+        return (0 if axes is None else DiscreteMeasureND.cell_counts(axes, cols),
+                int((ok & (lad.dx > 0)).sum()), int((ok & (lad.dx == 0.0)).sum()))
+
+    cap = s_edges[-1] + 1.0 if lattice else s_edges[-1] * 10
+    (counts, n_pos, n_zero), censored, _ = fold(
+        ladder_jump_chunks(spec, n, policy.substream("lhs"), cap=cap), tally)
+    if pi is None:
         # spectrally negative: the positive part of the jump measure vanishes,
         # so the composed route is identically zero for x > 0 and at {0}
-        pos_mass = float((ok & (lad.dx > 0)).mean())
+        pos_mass = n_pos / n
         rows.append((pos_mass, 0.0))
         details.append({"x_pos_mass": pos_mass})
-    if pi is not None:
-        axes = (Axis("s", "bins", s_edges), x_axis)
-        emp = DiscreteMeasureND.from_points(axes, [lad.ds[ok], lad.dx[ok]], lad.n, weight=lam)
+    else:
+        emp = DiscreteMeasureND.from_counts(axes, counts, n, weight=lam)
         rhs = vhm @ pi
         # a creeping fixture's rows take the x > 0 cells, after the zero cell
         x0 = 0 if lattice else 1
         e, r = emp.mass[:, x0:], rhs[:, x0:]
         p, b = r / lam, np.broadcast_to(vh_bound * pi.max(axis=0)[x0:], r.shape)
-        big = lad.n * p >= AMICALE_MIN_COUNT
+        big = n * p >= AMICALE_MIN_COUNT
         cells = list(zip(e[big], r[big], p[big], b[big]))
         if not big.all():
             cells.append((e[~big].sum(), r[~big].sum(), p[~big].sum(), b[~big].sum()))
-        rows += [(abs(ec - rc), lam * math.sqrt(max(q * (1 - q), 0.0) / lad.n), bc, 1e-9)
+        rows += [(abs(ec - rc), lam * math.sqrt(max(q * (1 - q), 0.0) / n), bc, 1e-9)
                  for ec, rc, q, bc in cells]
     if lattice:
         lhs, rhs_x0, se_lhs = float(emp.mass[:, 0].sum()), float(rhs[:, 0].sum()), 0.0
@@ -591,12 +609,11 @@ def check_amicale(
         # composed route on the zero fibre: sum_v Vhat({v}) Pi({v}) -- zero
         # for diffuse dual heights; the creeping characterisation demands
         # the ladder side carry strictly positive mass there
-        p_zero = float((ok & (lad.dx == 0.0)).mean())
+        p_zero = n_zero / n
         lhs, rhs_x0 = lam * p_zero, 0.0
-        se_lhs = lam * math.sqrt(max(p_zero * (1 - p_zero), 1e-300) / lad.n)
+        se_lhs = lam * math.sqrt(max(p_zero * (1 - p_zero), 1e-300) / n)
         rows.append((max(5.0 * se_lhs - lhs, 0.0), 0.0))
-        details.append({"x0_mass": lhs, "x0_se": se_lhs, "x0_rhs": 0.0,
-                        "censored": lad.censored_mass})
+        details.append({"x0_mass": lhs, "x0_se": se_lhs, "x0_rhs": 0.0, "censored": censored})
     dist, budget = verdict(rows)
     return CheckReport(
         check="amicale",
@@ -607,9 +624,10 @@ def check_amicale(
         se_lhs=se_lhs,
         distance=dist,
         budget=budget,
-        n_paths=lad.n,
-        censored_mass=lad.censored_mass,
+        n_paths=n,
+        censored_mass=censored,
         details=details,
+        measures=() if pi is None else (emp, DiscreteMeasureND(axes, rhs)),
     )
 
 
@@ -648,9 +666,11 @@ def check_quadruple(
     s_atoms = tuple(sorted({0.0} | {dt for dt, dx, _ in spec.atoms if dx > 0}))
     axes = (x_axis, y_axis, Axis("s", "atoms", s_atoms), Axis("t", "bins", t_edges))
 
-    batch = sample_biv_passages(spec, u, n, policy.substream("emp"))
-    x, yv, s, t = batch.quadruple()
-    emp = DiscreteMeasureND.from_points(axes, [x, yv, s, t], batch.n)
+    (counts, n_killed, n_creep), censored, monitors = fold(
+        biv_passage_chunks(spec, u, n, policy.substream("emp")), lambda b: (
+            DiscreteMeasureND.cell_counts(axes, b.quadruple()), int(b.killed.sum()),
+            int((b.creep & (b.z_before + b.dz <= t_edges[-2])).sum())))
+    emp = DiscreteMeasureND.from_counts(axes, counts, n)
 
     # V and its creeping term at every corner (t-edge, u - y-edge), y >= 0,
     # one exact_V call per t-edge; the t = 0 row stands for Z < 0 and stays zero
@@ -672,11 +692,10 @@ def check_quadruple(
     deriv_mass = float(corners[-2, 0, 1])
     rhs = DiscreteMeasureND(axes, rhs_mass)
     tv = emp.tv_distance(rhs)
-    killed_mass = float(batch.killed.mean())
+    killed_mass, creep_emp = n_killed / n, n_creep / n
     # resolved passages that fall outside the grid
-    off_grid = emp.excluded_mass - batch.censored_mass - killed_mass
+    off_grid = emp.excluded_mass - censored - killed_mass
     dist, budget = verdict([(tv, 0.0, QUADRUPLE_TV), (off_grid, 0.0, 0.01)])
-    creep_emp = float((batch.creep & (batch.z_before + batch.dz <= t_edges[-2])).mean())
     details = [{
         "tv": tv, "creep_mass_emp": creep_emp, "creep_mass_rhs": deriv_mass,
         "killed_mass": killed_mass, "excluded": emp.excluded_mass,
@@ -687,13 +706,14 @@ def check_quadruple(
         params={"u": u, "n": n, "mesh": mesh},
         lhs=creep_emp,
         rhs=deriv_mass,
-        se_lhs=math.sqrt(creep_emp * (1 - creep_emp) / batch.n),
+        se_lhs=math.sqrt(creep_emp * (1 - creep_emp) / n),
         distance=dist,
         budget=budget,
-        n_paths=batch.n,
-        censored_mass=batch.censored_mass,
+        n_paths=n,
+        censored_mass=censored,
         details=details,
-        monitors=dict(batch.monitors),
+        monitors=monitors,
+        measures=(emp, rhs),
     )
 
 
@@ -719,10 +739,12 @@ def _check_quadruple_lattice_y(spec, u, n, policy, t_edges, fixture):
     t_axis = Axis("t", "bins", t_edges)
     axes = (x_axis, y_axis, s_axis, t_axis)
 
-    batch = sample_biv_passages(spec, u, n, policy.substream("emp"),
+    chunks = biv_passage_chunks(spec, u, n, policy.substream("emp"),
                                 s_cap=1e7 if spec.q == 0 else math.inf)
-    x, yv, s, t = batch.quadruple()
-    emp = DiscreteMeasureND.from_points(axes, [x, yv, s, t], batch.n)
+    (counts, n_killed, n_creep), censored, monitors = fold(chunks, lambda b: (
+        DiscreteMeasureND.cell_counts(axes, b.quadruple()), int(b.killed.sum()),
+        int(b.creep.sum())))
+    emp = DiscreteMeasureND.from_counts(axes, counts, n)
 
     k = np.array([round((u - ya) / h) for ya in y_atoms])
     corners = np.zeros((len(t_edges), k.size))
@@ -739,21 +761,22 @@ def _check_quadruple_lattice_y(spec, u, n, policy, t_edges, fixture):
     tv = emp.tv_distance(rhs)
     dist, budget = verdict([(tv, 0.0, QUADRUPLE_TV)])
     details = [{
-        "tv": tv, "creep_mass_emp": float(batch.creep.mean()), "creep_mass_rhs": 0.0,
-        "killed_mass": float(batch.killed.mean()), "excluded": emp.excluded_mass,
+        "tv": tv, "creep_mass_emp": n_creep / n, "creep_mass_rhs": 0.0,
+        "killed_mass": n_killed / n, "excluded": emp.excluded_mass,
     }]
     return CheckReport(
         check="quadruple",
         fixture=fixture,
         params={"u": u, "n": n},
-        lhs=float(batch.creep.mean()),
+        lhs=n_creep / n,
         rhs=0.0,
         distance=dist,
         budget=budget,
-        n_paths=batch.n,
-        censored_mass=batch.censored_mass,
+        n_paths=n,
+        censored_mass=censored,
         details=details,
-        monitors=dict(batch.monitors),
+        monitors=monitors,
+        measures=(emp, rhs),
     )
 
 
@@ -774,9 +797,9 @@ def check_alpha_embedding(
     ``Vhat(ds, dv) F(dx + v)`` on the truncated lattice support.
 
     The triple is ``(v, dx, ds)`` of the zero-drift ladder excursion, so the
-    left side comes from :func:`sample_ladder_jumps` censored at the last
-    ``s`` of the grid.  A fixture that is not compound Poisson on a lattice
-    is refused by ``LatticeWalkSpec.from_process``."""
+    left side comes from :func:`~levyladder.passage.ladder_jump_chunks`
+    censored at the last ``s`` of the grid.  A fixture that is not compound
+    Poisson on a lattice is refused by ``LatticeWalkSpec.from_process``."""
     walk = rl.LatticeWalkSpec.from_process(spec)
     h = walk.h
     law = spec.jumps
@@ -785,8 +808,6 @@ def check_alpha_embedding(
     if not s_grid:
         raise ValueError("s_grid must hold at least one time")
     v_max, x_max = ALPHA_V_MAX, ALPHA_X_MAX
-    batch = sample_ladder_jumps(spec, n, policy.substream("alpha"), cap=float(s_grid[-1]))
-    ok = ~batch.censored
 
     # exact CDF G(s, v, x) = sum_{w <= v} Vhat([0, s], {w h}) F[w, x], where
     # F[w, x] = P(jump in [w h, (w + x) h]) is the jump window
@@ -798,16 +819,25 @@ def check_alpha_embedding(
     win = (lo[..., None] <= vals) & (vals <= hi[..., None])
     exact = np.cumsum(np.cumsum(vhm, axis=0)[:, :, None] * (win @ probs)[None], axis=1)
 
-    # empirical CDF on the grid via a 3-D histogram and cumulative sums
+    # empirical CDF on the grid via a 3-D histogram and cumulative sums; the
+    # last cell of each axis holds the records past the grid
     s_arr = np.asarray(s_grid)
-    si = np.searchsorted(s_arr, batch.ds[ok], side="left")
-    vi = np.minimum(np.round(batch.v[ok] / h).astype(int), v_max + 1)
-    xi = np.minimum(np.round(batch.dx[ok] / h).astype(int), x_max + 1)
-    hist = np.zeros((s_arr.size + 1, v_max + 2, x_max + 2))
-    np.add.at(hist, (si, vi, xi), 1.0)
-    cdf = hist.cumsum(axis=0).cumsum(axis=1).cumsum(axis=2) / batch.n
+    shape = (s_arr.size + 1, v_max + 2, x_max + 2)
 
-    worst = float(np.abs(cdf[: len(s_grid), : v_max + 1, : x_max + 1] - exact).max())
+    def tally(b):
+        ok = ~b.censored
+        cell = (np.searchsorted(s_arr, b.ds[ok], side="left"),
+                np.minimum(np.round(b.v[ok] / h).astype(int), v_max + 1),
+                np.minimum(np.round(b.dx[ok] / h).astype(int), x_max + 1))
+        hist = np.bincount(np.ravel_multi_index(cell, shape), minlength=math.prod(shape))
+        return (hist.reshape(shape),)
+
+    (hist,), censored, _ = fold(
+        ladder_jump_chunks(spec, n, policy.substream("alpha"), cap=float(s_grid[-1])), tally)
+    cdf = (hist.cumsum(axis=0).cumsum(axis=1).cumsum(axis=2) / n)[
+        : len(s_grid), : v_max + 1, : x_max + 1]
+
+    worst = float(np.abs(cdf - exact).max())
     dist, budget = verdict([(worst, 0.0, ALPHA_SUP_CDF)])
     return CheckReport(
         check="alpha",
@@ -817,7 +847,8 @@ def check_alpha_embedding(
         rhs=0.0,
         distance=dist,
         budget=budget,
-        n_paths=batch.n,
-        censored_mass=batch.censored_mass,
+        n_paths=n,
+        censored_mass=censored,
         details=[{"sup_cdf": worst}],
+        measures=(cdf, exact),
     )

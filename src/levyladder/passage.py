@@ -72,24 +72,27 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .processes import BivariateSubordinatorSpec, DiscreteAtoms, ProcessSpec, walk
 from .results import (
-    CheckReport, EstimateWithError, binomial_estimate, concatenate, row_budgets, verdict,
+    CheckReport, EstimateWithError, binomial_estimate, fold, join_chunks, row_budgets, verdict,
 )
 from .rng import RngPolicy, chunked_map
 from . import rw_ladder as rl
 
 __all__ = [
     "PassageBatch",
+    "passage_chunks",
     "sample_passages",
     "estimate_p",
     "SubPassageBatch",
+    "biv_passage_chunks",
     "sample_biv_passages",
     "LadderJumpBatch",
+    "ladder_jump_chunks",
     "sample_ladder_jumps",
     "kappa_from_ladder",
     "kappa_diff_from_ladder",
@@ -532,6 +535,15 @@ def _passage_chunk(spec: ProcessSpec, u: float, cap: float, n: int, rng,
     return out
 
 
+def passage_chunks(spec: ProcessSpec, u: float, cap: float, n: int, policy: RngPolicy,
+                   below: Sequence[float] = ()) -> Iterator[PassageBatch]:
+    """The records of :func:`sample_passages`, one chunk's batch at a time,
+    drawn as the iterator is advanced."""
+    if not (u > 0):
+        raise ValueError("level u must be positive")
+    return chunked_map(lambda i, m, rng: _passage_chunk(spec, u, cap, m, rng, below), n, policy)
+
+
 def sample_passages(
     spec: ProcessSpec,
     u: float,
@@ -546,10 +558,7 @@ def sample_passages(
     ``level_creep`` marks the paths that creep over ``below[j]`` by the cap.
     They add no draws: a batch with them has the records of one without.
     """
-    if not (u > 0):
-        raise ValueError("level u must be positive")
-    parts = chunked_map(lambda i, m, rng: _passage_chunk(spec, u, cap, m, rng, below), n, policy)
-    return concatenate(parts)
+    return join_chunks(passage_chunks(spec, u, cap, n, policy, below), n)
 
 
 def estimate_p(
@@ -579,13 +588,14 @@ def estimate_p(
     cap = _closed(t)
     order = np.argsort(levels, kind="stable")
     top, lower = order[-1], order[:-1]
-    batch = sample_passages(spec, float(levels[top]), cap=cap, n=n, policy=policy,
-                            below=levels[lower])
+    chunks = passage_chunks(spec, float(levels[top]), cap, n, policy, below=levels[lower])
+    (top_hits, lower_hits), _, monitors = fold(chunks, lambda b: (
+        int((b.creep & (b.tau <= cap)).sum()), b.level_creep.sum(axis=0)))
     hits = np.empty(levels.size, dtype=np.int64)
-    hits[top] = (batch.creep & (batch.tau <= cap)).sum()
-    hits[lower] = batch.level_creep.sum(axis=0)
-    ests = [binomial_estimate(int(k), batch.n) for k in hits]
-    return (ests[0] if np.ndim(u) == 0 else ests), dict(batch.monitors)
+    hits[top] = top_hits
+    hits[lower] = lower_hits
+    ests = [binomial_estimate(int(k), n) for k in hits]
+    return (ests[0] if np.ndim(u) == 0 else ests), monitors
 
 
 P_ESTIMATE_COLUMNS = ("fixture", "t", "u", "p", "se", "n")
@@ -744,19 +754,20 @@ def _biv_chunk(
     return out
 
 
-def sample_biv_passages(
-    spec: BivariateSubordinatorSpec,
-    u: float,
-    n: int,
-    policy: RngPolicy,
-    s_cap: float = math.inf,
-) -> SubPassageBatch:
+def biv_passage_chunks(spec: BivariateSubordinatorSpec, u: float, n: int, policy: RngPolicy,
+                       s_cap: float = math.inf) -> Iterator[SubPassageBatch]:
+    """The records of :func:`sample_biv_passages`, one chunk's batch at a
+    time, drawn as the iterator is advanced."""
     if not (u > 0):
         raise ValueError("level u must be positive")
     if math.isinf(s_cap) and spec.q == 0 and spec.d_y == 0:
         raise ValueError("q = 0 with d_y = 0 needs a finite cap (passage may never resolve)")
-    parts = chunked_map(lambda i, m, rng: _biv_chunk(spec, u, m, rng, s_cap), n, policy)
-    return concatenate(parts)
+    return chunked_map(lambda i, m, rng: _biv_chunk(spec, u, m, rng, s_cap), n, policy)
+
+
+def sample_biv_passages(spec: BivariateSubordinatorSpec, u: float, n: int, policy: RngPolicy,
+                        s_cap: float = math.inf) -> SubPassageBatch:
+    return join_chunks(biv_passage_chunks(spec, u, n, policy, s_cap), n)
 
 
 # ---------------------------------------------------------------------------
@@ -844,6 +855,15 @@ def _ladder_chunk(spec: ProcessSpec, n: int, rng, cap: float) -> LadderJumpBatch
     return LadderJumpBatch(ds, dx, v, censored, cap)
 
 
+def ladder_jump_chunks(spec: ProcessSpec, n: int, policy: RngPolicy,
+                       cap: float = 200.0) -> Iterator[LadderJumpBatch]:
+    """The records of :func:`sample_ladder_jumps`, one chunk's batch at a
+    time, drawn as the iterator is advanced."""
+    if not math.isfinite(cap):
+        raise ValueError(f"cap must be finite (an excursion may never return), got {cap}")
+    return chunked_map(lambda i, m, rng: _ladder_chunk(spec, m, rng, cap), n, policy)
+
+
 def sample_ladder_jumps(
     spec: ProcessSpec, n: int, policy: RngPolicy, cap: float = 200.0
 ) -> LadderJumpBatch:
@@ -855,10 +875,7 @@ def sample_ladder_jumps(
     finite ``cap`` is what ends it.  With zero drift this is the alpha
     experiment.
     """
-    if not math.isfinite(cap):
-        raise ValueError(f"cap must be finite (an excursion may never return), got {cap}")
-    parts = chunked_map(lambda i, m, rng: _ladder_chunk(spec, m, rng, cap), n, policy)
-    return concatenate(parts)
+    return join_chunks(ladder_jump_chunks(spec, n, policy, cap), n)
 
 
 def _ladder_mean(spec: ProcessSpec, batch: LadderJumpBatch, vals: np.ndarray, a: float,

@@ -43,11 +43,11 @@ import numpy as np
 
 from .processes import BivariateSubordinatorSpec, ProcessSpec, walk
 from .results import (
-    CheckReport, EstimateWithError, binomial_estimate, estimate_from_stats, merge_monitors,
-    row_budgets, verdict,
+    CheckReport, EstimateWithError, binomial_estimate, estimate_from_stats, fold,
+    merge_monitors, row_budgets, verdict,
 )
 from .rng import RngPolicy, chunked_map, merge_mean_m2
-from .passage import _closed, estimate_p, sample_biv_passages
+from .passage import _closed, biv_passage_chunks, estimate_p
 from .rw_ladder import DriftLattice, poisson_weights
 
 __all__ = [
@@ -171,9 +171,10 @@ def fluct_boxes(
     weakly ascending ladder process of ``spec``, via at-the-maximum
     occupation times of the raw path (common paths across boxes)."""
     arr = np.asarray([[b[0], b[1], b[2], b[3]] for b in boxes], dtype=float)
-    parts = chunked_map(lambda i, m, rng: _fluct_occ_chunk(spec, arr, m, rng), n, policy)
-    merged = _merge_columns([p[0] for p in parts])
-    cens = sum(p[1] for p in parts) / max(n, 1)
+    stats, cens = zip(*chunked_map(lambda i, m, rng: _fluct_occ_chunk(spec, arr, m, rng),
+                                   n, policy))
+    merged = _merge_columns(stats)
+    cens = sum(cens) / max(n, 1)
     return [estimate_from_stats(*s, censored_mass=cens) for s in merged]
 
 
@@ -412,10 +413,10 @@ def estimate_V(
         for j, u in enumerate(u_values):
             sub = policy.substream(f"V[{i},{j}]")
             if isinstance(spec, BivariateSubordinatorSpec):
-                parts = chunked_map(lambda i, m, rng: _biv_min_chunk(spec, t, u, m, rng, route),
-                                    n_per_cell, sub)
-                est = estimate_from_stats(*merge_mean_m2([p[0] for p in parts]),
-                                          censored_mass=sum(p[1] for p in parts) / n_per_cell)
+                stats, cens_n = zip(*chunked_map(
+                    lambda i, m, rng: _biv_min_chunk(spec, t, u, m, rng, route), n_per_cell, sub))
+                est = estimate_from_stats(*merge_mean_m2(stats),
+                                          censored_mass=sum(cens_n) / n_per_cell)
             else:
                 est = fluct_boxes(spec, [(0.0, t, -1.0, u)], n_per_cell, sub)[0]
             value[i, j] = est.value
@@ -473,9 +474,9 @@ def _creep_probability_nodes(
             continue
         sub = policy.substream(f"p[{k}]")
         if isinstance(spec, BivariateSubordinatorSpec):
-            batch = sample_biv_passages(spec, float(v), n_per_node, sub)
-            hits = batch.creep & (batch.z_before + batch.dz <= t)
-            est, mon = binomial_estimate(int(hits.sum()), batch.n), batch.monitors
+            (hits,), _, mon = fold(biv_passage_chunks(spec, float(v), n_per_node, sub), lambda b: (
+                int((b.creep & (b.z_before + b.dz <= t)).sum()),))
+            est = binomial_estimate(hits, n_per_node)
         else:
             est, mon = estimate_p(spec, t, float(v), n_per_node, sub)
         p[k], se[k] = est.value, est.se

@@ -10,11 +10,11 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import add
 from statistics import NormalDist
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -124,7 +124,8 @@ class CheckReport:
     union of the rows' keys); ``monitors`` carries
     never-observed-event counters accumulated over all paths the check ran.
     ``measures`` holds the (empirical, exact) measures a distribution check
-    compared, for callers that regroup their cells; no file records it.
+    compared (alpha: its two CDF tables), for callers that regroup or
+    compare their cells; no file records it.
     """
 
     check: str
@@ -222,17 +223,38 @@ def merge_monitors(target: dict[str, int], *sources: Mapping[str, int]) -> dict[
     return target
 
 
-def concatenate(parts: Sequence[Any]) -> Any:
-    """One batch of the parts' dataclass type holding all their records in
-    order: array fields are joined, ``monitors`` summed, and every other
-    field is taken from the first part."""
-    values = {}
-    for f in fields(parts[0]):
-        first = getattr(parts[0], f.name)
-        if isinstance(first, np.ndarray):
-            values[f.name] = np.concatenate([getattr(p, f.name) for p in parts])
-        elif f.name == "monitors":
-            values[f.name] = merge_monitors({}, *(p.monitors for p in parts))
-        else:
-            values[f.name] = first
-    return type(parts[0])(**values)
+def join_chunks(chunks: Iterable[Any], n: int) -> Any:
+    """One batch of the chunks' dataclass type holding all their ``n``
+    records in order: each array field is allocated once and filled chunk
+    by chunk, ``monitors`` are summed, and every other field is taken from
+    the first chunk."""
+    out, at = None, 0
+    for part in chunks:
+        arrays = {k: v for k, v in vars(part).items() if isinstance(v, np.ndarray)}
+        if out is None:
+            out = replace(part, **{k: np.empty((n,) + v.shape[1:], v.dtype)
+                                   for k, v in arrays.items()})
+            if hasattr(out, "monitors"):
+                out.monitors = {}
+        for k, v in arrays.items():
+            getattr(out, k)[at:at + part.n] = v
+        merge_monitors(getattr(out, "monitors", {}), getattr(part, "monitors", {}))
+        at += part.n
+    return out
+
+
+def fold(chunks: Iterable[Any], tally: Callable[[Any], tuple]
+         ) -> tuple[tuple, float, dict[str, int]]:
+    """``(sums, censored_mass, monitors)`` of record batches drawn chunk by
+    chunk: ``tally(chunk)`` summed term by term, the share of records
+    marked ``censored`` and the chunks' ``monitors`` merged.  Each chunk is
+    dropped once tallied.  Terms that are integer counts or integer arrays
+    sum exactly, so nothing depends on where the chunks split the records."""
+    sums, n, n_censored, monitors = None, 0, 0, {}
+    for chunk in chunks:
+        part = tally(chunk)
+        sums = part if sums is None else tuple(a + b for a, b in zip(sums, part))
+        n += chunk.n
+        n_censored += int(chunk.censored.sum())
+        merge_monitors(monitors, getattr(chunk, "monitors", {}))
+    return sums, n_censored / n, monitors

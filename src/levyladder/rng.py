@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -42,6 +42,8 @@ class RngPolicy:
 
     ``chunk_size`` is part of the reproducibility contract: it fixes the
     chunk boundaries of every estimator, and with them every number drawn.
+    It also bounds memory: the checks fold each chunk's records into counts
+    before the next chunk is drawn.
     """
 
     seed: int
@@ -85,14 +87,17 @@ def chunked_map(
     fn: Callable[[int, int, np.random.Generator], T],
     n_total: int,
     policy: RngPolicy,
-) -> list[T]:
+) -> Iterator[T]:
     """Evaluate ``fn(chunk_index, chunk_n, rng)`` over all chunks, serially.
 
-    Results are returned in chunk order, so any reduction performed by the
-    caller is deterministic.
+    Results are yielded lazily, in chunk order: any reduction performed by
+    the caller is deterministic, and a caller that reduces each result
+    before asking for the next holds one chunk's records at a time, so
+    ``policy.chunk_size`` bounds its memory as well as fixing its streams.
+    The iterator can be consumed once.
     """
     sizes = chunk_sizes(n_total, policy.chunk_size)
-    return [fn(i, m, policy.stream(i)) for i, m in enumerate(sizes)]
+    return (fn(i, m, policy.stream(i)) for i, m in enumerate(sizes))
 
 
 def merge_mean_m2(parts: Sequence[tuple[int, float, float]]) -> tuple[int, float, float]:

@@ -27,7 +27,7 @@ from .processes import (
     walk,
 )
 from .results import (
-    CheckReport, EstimateWithError, estimate_from_stats, row_budgets, verdict,
+    CheckReport, EstimateWithError, estimate_from_stats, merge_monitors, row_budgets, verdict,
 )
 from .rng import RngPolicy, chunked_map, merge_mean_m2
 from . import rw_ladder as rl
@@ -35,8 +35,8 @@ from .passage import (
     kappa_deriv_from_ladder,
     kappa_diff_from_ladder,
     kappa_from_ladder,
+    passage_chunks,
     sample_ladder_jumps,
-    sample_passages,
 )
 
 # lt_V and slfi_check stop a path once its multiplicative weight (e^{-a Z - b Y - q s},
@@ -494,18 +494,23 @@ def check_resolvent_creep(
     ``E[e^{-q tau_u}; X_{tau_u} = u] = d u^q(u)``, the drift times the
     resolvent density at ``u`` (Kyprianou 2006).
 
-    LHS: the mean of ``e^{-q tau_u}`` on creeping paths over one
-    :func:`sample_passages` batch, capped above ``u / d`` so that no path is
-    censored.  RHS: the closed form of :func:`_resolvent_density`.  The one
-    row is held to ``CHECK_FAIL_RATE``; its ``1e-12`` covers the rounding of
-    the two routes' exponentials, which the pure-drift case compares
-    exactly.  Fixtures other than those :func:`resolvent_fixture` takes are
-    a ValueError.
+    LHS: the mean of ``e^{-q tau_u}`` on creeping paths over ``n`` passage
+    records, capped above ``u / d`` so that no path is censored; each chunk
+    of records goes once its column of values is kept.  RHS: the closed
+    form of :func:`_resolvent_density`.  The one row is held to
+    ``CHECK_FAIL_RATE``; its ``1e-12`` covers the rounding of the two
+    routes' exponentials, which the pure-drift case compares exactly.
+    Fixtures other than those :func:`resolvent_fixture` takes are a
+    ValueError.
     """
     d = resolvent_fixture(spec)[0]
     rhs = d * float(_resolvent_density(spec, q_tilde, u))
-    batch = sample_passages(spec, u, 2.0 * u / d, n, policy.substream("lhs"))
-    vals = np.where(batch.creep, np.exp(-q_tilde * batch.tau), 0.0)
+    vals, at, censored, monitors = np.empty(n), 0, 0, {}
+    for b in passage_chunks(spec, u, 2.0 * u / d, n, policy.substream("lhs")):
+        vals[at:at + b.n] = np.where(b.creep, np.exp(-q_tilde * b.tau), 0.0)
+        at += b.n
+        censored += int(b.censored.sum())
+        merge_monitors(monitors, b.monitors)
     lhs = float(vals[0] + (vals - vals[0]).mean())
     lhs_se = float(vals.std(ddof=1) / math.sqrt(vals.size))
     dist, budget = verdict([(abs(lhs - rhs), lhs_se, 1e-12)])
@@ -518,7 +523,7 @@ def check_resolvent_creep(
         se_lhs=lhs_se,
         distance=dist,
         budget=budget,
-        n_paths=batch.n,
-        censored_mass=batch.censored_mass,
-        monitors=dict(batch.monitors),
+        n_paths=n,
+        censored_mass=censored / n,
+        monitors=monitors,
     )

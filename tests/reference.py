@@ -20,6 +20,12 @@
   :func:`dual_ladder_measure` keeps only the points it records, as a list
   of (path, cell) keys, and takes each cell's mean and M2 from exact
   integer sums of the per-path counts.
+* The whole-batch reductions of the Monte Carlo checks: each draws all
+  ``n`` records of a check as one batch (``sample_passages``,
+  ``sample_biv_passages``, ``sample_ladder_jumps`` on the check's own
+  substream) and reduces it as one histogram (:func:`histogram`, a float
+  grid with one ``np.add.at`` per batch) or one mean.  The checks fold
+  their records one chunk at a time; the tests compare the two exactly.
 * The one-level renewal sum of an explicit bivariate subordinator:
   :func:`biv_renewal_one_level` enumerates the jump-count vectors of one
   box ``[0, t] x [0, u]`` and adds each vector's term in a Python loop,
@@ -30,16 +36,19 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from levyladder.passage import _closed
+from levyladder.lawcheck import Axis, DiscreteMeasureND
+from levyladder.passage import (
+    _closed, sample_biv_passages, sample_ladder_jumps, sample_passages,
+)
 from levyladder.processes import BivariateSubordinatorSpec, ProcessSpec, walk
 from levyladder.renewal import _merge_columns, _row_blocks, _stats_per_column
-from levyladder.results import EstimateWithError, estimate_from_stats
+from levyladder.results import EstimateWithError, binomial_estimate, estimate_from_stats
 from levyladder.rng import RngPolicy, chunked_map
 from levyladder.rw_ladder import LatticeWalkSpec, Mode, poisson_tail_mean, poisson_weights
 
@@ -304,7 +313,8 @@ def dual_ladder_cells(
     """MC estimates of ``Vhat(t, x)`` for a compound Poisson fixture."""
     if not spec.is_compound_poisson:
         raise ValueError("dual ladder cells require a compound Poisson fixture")
-    parts = chunked_map(lambda i, m, rng: _dual_cells_chunk(spec, list(cells), m, rng), n, policy)
+    parts = list(chunked_map(lambda i, m, rng: _dual_cells_chunk(spec, list(cells), m, rng),
+                             n, policy))
     return [estimate_from_stats(*s) for s in _merge_columns(parts)]
 
 
@@ -388,8 +398,8 @@ def dual_ladder_measure(
     ve_arr = np.asarray(v_edges, dtype=float)
     if not math.isfinite(se_arr[-1]):
         raise ValueError("dual ladder measure needs a finite last time edge")
-    parts = chunked_map(lambda i, m, rng: _dual_measure_chunk(spec, se_arr, ve_arr, m, rng),
-                        n, policy)
+    parts = list(chunked_map(lambda i, m, rng: _dual_measure_chunk(spec, se_arr, ve_arr, m, rng),
+                             n, policy))
     merged = _merge_columns(parts)
     ns, nv = se_arr.size - 1, ve_arr.size - 1
     mass = np.zeros((ns, nv))
@@ -451,3 +461,111 @@ def biv_renewal_one_level(spec: BivariateSubordinatorSpec, t: float,
         if ej:
             creep += math.exp(lw - kj * log_c) * float(sf[kj] - sf[kj + 1])
     return v, creep
+
+
+# ---------------------------------------------------------------------------
+# Whole-batch reductions of the Monte Carlo checks
+# ---------------------------------------------------------------------------
+
+
+def histogram(axes: Sequence[Axis], columns: Sequence[np.ndarray], n_total: int,
+              weight: float = 1.0) -> DiscreteMeasureND:
+    """Histogram measure of all points at once: each point in the grid adds
+    1.0 to a float cell, and carries mass ``weight / n_total``."""
+    shape = tuple(a.size for a in axes)
+    idx = [a.index(col) for a, col in zip(axes, columns)]
+    ok = np.ones(columns[0].size, dtype=bool)
+    for ix in idx:
+        ok &= ix >= 0
+    flat = np.zeros(int(np.prod(shape)))
+    if ok.any():
+        np.add.at(flat, np.ravel_multi_index([ix[ok] for ix in idx], shape), 1.0)
+    mass = flat.reshape(shape) * (weight / n_total)
+    return DiscreteMeasureND(tuple(axes), mass, weight * (n_total - int(ok.sum())) / n_total)
+
+
+def creep_estimates(spec: ProcessSpec, t: float, levels: Sequence[float], n: int,
+                    policy: RngPolicy) -> tuple[list[EstimateWithError], dict[str, int]]:
+    """``estimate_p`` at each level from one batch of ``n`` walks to the
+    highest level."""
+    levels = np.asarray(levels, dtype=float)
+    cap = _closed(t)
+    order = np.argsort(levels, kind="stable")
+    top, lower = order[-1], order[:-1]
+    batch = sample_passages(spec, float(levels[top]), cap=cap, n=n, policy=policy,
+                            below=levels[lower])
+    hits = np.empty(levels.size, dtype=np.int64)
+    hits[top] = (batch.creep & (batch.tau <= cap)).sum()
+    hits[lower] = batch.level_creep.sum(axis=0)
+    return [binomial_estimate(int(k), batch.n) for k in hits], dict(batch.monitors)
+
+
+@dataclass
+class WholeBatch:
+    """A check's empirical side reduced from one batch: its histogram and the
+    shares of its censored, killed and creeping records, and of its ladder
+    returns above the maximum (0 where the sampler has none)."""
+
+    emp: DiscreteMeasureND | None
+    censored: float
+    killed: float = 0.0
+    creep: float = 0.0
+    x_pos: float = 0.0
+    monitors: dict = field(default_factory=dict)
+
+
+def ladder_histogram(spec: ProcessSpec, n: int, policy: RngPolicy,
+                     axes: Sequence[Axis] | None, cap: float) -> WholeBatch:
+    """``check_amicale``'s (s, x) ladder measure of weight ``spec.rate``
+    (None without ``axes``)."""
+    lad = sample_ladder_jumps(spec, n, policy.substream("lhs"), cap=cap)
+    ok = ~lad.censored
+    emp = None if axes is None else histogram(axes, [lad.ds[ok], lad.dx[ok]], lad.n,
+                                              weight=spec.rate)
+    return WholeBatch(emp, lad.censored_mass, creep=float((ok & (lad.dx == 0.0)).mean()),
+                      x_pos=float((ok & (lad.dx > 0)).mean()))
+
+
+def alpha_cdf(spec: ProcessSpec, n: int, policy: RngPolicy, s_grid: Sequence[float],
+              v_max: int, x_max: int) -> np.ndarray:
+    """``check_alpha_embedding``'s empirical CDF on its grid."""
+    h = LatticeWalkSpec.from_process(spec).h
+    batch = sample_ladder_jumps(spec, n, policy.substream("alpha"), cap=float(s_grid[-1]))
+    ok = ~batch.censored
+    s_arr = np.asarray(s_grid)
+    si = np.searchsorted(s_arr, batch.ds[ok], side="left")
+    vi = np.minimum(np.round(batch.v[ok] / h).astype(int), v_max + 1)
+    xi = np.minimum(np.round(batch.dx[ok] / h).astype(int), x_max + 1)
+    hist = np.zeros((s_arr.size + 1, v_max + 2, x_max + 2))
+    np.add.at(hist, (si, vi, xi), 1.0)
+    cdf = hist.cumsum(axis=0).cumsum(axis=1).cumsum(axis=2) / batch.n
+    return cdf[: len(s_grid), : v_max + 1, : x_max + 1]
+
+
+def quintuple_histogram(spec: ProcessSpec, u: float, cap: float, n: int, policy: RngPolicy,
+                        axes: Sequence[Axis], t_cut: float | None = None) -> WholeBatch:
+    """``check_quintuple``'s jump-passage histogram: on the lattice route
+    (``t_cut`` None) over (x, v, y, s, t), on the creeping route over (t, y,
+    s, vhat) with ``creep`` the creeping mass by ``t_cut``."""
+    batch = sample_passages(spec, u, cap, n, policy.substream("emp"))
+    x, v, y, s, t = batch.quintuple()
+    jump = ~batch.creep[batch.resolved]
+    if t_cut is None:
+        cols, creep = [x, v, y, s, t], 0.0
+    else:
+        cols = [t, y, s, v - y]
+        creep = float((batch.creep & (batch.tau <= t_cut)).mean())
+    emp = histogram(axes, [c[jump] for c in cols], batch.n)
+    return WholeBatch(emp, batch.censored_mass, creep=creep, monitors=dict(batch.monitors))
+
+
+def quadruple_histogram(spec: BivariateSubordinatorSpec, u: float, n: int, policy: RngPolicy,
+                        axes: Sequence[Axis], s_cap: float = math.inf,
+                        t_cut: float = math.inf) -> WholeBatch:
+    """``check_quadruple``'s (x, y, s, t) histogram; ``creep`` is the
+    creeping mass with ``Z`` at most ``t_cut`` at passage."""
+    batch = sample_biv_passages(spec, u, n, policy.substream("emp"), s_cap=s_cap)
+    emp = histogram(axes, list(batch.quadruple()), batch.n)
+    creep = float((batch.creep & (batch.z_before + batch.dz <= t_cut)).mean())
+    return WholeBatch(emp, batch.censored_mass, float(batch.killed.mean()), creep,
+                      monitors=dict(batch.monitors))

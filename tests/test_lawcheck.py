@@ -41,6 +41,11 @@ class TestAxes:
         assert list(ax.index(np.array([0.0, 0.05, 0.1, 0.11]))) == [0, 1, 1, 2]
 
 
+def _histogram(axes, columns, n_total):
+    return lc.DiscreteMeasureND.from_counts(
+        axes, lc.DiscreteMeasureND.cell_counts(axes, columns), n_total)
+
+
 class TestMeasure:
     def _axes(self):
         return (lc.Axis("a", "bins", (0.0, 1.0, 2.0)), lc.Axis("b", "atoms", (0.0, 1.0)))
@@ -49,15 +54,15 @@ class TestMeasure:
         axes = self._axes()
         a = np.array([0.5, 1.5, 5.0, 0.2])  # one out of range
         b = np.array([0.0, 1.0, 0.0, 2.0])  # one off-atom
-        m = lc.DiscreteMeasureND.from_points(axes, [a, b], n_total=6)
+        m = _histogram(axes, [a, b], n_total=6)
         assert m.total_mass == pytest.approx(2 / 6)
         assert m.excluded_mass == pytest.approx(4 / 6)
         assert m.total_mass + m.excluded_mass == pytest.approx(1.0)
 
     def test_tv_and_cdf_distances(self):
         axes = self._axes()
-        m1 = lc.DiscreteMeasureND.from_points(axes, [np.array([0.5]), np.array([0.0])], 1)
-        m2 = lc.DiscreteMeasureND.from_points(axes, [np.array([1.5]), np.array([0.0])], 1)
+        m1 = _histogram(axes, [np.array([0.5]), np.array([0.0])], 1)
+        m2 = _histogram(axes, [np.array([1.5]), np.array([0.0])], 1)
         assert m1.tv_distance(m2) == pytest.approx(1.0)
         assert m1.tv_distance(m1) == 0.0
 
@@ -280,13 +285,13 @@ class TestAmicale:
 
     def test_creeping_returns_censored_fail_p1_and_p2(self, monkeypatch):
         # a ladder sampler that loses every return by creeping (x = 0)
-        sample = lc.sample_ladder_jumps
+        chunks = lc.ladder_jump_chunks
 
         def no_creeping(*args, **kwargs):
-            lad = sample(*args, **kwargs)
-            return dataclasses.replace(lad, censored=lad.censored | (lad.dx == 0.0))
+            for lad in chunks(*args, **kwargs):
+                yield dataclasses.replace(lad, censored=lad.censored | (lad.dx == 0.0))
 
-        monkeypatch.setattr(lc, "sample_ladder_jumps", no_creeping)
+        monkeypatch.setattr(lc, "ladder_jump_chunks", no_creeping)
         assert not lc.check_amicale(P2, 100000, POL.substream("am2"), fixture="P2").passed
         assert not lc.check_amicale(P1, 150000, POL.substream("am1"), fixture="P1").passed
 

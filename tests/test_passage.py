@@ -8,7 +8,7 @@ import pytest
 
 from levyladder.fixtures import B1, P1, P2, P3
 from levyladder.processes import BivariateSubordinatorSpec, DiscreteAtoms, ProcessSpec
-from levyladder.results import CHECK_FAIL_RATE, concatenate, verdict
+from levyladder.results import CHECK_FAIL_RATE, join_chunks, verdict
 from levyladder.rng import RngPolicy
 from levyladder import passage as pg
 from levyladder import processes
@@ -781,9 +781,9 @@ def _batch_parts(cls):
 
 
 @pytest.mark.parametrize("cls", [pg.PassageBatch, pg.SubPassageBatch, pg.LadderJumpBatch])
-def test_concatenate_joins_arrays_sums_monitors_keeps_first_scalars(cls):
+def test_join_chunks_fills_arrays_sums_monitors_keeps_first_scalars(cls):
     parts = _batch_parts(cls)
-    out = concatenate(parts)
+    out = join_chunks(iter(parts), 6)
     assert type(out) is cls
     for f in dataclasses.fields(cls):
         got = getattr(out, f.name)
