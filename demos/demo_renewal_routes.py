@@ -1,12 +1,14 @@
-"""Renewal functions of a killed bivariate subordinator, four ways.
+"""Renewal functions of a killed bivariate subordinator, three ways.
 
 The same object V(t, u) is produced exactly, as the finite sum over
-jump-count vectors of B1's atoms, by the sampled triple minimum, by
-closed-form killing integration, and (through the occupation-density
-identity) by integrating creep probabilities over levels, which the
-subpint check compares with d_Y times the exact sum.  The script also runs
-the quadruple law at one level, whose right side is built from the exact
-sum, and the resolvent route to the creeping time of an increasing process,
+jump-count vectors of B1's atoms, by closed-form killing integration along
+each sampled path, and (through the occupation-density identity) by
+integrating creep probabilities over levels, which the subpint check
+compares with d_Y times the exact sum.  The sampled triple minimum, which
+draws the killing time instead of integrating it out, is no longer a
+library route; the tests keep it as a reference.  The script also runs the
+quadruple law at one level, whose right side is built from the exact sum,
+and the resolvent route to the creeping time of an increasing process,
 whose right side d u^q(u) is a closed form.
 """
 
@@ -16,12 +18,10 @@ from levyladder.rng import RngPolicy
 policy = RngPolicy(seed=13)
 t, u = 0.5, 0.9
 
-g_min = ll.estimate_V(ll.B1, [t], [u], 40_000, policy.substream("min"), route="min")
-g_int = ll.estimate_V(ll.B1, [t], [u], 40_000, policy.substream("int"), route="integrate")
-c1, c2 = g_min.cell(t, u), g_int.cell(t, u)
+cell = ll.estimate_V(ll.B1, [t], [u], 40_000, policy.substream("int")).cell(t, u)
 exact, _, _ = ll.exact_V(ll.B1, t, u)
-print(f"V({t}, {u}) for B1: exact {exact:.5f}, sampled-killing {c1.value:.5f} +- {c1.se:.5f}, "
-      f"integrated-killing {c2.value:.5f} +- {c2.se:.5f}")
+print(f"V({t}, {u}) for B1: exact {exact:.5f}, "
+      f"integrated-killing {cell.value:.5f} +- {cell.se:.5f}")
 
 rep = ll.check_subpint(ll.B1, t, u, 40_000, policy.substream("subpint"), fixture="B1")
 print(f"integral of p(t, v) dv = d_Y V(t, u): lhs={rep.lhs:.5f} +- {rep.se_lhs:.5f}, "

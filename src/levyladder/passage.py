@@ -94,6 +94,7 @@ __all__ = [
     "LadderJumpBatch",
     "ladder_jump_chunks",
     "sample_ladder_jumps",
+    "ladder_bias",
     "kappa_from_ladder",
     "kappa_diff_from_ladder",
     "kappa_deriv_from_ladder",
@@ -878,54 +879,51 @@ def sample_ladder_jumps(
     return join_chunks(ladder_jump_chunks(spec, n, policy, cap), n)
 
 
-def _ladder_mean(spec: ProcessSpec, batch: LadderJumpBatch, vals: np.ndarray, a: float,
-                 offset: float) -> EstimateWithError:
-    """``offset + rate * mean(vals)`` with its SE, ``vals`` holding one value
-    per sampled jump, censored ones included.  A censored excursion lasts
-    longer than the cap, so its weight ``e^{-a dL}`` is below ``e^{-a cap}``:
-    ``bias_bound`` is ``rate * censored_mass * e^{-a cap}`` when ``a > 0``
-    and ``rate * censored_mass`` otherwise."""
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(batch.n)) if batch.n > 1 else 0.0
-    cm = batch.censored_mass
-    bias = spec.rate * cm * (math.exp(-a * batch.cap) if a > 0 else 1.0)
-    return EstimateWithError(offset + spec.rate * mean, spec.rate * se, batch.n, cm, bias)
+def ladder_bias(spec: ProcessSpec, a: float, censored_mass: float, cap: float) -> float:
+    """Bound on the bias that censored records put into the mean of a
+    ``kappa_*_from_ladder`` column at time argument ``a``.  A censored
+    excursion lasts longer than ``cap``, so its weight ``e^{-a dL}`` is below
+    ``e^{-a cap}``: the bound is ``rate * censored_mass * e^{-a cap}`` when
+    ``a > 0`` and ``rate * censored_mass`` otherwise."""
+    return spec.rate * censored_mass * (math.exp(-a * cap) if a > 0 else 1.0)
 
 
 def kappa_from_ladder(
     spec: ProcessSpec, batch: LadderJumpBatch, a: float, b: float
-) -> EstimateWithError:
-    """Ladder-representation estimate of the Laplace exponent
-    ``kappa(a, b) = a + b c + rate * E[1 - e^{-a dL - b dH}]``.
+) -> np.ndarray:
+    """One value per record of ``batch`` whose mean estimates the Laplace
+    exponent ``kappa(a, b) = a + b c + rate * E[1 - e^{-a dL - b dH}]``.
 
     Censored excursions contribute 1 to the expectation (they behave like
-    killing).
+    killing); :func:`ladder_bias` bounds what that adds.
     """
     vals = np.ones(batch.n)
     res = ~batch.censored
     vals[res] = 1.0 - np.exp(-a * batch.ds[res] - b * batch.dx[res])
-    return _ladder_mean(spec, batch, vals, a, a + b * spec.drift)
+    return a + b * spec.drift + spec.rate * vals
 
 
 def kappa_diff_from_ladder(
     spec: ProcessSpec, batch: LadderJumpBatch, theta: float, b1: float, b2: float
-) -> EstimateWithError:
-    """Low-variance estimate of ``kappa(theta, b1) - kappa(theta, b2)`` from
-    one ladder sample set: ``(b1 - b2) c + rate * E[e^{-theta dL}(e^{-b2 dH} -
-    e^{-b1 dH})]`` (censored entries contribute 0 when ``theta > 0``)."""
+) -> np.ndarray:
+    """One value per record whose mean is a low-variance estimate of
+    ``kappa(theta, b1) - kappa(theta, b2)`` from one ladder sample set:
+    ``(b1 - b2) c + rate * E[e^{-theta dL}(e^{-b2 dH} - e^{-b1 dH})]``
+    (censored entries contribute 0 when ``theta > 0``)."""
     vals = np.zeros(batch.n)
     res = ~batch.censored
     et = np.exp(-theta * batch.ds[res])
     vals[res] = et * (np.exp(-b2 * batch.dx[res]) - np.exp(-b1 * batch.dx[res]))
-    return _ladder_mean(spec, batch, vals, theta, (b1 - b2) * spec.drift)
+    return (b1 - b2) * spec.drift + spec.rate * vals
 
 
 def kappa_deriv_from_ladder(
     spec: ProcessSpec, batch: LadderJumpBatch, theta: float, rho: float
-) -> EstimateWithError:
-    """Right derivative of kappa in the space argument at ``(theta, rho)``:
-    ``c + rate E[dH e^{-theta dL - rho dH}]`` (censored entries contribute 0)."""
+) -> np.ndarray:
+    """One value per record whose mean is the right derivative of kappa in
+    the space argument at ``(theta, rho)``: ``c + rate E[dH e^{-theta dL -
+    rho dH}]`` (censored entries contribute 0)."""
     vals = np.zeros(batch.n)
     res = ~batch.censored
     vals[res] = batch.dx[res] * np.exp(-theta * batch.ds[res] - rho * batch.dx[res])
-    return _ladder_mean(spec, batch, vals, theta, spec.drift)
+    return spec.drift + spec.rate * vals

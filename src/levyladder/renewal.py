@@ -10,11 +10,8 @@ for lattice jumps with a positive drift it reads ``V`` and ``p`` from
 engines live here besides.
 
 * :func:`estimate_V` -- explicit killed bivariate subordinators.
-  ``V(t, u)`` is estimated either as the sampled minimum
-  ``E[T^Y_u ^ T^Z_t ^ e(q)]`` (``route='min'``) or with the killing
-  integrated in closed form (``route='integrate'``); the two are distinct
-  estimators of the same quantity and their agreement is itself an identity
-  check.
+  ``V(t, u) = E[T^Y_u ^ T^Z_t ^ e(q)]`` is estimated with the killing
+  integrated in closed form along each path.
 * :func:`fluct_boxes` -- the ladder process of a drift-creeping or compound
   Poisson fixture, without ever constructing ladder jumps: by the local-time
   change of variables, the ladder renewal measure of a box equals the
@@ -43,10 +40,10 @@ import numpy as np
 
 from .processes import BivariateSubordinatorSpec, ProcessSpec, walk
 from .results import (
-    CheckReport, EstimateWithError, binomial_estimate, estimate_from_stats, fold,
-    merge_monitors, row_budgets, verdict,
+    CheckReport, EstimateWithError, PathValues, binomial_estimate, fold, merge_monitors,
+    row_budgets, verdict,
 )
-from .rng import RngPolicy, chunked_map, merge_mean_m2
+from .rng import RngPolicy, chunked_map
 from .passage import _closed, biv_passage_chunks, estimate_p
 from .rw_ladder import DriftLattice, poisson_weights
 
@@ -60,25 +57,6 @@ __all__ = [
 
 Boxes = np.ndarray  # shape (nb, 4): columns t_lo, t_hi, u_lo, u_hi
 SamplerSpec = Union[BivariateSubordinatorSpec, ProcessSpec]
-
-
-def _stats_per_column(values: np.ndarray) -> list[tuple[int, float, float]]:
-    """(n, mean, M2) of each column of a float (n x cols) array.
-
-    Consumes ``values``: the squared deviations are formed in its memory, so
-    no second (n x cols) array is made.
-    """
-    n = values.shape[0]
-    mean = values.mean(axis=0)
-    values -= mean
-    np.square(values, out=values)
-    m2 = values.sum(axis=0)
-    return [(n, float(mean[j]), float(m2[j])) for j in range(values.shape[1])]
-
-
-def _merge_columns(parts: list[list[tuple[int, float, float]]]) -> list[tuple[int, float, float]]:
-    nb = len(parts[0])
-    return [merge_mean_m2([p[j] for p in parts]) for j in range(nb)]
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +78,7 @@ def _row_blocks(m: int, width: int) -> list[slice]:
     return [slice(a, a + step) for a in range(0, m, step)]
 
 
-def _fluct_occ_chunk(
-    spec: ProcessSpec, boxes: Boxes, n: int, rng
-) -> tuple[list[tuple[int, float, float]], int]:
+def _fluct_occ_chunk(spec: ProcessSpec, boxes: Boxes, n: int, rng) -> PathValues:
     c, lam = spec.drift, spec.rate
     if c < 0:
         raise ValueError("ladder occupation requires nonnegative drift")
@@ -113,7 +89,7 @@ def _fluct_occ_chunk(
     stop_u = float(u_hi.max())
 
     occ = np.zeros((n, nb))
-    censored = 0
+    censored = np.zeros(n, dtype=bool)
 
     sigma = np.zeros(n)
     J = np.zeros(n)
@@ -146,7 +122,6 @@ def _fluct_occ_chunk(
                 occ[rows[b]] += np.where(inband, length, 0.0)
 
     def after(alive, g, Y):
-        nonlocal censored
         sig_next = sigma[alive] + g
         J[alive] += Y
         w_land = c * sig_next + J[alive]
@@ -154,11 +129,11 @@ def _fluct_occ_chunk(
         sigma[alive] = sig_next
         stop = (sig_next > stop_r) | (M[alive] > stop_u)
         if stop.any() and stop_r >= OCC_TIME_GUARD:
-            censored += int((stop & (sig_next > stop_r) & (M[alive] <= stop_u)).sum())
+            censored[alive[stop & (sig_next > stop_r) & (M[alive] <= stop_u)]] = True
         return ~stop
 
     walk(np.arange(n), lam, rng, spec.sample_jumps, before, after)
-    return _stats_per_column(occ), censored
+    return PathValues(occ.T, censored)
 
 
 def fluct_boxes(
@@ -171,11 +146,9 @@ def fluct_boxes(
     weakly ascending ladder process of ``spec``, via at-the-maximum
     occupation times of the raw path (common paths across boxes)."""
     arr = np.asarray([[b[0], b[1], b[2], b[3]] for b in boxes], dtype=float)
-    stats, cens = zip(*chunked_map(lambda i, m, rng: _fluct_occ_chunk(spec, arr, m, rng),
-                                   n, policy))
-    merged = _merge_columns(stats)
-    cens = sum(cens) / max(n, 1)
-    return [estimate_from_stats(*s, censored_mass=cens) for s in merged]
+    (m, _), cens, _ = fold(chunked_map(lambda i, k, rng: _fluct_occ_chunk(spec, arr, k, rng),
+                                       n, policy), PathValues.tally)
+    return [m[j].estimate(cens) for j in range(len(arr))]
 
 
 # ---------------------------------------------------------------------------
@@ -292,19 +265,13 @@ BIV_TIME_GUARD = 1e7
 
 
 def _biv_min_chunk(
-    spec: BivariateSubordinatorSpec, t: float, u: float, n: int, rng, route: str
-) -> tuple[tuple[int, float, float], int]:
-    """Per-path ``T^Y_u ^ T^Z_t [^ e(q)]`` resolved exactly; returns stats.
-
-    route='min': value is the sampled triple minimum.  route='integrate':
-    value is ``(1 - e^{-q m}) / q`` with ``m = T^Y_u ^ T^Z_t`` (killing
-    integrated out; exact on each path).
-    """
+    spec: BivariateSubordinatorSpec, t: float, u: float, n: int, rng
+) -> PathValues:
+    """Per path ``(1 - e^{-q m}) / q`` with ``m = T^Y_u ^ T^Z_t`` resolved
+    exactly (``m`` itself when ``q = 0``): the killing ``e(q)`` of
+    ``E[T^Y_u ^ T^Z_t ^ e(q)]`` integrated out, exact on each path."""
     dz, dy, q = spec.d_z, spec.d_y, spec.q
-    e_life = (
-        rng.exponential(1.0 / q, n) if (route == "min" and q > 0) else np.full(n, math.inf)
-    )
-    censored = 0
+    censored = np.zeros(n, dtype=bool)
 
     s = np.zeros(n)
     z = np.zeros(n)
@@ -312,18 +279,15 @@ def _biv_min_chunk(
     minval = np.full(n, math.inf)
 
     def before(alive, g):
-        nonlocal censored
         s_next = s[alive] + g
         cross_z = np.where((dz > 0) & (z[alive] + dz * g > t),
                            s[alive] + (t - z[alive]) / max(dz, 1e-300), math.inf)
         cross_y = np.where((dy > 0) & (y[alive] + dy * g > u),
                            s[alive] + (u - y[alive]) / max(dy, 1e-300), math.inf)
-        drift_cross = np.minimum(cross_z, cross_y)
-        event = np.minimum(np.minimum(drift_cross, e_life[alive]),
-                           np.minimum(s_next, BIV_TIME_GUARD))
+        event = np.minimum(np.minimum(cross_z, cross_y), np.minimum(s_next, BIV_TIME_GUARD))
         resolved = event < s_next
         minval[alive[resolved]] = event[resolved]
-        censored += int((event[resolved] >= BIV_TIME_GUARD).sum())
+        censored[alive[resolved & (event >= BIV_TIME_GUARD)]] = True
         return ~resolved
 
     def after(alive, g, jump):
@@ -334,20 +298,12 @@ def _biv_min_chunk(
         s[alive] = s_next
         z[alive] += jt
         y[alive] += jx
-        over = (z[alive] > t) | (y[alive] > u) | (e_life[alive] <= s_next)
-        fin = alive[over]
-        minval[fin] = np.minimum(s_next[over], e_life[fin])
+        over = (z[alive] > t) | (y[alive] > u)
+        minval[alive[over]] = s_next[over]
         return ~over
 
     walk(np.arange(n), spec.total_rate, rng, spec.sample_atoms, before, after)
-    if route == "min":
-        vals = minval
-    else:
-        vals = (1.0 - np.exp(-q * minval)) / q if q > 0 else minval
-    n_eff = vals.size
-    mean = float(vals.mean())
-    m2 = float(((vals - mean) ** 2).sum())
-    return (n_eff, mean, m2), censored
+    return PathValues((1.0 - np.exp(-q * minval)) / q if q > 0 else minval, censored)
 
 
 # ---------------------------------------------------------------------------
@@ -392,19 +348,15 @@ def estimate_V(
     u_values: Sequence[float],
     n_per_cell: int,
     policy: RngPolicy,
-    route: str = "integrate",
 ) -> RenewalGrid:
     """Renewal function ``V(t, u)`` on a grid, one substream per cell.
 
     For an explicit :class:`BivariateSubordinatorSpec` the per-path value is
-    the (killed) triple minimum; for a :class:`ProcessSpec` the grid is for
-    the fixture's weakly ascending ladder process (drifts ``(1, drift)``),
-    estimated from at-the-maximum occupation times of the raw path.
-    ``route`` selects the bivariate per-path value: ``"integrate"`` (killing
-    integrated out) or ``"min"`` (the sampled triple minimum).
+    the triple minimum with its killing integrated out (:func:`_biv_min_chunk`);
+    for a :class:`ProcessSpec` the grid is for the fixture's weakly ascending
+    ladder process (drifts ``(1, drift)``), estimated from at-the-maximum
+    occupation times of the raw path.
     """
-    if route not in ("integrate", "min"):
-        raise ValueError(f"route must be 'integrate' or 'min', got {route!r}")
     nt, nu = len(t_values), len(u_values)
     value = np.zeros((nt, nu))
     se = np.zeros((nt, nu))
@@ -413,17 +365,16 @@ def estimate_V(
         for j, u in enumerate(u_values):
             sub = policy.substream(f"V[{i},{j}]")
             if isinstance(spec, BivariateSubordinatorSpec):
-                stats, cens_n = zip(*chunked_map(
-                    lambda i, m, rng: _biv_min_chunk(spec, t, u, m, rng, route), n_per_cell, sub))
-                est = estimate_from_stats(*merge_mean_m2(stats),
-                                          censored_mass=sum(cens_n) / n_per_cell)
+                (m, _), cens_mass, _ = fold(chunked_map(
+                    lambda i, k, rng: _biv_min_chunk(spec, t, u, k, rng), n_per_cell, sub),
+                    PathValues.tally)
+                est = m.estimate(cens_mass)
             else:
                 est = fluct_boxes(spec, [(0.0, t, -1.0, u)], n_per_cell, sub)[0]
             value[i, j] = est.value
             se[i, j] = est.se
             cens[i, j] = est.censored_mass
-    prov = "mc-min" if route == "min" else "mc"
-    return RenewalGrid(tuple(t_values), tuple(u_values), value, se, n_per_cell, prov, cens)
+    return RenewalGrid(tuple(t_values), tuple(u_values), value, se, n_per_cell, "mc", cens)
 
 
 def check_V_grid(spec: SamplerSpec, t: float | Sequence[float], u: float | Sequence[float],

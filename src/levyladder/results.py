@@ -20,8 +20,9 @@ import numpy as np
 
 __all__ = [
     "EstimateWithError",
+    "Moments",
+    "PathValues",
     "CheckReport",
-    "estimate_from_stats",
     "binomial_estimate",
     "sidak_z",
     "row_budgets",
@@ -54,14 +55,70 @@ class EstimateWithError:
             raise ValueError(f"standard error must be finite and >= 0, got {self.se}")
 
 
-def estimate_from_stats(
-    n: int, mean: float, m2: float, censored_mass: float = 0.0, bias_bound: float = 0.0
-) -> EstimateWithError:
-    """Estimate from merged (n, mean, M2) statistics; SE of the mean."""
-    if n <= 1:
-        return EstimateWithError(mean, 0.0, n, censored_mass, bias_bound)
-    var = max(m2 / (n - 1), 0.0)
-    return EstimateWithError(mean, math.sqrt(var / n), n, censored_mass, bias_bound)
+@dataclass(frozen=True)
+class Moments:
+    """Count, mean and M2 (sum of squared deviations from the mean) of float
+    records: one column, or one per row of a 2-D array, ``mean`` and ``m2``
+    then being arrays.
+
+    ``a + b`` merges two disjoint samples, ``a``'s records first, by the
+    pairwise update of Chan, Golub & LeVeque, so :func:`fold` adds the
+    moments of each chunk in chunk order as it adds counts; where the chunks
+    split the records moves only the last bits of the mean and M2."""
+
+    n: int
+    mean: Any
+    m2: Any
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> "Moments":
+        """The moments of the records along ``values``' last axis.  The mean
+        is taken about the first record, so equal records give that value
+        and M2 0 exactly."""
+        first = values[..., :1]
+        dev = values - first
+        mean = first[..., 0] + dev.mean(axis=-1)
+        np.subtract(values, mean[..., None], out=dev)
+        np.square(dev, out=dev)
+        return cls(values.shape[-1], mean, dev.sum(axis=-1))
+
+    def __add__(self, other: "Moments") -> "Moments":
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        return Moments(n, self.mean + delta * (other.n / n),
+                       self.m2 + other.m2 + delta * delta * (self.n * other.n / n))
+
+    def __getitem__(self, j: int) -> "Moments":
+        """The moments of column ``j``."""
+        return Moments(self.n, self.mean[j], self.m2[j])
+
+    def estimate(self, censored_mass: float = 0.0, bias_bound: float = 0.0
+                 ) -> EstimateWithError:
+        """The mean of one column with its SE ``sqrt(M2 / (n - 1) / n)``, 0 for
+        ``n <= 1``."""
+        se = math.sqrt(max(self.m2 / (self.n - 1), 0.0) / self.n) if self.n > 1 else 0.0
+        return EstimateWithError(float(self.mean), se, self.n, censored_mass, bias_bound)
+
+
+@dataclass
+class PathValues:
+    """One chunk of a path engine's per-path values, a record batch for
+    :func:`fold`: ``values`` holds the paths along its last axis (one row
+    per column), ``censored`` marks the paths stopped at a guard, and
+    ``bias`` bounds what the paths stopped early leave out of their values,
+    summed over the chunk."""
+
+    values: np.ndarray
+    censored: np.ndarray
+    bias: float = 0.0
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[-1]
+
+    def tally(self) -> tuple[Moments, float]:
+        """The chunk's terms for :func:`fold`: its moments and its bias."""
+        return Moments.of(self.values), self.bias
 
 
 def binomial_estimate(k: int, n: int) -> EstimateWithError:
@@ -249,7 +306,9 @@ def fold(chunks: Iterable[Any], tally: Callable[[Any], tuple]
     chunk: ``tally(chunk)`` summed term by term, the share of records
     marked ``censored`` and the chunks' ``monitors`` merged.  Each chunk is
     dropped once tallied.  Terms that are integer counts or integer arrays
-    sum exactly, so nothing depends on where the chunks split the records."""
+    sum exactly, so nothing depends on where the chunks split the records;
+    :class:`Moments` terms merge in chunk order, so a mean and its SE depend
+    on the split only in their last bits."""
     sums, n, n_censored, monitors = None, 0, 0, {}
     for chunk in chunks:
         part = tally(chunk)

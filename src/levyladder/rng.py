@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -99,21 +99,3 @@ def chunked_map(
     sizes = chunk_sizes(n_total, policy.chunk_size)
     return (fn(i, m, policy.stream(i)) for i, m in enumerate(sizes))
 
-
-def merge_mean_m2(parts: Sequence[tuple[int, float, float]]) -> tuple[int, float, float]:
-    """Combine per-chunk (n, mean, M2) statistics in the given order.
-
-    M2 is the sum of squared deviations from the chunk mean (Welford).  The
-    merge is performed pairwise left-to-right so the result is bitwise
-    reproducible for a fixed chunk order.
-    """
-    n, mean, m2 = 0, 0.0, 0.0
-    for cn, cmean, cm2 in parts:
-        if cn == 0:
-            continue
-        tot = n + cn
-        delta = cmean - mean
-        mean = mean + delta * (cn / tot)
-        m2 = m2 + cm2 + delta * delta * (n * cn / tot)
-        n = tot
-    return n, mean, m2

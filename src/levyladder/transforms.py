@@ -27,16 +27,17 @@ from .processes import (
     walk,
 )
 from .results import (
-    CheckReport, EstimateWithError, estimate_from_stats, merge_monitors, row_budgets, verdict,
+    CheckReport, EstimateWithError, Moments, PathValues, fold, row_budgets, verdict,
 )
-from .rng import RngPolicy, chunked_map, merge_mean_m2
+from .rng import RngPolicy, chunked_map
 from . import rw_ladder as rl
 from .passage import (
     kappa_deriv_from_ladder,
     kappa_diff_from_ladder,
     kappa_from_ladder,
+    ladder_bias,
+    ladder_jump_chunks,
     passage_chunks,
-    sample_ladder_jumps,
 )
 
 # lt_V and slfi_check stop a path once its multiplicative weight (e^{-a Z - b Y - q s},
@@ -116,7 +117,7 @@ class TransformParams:
 def _lt_chunk(
     spec: BivariateSubordinatorSpec, a: float, b: float, n: int, rng,
     route: str,
-) -> tuple[np.ndarray, float]:
+) -> PathValues:
     dz, dy, q = spec.d_z, spec.d_y, spec.q
     qw = q if route == "integrate" else 0.0
     decay = a * dz + b * dy + qw
@@ -151,19 +152,7 @@ def _lt_chunk(
         return ~(ended | tail)
 
     walk(np.arange(n), spec.total_rate, rng, spec.sample_atoms, before, after)
-    return vals, bias_total
-
-
-def _path_estimate(chunk, n: int, policy: RngPolicy) -> EstimateWithError:
-    """Mean, SE and bias bound (summed ``bias`` per path) of the values that
-    ``chunk(m, rng) -> (values, bias)`` gives.  A chunk's mean is taken about
-    its first value, so equal values give that value and zero spread exactly."""
-    stats, bias = [], 0.0
-    for vals, b in chunked_map(lambda i, m, rng: chunk(m, rng), n, policy):
-        mean = float(vals[0] + (vals - vals[0]).mean())
-        stats.append((vals.size, mean, float(((vals - mean) ** 2).sum())))
-        bias += b
-    return estimate_from_stats(*merge_mean_m2(stats), bias_bound=bias / max(n, 1))
+    return PathValues(vals, np.zeros(n, dtype=bool), bias_total)
 
 
 def lt_V(
@@ -191,7 +180,9 @@ def lt_V(
     kap = kappa_biv(spec, a, b)
     if kap <= 0:
         raise ValueError(f"kappa({a}, {b}) = {kap} <= 0: the transform diverges")
-    return _path_estimate(lambda m, rng: _lt_chunk(spec, a, b, m, rng, route), n, policy)
+    (m, bias), _, _ = fold(chunked_map(lambda i, k, rng: _lt_chunk(spec, a, b, k, rng, route),
+                                       n, policy), PathValues.tally)
+    return m.estimate(bias_bound=bias / n)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +207,7 @@ def _leap_factor(p: TransformParams, span):
     return span if p.derivative_branch else -np.expm1(-a * span) / a
 
 
-def _slfi_chunk(spec, p: TransformParams, n: int, rng) -> tuple[np.ndarray, float]:
+def _slfi_chunk(spec, p: TransformParams, n: int, rng) -> PathValues:
     dz, dy, q = spec.d_z, spec.d_y, spec.q
     c = p.mu * dy + p.nu * dz + q  # growth rate of mu Y + nu Z + q s on a drift segment
     rest = (1.0 - q / kappa_biv(spec, 0.0, p.mu)) / p.mu  # a fresh path's transform bound
@@ -241,7 +232,7 @@ def _slfi_chunk(spec, p: TransformParams, n: int, rng) -> tuple[np.ndarray, floa
         return ~tail
 
     walk(np.arange(n), spec.total_rate, rng, spec.sample_atoms, before, after)
-    return vals, bias_total
+    return PathValues(vals, np.zeros(n, dtype=bool), bias_total)
 
 
 def slfi_check(
@@ -265,7 +256,9 @@ def slfi_check(
     two routes, which the pure-drift case compares exactly.
     """
     params.validate_for(spec)
-    est = _path_estimate(lambda m, rng: _slfi_chunk(spec, params, m, rng), n, policy)
+    (m, bias), _, _ = fold(chunked_map(lambda i, k, rng: _slfi_chunk(spec, params, k, rng),
+                                       n, policy), PathValues.tally)
+    est = m.estimate(bias_bound=bias / n)
     rhs = slfi_rhs_closed_form(spec, params)
     dist, budget = verdict([(abs(est.value - rhs), est.se, est.bias_bound, 1e-12)])
     return CheckReport(
@@ -294,7 +287,7 @@ def slfi_fluct_fixture(spec: ProcessSpec) -> None:
         raise ValueError("the fluctuation transform check needs a creeping fixture")
 
 
-def _slfi_fluct_chunk(spec: ProcessSpec, p: TransformParams, n: int, rng):
+def _slfi_fluct_chunk(spec: ProcessSpec, p: TransformParams, n: int, rng) -> PathValues:
     c = spec.drift
     k = p.mu + p.nu / c  # decay rate in u of e^{-mu u - nu t} over the crept levels
     slow = min(p.nu, p.theta)
@@ -333,7 +326,7 @@ def _slfi_fluct_chunk(spec: ProcessSpec, p: TransformParams, n: int, rng):
         return ~stop
 
     walk(np.arange(n), spec.rate, rng, spec.sample_jumps, before, after)
-    return vals, bias_total
+    return PathValues(vals, np.zeros(n, dtype=bool), bias_total)
 
 
 def slfi_fluct_check(
@@ -355,23 +348,29 @@ def slfi_fluct_check(
     """
     slfi_fluct_fixture(spec)
     params.validate_for(spec)
-    est = _path_estimate(lambda m, rng: _slfi_fluct_chunk(spec, params, m, rng), n_total,
-                         policy.substream("lhs"))
+    (m, bias), _, _ = fold(chunked_map(lambda i, k, rng: _slfi_fluct_chunk(spec, params, k, rng),
+                                       n_total, policy.substream("lhs")), PathValues.tally)
+    est = m.estimate(bias_bound=bias / n_total)
 
-    lad = sample_ladder_jumps(spec, max(n_total // 4, 20000), policy.substream("ladder"),
-                              cap=SLFI_LADDER_CAP)
-    den = kappa_from_ladder(spec, lad, params.nu, params.mu)
-    if params.derivative_branch:
-        num = kappa_deriv_from_ladder(spec, lad, params.theta, params.rho)
-        rhs = num.value / den.value
-        se_rhs = _ratio_se(num.value, num.se, den.value, den.se)
-        rhs_bias = (num.bias_bound + abs(rhs) * den.bias_bound) / den.value
-    else:
-        diff = kappa_diff_from_ladder(spec, lad, params.theta, params.mu + params.ell, params.rho)
-        scale = params.mu + params.ell - params.rho
-        rhs = diff.value / (scale * den.value)
-        se_rhs = _ratio_se(diff.value, diff.se, den.value, den.se) / abs(scale)
-        rhs_bias = (diff.bias_bound + abs(rhs * scale) * den.bias_bound) / (abs(scale) * den.value)
+    # kappa(theta, mu + ell) - kappa(theta, rho) over mu + ell - rho, or its
+    # limit on the derivative branch, over kappa(nu, mu)
+    scale = 1.0 if params.derivative_branch else params.mu + params.ell - params.rho
+
+    def tally(b):
+        if params.derivative_branch:
+            num = kappa_deriv_from_ladder(spec, b, params.theta, params.rho)
+        else:
+            num = kappa_diff_from_ladder(spec, b, params.theta, params.mu + params.ell, params.rho)
+        return (Moments.of(np.stack([num, kappa_from_ladder(spec, b, params.nu, params.mu)])),)
+
+    (lad,), cens, _ = fold(ladder_jump_chunks(spec, max(n_total // 4, 20000),
+                                              policy.substream("ladder"), cap=SLFI_LADDER_CAP),
+                           tally)
+    num = lad[0].estimate(cens, ladder_bias(spec, params.theta, cens, SLFI_LADDER_CAP))
+    den = lad[1].estimate(cens, ladder_bias(spec, params.nu, cens, SLFI_LADDER_CAP))
+    rhs = num.value / (scale * den.value)
+    se_rhs = _ratio_se(num.value, num.se, den.value, den.se) / abs(scale)
+    rhs_bias = (num.bias_bound + abs(rhs * scale) * den.bias_bound) / (abs(scale) * den.value)
 
     dist, budget = verdict([(abs(est.value - rhs), math.hypot(est.se, se_rhs),
                              est.bias_bound, rhs_bias)])
@@ -381,7 +380,7 @@ def slfi_fluct_check(
                 "nu": params.nu, "theta": params.theta, "n_total": n_total},
         lhs=est.value, rhs=rhs, se_lhs=est.se, se_rhs=se_rhs, distance=dist, budget=budget,
         n_paths=n_total + lad.n,
-        details=[{"trunc_bias": est.bias_bound, "ladder_censored": lad.censored_mass}])
+        details=[{"trunc_bias": est.bias_bound, "ladder_censored": cens}])
 
 
 def _ratio_se(num: float, num_se: float, den: float, den_se: float) -> float:
@@ -412,16 +411,18 @@ def wiener_hopf_check(
     ``a``, but ``distance`` and ``budget`` the worst row's, maybe another."""
     walk = rl.LatticeWalkSpec.from_process(spec)
     lam = spec.rate
-    lad = sample_ladder_jumps(spec, n, policy.substream("kappa"), cap=WH_LADDER_CAP)
+    (lad,), cens, _ = fold(
+        ladder_jump_chunks(spec, n, policy.substream("kappa"), cap=WH_LADDER_CAP),
+        lambda b: (Moments.of(np.stack([kappa_from_ladder(spec, b, a, 0.0) for a in a_values])),))
     rows, comparisons = [], []
-    for a in a_values:
+    for j, a in enumerate(a_values):
         r = lam / (lam + a)
         K = int(math.ceil(math.log(1e-12 * (1 - r)) / math.log(r)))
         totals = rl.stay_region_layers(walk, K, "strict-descending").sum(axis=1)
         lt = float(np.sum(totals * r ** np.arange(K + 1)))
         lt_tail = r ** (K + 1) / (1 - r)
         khat = 1.0 / lt
-        k_est = kappa_from_ladder(spec, lad, a, 0.0)
+        k_est = lad[j].estimate(cens, ladder_bias(spec, a, cens, WH_LADDER_CAP))
         prod = k_est.value * khat
         prod_bias = k_est.bias_bound * khat + k_est.value * khat * khat * lt_tail
         rel = abs(prod - a) / a
@@ -440,7 +441,7 @@ def wiener_hopf_check(
         distance=dist,
         budget=budget,
         n_paths=lad.n,
-        censored_mass=lad.censored_mass,
+        censored_mass=cens,
         details=rows,
     )
 
@@ -495,8 +496,8 @@ def check_resolvent_creep(
     resolvent density at ``u`` (Kyprianou 2006).
 
     LHS: the mean of ``e^{-q tau_u}`` on creeping paths over ``n`` passage
-    records, capped above ``u / d`` so that no path is censored; each chunk
-    of records goes once its column of values is kept.  RHS: the closed
+    records, capped above ``u / d`` so that no path is censored, folded
+    one chunk at a time.  RHS: the closed
     form of :func:`_resolvent_density`.  The one row is held to
     ``CHECK_FAIL_RATE``; its ``1e-12`` covers the rounding of the two
     routes' exponentials, which the pure-drift case compares exactly.
@@ -505,25 +506,21 @@ def check_resolvent_creep(
     """
     d = resolvent_fixture(spec)[0]
     rhs = d * float(_resolvent_density(spec, q_tilde, u))
-    vals, at, censored, monitors = np.empty(n), 0, 0, {}
-    for b in passage_chunks(spec, u, 2.0 * u / d, n, policy.substream("lhs")):
-        vals[at:at + b.n] = np.where(b.creep, np.exp(-q_tilde * b.tau), 0.0)
-        at += b.n
-        censored += int(b.censored.sum())
-        merge_monitors(monitors, b.monitors)
-    lhs = float(vals[0] + (vals - vals[0]).mean())
-    lhs_se = float(vals.std(ddof=1) / math.sqrt(vals.size))
-    dist, budget = verdict([(abs(lhs - rhs), lhs_se, 1e-12)])
+    (m,), censored, monitors = fold(
+        passage_chunks(spec, u, 2.0 * u / d, n, policy.substream("lhs")),
+        lambda b: (Moments.of(np.where(b.creep, np.exp(-q_tilde * b.tau), 0.0)),))
+    lhs = m.estimate()
+    dist, budget = verdict([(abs(lhs.value - rhs), lhs.se, 1e-12)])
     return CheckReport(
         check="resolvent",
         fixture=fixture,
         params={"q": q_tilde, "u": u, "n": n},
-        lhs=lhs,
+        lhs=lhs.value,
         rhs=rhs,
-        se_lhs=lhs_se,
+        se_lhs=lhs.se,
         distance=dist,
         budget=budget,
         n_paths=n,
-        censored_mass=censored / n,
+        censored_mass=censored,
         monitors=monitors,
     )

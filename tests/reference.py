@@ -24,8 +24,14 @@
   ``n`` records of a check as one batch (``sample_passages``,
   ``sample_biv_passages``, ``sample_ladder_jumps`` on the check's own
   substream) and reduces it as one histogram (:func:`histogram`, a float
-  grid with one ``np.add.at`` per batch) or one mean.  The checks fold
-  their records one chunk at a time; the tests compare the two exactly.
+  grid with one ``np.add.at`` per batch) or one mean and SD over the whole
+  batch (:func:`kappa_from_ladder`).  The checks fold their records one
+  chunk at a time; the tests compare the two, counts exactly and means to
+  their last bits.
+* The sampled-minimum route to ``V(t, u)`` of a killed bivariate
+  subordinator: :func:`sampled_min_V` draws the killing time ``e(q)`` and
+  averages ``T^Y_u ^ T^Z_t ^ e(q)``.  The library integrates the killing
+  out along each path instead; the tests compare the two.
 * The one-level renewal sum of an explicit bivariate subordinator:
   :func:`biv_renewal_one_level` enumerates the jump-count vectors of one
   box ``[0, t] x [0, u]`` and adds each vector's term in a Python loop,
@@ -47,8 +53,8 @@ from levyladder.passage import (
     _closed, sample_biv_passages, sample_ladder_jumps, sample_passages,
 )
 from levyladder.processes import BivariateSubordinatorSpec, ProcessSpec, walk
-from levyladder.renewal import _merge_columns, _row_blocks, _stats_per_column
-from levyladder.results import EstimateWithError, binomial_estimate, estimate_from_stats
+from levyladder.renewal import BIV_TIME_GUARD, _row_blocks
+from levyladder.results import EstimateWithError, Moments, PathValues, binomial_estimate, fold
 from levyladder.rng import RngPolicy, chunked_map
 from levyladder.rw_ladder import LatticeWalkSpec, Mode, poisson_tail_mean, poisson_weights
 
@@ -252,7 +258,7 @@ def vhat_exact(table: LadderRenewalTable, rate: float, t: float, x: float) -> tu
 
 def _dual_cells_chunk(
     spec: ProcessSpec, cells: list[tuple[float, float]], n: int, rng
-) -> list[tuple[int, float, float]]:
+) -> PathValues:
     """Per-path index of the first dual ladder point outside [0,t] x [0,x].
 
     Valid for compound Poisson fixtures: the strictly descending ladder
@@ -301,7 +307,7 @@ def _dual_cells_chunk(
         return go_on
 
     walk(np.arange(n), lam, rng, spec.sample_jumps, before, after)
-    return _stats_per_column(counts)
+    return PathValues(counts.T, np.zeros(n, dtype=bool))
 
 
 def dual_ladder_cells(
@@ -313,9 +319,9 @@ def dual_ladder_cells(
     """MC estimates of ``Vhat(t, x)`` for a compound Poisson fixture."""
     if not spec.is_compound_poisson:
         raise ValueError("dual ladder cells require a compound Poisson fixture")
-    parts = list(chunked_map(lambda i, m, rng: _dual_cells_chunk(spec, list(cells), m, rng),
-                             n, policy))
-    return [estimate_from_stats(*s) for s in _merge_columns(parts)]
+    (m, _), _, _ = fold(chunked_map(lambda i, k, rng: _dual_cells_chunk(spec, list(cells), k, rng),
+                                    n, policy), PathValues.tally)
+    return [m[j].estimate() for j in range(len(cells))]
 
 
 def _dual_measure_chunk(
@@ -398,17 +404,15 @@ def dual_ladder_measure(
     ve_arr = np.asarray(v_edges, dtype=float)
     if not math.isfinite(se_arr[-1]):
         raise ValueError("dual ladder measure needs a finite last time edge")
-    parts = list(chunked_map(lambda i, m, rng: _dual_measure_chunk(spec, se_arr, ve_arr, m, rng),
-                             n, policy))
-    merged = _merge_columns(parts)
-    ns, nv = se_arr.size - 1, ve_arr.size - 1
-    mass = np.zeros((ns, nv))
-    se = np.zeros((ns, nv))
-    for j, st in enumerate(merged):
-        est = estimate_from_stats(*st)
-        mass[j // nv, j % nv] = est.value
-        se[j // nv, j % nv] = est.se
-    return mass, se
+    parts = chunked_map(lambda i, m, rng: _dual_measure_chunk(spec, se_arr, ve_arr, m, rng),
+                        n, policy)
+    merged = None
+    for part in parts:
+        m = Moments(part[0][0], np.array([s[1] for s in part]), np.array([s[2] for s in part]))
+        merged = m if merged is None else merged + m
+    ests = [merged[j].estimate() for j in range(merged.mean.size)]
+    shape = (se_arr.size - 1, ve_arr.size - 1)
+    return (np.reshape([e.value for e in ests], shape), np.reshape([e.se for e in ests], shape))
 
 
 # ---------------------------------------------------------------------------
@@ -569,3 +573,72 @@ def quadruple_histogram(spec: BivariateSubordinatorSpec, u: float, n: int, polic
     creep = float((batch.creep & (batch.z_before + batch.dz <= t_cut)).mean())
     return WholeBatch(emp, batch.censored_mass, float(batch.killed.mean()), creep,
                       monitors=dict(batch.monitors))
+
+
+def kappa_from_ladder(spec: ProcessSpec, batch, a: float, b: float) -> EstimateWithError:
+    """``kappa(a, b) = a + b c + rate * E[1 - e^{-a dL - b dH}]`` from one
+    whole ladder batch: ``a + b c`` plus ``rate`` times the batch mean, with
+    ``rate`` times the batch SD over ``sqrt(n)`` as its SE and the censored
+    records' bias bound of :func:`levyladder.passage.ladder_bias`.
+    Censored excursions contribute 1 to the expectation."""
+    vals = np.ones(batch.n)
+    res = ~batch.censored
+    vals[res] = 1.0 - np.exp(-a * batch.ds[res] - b * batch.dx[res])
+    se = float(vals.std(ddof=1) / math.sqrt(batch.n)) if batch.n > 1 else 0.0
+    cm = batch.censored_mass
+    bias = spec.rate * cm * (math.exp(-a * batch.cap) if a > 0 else 1.0)
+    return EstimateWithError(a + b * spec.drift + spec.rate * float(vals.mean()),
+                             spec.rate * se, batch.n, cm, bias)
+
+
+# ---------------------------------------------------------------------------
+# V(t, u) of a killed bivariate subordinator by its sampled triple minimum
+# ---------------------------------------------------------------------------
+
+
+def _sampled_min_chunk(spec: BivariateSubordinatorSpec, t: float, u: float, n: int,
+                       rng) -> PathValues:
+    """Per path ``T^Y_u ^ T^Z_t ^ e(q)``, with ``e(q)`` drawn first."""
+    dz, dy, q = spec.d_z, spec.d_y, spec.q
+    e_life = rng.exponential(1.0 / q, n) if q > 0 else np.full(n, math.inf)
+    censored = np.zeros(n, dtype=bool)
+    s, z, y = np.zeros(n), np.zeros(n), np.zeros(n)
+    minval = np.full(n, math.inf)
+
+    def before(alive, g):
+        s_next = s[alive] + g
+        cross_z = np.where((dz > 0) & (z[alive] + dz * g > t),
+                           s[alive] + (t - z[alive]) / max(dz, 1e-300), math.inf)
+        cross_y = np.where((dy > 0) & (y[alive] + dy * g > u),
+                           s[alive] + (u - y[alive]) / max(dy, 1e-300), math.inf)
+        event = np.minimum(np.minimum(np.minimum(cross_z, cross_y), e_life[alive]),
+                           np.minimum(s_next, BIV_TIME_GUARD))
+        resolved = event < s_next
+        minval[alive[resolved]] = event[resolved]
+        censored[alive[resolved & (event >= BIV_TIME_GUARD)]] = True
+        return ~resolved
+
+    def after(alive, g, jump):
+        jt, jx = jump
+        s_next = s[alive] + g
+        z[alive] += dz * g
+        y[alive] += dy * g
+        s[alive] = s_next
+        z[alive] += jt
+        y[alive] += jx
+        over = (z[alive] > t) | (y[alive] > u) | (e_life[alive] <= s_next)
+        fin = alive[over]
+        minval[fin] = np.minimum(s_next[over], e_life[fin])
+        return ~over
+
+    walk(np.arange(n), spec.total_rate, rng, spec.sample_atoms, before, after)
+    return PathValues(minval, censored)
+
+
+def sampled_min_V(spec: BivariateSubordinatorSpec, t: float, u: float, n: int,
+                  policy: RngPolicy) -> EstimateWithError:
+    """``V(t, u) = E[T^Y_u ^ T^Z_t ^ e(q)]`` from ``n`` paths that each draw
+    their killing time."""
+    (m, _), censored, _ = fold(chunked_map(
+        lambda i, k, rng: _sampled_min_chunk(spec, t, u, k, rng), n, policy), PathValues.tally)
+    return m.estimate(censored)

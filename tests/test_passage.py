@@ -8,7 +8,7 @@ import pytest
 
 from levyladder.fixtures import B1, P1, P2, P3
 from levyladder.processes import BivariateSubordinatorSpec, DiscreteAtoms, ProcessSpec
-from levyladder.results import CHECK_FAIL_RATE, join_chunks, verdict
+from levyladder.results import CHECK_FAIL_RATE, Moments, join_chunks, verdict
 from levyladder.rng import RngPolicy
 from levyladder import passage as pg
 from levyladder import processes
@@ -759,7 +759,8 @@ class TestAlpha:
 
         batch = pg.sample_ladder_jumps(P2, 60000, POL.substream("kap"), cap=300.0)
         for a in (0.5, 2.0):
-            est = pg.kappa_from_ladder(P2, batch, a, 0.0)
+            bias = pg.ladder_bias(P2, a, batch.censored_mass, batch.cap)
+            est = Moments.of(pg.kappa_from_ladder(P2, batch, a, 0.0)).estimate(bias_bound=bias)
             phi = brentq(lambda th: th - 0.5 * th / (1 + th) - a, a, a + 10)
             assert abs(est.value - phi) <= 3 * est.se + est.bias_bound
 

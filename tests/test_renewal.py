@@ -13,7 +13,7 @@ from levyladder.results import verdict
 from levyladder.rng import RngPolicy
 from levyladder import renewal as rn
 from levyladder import rw_ladder as rl
-from levyladder.renewal import OCC_TIME_GUARD, Boxes, _stats_per_column
+from levyladder.renewal import OCC_TIME_GUARD, Boxes
 
 import reference
 from test_passage import THREE_SE
@@ -31,16 +31,17 @@ class TestEstimateV:
                 assert cell.value == pytest.approx(min(t, u), abs=1e-12)
                 assert cell.se == 0.0
 
+    # the sampled minimum draws from the stream of estimate_V's one cell
     def test_large_killing_dominates(self):
         spec = BivariateSubordinatorSpec(d_z=1.0, d_y=1.0, q=1000.0)
-        grid = rn.estimate_V(spec, [5.0], [5.0], 40000, POL.substream("bigq"), route="min")
-        cell = grid.cell(5.0, 5.0)
+        cell = reference.sampled_min_V(spec, 5.0, 5.0, 40000,
+                                       POL.substream("bigq").substream("V[0,0]"))
         assert abs(cell.value - 1e-3) <= 3 * cell.se + 1e-5
 
     def test_min_and_killing_integrated_routes_agree(self):
-        g1 = rn.estimate_V(B1, [0.5], [0.9], 60000, POL.substream("r1"), route="min")
-        g2 = rn.estimate_V(B1, [0.5], [0.9], 60000, POL.substream("r2"), route="integrate")
-        c1, c2 = g1.cell(0.5, 0.9), g2.cell(0.5, 0.9)
+        c1 = reference.sampled_min_V(B1, 0.5, 0.9, 60000, POL.substream("r1").substream("V[0,0]"))
+        g2 = rn.estimate_V(B1, [0.5], [0.9], 60000, POL.substream("r2"))
+        c2 = g2.cell(0.5, 0.9)
         assert abs(c1.value - c2.value) <= 3 * math.hypot(c1.se, c2.se)
         assert c2.se < c1.se  # killing integration strictly reduces variance
 
@@ -54,10 +55,6 @@ class TestEstimateV:
     def test_v_zero_when_positive_y_drift(self):
         grid = rn.estimate_V(B1, [1.0], [0.0], 2000, POL.substream("z"))
         assert grid.cell(1.0, 0.0).value == pytest.approx(0.0, abs=1e-12)
-
-    def test_unknown_route_is_refused(self):
-        with pytest.raises(ValueError, match="route"):
-            rn.estimate_V(B1, [0.5], [0.5], 100, POL.substream("bad"), route="bogus")
 
 
 class TestExactV:
@@ -343,9 +340,7 @@ class TestCt1:
 # ---------------------------------------------------------------------------
 
 
-def _ref_fluct_occ_chunk(
-    spec: ProcessSpec, boxes: Boxes, n: int, rng
-) -> tuple[list[tuple[int, float, float]], int]:
+def _ref_fluct_occ_chunk(spec: ProcessSpec, boxes: Boxes, n: int, rng) -> tuple[np.ndarray, int]:
     c, lam = spec.drift, spec.rate
     if c < 0:
         raise ValueError("ladder occupation requires nonnegative drift")
@@ -397,12 +392,12 @@ def _ref_fluct_occ_chunk(
         return ~stop
 
     walk(np.arange(n), lam, rng, spec.sample_jumps, before, after)
-    return _stats_per_column(occ), censored
+    return occ, censored
 
 
 def _ref_dual_cells_chunk(
     spec: ProcessSpec, cells: list[tuple[float, float]], n: int, rng
-) -> list[tuple[int, float, float]]:
+) -> np.ndarray:
     """Per-path index of the first dual ladder point outside [0,t] x [0,x].
 
     Valid for compound Poisson fixtures: the strictly descending ladder
@@ -453,7 +448,7 @@ def _ref_dual_cells_chunk(
         return go_on
 
     walk(np.arange(n), lam, rng, spec.sample_jumps, before, after)
-    return _stats_per_column(counts)
+    return counts
 
 
 # the (t bin x fine y bin) boxes of check_quintuple(P1, 0.5) at mesh 0.1
@@ -471,8 +466,8 @@ P3_CELLS = [(0.5, 0.0), (1.0, 1.0), (2.0, 3.0), (1.5, 0.5)]
 
 def _occ_matches_reference(spec, boxes, n, seed):
     got = rn._fluct_occ_chunk(spec, boxes, n, np.random.default_rng(seed))
-    ref = _ref_fluct_occ_chunk(spec, boxes, n, np.random.default_rng(seed))
-    return got == ref
+    occ, censored = _ref_fluct_occ_chunk(spec, boxes, n, np.random.default_rng(seed))
+    return np.array_equal(got.values.T, occ) and int(got.censored.sum()) == censored
 
 
 class TestBoxHooksBitwise:
@@ -495,7 +490,7 @@ class TestBoxHooksBitwise:
             monkeypatch.setattr(rn, "OCC_BLOCK", block)
         got = reference._dual_cells_chunk(P3, P3_CELLS, n, np.random.default_rng(n))
         ref = _ref_dual_cells_chunk(P3, P3_CELLS, n, np.random.default_rng(n))
-        assert got == ref
+        assert np.array_equal(got.values.T, ref)
 
     def test_oracle_fails_when_a_block_drops_a_row(self, monkeypatch):
         blocks = rn._row_blocks
@@ -640,13 +635,6 @@ class TestDualMeasureBitwise:
             tracemalloc.stop()
         # the dense (16384 x 246) count matrix alone took 32 MB
         assert peak < 8e6
-
-    def test_stats_per_column_in_place_matches_out_of_place(self):
-        rng = np.random.default_rng(9)
-        values = rng.random((3001, 17)) * 10.0 ** rng.uniform(-6, 6, 17)
-        values[rng.random(values.shape) < 0.7] = 0.0
-        ref = _ref_stats_per_column(values.copy())
-        assert _stats_per_column(values) == ref
 
 
 def _ref_compose(shape, v_mass, vh_mass, pi, jy, jv):

@@ -1,10 +1,10 @@
 """The Monte Carlo checks fold their records one chunk at a time.
 
 Two properties: a check's memory does not grow with ``n`` (it is set by the
-chunk and the exact side), and every folded result equals, bit for bit,
-the same reduction of all ``n`` records drawn as one batch
-(``reference.py``), including when ``n`` is not a multiple of the chunk
-size or is below it.
+chunk and the exact side), and every folded result equals the same
+reduction of all ``n`` records drawn as one batch (``reference.py``),
+including when ``n`` is not a multiple of the chunk size or is below it:
+counts bit for bit, means and their SEs to their last bits.
 """
 
 import tracemalloc
@@ -15,8 +15,10 @@ import pytest
 from levyladder import lawcheck as lc
 from levyladder import passage as pg
 from levyladder import renewal as rn
-from levyladder.fixtures import B1, P1, P2, P3
+from levyladder import transforms as tr
+from levyladder.fixtures import B1, P1, P2, P3, S1
 from levyladder.processes import BivariateSubordinatorSpec
+from levyladder.results import EstimateWithError, Moments, PathValues, fold
 from levyladder.rng import RngPolicy, chunked_map
 
 import reference
@@ -46,6 +48,11 @@ MEMORY_CHECKS = {
                                                       cap=lc.QUINTUPLE_LATTICE_MIN_CAP),
     "quintuple-P1": lambda n, pol: lc.check_quintuple(P1, 0.5, n, pol),
     "quadruple-B1": lambda n, pol: lc.check_quadruple(B1, 1.5, n, pol),
+    "wiener-hopf-P3": lambda n, pol: tr.wiener_hopf_check(P3, (0.5, 1.0, 2.0), n, pol),
+    "resolvent-S1": lambda n, pol: tr.check_resolvent_creep(S1, 1.0, 0.5, n, pol),
+    # 20 n paths, so that the ladder side's 5 n records pass its 20000 floor
+    "slfi-fluct-P2": lambda n, pol: tr.slfi_fluct_check(
+        P2, tr.TransformParams(1, 2, 0, 1, 1), 20 * n, pol),
 }
 
 
@@ -79,6 +86,55 @@ SIZES = [700, 2500]
 
 def _pol(n):
     return RngPolicy(11 + n, chunk_size=1000)
+
+
+def _one_column(col):
+    """Mean about the first value and M2 of one whole column."""
+    mean = col[0] + (col - col[0]).mean()
+    return mean, ((col - mean) ** 2).sum()
+
+
+def _columns(kind, n):
+    rng = np.random.default_rng(n)
+    if kind == "one":
+        return 5.0 + rng.exponential(size=n)
+    # 17 columns over twelve decades, most values 0
+    values = rng.random((17, n)) * 10.0 ** rng.uniform(-6, 6, (17, 1))
+    values[rng.random(values.shape) < 0.7] = 0.0
+    return values
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("kind", ["one", "wide"])
+def test_folded_moments_match_one_column(kind, n):
+    values = _columns(kind, n)
+    chunks = (PathValues(values[..., a:a + 1000], np.zeros(1000, dtype=bool))
+              for a in range(0, n, 1000))
+    (m, _), _, _ = fold(chunks, PathValues.tally)
+    assert m.n == n
+    for j, col in enumerate(np.atleast_2d(values)):
+        got = m[j] if values.ndim == 2 else m
+        mean, m2 = _one_column(col)
+        assert got.mean == pytest.approx(mean, rel=1e-15, abs=0)
+        assert got.m2 == pytest.approx(m2, rel=1e-15, abs=0)
+
+
+def test_equal_values_give_that_value_and_se_zero():
+    m = Moments.of(np.full(700, 0.1)) + Moments.of(np.full(1800, 0.1))
+    assert m.estimate() == EstimateWithError(0.1, 0.0, 2500)
+    assert Moments.of(np.array([2.5])).estimate() == EstimateWithError(2.5, 0.0, 1)
+    assert Moments(0, 0.0, 0.0).estimate().se == 0.0
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_wiener_hopf_kappa_matches_whole_batch(n):
+    a_values = (0.5, 1.0, 2.0)
+    rep = tr.wiener_hopf_check(P3, a_values, n, _pol(n))
+    batch = pg.sample_ladder_jumps(P3, n, _pol(n).substream("kappa"), cap=tr.WH_LADDER_CAP)
+    assert rep.censored_mass == batch.censored_mass and rep.n_paths == n
+    for row, a in zip(rep.details, a_values):
+        ref = reference.kappa_from_ladder(P3, batch, a, 0.0)
+        assert row["kappa"] == pytest.approx(ref.value, rel=1e-13, abs=0)
 
 
 def _same_measure(got, ref):

@@ -8,8 +8,8 @@ from levyladder.fixtures import B1, P1, P2, P3, S1
 from levyladder.processes import (
     BivariateSubordinatorSpec, ExponentialJumps, ProcessSpec, UniformJumps, kappa_biv,
 )
-from levyladder.results import CHECK_FAIL_RATE, verdict
-from levyladder.rng import RngPolicy
+from levyladder.results import CHECK_FAIL_RATE, PathValues, fold, verdict
+from levyladder.rng import RngPolicy, chunked_map
 from levyladder import rw_ladder as rl
 from levyladder import transforms as tr
 from test_passage import THREE_SE, _Script
@@ -189,8 +189,9 @@ class TestSlfiExactLevels:
 
 
 def _fluct_lhs(spec, params, n, policy):
-    return tr._path_estimate(lambda m, rng: tr._slfi_fluct_chunk(spec, params, m, rng), n,
-                             policy)
+    chunks = chunked_map(lambda i, k, rng: tr._slfi_fluct_chunk(spec, params, k, rng), n, policy)
+    (m, bias), _, _ = fold(chunks, PathValues.tally)
+    return m.estimate(bias_bound=bias / n)
 
 
 class TestSlfiFluctExactLevels:
@@ -214,7 +215,8 @@ class TestSlfiFluctExactLevels:
         # and creep to 40.7 by time 20.85, where the path stops
         spec = ProcessSpec(2.0, 2.0, P1.jumps)
         script = _Script((0.25, 0.4, 0.2, 20.0), (-1, 1, -1, -1))
-        vals, bias = tr._slfi_fluct_chunk(spec, params, 1, script)
+        out = tr._slfi_fluct_chunk(spec, params, 1, script)
+        vals, bias = out.values, out.bias
 
         def record(u):  # (x, y, t, s) of the passage over level u
             if u <= 0.5:
