@@ -30,6 +30,7 @@ from .rng import RngPolicy
 from .passage import (
     K_CAP_TAIL,
     PassageBatch,
+    _closed,
     biv_passage_chunks,
     ladder_jump_chunks,
     passage_chunks,
@@ -99,7 +100,10 @@ class Axis:
         return len(self.values) - (0 if self.kind == "atoms" else 1)
 
     def index(self, x: np.ndarray) -> np.ndarray:
-        """Cell index of each coordinate; -1 marks out-of-grid values."""
+        """Cell index of each coordinate; -1 marks out-of-grid values.  A bin
+        ``(a, b]`` is closed within ``_EDGE_RTOL`` of ``b``, as the exact
+        tables' boxes are (:func:`~levyladder.passage._closed`); the first
+        also holds ``a``."""
         x = np.asarray(x, dtype=float)
         vals = np.asarray(self.values)
         if self.kind == "atoms":
@@ -107,9 +111,10 @@ class Axis:
             idx[idx >= vals.size] = vals.size - 1
             ok = vals[idx] == x
             return np.where(ok, idx, -1)
-        idx = np.searchsorted(vals, x, side="left") - 1
-        idx = np.where(x == vals[0], 0, idx)
-        idx = np.where((x < vals[0]) | (x > vals[-1]), -1, idx)
+        edges = np.array([_closed(v) for v in self.values])
+        idx = np.searchsorted(edges, x, side="left") - 1
+        idx = np.where(x >= vals[0], np.maximum(idx, 0), -1)
+        idx = np.where(x > edges[-1], -1, idx)
         return idx.astype(int)
 
 
@@ -328,15 +333,19 @@ def check_quintuple(
 
 def quintuple_route(spec: ProcessSpec) -> str:
     """``"lattice"`` for a compound Poisson fixture, ``"creeping"`` for positive
-    drift with integer jump atoms, else a ValueError: the routes of
-    :func:`check_quintuple`."""
+    drift with integer jump atoms and a positive mean, else a ValueError: the
+    routes of :func:`check_quintuple`."""
     if spec.is_compound_poisson:
         return "lattice"
     law = spec.jumps
     if not (spec.drift > 0 and isinstance(law, DiscreteAtoms)
             and all(v == round(v) for v in law.values)):
         raise ValueError("the creeping quintuple route needs positive drift and integer jump atoms")
-    rl.DriftLattice(spec)
+    mean = rl.DriftLattice(spec).mean
+    if not mean > 0:
+        # its V boxes reach t = inf, which the occupation route sums only
+        # for a positive mean
+        raise ValueError(f"the creeping quintuple route needs a positive mean, got {mean:g}")
     return "creeping"
 
 

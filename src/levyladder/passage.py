@@ -454,7 +454,7 @@ def _passage_chunk(spec: ProcessSpec, u: float, cap: float, n: int, rng,
         # from ``first_crept`` on as crept; returns how many were recorded
         k = nxt[active]
         lo = np.maximum(k, first_crept)
-        new = lo < reach
+        new = (lo < reach).nonzero()[0]
         runs.append((active[new], lo[new], reach[new]))
         nxt[active] = np.maximum(k, reach)
         return int((reach[new] - lo[new]).sum())
@@ -472,16 +472,16 @@ def _passage_chunk(spec: ProcessSpec, u: float, cap: float, n: int, rng,
             reach, sel = nxt[active], np.arange(active.size)
             while sel.size:
                 t_level = (lv[reach[sel]] - J_now[sel]) / c
-                sel = sel[(t_level < sig_next[sel]) & (t_level <= cap)]
+                sel = sel[((t_level < sig_next[sel]) & (t_level <= cap)).nonzero()[0]]
                 reach[sel] += 1
             pass_levels(active, reach, 0)
         cens = np.where(hits, t_creep, sig_next) > cap
-        ok = hits & ~cens
+        ok = (hits & ~cens).nonzero()[0]
         fin = active[ok]
         tau[fin] = g_before[fin] = t_creep[ok]
         x_at[fin] = x_before[fin] = max_before[fin] = u
         creep[fin] = True
-        censored[active[cens]] = True
+        censored[active[cens.nonzero()[0]]] = True
         return ~(hits | cens)
 
     def after(active, g, Y):
@@ -489,7 +489,7 @@ def _passage_chunk(spec: ProcessSpec, u: float, cap: float, n: int, rng,
         w_pre = c * sig_next + J[active]
         # maximum/G bookkeeping for the segment ending at this jump
         if c > 0:
-            upd = w_pre > M[active]
+            upd = (w_pre > M[active]).nonzero()[0]
             ii = active[upd]
             M[ii] = w_pre[upd]
             G[ii] = sig_next[upd]
@@ -499,28 +499,31 @@ def _passage_chunk(spec: ProcessSpec, u: float, cap: float, n: int, rng,
         # (null event, monitored)
         inst = (w_land == u) & (c > 0)
         done = (w_land > u) | inst
-        fin = active[done]
-        tau[fin] = sig_next[done]
-        x_at[fin] = w_land[done]
-        x_before[fin] = w_pre[done]
+        stop = done.nonzero()[0]
+        fin = active[stop]
+        tau[fin] = sig_next[stop]
+        x_at[fin] = w_land[stop]
+        x_before[fin] = w_pre[stop]
         max_before[fin] = M[fin]
         g_before[fin] = G[fin]
+        inst = inst.nonzero()[0]
         creep[active[inst]] = True
-        monitors["creep_with_undershoot"] += int(inst.sum())
+        monitors["creep_with_undershoot"] += inst.size
         if track:
             # the levels the jump reaches; one it lands on exactly is crept,
             # as at u
             monitors["creep_with_undershoot"] += pass_levels(
                 active, np.searchsorted(lv, w_land, "right"), np.searchsorted(lv, w_land))
         cont = ~done
-        ii = active[cont]
-        J[ii] += Y[cont]
-        sigma[ii] = sig_next[cont]
-        wl = w_land[cont]
-        newmax = wl > M[ii]
+        go = cont.nonzero()[0]
+        ii = active[go]
+        J[ii] += Y[go]
+        sigma[ii] = sig_next[go]
+        wl = w_land[go]
+        newmax = (wl > M[ii]).nonzero()[0]
         jj = ii[newmax]
         M[jj] = wl[newmax]
-        G[jj] = sig_next[cont][newmax]
+        G[jj] = sig_next[go[newmax]]
         return cont
 
     walk(np.arange(n), lam, rng, spec.sample_jumps, before, after)
@@ -712,8 +715,8 @@ def _biv_chunk(
         t_cross = s[active] + (u - y[active]) / dy if dy > 0 else np.full(active.size, np.inf)
         hits = t_cross < s_next
         die = e_life[active] < np.where(hits, t_cross, s_next)
-        killed[active[die]] = True
-        ok = hits & ~die
+        killed[active[die.nonzero()[0]]] = True
+        ok = (hits & ~die).nonzero()[0]
         fin = active[ok]
         thf = t_cross[ok]
         T[fin] = thf
@@ -721,7 +724,7 @@ def _biv_chunk(
         dz_at[fin] = 0.0
         z_before[fin] = z[fin] + dz_drift * (thf - s[fin])
         over = ~(hits | die) & (s_next > s_cap)
-        censored[active[over]] = True
+        censored[active[over.nonzero()[0]]] = True
         return ~(hits | die | over)
 
     def after(active, g, jump):
@@ -734,20 +737,23 @@ def _biv_chunk(
         # the level; with jx == 0 it is the Z-jump/Y-flat null event.
         inst = (y_land == u) & (dy > 0)
         done = (y_land > u) | inst
-        fin = active[done]
-        T[fin] = s[fin] + g[done]
-        y_before[fin] = y_pre[done]
-        y_at[fin] = y_land[done]
-        dz_at[fin] = jt[done]
-        z_before[fin] = z_pre[done]
+        stop = done.nonzero()[0]
+        fin = active[stop]
+        T[fin] = s[fin] + g[stop]
+        y_before[fin] = y_pre[stop]
+        y_at[fin] = y_land[stop]
+        dz_at[fin] = jt[stop]
+        z_before[fin] = z_pre[stop]
+        inst = inst.nonzero()[0]
         jumped = jx[inst] > 0
         monitors["biv_jump_to_level"] += int(jumped.sum())
         monitors["biv_z_jump_y_flat"] += int(((~jumped) & (jt[inst] > 0)).sum())
         cont = ~done
-        ii = active[cont]
-        s[ii] += g[cont]
-        z[ii] = z_pre[cont] + jt[cont]
-        y[ii] = y_land[cont]
+        go = cont.nonzero()[0]
+        ii = active[go]
+        s[ii] += g[go]
+        z[ii] = z_pre[go] + jt[go]
+        y[ii] = y_land[go]
         return cont
 
     walk(np.arange(n), rate, rng, spec.sample_atoms, before, after)
@@ -830,23 +836,25 @@ def _ladder_chunk(spec: ProcessSpec, n: int, rng, cap: float) -> LadderJumpBatch
         r[active] = r1
         over = r1 > cap  # censored before the jump past the cap
         if c == 0:
-            censored[active[over]] = True
+            censored[active[over.nonzero()[0]]] = True
             return ~over
         t_hit = -w[active] / c
         back = t_hit <= g  # weak return: the drift reaches the maximum first
-        ds[active[back]] = r0[back] + t_hit[back]
+        ret = back.nonzero()[0]
+        ds[active[ret]] = r0[ret] + t_hit[ret]
         over &= ~back
-        censored[active[over]] = True
+        censored[active[over.nonzero()[0]]] = True
         return ~(back | over)
 
     def after(active, g, y):
         w_pre = w[active] + c * g if c > 0 else w[active]
         w_land = w_pre + y
         back = w_land >= 0.0  # weak return; the overshoot may be 0
-        fin = active[back]
+        ret = back.nonzero()[0]
+        fin = active[ret]
         ds[fin] = r[fin]
-        dx[fin] = w_land[back]
-        v[fin] = -w_pre[back]
+        dx[fin] = w_land[ret]
+        v[fin] = -w_pre[ret]
         w[active] = w_land
         return ~back
 

@@ -102,7 +102,7 @@ def _fluct_occ_chunk(spec: ProcessSpec, boxes: Boxes, n: int, rng) -> PathValues
         if c > 0:
             # only a drift segment that reaches a new maximum adds occupation
             w_pre = c * sig_next + Ja
-            has = w_pre > Ma
+            has = (w_pre > Ma).nonzero()[0]
             rows, Jh, sig_h = alive[has], Ja[has], sig_next[has]
             r_star = np.maximum(sigma[rows], (Ma[has] - Jh) / c)
             for b in _row_blocks(rows.size, nb):
@@ -112,7 +112,7 @@ def _fluct_occ_chunk(spec: ProcessSpec, boxes: Boxes, n: int, rng) -> PathValues
                 occ[rows[b]] += np.maximum(hi - lo, 0.0)
             M[alive] = np.maximum(Ma, w_pre)
         else:
-            top = Ja == Ma
+            top = (Ja == Ma).nonzero()[0]
             rows, M_top, sig_top = alive[top], Ma[top], sig_next[top]
             for b in _row_blocks(rows.size, nb):
                 Mb = M_top[b, None]
@@ -129,7 +129,8 @@ def _fluct_occ_chunk(spec: ProcessSpec, boxes: Boxes, n: int, rng) -> PathValues
         sigma[alive] = sig_next
         stop = (sig_next > stop_r) | (M[alive] > stop_u)
         if stop.any() and stop_r >= OCC_TIME_GUARD:
-            censored[alive[stop & (sig_next > stop_r) & (M[alive] <= stop_u)]] = True
+            guard = stop & (sig_next > stop_r) & (M[alive] <= stop_u)
+            censored[alive[guard.nonzero()[0]]] = True
         return ~stop
 
     walk(np.arange(n), lam, rng, spec.sample_jumps, before, after)
@@ -286,8 +287,9 @@ def _biv_min_chunk(
                            s[alive] + (u - y[alive]) / max(dy, 1e-300), math.inf)
         event = np.minimum(np.minimum(cross_z, cross_y), np.minimum(s_next, BIV_TIME_GUARD))
         resolved = event < s_next
-        minval[alive[resolved]] = event[resolved]
-        censored[alive[resolved & (event >= BIV_TIME_GUARD)]] = True
+        done = resolved.nonzero()[0]
+        minval[alive[done]] = event[done]
+        censored[alive[done[event[done] >= BIV_TIME_GUARD]]] = True
         return ~resolved
 
     def after(alive, g, jump):
@@ -299,7 +301,8 @@ def _biv_min_chunk(
         z[alive] += jt
         y[alive] += jx
         over = (z[alive] > t) | (y[alive] > u)
-        minval[alive[over]] = s_next[over]
+        done = over.nonzero()[0]
+        minval[alive[done]] = s_next[done]
         return ~over
 
     walk(np.arange(n), spec.total_rate, rng, spec.sample_atoms, before, after)

@@ -308,7 +308,8 @@ def fold(chunks: Iterable[Any], tally: Callable[[Any], tuple]
     dropped once tallied.  Terms that are integer counts or integer arrays
     sum exactly, so nothing depends on where the chunks split the records;
     :class:`Moments` terms merge in chunk order, so a mean and its SE depend
-    on the split only in their last bits."""
+    on the split only in their last bits.  No records at all is a
+    ValueError: there is nothing to estimate from."""
     sums, n, n_censored, monitors = None, 0, 0, {}
     for chunk in chunks:
         part = tally(chunk)
@@ -316,4 +317,6 @@ def fold(chunks: Iterable[Any], tally: Callable[[Any], tuple]
         n += chunk.n
         n_censored += int(chunk.censored.sum())
         merge_monitors(monitors, getattr(chunk, "monitors", {}))
+    if n == 0:
+        raise ValueError("n must be positive: there are no records to fold")
     return sums, n_censored / n, monitors

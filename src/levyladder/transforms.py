@@ -148,7 +148,7 @@ def _lt_chunk(
         w1 = np.exp(-expo[alive])
         tail = (~ended) & (w1 < LT_WEIGHT_TOL)
         # remaining contribution from a state with weight w is w / kappa(a, b)
-        bias_total += float(w1[tail].sum()) / kap
+        bias_total += float(w1[tail.nonzero()[0]].sum()) / kap
         return ~(ended | tail)
 
     walk(np.arange(n), spec.total_rate, rng, spec.sample_atoms, before, after)
@@ -228,7 +228,7 @@ def _slfi_chunk(spec, p: TransformParams, n: int, rng) -> PathValues:
         expo[alive] += p.mu * jx + p.nu * jt
         w1 = np.exp(-expo[alive])
         tail = w1 < LT_WEIGHT_TOL
-        bias_total += float(w1[tail].sum()) * rest
+        bias_total += float(w1[tail.nonzero()[0]].sum()) * rest
         return ~tail
 
     walk(np.arange(n), spec.total_rate, rng, spec.sample_atoms, before, after)
@@ -299,7 +299,7 @@ def _slfi_fluct_chunk(spec: ProcessSpec, p: TransformParams, n: int, rng) -> Pat
         # the segment passes M at r* = sigma + (M - J) / c and creeps the
         # levels (M, M + L) at times r* + (u - M) / c: x = y = s = 0, t = tau
         top = J[alive] + c * g
-        up = top > M[alive]
+        up = (top > M[alive]).nonzero()[0]
         i, top = alive[up], top[up]
         r = sigma[i] + (M[i] - J[i]) / c
         vals[i] += np.exp(-p.mu * M[i] - p.nu * r) * -np.expm1(-k * (top - M[i])) / k
@@ -311,7 +311,7 @@ def _slfi_fluct_chunk(spec: ProcessSpec, p: TransformParams, n: int, rng) -> Pat
         land = J[alive] + c * g + y
         # a jump landing above M leaps the levels (M, land) at time t: x and
         # y are affine in u, the last maximum is at G and s = t - G
-        up = land > M[alive]
+        up = (land > M[alive]).nonzero()[0]
         i, t_up = alive[up], t[up]
         span = land[up] - M[i]
         vals[i] += np.exp(-p.mu * M[i] - p.rho * span - p.nu * G[i]
@@ -322,7 +322,7 @@ def _slfi_fluct_chunk(spec: ProcessSpec, p: TransformParams, n: int, rng) -> Pat
         # whose last maximum lies past G
         rest = np.exp(-p.mu * M[alive] - np.maximum(p.nu * G[alive], slow * t)) / p.mu
         stop = rest < SLFI_FLUCT_STOP
-        bias_total += float(rest[stop].sum())
+        bias_total += float(rest[stop.nonzero()[0]].sum())
         return ~stop
 
     walk(np.arange(n), spec.rate, rng, spec.sample_jumps, before, after)

@@ -40,6 +40,20 @@ class TestAxes:
         ax = lc.Axis("x", "bins", lc._zero_offset_edges(0.1, 0.3))
         assert list(ax.index(np.array([0.0, 0.05, 0.1, 0.11]))) == [0, 1, 1, 2]
 
+    def test_bins_are_closed_within_the_edge_tolerance(self):
+        # a path of a bivariate fixture (d_z = 1, d_y = 0.5) whose one Y-jump
+        # of 1 comes at Z = sigma creeps over u = 1.5 at Z = sigma + (1.5 -
+        # 0.5 sigma - 1) / 0.5 = 1, which rounds one ulp past the edge 1.0
+        # here; the exact side counts it in (0.5, 1], so must the empirical
+        sigma = 0.08194704787238938
+        z = sigma + (1.5 - 0.5 * sigma - 1.0) / 0.5
+        assert z == np.nextafter(1.0, 2.0)
+        ax = lc.Axis("t", "bins", lc.QUADRUPLE_T_EDGES)
+        assert list(ax.index(np.array([z, 1.0, 1.0 + 2e-12, 0.5 + 1e-13]))) == [1, 1, 2, 0]
+        # the last finite edge closes too; past the tolerance is off the grid
+        ax = lc.Axis("t", "bins", (0.0, 1.0, 2.0))
+        assert list(ax.index(np.array([np.nextafter(2.0, 3.0), 2.0 + 1e-11]))) == [1, -1]
+
 
 def _histogram(axes, columns, n_total):
     return lc.DiscreteMeasureND.from_counts(

@@ -490,6 +490,11 @@ class TestEstimateP:
                                    CHECK_FAIL_RATE)
         assert distance <= budget
 
+    def test_no_paths_is_a_value_error_that_names_n(self):
+        # the fold over no records once divided by zero
+        with pytest.raises(ValueError, match="n must be positive"):
+            pg.estimate_p(P1, 0.3, 0.5, 0, RngPolicy(1))
+
     def test_compound_poisson_gives_zero(self):
         est, _ = pg.estimate_p(P3, 1.0, 1.0, 2000, POL.substream("cp"))
         assert est.value == 0.0

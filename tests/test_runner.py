@@ -133,6 +133,20 @@ class TestConfigValidation:
         assert f"checks[0].{key}: " in err and why in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_creeping_quintuple_refuses_a_negative_mean_before_any_csv(self, tmp_path):
+        # creeps, but its mean is 0.5 + 2 (-1/2) = -1/2: the creeping route's
+        # occupation table has no unbounded horizon, which once raised at run
+        # time, after the first check had written its CSV
+        down = {"kind": "levy", "drift": 0.5, "rate": 2,
+                "jumps": {"variant": "discrete", "atoms": [[-2, "1/2"], [1, "1/2"]]}}
+        ct1 = {"name": "ct1", "fixture": "P1", "t": 0.5, "u": 0.25, "n": 2000}
+        out = tmp_path / "o"
+        raw = _cfg(out=str(out), fixtures={"DOWN": down}, checks=[
+            ct1, {"name": "quintuple", "fixture": "DOWN", "u": 0.5}, ct1])
+        with pytest.raises(ConfigError, match=r"checks\[1\]\.fixture: .*positive mean, got -0.5"):
+            runner.run(raw)
+        assert not out.exists()
+
     def test_values_at_the_limits_are_accepted(self):
         # the lattice rules bind only the exact route: P1 creeps, so any
         # positive level and cap are fine there
